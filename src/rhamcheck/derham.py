@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, NotACocycle
 from .formtext import insert_index as _insert_index
 from .formtext import merge_sign as _merge_sign
-from .linalg import SparseMatrix, _Echelon, cohomology_pair, kernel_image, solve
+from .linalg import Echelon, SparseMatrix, cohomology_pair, dense_vector, kernel_image, solve
 from .poly import (
     Polynomial,
     drl_key,
@@ -49,7 +49,8 @@ class FpAlgebra:
         kwargs = {} if pair_budget is None else {"pair_budget": pair_budget}
         self.groebner = groebner_basis(gens, **kwargs) if gens else []
         for g in gens:
-            assert normal_form(g, self.groebner).is_zero()
+            if not normal_form(g, self.groebner).is_zero():
+                raise AssertionError("Groebner basis does not reduce generator %s" % g)
         self._lead_monomials = [g.leading_term()[0] for g in self.groebner]
         self._std_cache = {}
         self._stratum_cache = {}
@@ -330,7 +331,7 @@ class _WeightStratum:
     def _build_relations(self, extended):
         algebra = self.algebra
         p = self.p
-        echelon = _Echelon([], self.size_ext)
+        echelon = Echelon()
         if p >= 1:
             sub_sets = list(combinations(range(algebra.nvars), p - 1))
             for j, f in enumerate(algebra.ideal_generators):
@@ -362,12 +363,9 @@ class _WeightStratum:
                                     vec.pop(idx, None)
                         if vec:
                             echelon.add(vec)
-        # intersect with the stratum: echelon rows lying entirely in the prefix
-        self.relation_rows = []
-        for pivot, row in echelon.rows:
-            if pivot < self.size:
-                self.relation_rows.append((pivot, dict(row)))
-        self.relation_rows.sort(key=lambda pr: pr[0], reverse=True)
+        # intersect with the stratum: the rows lying entirely in the prefix,
+        # those whose pivot (their largest index) is below the stratum size
+        self.relations = Echelon(row for pivot, row in echelon.rows.items() if pivot < self.size)
 
     def vector_of(self, omega):
         """Coordinates of a (coefficient-normalized) form in this stratum."""
@@ -394,19 +392,6 @@ class _WeightStratum:
                 terms[S] = poly
         return AlgebraicForm(self.algebra, self.p, terms, reduce=False)
 
-    def reduce_vec(self, vec):
-        out = dict(vec)
-        for pivot, row in self.relation_rows:
-            coeff = out.get(pivot)
-            if coeff:
-                for j, v in row.items():
-                    nv = out.get(j, Fraction(0)) - coeff * v
-                    if nv:
-                        out[j] = nv
-                    else:
-                        out.pop(j, None)
-        return out
-
     def differential_matrix(self, target):
         """Matrix of the termwise differential into the degree p+1 stratum."""
         entries = {}
@@ -424,17 +409,9 @@ class _WeightStratum:
         return SparseMatrix(target.size, self.size, entries)
 
     def relation_matrix(self):
-        cols = [
-            _sparse_col(row, self.size) for _, row in sorted(self.relation_rows)
-        ]
-        return SparseMatrix.from_columns(cols, self.size) if cols else SparseMatrix.zero(self.size, 0)
-
-
-def _sparse_col(row_dict, size):
-    col = [Fraction(0)] * size
-    for j, v in row_dict.items():
-        col[j] = v
-    return col
+        rows = [row for _, row in sorted(self.relations.rows.items())]
+        entries = {(i, j): v for j, row in enumerate(rows) for i, v in row.items()}
+        return SparseMatrix(self.size, len(rows), entries)
 
 
 def reduce_form(omega, cutoff=None):
@@ -453,7 +430,7 @@ def reduce_form(omega, cutoff=None):
     n_cutoff = cutoff if cutoff is not None else normalized.weight()
     stratum = algebra._stratum(omega.degree, n_cutoff)
     vec = stratum.vector_of(normalized)
-    return stratum.form_of(stratum.reduce_vec(vec))
+    return stratum.form_of(stratum.relations.reduce(vec)[0])
 
 
 class TruncatedCohomology:
@@ -478,7 +455,7 @@ class TruncatedCohomology:
                 for form in lifted:
                     try:
                         coords, _ = self._class_in_pair(form)
-                    except Exception:
+                    except NotACocycle:
                         ok = False
                         break
                     coord_rows.append(coords)
@@ -492,10 +469,7 @@ class TruncatedCohomology:
         vec = self._stratum.vector_of(
             AlgebraicForm(self.algebra, self.p, form.terms, reduce=False)
         )
-        dense = [Fraction(0)] * self._stratum.size
-        for j, v in vec.items():
-            dense[j] = v
-        return self._pair.class_of(dense)
+        return self._pair.class_of(dense_vector(vec, self._stratum.size))
 
     def is_cocycle(self, form):
         return differential(form).is_zero()
@@ -524,13 +498,11 @@ def _truncated_pair(algebra, p, n_cutoff):
     if up is None or up.size == 0:
         d_next = SparseMatrix.zero(0, stratum.size)
     else:
-        raw = stratum.differential_matrix(up)
-        cols = []
-        for j in range(stratum.size):
-            col = {i: v for (i, jj), v in raw.entries.items() if jj == j}
-            col = up.reduce_vec(col)
-            cols.append(_sparse_col(col, up.size))
-        d_next = SparseMatrix.from_columns(cols, up.size)
+        entries = {}
+        for j, col in enumerate(stratum.differential_matrix(up).columns()):
+            rest, _ = up.relations.reduce(col)
+            entries.update(((i, j), v) for i, v in rest.items())
+        d_next = SparseMatrix(up.size, stratum.size, entries)
     return cohomology_pair(d_prev, d_next), stratum
 
 

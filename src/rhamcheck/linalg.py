@@ -5,19 +5,21 @@ forms-family complexes) funnels through two operations: kernel/image
 bases of a single map, and the cohomology of a composable pair.  All
 vectors are exact Fractions; there is no floating-point path here.
 
-Elimination strategy: dense rational Gauss-Jordan below 64x64 entries,
-fraction-free (Bareiss) elimination with minimal-fill-in pivoting on the
-sparse path above that.
+One elimination engine serves them all: `Echelon`, the reduced echelon
+basis of a growing span of sparse vectors.  A map's columns are inserted
+in order; a column that reduces to zero is a combination of the earlier
+independent columns, which gives one kernel vector, and the independent
+columns are the image.  Since the reduced basis of a span is unique,
+every result is canonical whatever the sparsity of the input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import CompositionNonzero, NotACocycle
 
-DENSE_LIMIT = 64
+DENSE_LIMIT = 64  # read only by the benchmark tracer (benchmarks/spans.py) to label sizes
 
 
 class SparseMatrix:
@@ -66,12 +68,12 @@ class SparseMatrix:
                     entries[(i, j)] = Fraction(value)
         return cls(rows, len(columns), entries)
 
-    def column(self, j):
-        col = [Fraction(0)] * self.rows
-        for (i, jj), value in self.entries.items():
-            if jj == j:
-                col[i] = value
-        return col
+    def columns(self):
+        """The entries grouped by column: one dict row -> value per column."""
+        cols = [{} for _ in range(self.cols)]
+        for (i, j), value in self.entries.items():
+            cols[j][i] = value
+        return cols
 
     def mul_vec(self, vec):
         if len(vec) != self.cols:
@@ -110,229 +112,142 @@ class SparseMatrix:
             entries[(i, j + self.cols)] = value
         return SparseMatrix(self.rows, self.cols + other.cols, entries)
 
-    def to_dense(self):
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), value in self.entries.items():
-            dense[i][j] = value
-        return dense
+
+def dense_vector(sparse, length):
+    """The list of length `length` with the entries of a dict index -> value."""
+    vec = [Fraction(0)] * length
+    for j, v in sparse.items():
+        vec[j] = v
+    return vec
 
 
-def _rref_dense(dense, rows, cols):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if dense[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
-        inv = Fraction(1) / dense[r][c]
-        dense[r] = [inv * x for x in dense[r]]
-        for i in range(rows):
-            if i != r and dense[i][c] != 0:
-                factor = dense[i][c]
-                dense[i] = [x - factor * y for x, y in zip(dense[i], dense[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+def _axpy(target, scale, source):
+    """target += scale * source on sparse dicts, dropping cancelled entries."""
+    for j, v in source.items():
+        nv = target.get(j, 0) + scale * v
+        if nv:
+            target[j] = nv
+        else:
+            target.pop(j, None)
 
 
-def _integer_rows(matrix):
-    """Rows of `matrix` scaled to coprime integers (kernel-preserving)."""
-    by_row = [dict() for _ in range(matrix.rows)]
-    for (i, j), value in matrix.entries.items():
-        by_row[i][j] = value
-    rows = []
-    for row in by_row:
-        if not row:
-            rows.append({})
-            continue
-        denom_lcm = 1
-        for value in row.values():
-            d = value.denominator
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        ints = {j: int(v * denom_lcm) for j, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        rows.append(ints)
-    return rows
+class Echelon:
+    """The reduced echelon basis of the span of the vectors added so far.
 
+    `rows` maps each pivot to its row, a sparse dict index -> Fraction.
+    A row's pivot is its largest index and its entry there is 1, and no
+    other row has an entry at that pivot.  So the rows are the unique
+    reduced basis of their span, whatever order vectors arrive in, and
+    reduction leaves the unique remainder that vanishes at every pivot.
 
-def _echelon_sparse(matrix):
-    """Fraction-free elimination; returns (pivot cols, echelon rows).
-
-    Pivot selection is by minimal fill-in (Markowitz count) among the
-    remaining nonzero entries; echelon rows come back as rational dicts
-    normalized so the pivot entry is 1.
+    With `track`, each row also keeps its combination of the independent
+    vectors added so far, numbered 0, 1, ... in the order they were
+    added; `reduce` then returns the coordinates of what it removed on
+    those vectors.  Vectors may be dicts or dense lists.
     """
-    rows = [r for r in _integer_rows(matrix) if r]
-    pivots = []
-    echelon = []
-    while rows:
-        col_count = {}
-        for row in rows:
-            for j in row:
-                col_count[j] = col_count.get(j, 0) + 1
-        best = None
-        for ridx, row in enumerate(rows):
-            rcount = len(row)
-            for j in row:
-                score = (rcount - 1) * (col_count[j] - 1)
-                key = (score, j, ridx)
-                if best is None or key < best[0]:
-                    best = (key, ridx, j)
-        _, ridx, pcol = best
-        pivot_row = rows.pop(ridx)
-        pivot_val = pivot_row[pcol]
-        new_rows = []
-        for row in rows:
-            if pcol in row:
-                factor = row[pcol]
-                merged = {}
-                for j in set(row) | set(pivot_row):
-                    value = row.get(j, 0) * pivot_val - pivot_row.get(j, 0) * factor
-                    if value:
-                        merged[j] = value
-                g = 0
-                for v in merged.values():
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    merged = {j: v // g for j, v in merged.items()}
-                if merged:
-                    new_rows.append(merged)
-            else:
-                new_rows.append(row)
-        rows = new_rows
-        pivots.append(pcol)
-        echelon.append({j: Fraction(v, pivot_val) for j, v in pivot_row.items()})
-    # back-substitute so each pivot column appears in exactly one row
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            ra, rb = order[a], order[b]
-            pb = pivots[rb]
-            if pb in echelon[ra]:
-                factor = echelon[ra][pb]
-                for j, v in echelon[rb].items():
-                    nv = echelon[ra].get(j, Fraction(0)) - factor * v
-                    if nv:
-                        echelon[ra][j] = nv
-                    else:
-                        echelon[ra].pop(j, None)
-    paired = sorted(zip(pivots, echelon))
-    pivots = [p for p, _ in paired]
-    echelon = [e for _, e in paired]
-    return pivots, echelon
+
+    def __init__(self, vectors=(), track=False):
+        self.rows = {}
+        self._combos = {} if track else None
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec):
+        """(remainder, coords) with vec = remainder + sum of coords[k] * vector k."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        out = {j: v for j, v in items if v}
+        coords = {}
+        # a row has no entry at any other pivot, so the pivots hit are
+        # exactly those present at the start, in any order
+        for pivot in [j for j in out if j in self.rows]:
+            coeff = out[pivot]
+            _axpy(out, -coeff, self.rows[pivot])
+            if self._combos is not None:
+                _axpy(coords, coeff, self._combos[pivot])
+        return out, coords
+
+    def add(self, vec):
+        """Insert vec; returns its reduction as `reduce` gives it.
+
+        An empty remainder means vec lies in the span and nothing changed;
+        otherwise vec becomes independent vector number len(rows) - 1.
+        """
+        red, coords = self.reduce(vec)
+        if not red:
+            return red, coords
+        pivot = max(red)
+        inv = Fraction(1) / red[pivot]
+        row = {j: v * inv for j, v in red.items()}
+        combo = None
+        if self._combos is not None:
+            combo = {k: -v * inv for k, v in coords.items()}
+            combo[len(self.rows)] = inv
+        for other_pivot, other in self.rows.items():
+            coeff = other.get(pivot)
+            if coeff:
+                _axpy(other, -coeff, row)
+                if combo is not None:
+                    _axpy(self._combos[other_pivot], -coeff, combo)
+        self.rows[pivot] = row
+        if combo is not None:
+            self._combos[pivot] = combo
+        return red, coords
 
 
-def _rref(matrix):
-    """(pivot columns, rref rows as dicts col->Fraction), dense or sparse."""
-    if matrix.rows < DENSE_LIMIT and matrix.cols < DENSE_LIMIT:
-        dense = matrix.to_dense()
-        pivots = _rref_dense(dense, matrix.rows, matrix.cols)
-        rows = []
-        for r in range(len(pivots)):
-            rows.append({j: v for j, v in enumerate(dense[r]) if v})
-        return pivots, rows
-    return _echelon_sparse(matrix)
+def _eliminate(columns, track):
+    """Insert the columns in order: (echelon, independent columns, dependent).
+
+    `dependent` lists (column, coords) for each column in the span of the
+    earlier ones, its coords taken on the independent columns.
+    """
+    echelon = Echelon(track=track)
+    independent = []
+    dependent = []
+    for j, col in enumerate(columns):
+        red, coords = echelon.add(col)
+        if red:
+            independent.append(j)
+        else:
+            dependent.append((j, coords))
+    return echelon, independent, dependent
 
 
 def kernel_image(matrix):
     """Exact kernel basis, column-space basis, and rank of a matrix.
 
-    The kernel basis is read off the reduced echelon form (one vector
-    per free column); the image basis is the original columns at the
-    pivot positions, so image vectors are honest columns of the input.
+    One kernel vector per column in the span of the earlier columns: 1
+    there, minus its coordinates on the earlier independent columns.
+    The image basis is the independent columns themselves.
     """
-    pivots, rows = _rref(matrix)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(matrix.cols) if j not in pivot_set]
+    columns = matrix.columns()
+    _, independent, dependent = _eliminate(columns, track=True)
     kernel = []
-    for f in free_cols:
-        vec = [Fraction(0)] * matrix.cols
-        vec[f] = Fraction(1)
-        for p, row in zip(pivots, rows):
-            if f in row:
-                vec[p] = -row[f]
+    for j, coords in dependent:
+        vec = dense_vector({independent[k]: -c for k, c in coords.items()}, matrix.cols)
+        vec[j] = Fraction(1)
         kernel.append(vec)
-    image = [matrix.column(j) for j in pivots]
-    return kernel, image, rank
+    image = [dense_vector(columns[j], matrix.rows) for j in independent]
+    return kernel, image, len(independent)
+
+
+def kernel_image_of_columns(matrix):
+    """(column-space basis, independent column indices, rank) of a matrix."""
+    columns = matrix.columns()
+    _, independent, _ = _eliminate(columns, track=False)
+    image = [dense_vector(columns[j], matrix.rows) for j in independent]
+    return image, independent, len(independent)
 
 
 def solve(matrix, rhs):
-    """One exact solution of matrix * x = rhs, or None if inconsistent."""
-    augmented = matrix.hstack(SparseMatrix.from_columns([rhs], matrix.rows))
-    pivots, rows = _rref(augmented)
-    if matrix.cols in pivots:
+    """One exact solution of matrix * x = rhs, or None if inconsistent.
+
+    The solution is zero off the independent columns.
+    """
+    echelon, independent, _ = _eliminate(matrix.columns(), track=True)
+    rest, coords = echelon.reduce(rhs)
+    if rest:
         return None
-    x = [Fraction(0)] * matrix.cols
-    for p, row in zip(pivots, rows):
-        x[p] = row.get(matrix.cols, Fraction(0))
-    return x
-
-
-class _Echelon:
-    """A reduced echelon basis supporting linear reduction against it."""
-
-    def __init__(self, vectors, length):
-        self.length = length
-        self.rows = []  # list of (pivot index, dict col->Fraction with pivot 1)
-        for vec in vectors:
-            self.add(vec)
-
-    def reduce(self, vec):
-        out = {j: v for j, v in enumerate(vec) if v} if isinstance(vec, list) else dict(vec)
-        for pivot, row in self.rows:
-            coeff = out.get(pivot)
-            if coeff:
-                for j, v in row.items():
-                    nv = out.get(j, Fraction(0)) - coeff * v
-                    if nv:
-                        out[j] = nv
-                    else:
-                        out.pop(j, None)
-        return out
-
-    def add(self, vec):
-        """Reduce and insert; returns the reduced dict (empty if dependent)."""
-        red = self.reduce(vec)
-        if not red:
-            return red
-        pivot = max(red)
-        inv = Fraction(1) / red[pivot]
-        row = {j: v * inv for j, v in red.items()}
-        for _, existing in self.rows:
-            coeff = existing.get(pivot)
-            if coeff:
-                for j, v in row.items():
-                    nv = existing.get(j, Fraction(0)) - coeff * v
-                    if nv:
-                        existing[j] = nv
-                    else:
-                        existing.pop(j, None)
-        self.rows.append((pivot, row))
-        self.rows.sort(key=lambda pr: pr[0])
-        return red
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
-def _dict_to_vec(d, length):
-    vec = [Fraction(0)] * length
-    for j, v in d.items():
-        vec[j] = v
-    return vec
+    return dense_vector({independent[k]: c for k, c in coords.items()}, matrix.cols)
 
 
 class CohomologyPair:
@@ -353,19 +268,18 @@ class CohomologyPair:
         self.d_next = d_next
         self.space_dim = d_prev.rows
         kernel, _, _ = kernel_image(d_next)
-        boundary_basis, _, _ = kernel_image_of_columns(d_prev)
-        self._boundary_echelon = _Echelon(boundary_basis, self.space_dim)
+        self._boundaries, self._boundary_cols, _ = _eliminate(d_prev.columns(), track=True)
+        # each representative is a kernel vector reduced against the
+        # boundaries and the earlier representatives; adding the reduced
+        # vector itself makes echelon input k representative k
+        self._reps = Echelon(track=True)
         reps = []
-        reduced = []
-        rep_echelon = _Echelon([], self.space_dim)
         for vec in kernel:
-            red = self._boundary_echelon.reduce(vec)
-            red = rep_echelon.add(red)
+            red, _ = self._reps.reduce(self._boundaries.reduce(vec)[0])
             if red:
-                reps.append(_dict_to_vec(red, self.space_dim))
-                reduced.append(red)
+                self._reps.add(red)
+                reps.append(dense_vector(red, self.space_dim))
         self.representatives = reps
-        self._reduced = reduced
         self.dimension = len(reps)
 
     def is_cocycle(self, vec):
@@ -377,40 +291,13 @@ class CohomologyPair:
             raise ValueError("vector length mismatch")
         if not self.is_cocycle(vec):
             raise NotACocycle("class_of on a vector with nonzero coboundary")
-        work = dict(self._boundary_echelon.reduce(vec))
-        coords = [Fraction(0)] * self.dimension
-        # each reduced representative has its pivot as its largest support
-        # index, so descending pivot order peels coordinates off uniquely
-        order = sorted(range(self.dimension), key=lambda i: max(self._reduced[i]), reverse=True)
-        for i in order:
-            red = self._reduced[i]
-            pivot = max(red)
-            coeff = work.get(pivot, Fraction(0)) / red[pivot]
-            if coeff:
-                coords[i] = coeff
-                for j, v in red.items():
-                    nv = work.get(j, Fraction(0)) - coeff * v
-                    if nv:
-                        work[j] = nv
-                    else:
-                        work.pop(j, None)
-        if work:
+        work, boundary_coords = self._boundaries.reduce(vec)
+        rest, coords = self._reps.reduce(work)
+        if rest:
             raise NotACocycle("cocycle not spanned by representatives and boundaries")
-        boundary_part = list(vec)
-        for i, rep in enumerate(self.representatives):
-            if coords[i]:
-                boundary_part = [a - coords[i] * b for a, b in zip(boundary_part, rep)]
-        witness = solve(self.d_prev, boundary_part)
-        if witness is None:
-            raise NotACocycle("boundary part has no preimage")
-        return coords, witness
-
-
-def kernel_image_of_columns(matrix):
-    """(column-space basis, pivot column indices, rank) of a matrix."""
-    pivots, _ = _rref(matrix)
-    image = [matrix.column(j) for j in pivots]
-    return image, pivots, len(pivots)
+        witness = {self._boundary_cols[k]: c for k, c in boundary_coords.items()}
+        witness = dense_vector(witness, self.d_prev.cols)
+        return [coords.get(i, Fraction(0)) for i in range(self.dimension)], witness
 
 
 def cohomology_pair(d_prev, d_next):

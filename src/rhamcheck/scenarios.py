@@ -120,7 +120,8 @@ class Scenario:
             rest = rest.strip()
             if section is None:
                 if key == "format_version":
-                    self.format_version = int(rest)
+                    where = "%s:%d: format_version" % (self.source, lineno)
+                    self.format_version = _integer(rest, where)
                 elif key == "name":
                     self.name = rest
                 elif key == "description":
@@ -197,7 +198,7 @@ class Scenario:
             components = []
             for key, rest in lines:
                 if key == "dim":
-                    dim = int(rest)
+                    dim = _integer(rest, "simplex %s: dim" % name)
                 elif key == "lane":
                     lane = rest
                 elif key == "component":
@@ -235,11 +236,12 @@ class Scenario:
                 if key == "family":
                     family_name = rest
                 elif key == "degree":
-                    degree = int(rest)
+                    degree = _integer(rest, "chain %s: degree" % name)
                 elif key == "term":
                     coeff_text, _, sname = rest.partition(" ")
                     sname = sname.strip()
-                    terms[sname] = terms.get(sname, 0) + int(coeff_text)
+                    coeff = _integer(coeff_text, "chain %s: term coefficient" % name)
+                    terms[sname] = terms.get(sname, 0) + coeff
                 else:
                     raise ParseError("chain %s: unknown key %r" % (name, key))
             if family_name not in self.families:
@@ -259,6 +261,8 @@ class Scenario:
 
     def _validate_check(self, check):
         p = check.params
+        if "complex" in p:
+            _complex_spec(p["complex"], "check %s" % check.name)
         for key in ("form", "form1", "form2", "class_nonzero"):
             if key in p and p[key] not in self.forms:
                 raise ValidationError(
@@ -292,12 +296,28 @@ def check_rng_seed(seed, check_name):
     return (seed * 1000003 + zlib.crc32(check_name.encode("utf-8"))) % (2**31)
 
 
+def _integer(text, what):
+    """int(text), or a ParseError naming `what` when text is no integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("%s: %r is not an integer" % (what, text)) from None
+
+
+def _complex_spec(text, section):
+    """('delta', k) for delta<k>, k >= 0, or ('boundary', k) for boundary<k>, k >= 1."""
+    for kind, least in (("delta", 0), ("boundary", 1)):
+        if text.startswith(kind):
+            k = _integer(text[len(kind) :], "%s: complex %s" % (section, text))
+            if k < least:
+                raise ParseError("%s: complex %s needs %s >= %d" % (section, text, kind, least))
+            return kind, k
+    raise ValidationError("%s: unknown complex %r" % (section, text))
+
+
 def named_complex(text):
-    if text.startswith("delta"):
-        return standard_simplex(int(text[len("delta") :]))
-    if text.startswith("boundary"):
-        return boundary_complex(int(text[len("boundary") :]))
-    raise ValidationError("unknown complex %r" % text)
+    kind, k = _complex_spec(text, "named_complex")
+    return standard_simplex(k) if kind == "delta" else boundary_complex(k)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     NotTopDegree,
 )
 from .formtext import eval_form_ast, insert_index, merge_sign
+from .linalg import Echelon, SparseMatrix, cohomology_pair, kernel_image, solve
 from .poly import Polynomial, parse_ast
 from .ratfunc import RationalFunc
 from .simplicial import Cochain, DeltaMorphism, standard_simplex
@@ -604,10 +605,6 @@ class FamilyComplex:
     """
 
     def __init__(self, complex_, weight_cutoff):
-        from .linalg import SparseMatrix, cohomology_pair, kernel_image, solve
-
-        self._solve = solve
-        self._SparseMatrix = SparseMatrix
         self.complex = complex_
         self.weight_cutoff = weight_cutoff
         top = complex_.dimension
@@ -685,27 +682,21 @@ class FamilyComplex:
                         r = row_for((e, S))
                         entries[(r, col)] = entries.get((r, col), Fraction(0)) - 1
                     row_count += len(row_index)
-        return self._SparseMatrix(row_count, len(basis), entries)
+        return SparseMatrix(row_count, len(basis), entries)
 
     def _differential_matrix(self, q):
+        """Matrix of d in degree q, from the family basis to the next one."""
         source = self._family_basis[q]
         target = self._family_basis.get(q + 1, [])
-        target_matrix = self._SparseMatrix.from_columns(
-            target, len(self._locals.get(q + 1, []))
-        )
-        cols = []
-        for vec in source:
-            dvec = self._apply_d(vec, q)
-            if target:
-                coords = self._solve(target_matrix, dvec)
-                if coords is None:
-                    raise AssertionError("differential left the family space")
-            else:
-                if any(v != 0 for v in dvec):
-                    raise AssertionError("differential left the family space")
-                coords = []
-            cols.append(coords)
-        return self._SparseMatrix.from_columns(cols, len(target))
+        # a kernel basis is independent, so echelon input k is target[k]
+        echelon = Echelon(target, track=True)
+        entries = {}
+        for col, vec in enumerate(source):
+            rest, coords = echelon.reduce(self._apply_d(vec, q))
+            if rest:
+                raise AssertionError("differential left the family space")
+            entries.update(((k, col), c) for k, c in coords.items())
+        return SparseMatrix(len(target), len(source), entries)
 
     def _apply_d(self, vec, q):
         up_index = {b: i for i, b in enumerate(self._locals.get(q + 1, []))}
@@ -732,7 +723,7 @@ class FamilyComplex:
         return [self._materialize(vec, q) for vec in self._rep_vectors(q)]
 
     def _rep_vectors(self, q):
-        basis_matrix = self._SparseMatrix.from_columns(
+        basis_matrix = SparseMatrix.from_columns(
             self._family_basis[q], len(self._locals[q])
         )
         return [basis_matrix.mul_vec(v) for v in self._pairs[q].representatives]
@@ -764,9 +755,7 @@ class FamilyComplex:
                     raise NonPolynomialCoefficient("family class needs polynomials")
                 for e, value in poly.terms.items():
                     local[index[(s, e, S)]] += value
-        coords = self._solve(
-            self._SparseMatrix.from_columns(self._family_basis[q], len(local)), local
-        )
+        coords = solve(SparseMatrix.from_columns(self._family_basis[q], len(local)), local)
         if coords is None:
             raise ValueError("family does not fit the truncated family space")
         cls, _ = self._pairs[q].class_of(coords)

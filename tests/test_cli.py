@@ -105,6 +105,33 @@ def test_scenario_rejects_malformed_form_degree(tmp_path, degree):
     assert main(["--scenario", str(path)]) == 2
 
 
+SIMPLICIAL_CHECK = "\n[check h]\nkind simplicial_cohomology\ncomplex {}\ndims 1\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, section",
+    [
+        ("format_version 1", "format_version one", "format_version"),
+        ("dim 0", "dim zero", "simplex pt"),
+        ("family pts\ndegree 0", "family pts\ndegree x", "chain z"),
+        ("term 1 pt", "term one pt", "chain z"),
+        ("tolerance 0\n", "tolerance 0\n" + SIMPLICIAL_CHECK.format("deltax"), "check h"),
+        ("tolerance 0\n", "tolerance 0\n" + SIMPLICIAL_CHECK.format("boundary2.5"), "check h"),
+        ("tolerance 0\n", "tolerance 0\n" + SIMPLICIAL_CHECK.format("boundary0"), "check h"),
+    ],
+    ids=["format_version", "dim", "degree", "term", "delta", "boundary", "boundary0"],
+)
+def test_scenario_rejects_malformed_integer(tmp_path, old, new, section):
+    assert old in MINIMAL
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ParseError) as err:
+        Scenario(text)
+    assert section in str(err.value)
+    path = tmp_path / "bad_integer.scn"
+    path.write_text(text)
+    assert main(["--scenario", str(path)]) == 2
+
+
 def test_builtins_catalog():
     names = builtin_names()
     assert len(names) >= 8
