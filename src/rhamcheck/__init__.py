@@ -11,14 +11,11 @@ from .comparison import (
     period,
     period_cochain,
     pullback_form,
-    singular_aw_cup,
-    validate_simplex,
 )
 from .derham import (
     AlgebraicForm,
     FpAlgebra,
     KaehlerPresentation,
-    kaehler_presentation,
     parse_algebraic_form,
     reduce_form,
     truncated_cohomology,

@@ -20,13 +20,12 @@ from .comparison import (
     naturality_residual,
     period,
     period_cochain,
-    singular_aw_cup,
 )
 from .derham import AlgebraicForm, FpAlgebra, differential as d_algebraic, truncated_cohomology
 from .errors import RhamcheckError, ValidationError
 from .linalg import SparseMatrix, kernel_image
 from .poly import Polynomial
-from .scenarios import check_rng_seed, named_complex
+from .scenarios import _complex_spec, check_rng_seed, named_complex
 from .simplex_forms import (
     FamilyComplex,
     FormsFamily,
@@ -104,6 +103,12 @@ def _tolerance(check, settings, estimate):
     if "tolerance" in check.params:
         return float(check.params["tolerance"])
     return 10.0 * float(estimate)
+
+
+def _max_weight(check, settings, default):
+    if settings.max_weight is not None:
+        return settings.max_weight
+    return int(check.params.get("max_weight", default))
 
 
 def _parse_number(text):
@@ -191,7 +196,7 @@ def check_validate(scenario, check, settings):
 def check_cohomology(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
     degree = int(check.params["degree"])
-    cutoff = settings.max_weight or int(check.params.get("max_weight", DEFAULT_MAX_WEIGHT))
+    cutoff = _max_weight(check, settings, DEFAULT_MAX_WEIGHT)
     h = truncated_cohomology(scenario.algebra, degree, cutoff)
     result.detail("degree", degree)
     result.detail("max_weight", cutoff)
@@ -403,7 +408,7 @@ def check_tau_chain_map(scenario, check, settings):
 def check_tau_cohomology(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
     K = named_complex(check.params["complex"])
-    cutoff = settings.max_weight or int(check.params.get("max_weight", 3))
+    cutoff = _max_weight(check, settings, 3)
     fc = FamilyComplex(K, cutoff)
     prev = FamilyComplex(K, cutoff - 1) if cutoff > 1 else None
     stabilized = prev is not None and all(
@@ -447,9 +452,7 @@ def check_tau_cohomology(scenario, check, settings):
             for F in fam1:
                 for G in fam2:
                     lhs_coords, _ = sc.class_of(F.wedge(G).to_cochain())
-                    rhs_coords, _ = sc.class_of(
-                        singular_aw_cup(F.to_cochain(), G.to_cochain())
-                    )
+                    rhs_coords, _ = sc.class_of(aw_cup(F.to_cochain(), G.to_cochain()))
                     products += 1
                     if lhs_coords != rhs_coords:
                         result.fail(
@@ -556,10 +559,7 @@ def check_simplicial_cohomology(scenario, check, settings):
 
 def check_coboundary_pairing(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    complex_name = check.params["complex"]
-    if not complex_name.startswith("boundary"):
-        raise ValidationError("coboundary_pairing needs a boundary complex")
-    n = int(complex_name[len("boundary") :])
+    _, n = _complex_spec(check.params["complex"], "check %s" % check.name)
     cycle = fundamental_boundary_cycle(n)
     K = cycle.complex
     rng = random.Random(check_rng_seed(settings.seed, check.name))
@@ -603,6 +603,40 @@ def run_check(scenario, check, settings):
         result = CheckResult(check.name, check.kind)
         result.fail("%s: %s" % (type(exc).__name__, exc))
         return result
+
+
+def _top_degree(check):
+    """The highest form degree a cohomology check computes, or None."""
+    if check.kind == "cohomology":
+        return int(check.params["degree"])
+    if check.kind == "tau_cohomology":
+        return named_complex(check.params["complex"]).dimension
+    return None
+
+
+def validate_settings(settings, scenarios, check_filter=None):
+    """Raise ValidationError for settings that the selected checks cannot honour."""
+    if settings.quad_order < 1:
+        raise ValidationError("--quad-order %d is below 1" % settings.quad_order)
+    if settings.max_weight is not None and settings.max_weight < 0:
+        raise ValidationError("--max-weight %d is below 0" % settings.max_weight)
+    if settings.tolerance is not None and not settings.tolerance >= 0:
+        raise ValidationError("--tolerance %r is not a non-negative number" % settings.tolerance)
+    matched = set()
+    for scenario in scenarios:
+        for check in scenario.checks:
+            if check_filter and not check_filter & {check.name, check.kind}:
+                continue
+            matched |= {check.name, check.kind}
+            top = _top_degree(check)
+            if settings.max_weight is not None and top is not None and settings.max_weight < top:
+                raise ValidationError(
+                    "--max-weight %d is below degree %d of check %s.%s"
+                    % (settings.max_weight, top, scenario.name, check.name)
+                )
+    unmatched = sorted(check_filter - matched) if check_filter else []
+    if unmatched:
+        raise ValidationError("--check %s matches no check" % ",".join(unmatched))
 
 
 def run_scenario_checks(scenario, settings, check_filter=None):

@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from .checks import DEFAULT_SEED, Settings, run_scenario_checks
+from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
 from .errors import ParseError, RhamcheckError, ValidationError
 from .scenarios import (
     BUILTIN_DESCRIPTIONS,
@@ -52,8 +52,9 @@ def build_parser():
     return parser
 
 
-def list_builtins(out=sys.stdout):
+def list_builtins(out=None):
     """Print the builtin catalog with one-line descriptions."""
+    out = out or sys.stdout
     names = builtin_names()
     for name in names:
         out.write("%-20s %s\n" % (name, BUILTIN_DESCRIPTIONS[name]))
@@ -89,7 +90,8 @@ def report_lines(runs, settings):
     return lines
 
 
-def human_summary(runs, out=sys.stdout):
+def human_summary(runs, out=None):
+    out = out or sys.stdout
     total_pass = total_fail = total_skip = 0
     for scenario, results, elapsed in runs:
         out.write("%s (%.2fs)\n" % (scenario.name, elapsed))
@@ -145,6 +147,7 @@ def main(argv=None):
         for path in args.scenario:
             with open(path, "r", encoding="utf-8") as handle:
                 scenarios.append(Scenario(handle.read(), source=path))
+        validate_settings(settings, scenarios, check_filter)
     except (ParseError, ValidationError) as exc:
         sys.stderr.write("rhamcheck: %s\n" % exc)
         return EXIT_USAGE

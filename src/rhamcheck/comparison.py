@@ -31,6 +31,7 @@ from .ratfunc import RationalFunc
 from .simplex_forms import (
     DEFAULT_QUAD_ORDER,
     PolyForm,
+    differential as d_simplex,
     integrate_exact,
     integrate_numeric,
     pullback_delta,
@@ -173,15 +174,7 @@ class ParamSimplex:
     def component_differentials(self):
         """The 1-forms d(sigma_i) on the simplex, cached."""
         if self._dcomp is None:
-            out = []
-            for c in self.components:
-                terms = {}
-                for l in range(self.n):
-                    dc = c.partial(l)
-                    if not dc.is_zero():
-                        terms[(l,)] = dc
-                out.append(PolyForm(self.n, 1, terms))
-            self._dcomp = out
+            self._dcomp = [d_simplex(PolyForm(self.n, 0, {(): c})) for c in self.components]
         return self._dcomp
 
     def key(self):
@@ -218,10 +211,6 @@ def _substitute_poly(f, components):
                 piece = piece * components[i] ** k
         total = total + piece
     return total
-
-
-def validate_simplex(sigma):
-    return sigma.validate()
 
 
 def pullback_form(sigma, omega):
@@ -366,11 +355,6 @@ def period_cochain(omega, family, order=DEFAULT_QUAD_ORDER):
     return Cochain(family.complex, omega.degree, values), estimates
 
 
-def singular_aw_cup(a, b):
-    """Alexander-Whitney product of cochains on a singular family."""
-    return aw_cup(a, b)
-
-
 def chain_map_residual(omega, sigma, order=DEFAULT_QUAD_ORDER):
     """xi(d omega)(sigma) - sum_i (-1)^i xi(omega)(face_i sigma).
 
@@ -433,7 +417,7 @@ def multiplicativity_check(omega1, omega2, family, chain, order=DEFAULT_QUAD_ORD
     lhs_cochain, lhs_est = period_cochain(product, family, order)
     a, a_est = period_cochain(omega1, family, order)
     b, b_est = period_cochain(omega2, family, order)
-    rhs_cochain = singular_aw_cup(a, b)
+    rhs_cochain = aw_cup(a, b)
     lhs = pair(lhs_cochain, chain)
     rhs = pair(rhs_cochain, chain)
     estimate = _chain_estimate(lhs_est, chain) + _cup_estimate(a, b, a_est, b_est, chain)

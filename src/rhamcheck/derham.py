@@ -19,8 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import AlgebraMismatch, NotACocycle
-from .formtext import insert_index as _insert_index
-from .formtext import merge_sign as _merge_sign
+from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .linalg import Echelon, SparseMatrix, cohomology_pair, dense_vector, kernel_image, solve
 from .poly import (
     Polynomial,
@@ -141,11 +140,7 @@ class KaehlerPresentation:
         return forms
 
 
-def kaehler_presentation(algebra):
-    return KaehlerPresentation(algebra)
-
-
-class AlgebraicForm:
+class AlgebraicForm(ExteriorForm):
     """A degree-p form: map from strictly increasing index sets to coefficients.
 
     Construction normalizes coefficients; `reduce=True` (the default)
@@ -165,11 +160,7 @@ class AlgebraicForm:
         self.degree = degree
         clean = {}
         for S, coeff in terms.items():
-            S = tuple(S)
-            if len(S) != degree or list(S) != sorted(set(S)):
-                raise ValueError("bad index set %r for degree %d" % (S, degree))
-            if any(not 0 <= i < algebra.nvars for i in S):
-                raise ValueError("index set out of range")
+            S = check_index_set(S, degree, algebra.nvars)
             coeff = algebra.nf(coeff)
             if not coeff.is_zero():
                 clean[S] = coeff
@@ -186,8 +177,9 @@ class AlgebraicForm:
     def from_polynomial(cls, algebra, f):
         return cls(algebra, 0, {(): f})
 
-    def is_zero(self):
-        return not self.terms
+    @property
+    def variables(self):
+        return self.algebra.variables
 
     def weight(self):
         if not self.terms:
@@ -198,101 +190,28 @@ class AlgebraicForm:
         if self.algebra != other.algebra:
             raise AlgebraMismatch("forms over different algebras")
 
-    def __add__(self, other):
-        self._check(other)
-        if self.degree != other.degree and self.terms and other.terms:
-            raise ValueError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for S, c in other.terms.items():
-            terms[S] = terms.get(S, Polynomial.zero(self.algebra.variables)) + c
-        degree = self.degree if self.terms or not other.terms else other.degree
+    def _make(self, degree, terms):
         return AlgebraicForm(self.algebra, degree, terms, reduce=False)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, scalar):
-        return AlgebraicForm(
-            self.algebra,
-            self.degree,
-            {S: c.scale(scalar) for S, c in self.terms.items()},
-            reduce=False,
-        )
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraicForm)
             and self.algebra == other.algebra
             and self.terms == other.terms
-            and (self.degree == other.degree or not self.terms)
         )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.algebra.variables
-        parts = []
-        for S in sorted(self.terms):
-            c = self.terms[S]
-            dx = "^".join("d" + names[i] for i in S)
-            if not S:
-                parts.append(str(c))
-            elif c.is_constant():
-                v = c.constant_value()
-                if v == 1:
-                    parts.append(dx)
-                elif v == -1:
-                    parts.append("-" + dx)
-                else:
-                    parts.append("%s*%s" % (c, dx))
-            else:
-                parts.append("(%s)*%s" % (c, dx))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
 
 
 def wedge(omega1, omega2):
     """Graded-commutative product; the result is reduced."""
     omega1._check(omega2)
-    algebra = omega1.algebra
-    degree = omega1.degree + omega2.degree
-    terms = {}
-    for S1, c1 in omega1.terms.items():
-        for S2, c2 in omega2.terms.items():
-            if set(S1) & set(S2):
-                continue
-            sign = _merge_sign(S1, S2)
-            S = tuple(sorted(S1 + S2))
-            coeff = (c1 * c2).scale(sign)
-            if S in terms:
-                terms[S] = terms[S] + coeff
-            else:
-                terms[S] = coeff
-    return AlgebraicForm(algebra, degree, terms)
+    return AlgebraicForm(
+        omega1.algebra, omega1.degree + omega2.degree, wedge_terms(omega1.terms, omega2.terms)
+    )
 
 
 def differential(omega):
     """d(c dx_S) = sum_i dc/dx_i dx_i ^ dx_S, reduced."""
-    algebra = omega.algebra
-    terms = {}
-    for S, c in omega.terms.items():
-        for i in range(algebra.nvars):
-            dc = c.partial(i)
-            if dc.is_zero():
-                continue
-            sign, T = _insert_index(i, S)
-            if sign == 0:
-                continue
-            contrib = dc.scale(sign)
-            if T in terms:
-                terms[T] = terms[T] + contrib
-            else:
-                terms[T] = contrib
-    return AlgebraicForm(algebra, omega.degree + 1, terms)
+    return AlgebraicForm(omega.algebra, omega.degree + 1, d_terms(omega.terms, omega.algebra.nvars))
 
 
 class _WeightStratum:
@@ -338,29 +257,23 @@ class _WeightStratum:
                 dcap = extended - p - (f.total_degree() - 1)
                 if dcap < 0:
                     continue
-                partials = [algebra.nf(f.partial(i)) for i in range(algebra.nvars)]
+                # df_j ^ dx_T = d(f_j dx_T), coefficients in normal form
+                relations = [
+                    {S: algebra.nf(c) for S, c in d_terms({T: f}, algebra.nvars).items()}
+                    for T in sub_sets
+                ]
                 for m in algebra.standard_monomials(dcap):
                     mono = Polynomial(algebra.variables, {m: Fraction(1)})
-                    for T in sub_sets:
+                    for relation in relations:
                         vec = {}
-                        for i in range(algebra.nvars):
-                            if partials[i].is_zero():
-                                continue
-                            sign, S = _insert_index(i, T)
-                            if sign == 0:
-                                continue
-                            coeff = algebra.nf(mono * partials[i])
-                            for e, c in coeff.terms.items():
+                        for S, partial in relation.items():
+                            for e, c in algebra.nf(mono * partial).terms.items():
                                 idx = self.ext_index.get((e, S))
                                 if idx is None:
                                     raise AssertionError(
                                         "relation generator escaped the extended stratum"
                                     )
-                                v = vec.get(idx, Fraction(0)) + c * sign
-                                if v:
-                                    vec[idx] = v
-                                else:
-                                    vec.pop(idx, None)
+                                vec[idx] = c
                         if vec:
                             echelon.add(vec)
         # intersect with the stratum: the rows lying entirely in the prefix,
@@ -396,16 +309,9 @@ class _WeightStratum:
         """Matrix of the termwise differential into the degree p+1 stratum."""
         entries = {}
         for col, (m, S) in enumerate(self.basis):
-            for i in range(self.algebra.nvars):
-                k = m[i]
-                if k == 0:
-                    continue
-                sign, T = _insert_index(i, S)
-                if sign == 0:
-                    continue
-                dm = m[:i] + (k - 1,) + m[i + 1 :]
+            for coeff, dm, T in d_monomial(m, S):
                 row = target.index[(dm, T)]
-                entries[(row, col)] = entries.get((row, col), Fraction(0)) + sign * k
+                entries[(row, col)] = entries.get((row, col), Fraction(0)) + coeff
         return SparseMatrix(target.size, self.size, entries)
 
     def relation_matrix(self):

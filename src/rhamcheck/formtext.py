@@ -1,4 +1,4 @@
-"""Shared evaluation of differential-form text and index-set sign rules.
+"""Evaluation of differential-form text.
 
 Form text reuses the polynomial expression grammar; a name `d<var>` is
 read as the basis differential of a declared variable, `^` between
@@ -9,49 +9,28 @@ differentials is the wedge, and `*` mixes scalars into forms:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParseError
+from .exterior import ExteriorForm, wedge_terms
 from .poly import Polynomial
 from .ratfunc import RationalFunc
 
 
-def insert_index(i, S):
-    """(sign, S u {i}) for dx_i ^ dx_S; sign 0 when i already occurs."""
-    if i in S:
-        return 0, None
-    pos = sum(1 for s in S if s < i)
-    return (-1) ** pos, tuple(sorted(S + (i,)))
-
-
-def merge_sign(S1, S2):
-    """Sign of sorting the concatenation of two disjoint sorted index sets."""
-    inversions = sum(1 for a in S1 for b in S2 if a > b)
-    return (-1) ** inversions
-
-
-class _FormValue:
+class _FormValue(ExteriorForm):
     """Intermediate value: homogeneous form as dict S -> RationalFunc."""
 
-    def __init__(self, degree, terms):
+    __slots__ = ("variables", "degree", "terms")
+
+    def __init__(self, variables, degree, terms):
+        self.variables = variables
         self.degree = degree
-        self.terms = terms
+        self.terms = {S: c for S, c in terms.items() if not c.is_zero()}
+
+    def _make(self, degree, terms):
+        return _FormValue(self.variables, degree, terms)
 
 
-def _wedge_terms(t1, d1, t2, d2):
-    out = {}
-    for S1, c1 in t1.items():
-        for S2, c2 in t2.items():
-            if set(S1) & set(S2):
-                continue
-            sign = merge_sign(S1, S2)
-            S = tuple(sorted(S1 + S2))
-            value = (c1 * c2).scale(sign)
-            if S in out:
-                out[S] = out[S] + value
-            else:
-                out[S] = value
-    return _FormValue(d1 + d2, {S: v for S, v in out.items() if not v.is_zero()})
+def _wedge(a, b):
+    return a._make(a.degree + b.degree, wedge_terms(a.terms, b.terms))
 
 
 def _eval(node, variables):
@@ -64,36 +43,27 @@ def _eval(node, variables):
             return RationalFunc(Polynomial.variable(variables, variables.index(name)))
         if name.startswith("d") and name[1:] in variables:
             idx = variables.index(name[1:])
-            return _FormValue(1, {(idx,): RationalFunc.constant(variables, 1)})
+            return _FormValue(variables, 1, {(idx,): RationalFunc.constant(variables, 1)})
         raise ParseError("unknown name %r in form text" % name)
     if kind == "neg":
-        v = _eval(node[1], variables)
-        if isinstance(v, _FormValue):
-            return _FormValue(v.degree, {S: -c for S, c in v.terms.items()})
-        return -v
+        return -_eval(node[1], variables)
     if kind in ("+", "-"):
         a = _eval(node[1], variables)
         b = _eval(node[2], variables)
-        sign = 1 if kind == "+" else -1
         if isinstance(a, _FormValue) or isinstance(b, _FormValue):
             a = _promote(a, variables)
             b = _promote(b, variables)
-            if a.degree != b.degree and a.terms and b.terms:
-                raise ParseError("cannot add forms of different degree")
-            terms = dict(a.terms)
-            for S, c in b.terms.items():
-                c = c.scale(sign)
-                terms[S] = terms[S] + c if S in terms else c
-            degree = a.degree if a.terms or not b.terms else b.degree
-            return _FormValue(degree, {S: c for S, c in terms.items() if not c.is_zero()})
-        return a + b.scale(sign)
+        try:
+            return a + b.scale(1 if kind == "+" else -1)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     if kind == "^":
         left = _eval(node[1], variables)
         if isinstance(left, _FormValue):
             right = _eval(node[2], variables)
             if not isinstance(right, _FormValue):
                 raise ParseError("'^' after a form must wedge another form")
-            return _wedge_terms(left.terms, left.degree, right.terms, right.degree)
+            return _wedge(left, right)
         exponent = node[2]
         if exponent[0] != "num":
             raise ParseError("exponent must be a literal integer")
@@ -102,11 +72,11 @@ def _eval(node, variables):
         a = _eval(node[1], variables)
         b = _eval(node[2], variables)
         if isinstance(a, _FormValue) and isinstance(b, _FormValue):
-            return _wedge_terms(a.terms, a.degree, b.terms, b.degree)
+            return _wedge(a, b)
         if isinstance(a, _FormValue):
-            return _FormValue(a.degree, {S: c * b for S, c in a.terms.items()})
+            return a._make(a.degree, {S: c * b for S, c in a.terms.items()})
         if isinstance(b, _FormValue):
-            return _FormValue(b.degree, {S: a * c for S, c in b.terms.items()})
+            return b._make(b.degree, {S: a * c for S, c in b.terms.items()})
         return a * b
     if kind == "/":
         a = _eval(node[1], variables)
@@ -114,7 +84,7 @@ def _eval(node, variables):
         if isinstance(b, _FormValue):
             raise ParseError("cannot divide by a form")
         if isinstance(a, _FormValue):
-            return _FormValue(a.degree, {S: c / b for S, c in a.terms.items()})
+            return a._make(a.degree, {S: c / b for S, c in a.terms.items()})
         return a / b
     raise ParseError("bad expression node %r" % (node,))
 
@@ -122,9 +92,7 @@ def _eval(node, variables):
 def _promote(value, variables):
     if isinstance(value, _FormValue):
         return value
-    if value.is_zero():
-        return _FormValue(0, {})
-    return _FormValue(0, {(): value})
+    return _FormValue(variables, 0, {(): value})
 
 
 def eval_form_ast(node, variables, rational=True):

@@ -47,7 +47,6 @@ from fractions import Fraction
 from .comparison import ParamSimplex, SingularFamily, VarietyPresentation
 from .derham import FpAlgebra, parse_algebraic_form
 from .errors import ParseError, ValidationError
-from .fixtures import arc_component_texts, torus_triangle_components
 from .simplicial import boundary_complex, standard_simplex
 
 FORMAT_VERSION = 1
@@ -261,8 +260,16 @@ class Scenario:
 
     def _validate_check(self, check):
         p = check.params
-        if "complex" in p:
-            _complex_spec(p["complex"], "check %s" % check.name)
+        where = "check %s" % check.name
+        if "complex" in p or check.kind == "coboundary_pairing":
+            kind, _ = _complex_spec(p.get("complex", ""), where)
+            if check.kind == "coboundary_pairing" and kind != "boundary":
+                raise ValidationError("%s: coboundary_pairing needs a boundary complex" % where)
+        if check.kind == "cohomology":
+            degree = _integer(p.get("degree", ""), "%s: degree" % where)
+            cutoff = _integer(p.get("max_weight", degree), "%s: max_weight" % where)
+            if cutoff < degree:
+                raise ParseError("%s: max_weight %d is below degree %d" % (where, cutoff, degree))
         for key in ("form", "form1", "form2", "class_nonzero"):
             if key in p and p[key] not in self.forms:
                 raise ValidationError(
@@ -322,6 +329,48 @@ def named_complex(text):
 
 # ---------------------------------------------------------------------------
 # builtin corpus
+#
+# Nonconstant polynomial maps into a compact variety like the circle do
+# not exist, so the circle is covered by four rational quarter arcs via
+# the half-tangent parametrization
+#
+#     arc(u) = ((1 - u^2)/(1 + u^2), 2u/(1 + u^2)),
+#
+# rotated by multiples of a quarter turn.  Each arc carries angle pi/2
+# against the winding form x dy - y dx; four of them close up into a loop
+# with total period 2 pi, and products of two loops triangulate the torus
+# into 32 rational triangles.
+
+
+def arc_component_texts(k, u):
+    """Component strings of the k-th quarter arc at parameter expression u."""
+    u = "(%s)" % u
+    den = "(1 + %s^2)" % u
+    cos_like = "(1 - %s^2)/%s" % (u, den)
+    sin_like = "2*%s/%s" % (u, den)
+    k = k % 4
+    if k == 0:
+        return [cos_like, sin_like]
+    if k == 1:
+        return ["-%s" % sin_like, cos_like]
+    if k == 2:
+        return ["-%s" % cos_like, "-%s" % sin_like]
+    return [sin_like, "-%s" % cos_like]
+
+
+def torus_triangle_components(i, j, kind):
+    """Components of one triangle of the 32-triangle torus triangulation.
+
+    Each grid square (i, j) splits along its diagonal into triangle 'a'
+    (vertices at (i,j), (i+1,j), (i+1,j+1)) and triangle 'b' (vertices
+    at (i,j), (i,j+1), (i+1,j+1)); the fundamental cycle is the sum of
+    the a-triangles minus the b-triangles.
+    """
+    if kind == "a":
+        first, second = "t1 + t2", "t2"
+    else:
+        first, second = "t2", "t1 + t2"
+    return arc_component_texts(i, first) + arc_component_texts(j, second)
 
 
 def _two_points_text():

@@ -28,7 +28,8 @@ from .errors import (
     NonPolynomialCoefficient,
     NotTopDegree,
 )
-from .formtext import eval_form_ast, insert_index, merge_sign
+from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
+from .formtext import eval_form_ast
 from .linalg import Echelon, SparseMatrix, cohomology_pair, kernel_image, solve
 from .poly import Polynomial, parse_ast
 from .ratfunc import RationalFunc
@@ -42,7 +43,7 @@ def simplex_variables(n):
     return tuple("t%d" % (i + 1) for i in range(n))
 
 
-class PolyForm:
+class PolyForm(ExteriorForm):
     """A differential form on the standard n-simplex."""
 
     __slots__ = ("n", "degree", "terms")
@@ -53,11 +54,7 @@ class PolyForm:
         variables = simplex_variables(n)
         clean = {}
         for S, coeff in terms.items():
-            S = tuple(S)
-            if len(S) != degree or list(S) != sorted(set(S)):
-                raise ValueError("bad index set %r for degree %d" % (S, degree))
-            if any(not 0 <= i < n for i in S):
-                raise ValueError("index set out of range for dimension %d" % n)
+            S = check_index_set(S, degree, n)
             if isinstance(coeff, Polynomial):
                 coeff = RationalFunc(coeff)
             elif not isinstance(coeff, RationalFunc):
@@ -76,8 +73,9 @@ class PolyForm:
     def constant(cls, n, value):
         return cls(n, 0, {(): RationalFunc.constant(simplex_variables(n), value)})
 
-    def is_zero(self):
-        return not self.terms
+    @property
+    def variables(self):
+        return simplex_variables(self.n)
 
     def is_polynomial(self):
         return all(c.is_polynomial() for c in self.terms.values())
@@ -100,35 +98,13 @@ class PolyForm:
         if self.n != other.n:
             raise DimensionMismatch("forms on simplices of different dimension")
 
-    def __add__(self, other):
-        self._check(other)
-        if self.degree != other.degree and self.terms and other.terms:
-            raise ValueError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for S, c in other.terms.items():
-            terms[S] = terms[S] + c if S in terms else c
-        degree = self.degree if self.terms or not other.terms else other.degree
+    def _make(self, degree, terms):
         return PolyForm(self.n, degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, scalar):
-        return PolyForm(
-            self.n, self.degree, {S: c.scale(scalar) for S, c in self.terms.items()}
-        )
 
     def __eq__(self, other):
         if not isinstance(other, PolyForm):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[S] == other.terms[S] for S in self.terms)
+        return self.n == other.n and self.terms == other.terms
 
     def vertex_value(self, vertex=0):
         """Value of a degree-0 form at a vertex (exact lane)."""
@@ -141,27 +117,6 @@ class PolyForm:
             point[vertex - 1] = Fraction(1)
         return self.terms[()].eval_fraction(point)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for S in sorted(self.terms):
-            c = self.terms[S]
-            dt = "^".join("dt%d" % (i + 1) for i in S)
-            text = str(c)
-            needs_parens = ("+" in text[1:]) or ("-" in text[1:]) or "/" in text
-            if not S:
-                parts.append(text)
-            elif text == "1":
-                parts.append(dt)
-            elif text == "-1":
-                parts.append("-" + dt)
-            else:
-                parts.append(("(%s)*%s" if needs_parens else "%s*%s") % (text, dt))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
 
 def parse_poly_form(text, n):
     """Parse form text in t1..tn, e.g. '2/(1 + t1^2) * dt1'."""
@@ -172,32 +127,12 @@ def parse_poly_form(text, n):
 def wedge(alpha, beta):
     """Graded-commutative wedge product."""
     alpha._check(beta)
-    terms = {}
-    for S1, c1 in alpha.terms.items():
-        for S2, c2 in beta.terms.items():
-            if set(S1) & set(S2):
-                continue
-            sign = merge_sign(S1, S2)
-            S = tuple(sorted(S1 + S2))
-            value = (c1 * c2).scale(sign)
-            terms[S] = terms[S] + value if S in terms else value
-    return PolyForm(alpha.n, alpha.degree + beta.degree, terms)
+    return PolyForm(alpha.n, alpha.degree + beta.degree, wedge_terms(alpha.terms, beta.terms))
 
 
 def differential(alpha):
     """Exterior differential; quotient rule on rational coefficients."""
-    terms = {}
-    for S, c in alpha.terms.items():
-        for i in range(alpha.n):
-            dc = c.partial(i)
-            if dc.is_zero():
-                continue
-            sign, T = insert_index(i, S)
-            if sign == 0:
-                continue
-            value = dc.scale(sign)
-            terms[T] = terms[T] + value if T in terms else value
-    return PolyForm(alpha.n, alpha.degree + 1, terms)
+    return PolyForm(alpha.n, alpha.degree + 1, d_terms(alpha.terms, alpha.n))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +326,6 @@ def integrate_numeric(alpha, order=DEFAULT_QUAD_ORDER):
     value = _quad_value(alpha, order)
     check = _quad_value(alpha, order + QUAD_CROSS_CHECK_STEP)
     return value, abs(value - check)
-
-
-def integrate(alpha, order=DEFAULT_QUAD_ORDER):
-    """Exact value on the polynomial lane, (float, estimate) otherwise."""
-    if alpha.is_polynomial():
-        return integrate_exact(alpha), Fraction(0)
-    return integrate_numeric(alpha, order)
 
 
 # ---------------------------------------------------------------------------
@@ -704,16 +632,8 @@ class FamilyComplex:
         for coeff, (s, e, S) in zip(vec, self._locals[q]):
             if not coeff:
                 continue
-            d = self.complex.dim_of[s]
-            for i in range(d):
-                k = e[i]
-                if k == 0:
-                    continue
-                sign, T = insert_index(i, S)
-                if sign == 0:
-                    continue
-                de = e[:i] + (k - 1,) + e[i + 1 :]
-                out[up_index[(s, de, T)]] += coeff * sign * k
+            for c, de, T in d_monomial(e, S):
+                out[up_index[(s, de, T)]] += coeff * c
         return out
 
     def cohomology_dimension(self, q):
@@ -800,21 +720,10 @@ def _radial_extension(gamma, n):
         expansion = {(): Polynomial.constant(variables, 1)}
         for j in S:
             tj = Polynomial.variable(variables, j)
-            new_expansion = {}
-            for T, poly in expansion.items():
-                for idx, factor in ((j, s), (n - 1, tj)):
-                    if idx in T:
-                        continue
-                    sign = merge_sign(T, (idx,))
-                    U = tuple(sorted(T + (idx,)))
-                    value = poly * factor
-                    if sign < 0:
-                        value = -value
-                    new_expansion[U] = new_expansion.get(U, Polynomial.zero(variables)) + value
-            expansion = {T: p for T, p in new_expansion.items() if not p.is_zero()}
+            expansion = wedge_terms(expansion, {(j,): s, (n - 1,): tj})
         slack = power - coeff_degree - 2 * q
         front = c_hom * s**slack
         for T, poly in expansion.items():
             contrib = RationalFunc(front * poly)
             terms[T] = terms[T] + contrib if T in terms else contrib
-    return PolyForm(n, q, {T: c for T, c in terms.items() if not c.is_zero()})
+    return PolyForm(n, q, terms)

@@ -117,11 +117,6 @@ class FiniteSimplicialSet:
     def face(self, simplex, i):
         return self.faces[(simplex, i)]
 
-    def iterated_face(self, simplex, indices):
-        for i in indices:
-            simplex = self.face(simplex, i)
-        return simplex
-
     def front_face(self, simplex, p):
         """The face keeping vertices 0..p (drop the top vertex repeatedly)."""
         d = self.dim_of[simplex]

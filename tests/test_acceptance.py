@@ -25,7 +25,6 @@ from rhamcheck.comparison import (
     naturality_residual,
     period,
     period_cochain,
-    singular_aw_cup,
 )
 from rhamcheck.derham import (
     AlgebraicForm,
@@ -34,14 +33,8 @@ from rhamcheck.derham import (
     parse_algebraic_form,
     truncated_cohomology,
 )
-from rhamcheck.fixtures import (
-    circle_algebra,
-    circle_loop_family,
-    circle_times_points_loops,
-    torus_fundamental_cycle,
-    two_points_algebra,
-)
 from rhamcheck.poly import Polynomial
+from rhamcheck.scenarios import load_builtin
 from rhamcheck.simplex_forms import (
     DEFAULT_QUAD_ORDER,
     FamilyComplex,
@@ -121,7 +114,7 @@ def random_simplex(rng, variety, n, max_degree=2):
 def test_criterion_1_two_points():
     start = time.monotonic()
     ok = True
-    algebra = two_points_algebra()
+    algebra = load_builtin("two_points").algebra
     for cutoff in (2, 3, 4):
         ok = ok and truncated_cohomology(algebra, 0, cutoff).dimension == 2
     ok = ok and truncated_cohomology(algebra, 0, 3).stabilized
@@ -170,7 +163,7 @@ def test_criterion_3_stokes_chain_map():
         omega = random_algebraic_form(rng, variety.algebra, p)
         residual, _ = chain_map_residual(omega, sigma)
         ok = ok and residual == 0
-    circle = VarietyPresentation(circle_algebra())
+    circle = load_builtin("circle").variety
     sweep = ParamSimplex(
         2,
         circle,
@@ -199,7 +192,8 @@ def test_criterion_4_naturality():
 
 def test_criterion_5_circle_pairing():
     start = time.monotonic()
-    family, cycle = circle_loop_family()
+    circle = load_builtin("circle")
+    family, cycle = circle.families["loop"], circle.chains["z"]
     omega = parse_algebraic_form("x*dy - y*dx", family.target.algebra)
     cochain, _ = period_cochain(omega, family, order=16)
     value = pair(cochain, cycle)
@@ -209,7 +203,8 @@ def test_criterion_5_circle_pairing():
 
 def test_criterion_6_mixed_multiplicativity():
     start = time.monotonic()
-    family, z1, z0 = circle_times_points_loops()
+    scenario = load_builtin("circle_x_points")
+    family, z1, z0 = scenario.families["loops"], scenario.chains["z1"], scenario.chains["z0"]
     algebra = family.target.algebra
     s_form = parse_algebraic_form("s", algebra)
     omega = parse_algebraic_form("x*dy - y*dx", algebra)
@@ -227,7 +222,8 @@ def test_criterion_6_mixed_multiplicativity():
 
 def test_criterion_7_torus_flagship():
     start = time.monotonic()
-    family, cycle = torus_fundamental_cycle()
+    torus = load_builtin("torus")
+    family, cycle = torus.families["grid"], torus.chains["z"]
     algebra = family.target.algebra
     omega1 = parse_algebraic_form("x*dy - y*dx", algebra)
     omega2 = parse_algebraic_form("z*dw - w*dz", algebra)
@@ -267,7 +263,7 @@ def test_criterion_8_integration_map_behavior():
                 for G in reps[q2]:
                     left, _ = sc[q1 + q2].class_of(F.wedge(G).to_cochain())
                     right, _ = sc[q1 + q2].class_of(
-                        singular_aw_cup(F.to_cochain(), G.to_cochain())
+                        aw_cup(F.to_cochain(), G.to_cochain())
                     )
                     ok = ok and left == right
     criterion(8, "integration map", ok, time.monotonic() - start, 10)

@@ -1,5 +1,8 @@
 """Scenario parsing, the check runner, exit codes, and report determinism."""
 
+import contextlib
+import io
+
 import pytest
 
 from rhamcheck.checks import Settings, run_scenario_checks
@@ -106,6 +109,7 @@ def test_scenario_rejects_malformed_form_degree(tmp_path, degree):
 
 
 SIMPLICIAL_CHECK = "\n[check h]\nkind simplicial_cohomology\ncomplex {}\ndims 1\n"
+COHOMOLOGY_CHECK = "\n[check h]\nkind cohomology\ndegree {}\nmax_weight {}\n"
 
 
 @pytest.mark.parametrize(
@@ -118,8 +122,11 @@ SIMPLICIAL_CHECK = "\n[check h]\nkind simplicial_cohomology\ncomplex {}\ndims 1\
         ("tolerance 0\n", "tolerance 0\n" + SIMPLICIAL_CHECK.format("deltax"), "check h"),
         ("tolerance 0\n", "tolerance 0\n" + SIMPLICIAL_CHECK.format("boundary2.5"), "check h"),
         ("tolerance 0\n", "tolerance 0\n" + SIMPLICIAL_CHECK.format("boundary0"), "check h"),
+        ("tolerance 0\n", "tolerance 0\n" + COHOMOLOGY_CHECK.format("one", 4), "check h"),
+        ("tolerance 0\n", "tolerance 0\n" + COHOMOLOGY_CHECK.format(2, 1), "check h"),
     ],
-    ids=["format_version", "dim", "degree", "term", "delta", "boundary", "boundary0"],
+    ids=["format_version", "dim", "degree", "term", "delta", "boundary", "boundary0",
+         "cohomology_degree", "weight_below_degree"],
 )
 def test_scenario_rejects_malformed_integer(tmp_path, old, new, section):
     assert old in MINIMAL
@@ -203,3 +210,57 @@ def test_cli_writes_report(tmp_path):
     assert text.startswith("format_version 1")
     assert "check.two_points.h0.status pass" in text
     assert "seed" in text
+
+
+def test_coboundary_pairing_needs_a_boundary_complex(tmp_path):
+    text = MINIMAL + "\n[check c]\nkind coboundary_pairing\ncomplex delta3\n"
+    with pytest.raises(ValidationError) as err:
+        Scenario(text)
+    assert "boundary" in str(err.value)
+    path = tmp_path / "coboundary.scn"
+    path.write_text(text)
+    assert main(["--scenario", str(path)]) == 2
+    results = run_scenario_checks(Scenario(text.replace("delta3", "boundary3")), Settings())
+    assert [r.status for r in results] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--builtin", "interval", "--max-weight", "-1"],
+        ["--builtin", "interval", "--max-weight", "0"],
+        ["--builtin", "tau_witness", "--max-weight", "0"],
+        ["--builtin", "two_points", "--quad-order", "0"],
+        ["--builtin", "two_points", "--quad-order", "-3"],
+        ["--builtin", "two_points", "--tolerance", "-0.5"],
+        ["--builtin", "two_points", "--tolerance", "nan"],
+        ["--builtin", "two_points", "--check", "no_such_check"],
+        ["--builtin", "two_points", "--check", "h0,no_such_check"],
+    ],
+    ids=["weight<0", "weight<degree", "weight<dim", "quad0", "quad<0", "tol<0", "tol_nan",
+         "check", "check_part"],
+)
+def test_out_of_range_flags_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rhamcheck: "), lines
+
+
+def test_max_weight_zero_is_honoured():
+    scenario = load_builtin("two_points")
+    results = run_scenario_checks(scenario, Settings(max_weight=0), check_filter={"h0"})
+    h0 = [r for r in results if r.name == "h0"][0]
+    # at weight 0 only the constants are left, so H^0 has dimension 1, not 2
+    assert ("max_weight", "0") in h0.details and ("dimension", "1") in h0.details
+    assert h0.status == "fail"
+
+
+def test_console_output_follows_redirected_stdout():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(["--list"]) == 0
+        assert main(["--builtin", "two_points"]) == 0
+    text = buffer.getvalue()
+    assert "two_points" in text and "total: 5 pass, 0 fail, 0 skip" in text

@@ -17,22 +17,14 @@ from rhamcheck.comparison import (
     period,
     period_cochain,
     pullback_form,
-    singular_aw_cup,
-    validate_simplex,
     xi_consistency_defect,
 )
 from rhamcheck.derham import AlgebraicForm, FpAlgebra, parse_algebraic_form, wedge
 from rhamcheck.errors import InvalidSimplex, NotACycle, NotClosedForm
-from rhamcheck.fixtures import (
-    circle_algebra,
-    circle_loop_family,
-    circle_times_points_loops,
-    torus_fundamental_cycle,
-    two_points_algebra,
-)
 from rhamcheck.poly import Polynomial, parse_polynomial
+from rhamcheck.scenarios import load_builtin
 from rhamcheck.simplex_forms import parse_poly_form, simplex_variables
-from rhamcheck.simplicial import DeltaMorphism, is_cycle, pair
+from rhamcheck.simplicial import DeltaMorphism, aw_cup, is_cycle, pair
 
 
 def free_variety(nvars=2):
@@ -70,15 +62,15 @@ def random_algebraic_form(rng, algebra, degree, max_coeff_degree=2):
 
 
 def test_validate_simplex_examples():
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     const = ParamSimplex(0, variety, ["1", "0"])
-    assert validate_simplex(const).valid
+    assert const.validate().valid
     arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
-    assert validate_simplex(arc).valid
+    assert arc.validate().valid
     with pytest.raises(InvalidSimplex):
         ParamSimplex(1, variety, ["t1", "t1"])
     bad = ParamSimplex(1, variety, ["t1", "t1"], check=False)
-    cert = validate_simplex(bad)
+    cert = bad.validate()
     assert not cert.valid
     # residual 2 t^2 - 1 after clearing denominators
     j, residual = cert.residuals[0]
@@ -88,14 +80,14 @@ def test_validate_simplex_examples():
 
 def test_pullback_constant_simplex_kills_positive_degree():
     rng = random.Random(1)
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     const = ParamSimplex(0, variety, ["1", "0"])
     omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
     assert pullback_form(const, omega).is_zero()
 
 
 def test_pullback_circle_arc_winding_form():
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
     omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
     pulled = pullback_form(arc, omega)
@@ -124,7 +116,7 @@ def test_pullback_is_dg_morphism():
 
 
 def test_period_idempotents_two_points():
-    algebra = two_points_algebra()
+    algebra = load_builtin("two_points").algebra
     variety = VarietyPresentation(algebra)
     plus = ParamSimplex(0, variety, ["1"], name="at_plus")
     minus = ParamSimplex(0, variety, ["-1"], name="at_minus")
@@ -144,7 +136,7 @@ def test_period_idempotents_two_points():
 
 
 def test_period_circle_arc_quarter_turn():
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
     omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
     value, estimate = period(omega, arc, order=16)
@@ -161,7 +153,7 @@ def test_xi_consistency_both_routes():
         omega = random_algebraic_form(rng, variety.algebra, n)
         assert xi_consistency_defect(omega, sigma) == 0
     # numeric lane too
-    circle = VarietyPresentation(circle_algebra())
+    circle = load_builtin("circle").variety
     arc = ParamSimplex(1, circle, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
     omega = parse_algebraic_form("x*dy - y*dx", circle.algebra)
     assert abs(xi_consistency_defect(omega, arc)) < 1e-12
@@ -180,7 +172,7 @@ def test_chain_map_residual_exact_lane():
 
 
 def test_chain_map_residual_numeric_circle():
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     # a 2-simplex sweeping a varying arc of the circle
     sigma = ParamSimplex(
         2,
@@ -209,7 +201,7 @@ def test_naturality_random_triples():
 
 
 def test_naturality_identity_and_vertex():
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
     omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
     assert naturality_residual(arc, DeltaMorphism.identity(1), omega).is_zero()
@@ -218,7 +210,8 @@ def test_naturality_identity_and_vertex():
 
 
 def test_singular_family_closes_loop():
-    family, cycle = circle_loop_family()
+    circle = load_builtin("circle")
+    family, cycle = circle.families["loop"], circle.chains["z"]
     assert is_cycle(cycle)
     # four arcs and four distinct endpoint vertices after dedup
     assert len(family.names(1)) == 4
@@ -226,7 +219,8 @@ def test_singular_family_closes_loop():
 
 
 def test_circle_pairing_two_pi():
-    family, cycle = circle_loop_family()
+    circle = load_builtin("circle")
+    family, cycle = circle.families["loop"], circle.chains["z"]
     omega = parse_algebraic_form("x*dy - y*dx", family.target.algebra)
     cochain, estimates = period_cochain(omega, family, order=16)
     value = pair(cochain, cycle)
@@ -234,7 +228,7 @@ def test_circle_pairing_two_pi():
 
 
 def test_multiplicativity_exact_two_points():
-    algebra = two_points_algebra()
+    algebra = load_builtin("two_points").algebra
     variety = VarietyPresentation(algebra)
     plus = ParamSimplex(0, variety, ["1"], name="plus")
     minus = ParamSimplex(0, variety, ["-1"], name="minus")
@@ -248,7 +242,7 @@ def test_multiplicativity_exact_two_points():
 
 
 def test_multiplicativity_rejects_bad_input():
-    algebra = two_points_algebra()
+    algebra = load_builtin("two_points").algebra
     variety = VarietyPresentation(algebra)
     plus = ParamSimplex(0, variety, ["1"], name="plus")
     family = SingularFamily([plus])
@@ -257,7 +251,7 @@ def test_multiplicativity_rejects_bad_input():
     z = family.chain(0, {"plus": 1})
     # x is closed here (Omega^1 = 0), so closedness cannot fail; exercise
     # the cycle check instead on a 1-chain that is not a cycle
-    loop_family, cycle = circle_loop_family()
+    loop_family = load_builtin("circle").families["loop"]
     omega = parse_algebraic_form("x*dy - y*dx", loop_family.target.algebra)
     not_cycle = loop_family.chain(1, {"arc0": 1})
     with pytest.raises(NotACycle):
@@ -265,7 +259,8 @@ def test_multiplicativity_rejects_bad_input():
 
 
 def test_multiplicativity_mixed_degree_circle_times_points():
-    family, z1, z0 = circle_times_points_loops()
+    scenario = load_builtin("circle_x_points")
+    family, z1, z0 = scenario.families["loops"], scenario.chains["z1"], scenario.chains["z0"]
     algebra = family.target.algebra
     s_form = parse_algebraic_form("s", algebra)
     omega = parse_algebraic_form("x*dy - y*dx", algebra)
@@ -281,7 +276,7 @@ def test_singular_aw_leibniz_numeric_lane():
     # a family with a genuine 2-simplex: one quarter-arc sweep triangle
     from rhamcheck.simplicial import Cochain, coboundary as delta
 
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
     sweep = ParamSimplex(
         2,
@@ -301,8 +296,8 @@ def test_singular_aw_leibniz_numeric_lane():
             0,
             {s: float(rng.randint(-3, 3)) for s in closed_family.complex.n_simplices(0)},
         )
-        lhs = delta(singular_aw_cup(b, xi_omega))
-        rhs = singular_aw_cup(delta(b), xi_omega) + singular_aw_cup(b, delta(xi_omega))
+        lhs = delta(aw_cup(b, xi_omega))
+        rhs = aw_cup(delta(b), xi_omega) + aw_cup(b, delta(xi_omega))
         for s in lhs.values:
             assert abs(lhs.values[s] - rhs.values[s]) < 1e-10
 
@@ -322,7 +317,7 @@ def test_multiplicativity_rejects_non_closed_form():
 
 
 def test_family_not_closed_error():
-    variety = VarietyPresentation(circle_algebra())
+    variety = load_builtin("circle").variety
     arc = ParamSimplex(
         1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"], name="arc0"
     )
@@ -334,7 +329,8 @@ def test_family_not_closed_error():
 
 
 def test_multiplicativity_torus_flagship():
-    family, cycle = torus_fundamental_cycle()
+    torus = load_builtin("torus")
+    family, cycle = torus.families["grid"], torus.chains["z"]
     assert is_cycle(cycle)
     algebra = family.target.algebra
     omega1 = parse_algebraic_form("x*dy - y*dx", algebra)

@@ -8,8 +8,8 @@ import pytest
 from rhamcheck.derham import (
     AlgebraicForm,
     FpAlgebra,
+    KaehlerPresentation,
     differential,
-    kaehler_presentation,
     parse_algebraic_form,
     reduce_form,
     truncated_cohomology,
@@ -48,14 +48,14 @@ def random_form(rng, algebra, degree, max_coeff_degree=3):
 
 
 def test_kaehler_presentation_free_algebra():
-    pres = kaehler_presentation(FpAlgebra(("x",), []))
+    pres = KaehlerPresentation(FpAlgebra(("x",), []))
     assert pres.generator_labels == ("dx",)
     assert pres.relation_matrix == []
 
 
 def test_kaehler_presentation_two_points():
     B = two_points()
-    pres = kaehler_presentation(B)
+    pres = KaehlerPresentation(B)
     assert pres.relation_matrix == [[B.poly("2*x")]]
     # x is a unit mod (x^2 - 1), so dx dies in the quotient
     dx = AlgebraicForm(B, 1, {(0,): B.poly("1")})
@@ -64,7 +64,7 @@ def test_kaehler_presentation_two_points():
 
 def test_kaehler_presentation_circle():
     B = circle()
-    pres = kaehler_presentation(B)
+    pres = KaehlerPresentation(B)
     assert pres.relation_matrix == [[B.poly("2*x"), B.poly("2*y")]]
     rel = pres.relation_forms()[0]
     assert reduce_form(rel).is_zero()
@@ -148,7 +148,7 @@ def test_reduce_form_examples():
 def test_reduce_form_kills_relation_multiples():
     rng = random.Random(33)
     B = circle()
-    pres = kaehler_presentation(B)
+    pres = KaehlerPresentation(B)
     rel = pres.relation_forms()[0]
     for _ in range(10):
         base = random_form(rng, B, 1, max_coeff_degree=2)

@@ -11,8 +11,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from rhamcheck.derham import truncated_cohomology
 from rhamcheck.errors import CompositionNonzero, NotACocycle
-from rhamcheck.fixtures import torus_algebra
 from rhamcheck.linalg import Echelon, SparseMatrix, cohomology_pair, kernel_image, solve
+from rhamcheck.scenarios import load_builtin
 from rhamcheck.simplex_forms import FamilyComplex
 from rhamcheck.simplicial import boundary_complex
 
@@ -221,7 +221,7 @@ def test_solve_never_pivots_on_the_right_hand_side():
 
 
 def test_torus_first_cohomology_at_weight_four():
-    h = truncated_cohomology(torus_algebra(), 1, 4)
+    h = truncated_cohomology(load_builtin("torus").algebra, 1, 4)
     assert h.dimension == 2
     assert h.stabilized
 
