@@ -30,7 +30,6 @@ from .simplex_forms import (
     FamilyComplex,
     FormsFamily,
     PolyForm,
-    cone_homotopy,
     differential as d_simplex,
     extend_from_boundary,
     homotopy_defect,
@@ -41,7 +40,6 @@ from .simplex_forms import (
     wedge as wedge_simplex,
 )
 from .simplicial import (
-    Chain,
     Cochain,
     DeltaMorphism,
     aw_cup,
@@ -357,7 +355,9 @@ def check_idempotent_table(scenario, check, settings):
     simplex_names = check.params["simplices"].split()
     for i, fname in enumerate(form_names):
         for j, sname in enumerate(simplex_names):
-            value, _ = period(scenario.forms[fname], scenario.simplices[sname])
+            value, _ = period(
+                scenario.forms[fname], scenario.simplices[sname], settings.quad_order
+            )
             result.detail("%s@%s" % (fname, sname), value)
             expected = Fraction(1 if i == j else 0)
             if value != expected:

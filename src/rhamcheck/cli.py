@@ -44,7 +44,9 @@ def build_parser():
     parser.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER, metavar="K",
                         help="Gauss-Legendre order for the numeric lane (default %(default)s)")
     parser.add_argument("--tolerance", type=float, metavar="X",
-                        help="override every check tolerance")
+                        help="override every check tolerance; a check that sets none uses 10 "
+                             "times its estimate |Q_k - Q_{k+4}|, the gap between quadrature "
+                             "orders k and k+4: a heuristic, not a bound")
     parser.add_argument("--report", metavar="PATH", help="write the canonical report here")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="N",
                         help="seed for randomized property checks (default %(default)s)")

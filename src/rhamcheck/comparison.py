@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .derham import AlgebraicForm, differential as d_algebraic, wedge as wedge_algebraic
+from .derham import differential as d_algebraic, wedge as wedge_algebraic
 from .errors import (
     AlgebraMismatch,
+    DimensionMismatch,
     FamilyNotClosed,
     InvalidSimplex,
     NotACycle,
@@ -44,7 +45,6 @@ from .simplicial import (
     DeltaMorphism,
     FiniteSimplicialSet,
     aw_cup,
-    boundary,
     is_cycle,
     pair,
 )
@@ -248,7 +248,7 @@ def period(omega, sigma, order=DEFAULT_QUAD_ORDER):
     the polynomial lane, quadrature on the rational lane.
     """
     if omega.degree != sigma.n:
-        raise ValueError(
+        raise DimensionMismatch(
             "degree %d form against a %d-simplex" % (omega.degree, sigma.n)
         )
     pulled = pullback_form(sigma, omega)

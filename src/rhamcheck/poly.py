@@ -46,10 +46,9 @@ def monomial_lcm(a, b):
 class Polynomial:
     """An exact multivariate polynomial over a fixed ordered variable tuple."""
 
-    __slots__ = ("variables", "terms", "_compiled")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms):
-        self._compiled = None
         self.variables = tuple(variables)
         clean = {}
         nvars = len(self.variables)
@@ -222,22 +221,6 @@ class Polynomial:
             for x, k in zip(point, e):
                 if k:
                     v *= Fraction(x) ** k
-            total += v
-        return total
-
-    def eval_float(self, point):
-        """Float evaluation at a tuple of floats, in a fixed term order."""
-        if self._compiled is None:
-            self._compiled = [
-                (float(self.terms[e]), e) for e in sorted(self.terms, key=drl_key)
-            ]
-        total = 0.0
-        for v, e in self._compiled:
-            for x, k in zip(point, e):
-                if k == 1:
-                    v *= x
-                elif k:
-                    v *= x**k
             total += v
         return total
 

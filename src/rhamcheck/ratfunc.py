@@ -9,24 +9,28 @@ Denominators are admitted for quadrature when they pass a Polya-style
 certificate: rewritten in barycentric coordinates and multiplied by a
 power of (u0+...+un), every monomial of the right degree must appear
 with a strictly positive coefficient.  That is sufficient for strict
-positivity on the closed simplex.
+positivity on the closed simplex.  Verdicts are cached per denominator
+and power bound, since the faces of a family share few denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import DenominatorVanishes
 from .poly import Polynomial
 
 CERTIFICATE_POWER_BOUND = 6
+CERTIFICATE_CACHE_SIZE = 256
 
 
 class RationalFunc:
     """num/den with polynomial entries over a shared variable tuple."""
 
-    __slots__ = ("num", "den", "_certified")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, normalize=True):
         if den is None:
@@ -37,7 +41,6 @@ class RationalFunc:
             raise ValueError("numerator and denominator over different variables")
         self.num = num
         self.den = den
-        self._certified = None
         if normalize:
             self._normalize()
 
@@ -155,12 +158,6 @@ class RationalFunc:
         """Substitute polynomials for the variables (e.g. affine maps)."""
         return RationalFunc(self.num.substitute(values), self.den.substitute(values))
 
-    def eval_float(self, point):
-        den = self.den.eval_float(point)
-        if den == 0.0:
-            raise ZeroDivisionError("denominator vanished at quadrature node")
-        return self.num.eval_float(point) / den
-
     def eval_fraction(self, point):
         den = self.den.eval_fraction(point)
         if den == 0:
@@ -169,16 +166,10 @@ class RationalFunc:
 
     def certify_denominator(self, power_bound=CERTIFICATE_POWER_BOUND):
         """Check the positivity certificate; raises DenominatorVanishes."""
-        if self._certified:
-            return True
-        if self.is_polynomial():
-            self._certified = True
-            return True
-        if not _positive_on_simplex(self.den, power_bound):
+        if not self.is_polynomial() and not _has_certificate(self.den, power_bound):
             raise DenominatorVanishes(
                 "no positivity certificate for denominator %s" % self.den
             )
-        self._certified = True
         return True
 
     def __str__(self):
@@ -218,12 +209,16 @@ def _multinomial(combo, nslots):
     total = len(combo)
     value = 1
     remaining = total
-    from math import comb
-
     for c in counts:
         value *= comb(remaining, c)
         remaining -= c
     return value
+
+
+@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
+def _has_certificate(den, power_bound):
+    """Memoized certificate verdict; a Polynomial hashes on its variables and terms."""
+    return _positive_on_simplex(den, power_bound)
 
 
 def _positive_on_simplex(poly, power_bound):
@@ -248,6 +243,4 @@ def _positive_on_simplex(poly, power_bound):
 
 
 def _count_monomials(nslots, degree):
-    from math import comb
-
     return comb(degree + nslots - 1, nslots - 1)

@@ -42,7 +42,6 @@ be declared, otherwise validation fails naming the offender.
 from __future__ import annotations
 
 import zlib
-from fractions import Fraction
 
 from .comparison import ParamSimplex, SingularFamily, VarietyPresentation
 from .derham import FpAlgebra, parse_algebraic_form
@@ -296,6 +295,34 @@ class Scenario:
                     raise ValidationError(
                         "check %s references undefined form %s" % (check.name, fname)
                     )
+        self._validate_degrees(check, where)
+
+    def _validate_degrees(self, check, where):
+        """Refuse forms whose degrees cannot meet the check's simplices or chain."""
+        p = check.params
+        forms, simplices, chains = self.forms, self.simplices, self.chains
+        if check.kind == "idempotent_table":
+            for fname in p.get("forms", "").split():
+                for sname in p.get("simplices", "").split():
+                    _match_degree(where, "form %s" % fname, forms[fname].degree,
+                                  "simplex %s" % sname, simplices[sname].n)
+        elif check.kind == "chain_map" and {"form", "simplex"} <= p.keys():
+            _match_degree(where, "d of form %s" % p["form"], forms[p["form"]].degree + 1,
+                          "simplex %s" % p["simplex"], simplices[p["simplex"]].n)
+        elif check.kind == "pairing" and {"form", "chain"} <= p.keys():
+            _match_degree(where, "form %s" % p["form"], forms[p["form"]].degree,
+                          "chain %s" % p["chain"], chains[p["chain"]].degree)
+        elif check.kind == "multiplicativity" and {"form1", "form2", "chain"} <= p.keys():
+            _match_degree(where, "%s ^ %s" % (p["form1"], p["form2"]),
+                          forms[p["form1"]].degree + forms[p["form2"]].degree,
+                          "chain %s" % p["chain"], chains[p["chain"]].degree)
+
+
+def _match_degree(where, what, degree, target, dim):
+    if degree != dim:
+        raise ValidationError(
+            "%s: %s has degree %d but %s has dimension %d" % (where, what, degree, target, dim)
+        )
 
 
 def check_rng_seed(seed, check_name):

@@ -17,6 +17,7 @@ family into the interior.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, fsum
 
@@ -31,12 +32,13 @@ from .errors import (
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast
 from .linalg import Echelon, SparseMatrix, cohomology_pair, kernel_image, solve
-from .poly import Polynomial, parse_ast
+from .poly import Polynomial, drl_key, parse_ast
 from .ratfunc import RationalFunc
 from .simplicial import Cochain, DeltaMorphism, standard_simplex
 
 DEFAULT_QUAD_ORDER = 16
 QUAD_CROSS_CHECK_STEP = 4
+QUAD_RULE_CACHE_SIZE = 32  # (n, order) rules kept; a run uses a handful
 
 
 def simplex_variables(n):
@@ -259,70 +261,84 @@ def integrate_exact(alpha):
     return total
 
 
-_gauss_cache = {}
+class _QuadRule:
+    """Nodes and weights of one quadrature rule, with the powers x**k drawn so far."""
+
+    __slots__ = ("coords", "weights", "_powers")
+
+    def __init__(self, coords, weights):
+        self.coords = coords  # one array per simplex coordinate
+        self.weights = weights
+        self._powers = {}
+
+    def _power(self, i, k):
+        # Python's pow on each node: numpy's power differs in the last bit
+        # on some nodes, which would move printed digits
+        if (i, k) not in self._powers:
+            self._powers[i, k] = np.array([x**k for x in self.coords[i].tolist()])
+        return self._powers[i, k]
+
+    def evaluate(self, poly):
+        """Values of a Polynomial at every node, summed term by term in drl order."""
+        total = np.zeros(len(self.weights))
+        for e in sorted(poly.terms, key=drl_key):
+            v = np.full(len(self.weights), float(poly.terms[e]))
+            for i, k in enumerate(e):
+                if k:
+                    v = v * self._power(i, k)
+            total += v
+        return total
 
 
-def _gauss_nodes(order):
-    if order not in _gauss_cache:
-        raw_x, raw_w = np.polynomial.legendre.leggauss(order)
-        nodes = [(float(x) + 1.0) / 2.0 for x in raw_x]
-        weights = [float(w) / 2.0 for w in raw_w]
-        _gauss_cache[order] = (nodes, weights)
-    return _gauss_cache[order]
-
-
+@lru_cache(maxsize=QUAD_RULE_CACHE_SIZE)
 def _duffy_points(n, order):
-    """Duffy-transformed tensor Gauss-Legendre nodes and weights."""
-    nodes, weights = _gauss_nodes(order)
-    points = []
+    """Duffy-transformed tensor Gauss-Legendre rule on the n-simplex.
 
-    def rec(prefix_x, prefix_w):
-        depth = len(prefix_x)
-        if depth == n:
-            t = []
-            scale = 1.0
-            jac = 1.0
-            for i, x in enumerate(prefix_x):
-                t.append(x * scale)
-                jac *= scale
-                scale *= 1.0 - x
-            points.append((tuple(t), prefix_w * jac))
-            return
-        for x, w in zip(nodes, weights):
-            rec(prefix_x + (x,), prefix_w * w)
-
-    rec((), 1.0)
-    return points
+    The tensor node (x_1..x_n) maps to t_i = x_i * prod_{j<i} (1 - x_j),
+    with Jacobian prod_i prod_{j<i} (1 - x_j); n = 0 is one node of
+    weight 1.
+    """
+    raw_x, raw_w = np.polynomial.legendre.leggauss(order)
+    grids = zip(
+        np.meshgrid(*[(raw_x + 1.0) / 2.0] * n, indexing="ij"),
+        np.meshgrid(*[raw_w / 2.0] * n, indexing="ij"),
+    )
+    weight, jac, scale = np.ones(order**n), np.ones(order**n), np.ones(order**n)
+    coords = []
+    for x, w in grids:
+        x = x.ravel()
+        weight = weight * w.ravel()
+        coords.append(x * scale)
+        jac = jac * scale
+        scale = scale * (1.0 - x)
+    return _QuadRule(coords, weight * jac)
 
 
 def _quad_value(alpha, order):
-    n = alpha.n
-    coeff = alpha.terms.get(tuple(range(n)))
+    coeff = alpha.terms.get(tuple(range(alpha.n)))
     if coeff is None:
         return 0.0
-    pieces = []
-    for point, weight in _duffy_points(n, order):
-        pieces.append(weight * coeff.eval_float(point))
-    return fsum(pieces)
+    rule = _duffy_points(alpha.n, order)
+    den = rule.evaluate(coeff.den)
+    if not den.all():
+        raise ZeroDivisionError("denominator vanished at quadrature node")
+    return fsum((rule.weights * (rule.evaluate(coeff.num) / den)).tolist())
 
 
 def integrate_numeric(alpha, order=DEFAULT_QUAD_ORDER):
     """(value, error estimate) for a top-degree form by quadrature.
 
     Tensor-product Gauss-Legendre of the given order mapped through the
-    Duffy transform; the estimate is the difference against the rule
-    four orders higher.  Denominators must carry a positivity
-    certificate, otherwise DenominatorVanishes propagates.
+    Duffy transform.  The estimate is |Q_k - Q_{k+4}|, the difference
+    against the rule four orders higher: a heuristic, not a bound.
+    Denominators must carry a positivity certificate, otherwise
+    DenominatorVanishes propagates.
     """
     n = alpha.n
     if alpha.degree != n:
         raise NotTopDegree("degree %d form on a %d-simplex" % (alpha.degree, n))
     for c in alpha.terms.values():
         c.certify_denominator()
-    if n == 0:
-        coeff = alpha.terms.get(())
-        value = 0.0 if coeff is None else coeff.eval_float(())
-        return value, 0.0
     value = _quad_value(alpha, order)
     check = _quad_value(alpha, order + QUAD_CROSS_CHECK_STEP)
     return value, abs(value - check)

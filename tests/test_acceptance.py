@@ -10,12 +10,9 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
-import pytest
-
-from rhamcheck.checks import Settings
-from rhamcheck.cli import main, report_lines, run_scenario
+from rhamcheck.checks import _random_algebraic_form, _random_poly_form, _random_simplex
+from rhamcheck.cli import main
 from rhamcheck.comparison import (
     ParamSimplex,
     SingularFamily,
@@ -27,24 +24,18 @@ from rhamcheck.comparison import (
     period_cochain,
 )
 from rhamcheck.derham import (
-    AlgebraicForm,
     FpAlgebra,
-    differential as d_algebraic,
     parse_algebraic_form,
     truncated_cohomology,
 )
-from rhamcheck.poly import Polynomial
 from rhamcheck.scenarios import load_builtin
 from rhamcheck.simplex_forms import (
-    DEFAULT_QUAD_ORDER,
     FamilyComplex,
     FormsFamily,
-    PolyForm,
     extend_from_boundary,
     homotopy_defect,
     parse_poly_form,
     pullback_delta,
-    simplex_variables,
     to_cochain,
     wedge as wedge_simplex,
 )
@@ -69,46 +60,6 @@ def criterion(number, label, ok, elapsed, budget):
     )
     assert ok, "criterion %d (%s) failed" % (number, label)
     assert elapsed < budget, "criterion %d exceeded its %ds budget" % (number, budget)
-
-
-def random_poly(rng, variables, max_degree):
-    terms = {}
-    nvars = len(variables)
-    for _ in range(rng.randint(1, 3)):
-        e = [0] * nvars
-        if nvars:
-            for _ in range(rng.randint(0, max_degree)):
-                e[rng.randrange(nvars)] += 1
-        terms[tuple(e)] = Fraction(rng.randint(-4, 4))
-    return Polynomial(variables, terms)
-
-
-def random_poly_form(rng, n, degree, max_coeff_degree):
-    terms = {}
-    for S in combinations(range(n), degree):
-        if rng.random() < 0.75:
-            poly = random_poly(rng, simplex_variables(n), max_coeff_degree)
-            if not poly.is_zero():
-                terms[S] = poly
-    return PolyForm(n, degree, terms)
-
-
-def random_algebraic_form(rng, algebra, degree, max_coeff_degree=2):
-    terms = {}
-    for S in combinations(range(algebra.nvars), degree):
-        if rng.random() < 0.8:
-            poly = random_poly(rng, algebra.variables, max_coeff_degree)
-            if not poly.is_zero():
-                terms[S] = poly
-    return AlgebraicForm(algebra, degree, terms)
-
-
-def random_simplex(rng, variety, n, max_degree=2):
-    comps = [
-        random_poly(rng, simplex_variables(n), max_degree)
-        for _ in range(variety.ambient_dimension)
-    ]
-    return ParamSimplex(n, variety, comps)
 
 
 def test_criterion_1_two_points():
@@ -147,7 +98,7 @@ def test_criterion_2_poincare_lemma():
     for _ in range(50):
         n = rng.randint(1, 3)
         degree = rng.randint(0, n)
-        alpha = random_poly_form(rng, n, degree, 6)
+        alpha = _random_poly_form(rng, n, degree, 6)
         ok = ok and homotopy_defect(alpha).is_zero()
     criterion(2, "contraction identities", ok, time.monotonic() - start, 5)
 
@@ -159,8 +110,8 @@ def test_criterion_3_stokes_chain_map():
     variety = VarietyPresentation(FpAlgebra(("x", "y"), []))
     for _ in range(50):
         p = rng.randint(0, 1)
-        sigma = random_simplex(rng, variety, p + 1)
-        omega = random_algebraic_form(rng, variety.algebra, p)
+        sigma = _random_simplex(rng, variety, p + 1)
+        omega = _random_algebraic_form(rng, variety.algebra, p)
         residual, _ = chain_map_residual(omega, sigma)
         ok = ok and residual == 0
     circle = load_builtin("circle").variety
@@ -184,8 +135,8 @@ def test_criterion_4_naturality():
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
         h = DeltaMorphism(m, n, sorted(rng.randint(0, n) for _ in range(m + 1)))
-        sigma = random_simplex(rng, variety, n)
-        omega = random_algebraic_form(rng, variety.algebra, rng.randint(0, 2))
+        sigma = _random_simplex(rng, variety, n)
+        omega = _random_algebraic_form(rng, variety.algebra, rng.randint(0, 2))
         ok = ok and naturality_residual(sigma, h, omega).is_zero()
     criterion(4, "naturality", ok, time.monotonic() - start, 5)
 
@@ -307,7 +258,7 @@ def test_criterion_10_boundary_extension():
         full = standard_simplex(n)
         for _ in range(20):
             q = rng.randint(0, n - 1)
-            source = random_poly_form(rng, n, q, 2)
+            source = _random_poly_form(rng, n, q, 2)
             family = FormsFamily.restricted_to(
                 FormsFamily.from_top_form(full, source), K
             )

@@ -7,7 +7,8 @@ import pytest
 
 from rhamcheck.checks import Settings, run_scenario_checks
 from rhamcheck.cli import main, report_lines, run_scenario
-from rhamcheck.errors import ParseError, ValidationError
+from rhamcheck.comparison import period
+from rhamcheck.errors import DimensionMismatch, ParseError, ValidationError
 from rhamcheck.scenarios import Scenario, builtin_names, builtin_text, load_builtin
 
 MINIMAL = """
@@ -222,6 +223,79 @@ def test_coboundary_pairing_needs_a_boundary_complex(tmp_path):
     assert main(["--scenario", str(path)]) == 2
     results = run_scenario_checks(Scenario(text.replace("delta3", "boundary3")), Settings())
     assert [r.status for r in results] == ["pass", "pass"]
+
+
+LINE = """
+format_version 1
+name line
+
+[algebra]
+variables x
+
+[form f]
+degree 0
+expr x
+
+[form one]
+degree 0
+expr 1
+
+[form w]
+degree 1
+expr dx
+
+[simplex s]
+dim 1
+component t1
+
+[simplex pt]
+dim 0
+component 0
+
+[family seg]
+simplices s
+
+[family pts]
+simplices pt
+
+[chain z]
+family seg
+degree 1
+term 1 s
+
+[chain p]
+family pts
+degree 0
+term 1 pt
+
+[check c]
+kind {}
+{}
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, wrong, right",
+    [
+        ("idempotent_table", "forms f\nsimplices s", "forms w\nsimplices s"),
+        ("chain_map", "form w\nsimplex s", "form f\nsimplex s"),
+        ("pairing", "form f\nchain z\nexpect 1", "form w\nchain z\nexpect 1"),
+        ("multiplicativity", "form1 one\nform2 w\nchain p", "form1 one\nform2 one\nchain p"),
+    ],
+    ids=["idempotent_table", "chain_map", "pairing", "multiplicativity"],
+)
+def test_scenario_rejects_form_degree_mismatch(tmp_path, kind, wrong, right):
+    text = LINE.format(kind, wrong)
+    with pytest.raises(ValidationError) as err:
+        Scenario(text)
+    assert "check c" in str(err.value) and "degree" in str(err.value)
+    path = tmp_path / "degrees.scn"
+    path.write_text(text)
+    assert main(["--scenario", str(path)]) == 2
+    scenario = Scenario(LINE.format(kind, right))
+    assert [r.status for r in run_scenario_checks(scenario, Settings())] == ["pass"]
+    with pytest.raises(DimensionMismatch):
+        period(scenario.forms["f"], scenario.simplices["s"])
 
 
 @pytest.mark.parametrize(

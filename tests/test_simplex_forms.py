@@ -3,10 +3,15 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rhamcheck import ratfunc
+from rhamcheck.checks import _random_poly, _random_poly_form
 from rhamcheck.errors import (
     DenominatorVanishes,
     DimensionMismatch,
@@ -14,8 +19,8 @@ from rhamcheck.errors import (
     NonPolynomialCoefficient,
     NotTopDegree,
 )
-from rhamcheck.poly import Polynomial
-from rhamcheck.ratfunc import RationalFunc
+from rhamcheck.poly import Polynomial, drl_key
+from rhamcheck.ratfunc import RationalFunc, _positive_on_simplex
 from rhamcheck.simplex_forms import (
     FamilyComplex,
     FormsFamily,
@@ -31,6 +36,8 @@ from rhamcheck.simplex_forms import (
     simplex_variables,
     to_cochain,
     wedge,
+    _duffy_points,
+    _quad_value,
 )
 from rhamcheck.simplicial import (
     DeltaMorphism,
@@ -39,23 +46,6 @@ from rhamcheck.simplicial import (
     simplicial_cohomology,
     standard_simplex,
 )
-
-
-def random_poly_form(rng, n, degree, max_coeff_degree=3):
-    variables = simplex_variables(n)
-    terms = {}
-    for S in combinations(range(n), degree):
-        if rng.random() < 0.75:
-            coeff = {}
-            for _ in range(rng.randint(1, 3)):
-                e = [0] * n
-                for _ in range(rng.randint(0, max_coeff_degree)):
-                    e[rng.randrange(n)] += 1
-                coeff[tuple(e)] = Fraction(rng.randint(-4, 4))
-            poly = Polynomial(variables, coeff)
-            if not poly.is_zero():
-                terms[S] = RationalFunc(poly)
-    return PolyForm(n, degree, terms)
 
 
 def random_delta_morphism(rng, m, n):
@@ -77,8 +67,8 @@ def test_leibniz_exact():
     for _ in range(30):
         n = rng.randint(1, 3)
         p = rng.randint(0, n)
-        alpha = random_poly_form(rng, n, p)
-        beta = random_poly_form(rng, n, rng.randint(0, n - p))
+        alpha = _random_poly_form(rng, n, p, 3)
+        beta = _random_poly_form(rng, n, rng.randint(0, n - p), 3)
         lhs = differential(wedge(alpha, beta))
         rhs = wedge(differential(alpha), beta) + wedge(
             alpha, differential(beta)
@@ -106,7 +96,7 @@ def test_pullback_functorial():
         k = rng.randint(0, m)
         h = random_delta_morphism(rng, m, n)
         g = random_delta_morphism(rng, k, m)
-        alpha = random_poly_form(rng, n, rng.randint(0, n))
+        alpha = _random_poly_form(rng, n, rng.randint(0, n), 3)
         both = pullback_delta(g, pullback_delta(h, alpha))
         composed = pullback_delta(h.compose(g), alpha)
         assert both == composed
@@ -131,7 +121,7 @@ def test_integrate_numeric_matches_exact():
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(1, 2)
-        alpha = random_poly_form(rng, n, n)
+        alpha = _random_poly_form(rng, n, n, 3)
         exact = float(integrate_exact(alpha))
         value, estimate = integrate_numeric(alpha, order=12)
         assert abs(value - exact) < 1e-12
@@ -159,6 +149,108 @@ def test_denominator_certificate():
         integrate_numeric(bad, order=8)
 
 
+def scalar_quad_value(coeff, n, order):
+    """The per-node reference: Duffy nodes one at a time, Python ** powers."""
+    raw_x, raw_w = np.polynomial.legendre.leggauss(order)
+    nodes = [(float(x) + 1.0) / 2.0 for x in raw_x]
+    weights = [float(w) / 2.0 for w in raw_w]
+
+    def value(poly, point):
+        total = 0.0
+        for e in sorted(poly.terms, key=drl_key):
+            v = float(poly.terms[e])
+            for x, k in zip(point, e):
+                if k == 1:
+                    v *= x
+                elif k:
+                    v *= x**k
+            total += v
+        return total
+
+    pieces = []
+    for combo in product(range(order), repeat=n):
+        point, weight, scale, jac = [], 1.0, 1.0, 1.0
+        for i in combo:
+            weight *= weights[i]
+            point.append(nodes[i] * scale)
+            jac *= scale
+            scale *= 1.0 - nodes[i]
+        den = value(coeff.den, point)
+        assert den != 0.0
+        pieces.append(weight * jac * (value(coeff.num, point) / den))
+    return math.fsum(pieces)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32), order=st.integers(1, 24))
+def test_vectorized_quadrature_matches_scalar_loop_bit_for_bit(n, seed, order):
+    rng = random.Random(seed)
+    variables = simplex_variables(n)
+    while True:
+        num = sum((_random_poly(rng, variables, 5) for _ in range(3)), Polynomial.zero(variables))
+        q = _random_poly(rng, variables, 2)
+        den = Polynomial.constant(variables, rng.randint(1, 4)) + q * q
+        coeff = RationalFunc(num, den)
+        try:
+            coeff.certify_denominator()
+            break
+        except DenominatorVanishes:
+            continue
+    alpha = PolyForm(n, n, {tuple(range(n)): coeff})
+    expected = scalar_quad_value(coeff, n, order) if alpha.terms else 0.0
+    assert _quad_value(alpha, order) == expected
+
+
+def test_integrate_numeric_matches_exact_on_the_tetrahedron():
+    rng = random.Random(11)
+    for order in (8, 12, 16):
+        for _ in range(10):
+            alpha = _random_poly_form(rng, 3, 3, 5)
+            value, estimate = integrate_numeric(alpha, order=order)
+            assert abs(value - float(integrate_exact(alpha))) < 1e-12
+            assert estimate < 1e-12
+
+
+def test_quadrature_rule_is_built_once_and_checks_zero_denominators():
+    assert _duffy_points(2, 7) is _duffy_points(2, 7)
+    # the one Gauss-Legendre node of order 1 is t1 = 1/2, where 2*t1 - 1 vanishes
+    with pytest.raises(ZeroDivisionError):
+        _quad_value(parse_poly_form("1/(2*t1 - 1) * dt1", 1), 1)
+
+
+def test_certificate_runs_once_per_denominator_and_power_bound(monkeypatch):
+    runs = []
+
+    def counting(poly, power_bound):
+        runs.append((str(poly), power_bound))
+        return _positive_on_simplex(poly, power_bound)
+
+    monkeypatch.setattr(ratfunc, "_positive_on_simplex", counting)
+    ratfunc._has_certificate.cache_clear()
+    try:
+        for _ in range(3):
+            # a fresh RationalFunc each time: the cache is keyed on the denominator
+            parse_poly_form("1/(1 + t1^2) * dt1", 1).terms[(0,)].certify_denominator()
+            parse_poly_form("t1/(1 + t1^2) * dt1", 1).terms[(0,)].certify_denominator()
+        assert runs == [("t1^2 + 1", 6)]
+        bad = parse_poly_form("1/(1 - 2*t1) * dt1", 1).terms[(0,)]
+        for _ in range(3):
+            with pytest.raises(DenominatorVanishes):
+                bad.certify_denominator()
+        assert len(runs) == 2
+        # t1^2 + (1 - t1)^2 needs one Polya step: certified at bound 1, not at 0
+        tight = parse_poly_form("1/(1 - 2*t1 + 2*t1^2) * dt1", 1).terms[(0,)]
+        assert tight.certify_denominator(power_bound=1)
+        for _ in range(2):
+            with pytest.raises(DenominatorVanishes):
+                tight.certify_denominator(power_bound=0)
+        assert tight.certify_denominator(power_bound=1)
+        assert [bound for _, bound in runs[2:]] == [1, 0]
+    finally:
+        ratfunc._has_certificate.cache_clear()
+
+
 def test_cone_homotopy_interval():
     assert cone_homotopy(parse_poly_form("dt1", 1)) == parse_poly_form("t1", 1)
 
@@ -168,7 +260,7 @@ def test_cone_homotopy_identity():
     for _ in range(50):
         n = rng.randint(1, 3)
         degree = rng.randint(0, n)
-        alpha = random_poly_form(rng, n, degree, max_coeff_degree=6)
+        alpha = _random_poly_form(rng, n, degree, max_coeff_degree=6)
         assert homotopy_defect(alpha).is_zero()
 
 
@@ -178,7 +270,7 @@ def test_closed_forms_are_exact_up_to_constants():
     for _ in range(20):
         n = rng.randint(1, 3)
         degree = rng.randint(0, n - 1)
-        alpha = differential(random_poly_form(rng, n, degree, 4))
+        alpha = differential(_random_poly_form(rng, n, degree, 4))
         assert differential(alpha).is_zero()
         recovered = differential(cone_homotopy(alpha))
         assert recovered == alpha
@@ -193,7 +285,7 @@ def test_poly_form_text_round_trip():
     rng = random.Random(23)
     for _ in range(10):
         n = rng.randint(1, 3)
-        alpha = random_poly_form(rng, n, rng.randint(0, n))
+        alpha = _random_poly_form(rng, n, rng.randint(0, n), 3)
         assert parse_poly_form(str(alpha), n) == alpha
     rational = parse_poly_form("2/(1 + t1^2) * dt1", 1)
     assert parse_poly_form(str(rational), 1) == rational
@@ -221,7 +313,7 @@ def test_to_cochain_is_chain_map():
     for _ in range(30):
         n = rng.randint(1, 3)
         degree = rng.randint(0, n - 1)
-        alpha = random_poly_form(rng, n, degree)
+        alpha = _random_poly_form(rng, n, degree, 3)
         K = standard_simplex(n)
         lhs = to_cochain(differential(alpha), complex_=K)
         rhs = coboundary(to_cochain(alpha, complex_=K))
@@ -250,7 +342,7 @@ def test_naturality_of_to_cochain():
         m = rng.randint(0, n)
         h = random_delta_morphism(rng, m, n)
         degree = rng.randint(0, m)
-        alpha = random_poly_form(rng, n, degree)
+        alpha = _random_poly_form(rng, n, degree, 3)
         Km = standard_simplex(m)
         lhs = to_cochain(pullback_delta(h, alpha), complex_=Km)
         tau_big = to_cochain(alpha)
@@ -299,7 +391,7 @@ def test_extension_round_trip(n):
     full = standard_simplex(n)
     for _ in range(20):
         q = rng.randint(0, n - 1)
-        source = random_poly_form(rng, n, q, max_coeff_degree=2)
+        source = _random_poly_form(rng, n, q, max_coeff_degree=2)
         family = FormsFamily.restricted_to(FormsFamily.from_top_form(full, source), bc)
         extended = extend_from_boundary(family)
         for i in range(n + 1):
