@@ -25,7 +25,7 @@ from .derham import AlgebraicForm, FpAlgebra, differential as d_algebraic, trunc
 from .errors import RhamcheckError, ValidationError
 from .linalg import SparseMatrix, kernel_image
 from .poly import Polynomial
-from .scenarios import _complex_spec, check_rng_seed, named_complex
+from .scenarios import check_rng_seed
 from .simplex_forms import (
     FamilyComplex,
     FormsFamily,
@@ -33,7 +33,6 @@ from .simplex_forms import (
     differential as d_simplex,
     extend_from_boundary,
     homotopy_defect,
-    parse_poly_form,
     pullback_delta,
     simplex_variables,
     to_cochain,
@@ -47,11 +46,11 @@ from .simplicial import (
     fundamental_boundary_cycle,
     pair,
     simplicial_cohomology,
+    standard_simplex,
     unit_cochain,
 )
 
 DEFAULT_SEED = 902214
-DEFAULT_MAX_WEIGHT = 4
 
 
 class Settings:
@@ -98,25 +97,15 @@ def render_value(value):
 def _tolerance(check, settings, estimate):
     if settings.tolerance is not None:
         return settings.tolerance
-    if "tolerance" in check.params:
-        return float(check.params["tolerance"])
+    if check.params["tolerance"] is not None:
+        return check.params["tolerance"]
     return 10.0 * float(estimate)
 
 
-def _max_weight(check, settings, default):
+def _max_weight(check, settings):
     if settings.max_weight is not None:
         return settings.max_weight
-    return int(check.params.get("max_weight", default))
-
-
-def _parse_number(text):
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return Fraction(int(text))
+    return check.params["max_weight"]
 
 
 def _within(value, target, tolerance):
@@ -178,9 +167,8 @@ def _random_cochain(rng, complex_, p):
 
 def check_validate(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    expect = check.params.get("expect", "valid")
-    names = check.params.get("simplices", check.params.get("simplex", "")).split()
-    for sname in names:
+    expect = check.params["expect"]
+    for sname in check.params["simplices"]:
         cert = scenario.simplices[sname].validate()
         result.detail("%s.valid" % sname, cert.valid)
         if cert.valid != (expect == "valid"):
@@ -193,43 +181,41 @@ def check_validate(scenario, check, settings):
 
 def check_cohomology(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    degree = int(check.params["degree"])
-    cutoff = _max_weight(check, settings, DEFAULT_MAX_WEIGHT)
+    p = check.params
+    degree = p["degree"]
+    cutoff = _max_weight(check, settings)
     h = truncated_cohomology(scenario.algebra, degree, cutoff)
     result.detail("degree", degree)
     result.detail("max_weight", cutoff)
     result.detail("dimension", h.dimension)
     result.detail("stabilized", h.stabilized)
-    if "expect_dim" in check.params and h.dimension != int(check.params["expect_dim"]):
-        result.fail("dimension %d != expected %s" % (h.dimension, check.params["expect_dim"]))
-    if "expect_min_dim" in check.params and h.dimension < int(check.params["expect_min_dim"]):
-        result.fail("dimension %d below %s" % (h.dimension, check.params["expect_min_dim"]))
-    if check.params.get("expect_stabilized") == "true" and not h.stabilized:
+    if p["expect_dim"] is not None and h.dimension != p["expect_dim"]:
+        result.fail("dimension %d != expected %d" % (h.dimension, p["expect_dim"]))
+    if p["expect_min_dim"] is not None and h.dimension < p["expect_min_dim"]:
+        result.fail("dimension %d below %d" % (h.dimension, p["expect_min_dim"]))
+    if p["expect_stabilized"] and not h.stabilized:
         result.fail("truncation did not stabilize at cutoff %d" % cutoff)
-    if "class_nonzero" in check.params:
-        form = scenario.forms[check.params["class_nonzero"]]
+    if p["class_nonzero"] is not None:
+        form = scenario.forms[p["class_nonzero"]]
         if not d_algebraic(form).is_zero():
-            result.fail("form %s is not closed" % check.params["class_nonzero"])
+            result.fail("form %s is not closed" % p["class_nonzero"])
         else:
             coords = h.class_of(form)
             nonzero = any(c != 0 for c in coords)
             result.detail("class_coordinates", " ".join(render_value(c) for c in coords))
             if not nonzero:
-                result.fail("class of %s vanishes" % check.params["class_nonzero"])
+                result.fail("class of %s vanishes" % p["class_nonzero"])
     return result
 
 
 def check_poincare(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
     rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = int(check.params.get("count", 50))
-    max_dim = int(check.params.get("max_dim", 3))
-    max_degree = int(check.params.get("max_degree", 6))
-    worst = 0
+    count = check.params["count"]
     for _ in range(count):
-        n = rng.randint(1, max_dim)
+        n = rng.randint(1, check.params["max_dim"])
         degree = rng.randint(0, n)
-        alpha = _random_poly_form(rng, n, degree, max_degree)
+        alpha = _random_poly_form(rng, n, degree, check.params["max_degree"])
         defect = homotopy_defect(alpha)
         if not defect.is_zero():
             result.fail("contraction identity failed on %s" % alpha)
@@ -260,8 +246,8 @@ def check_chain_map(scenario, check, settings):
 def check_chain_map_random(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
     rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = int(check.params.get("count", 50))
-    num_vars = int(check.params.get("num_vars", 2))
+    count = check.params["count"]
+    num_vars = check.params["num_vars"]
     variety = VarietyPresentation(FpAlgebra(("x", "y", "z")[:num_vars], []))
     for _ in range(count):
         p = rng.randint(0, num_vars - 1)
@@ -279,8 +265,8 @@ def check_chain_map_random(scenario, check, settings):
 def check_naturality_random(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
     rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = int(check.params.get("count", 30))
-    num_vars = int(check.params.get("num_vars", 2))
+    count = check.params["count"]
+    num_vars = check.params["num_vars"]
     variety = VarietyPresentation(FpAlgebra(("x", "y", "z")[:num_vars], []))
     for _ in range(count):
         n = rng.randint(1, 3)
@@ -308,8 +294,8 @@ def check_pairing(scenario, check, settings):
     )
     result.detail("value", value)
     result.detail("estimate", estimate)
-    if "expect" in check.params:
-        target = _parse_number(check.params["expect"])
+    if check.params["expect"] is not None:
+        target = check.params["expect"]
         tol = _tolerance(check, settings, estimate)
         result.detail("expect", target)
         result.detail("tolerance", tol)
@@ -339,9 +325,10 @@ def check_multiplicativity(scenario, check, settings):
             result.fail("exact residual %s" % residual)
     elif not _within(residual, 0, tol):
         result.fail("residual %r above tolerance %r" % (residual, tol))
-    if "expect" in check.params:
-        target = _parse_number(check.params["expect"])
-        expect_tol = float(check.params.get("expect_tolerance", tol))
+    if check.params["expect"] is not None:
+        target = check.params["expect"]
+        expect_tol = check.params["expect_tolerance"]
+        expect_tol = tol if expect_tol is None else expect_tol
         result.detail("expect", target)
         result.detail("expect_tolerance", expect_tol)
         if not _within(lhs, target, expect_tol):
@@ -351,10 +338,8 @@ def check_multiplicativity(scenario, check, settings):
 
 def check_idempotent_table(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    form_names = check.params["forms"].split()
-    simplex_names = check.params["simplices"].split()
-    for i, fname in enumerate(form_names):
-        for j, sname in enumerate(simplex_names):
+    for i, fname in enumerate(check.params["forms"]):
+        for j, sname in enumerate(check.params["simplices"]):
             value, _ = period(
                 scenario.forms[fname], scenario.simplices[sname], settings.quad_order
             )
@@ -367,9 +352,7 @@ def check_idempotent_table(scenario, check, settings):
 
 def check_tau_witness(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    n = int(check.params["dim"])
-    alpha = parse_poly_form(check.params["alpha"], n)
-    beta = parse_poly_form(check.params["beta"], n)
+    alpha, beta = check.params["alpha"], check.params["beta"]
     lhs = to_cochain(wedge_simplex(alpha, beta), order=settings.quad_order)
     rhs = aw_cup(
         to_cochain(alpha, order=settings.quad_order),
@@ -392,10 +375,9 @@ def check_tau_witness(scenario, check, settings):
 def check_tau_chain_map(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
     rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = int(check.params.get("count", 30))
-    max_dim = int(check.params.get("max_dim", 3))
+    count = check.params["count"]
     for _ in range(count):
-        n = rng.randint(1, max_dim)
+        n = rng.randint(1, check.params["max_dim"])
         degree = rng.randint(0, n - 1)
         alpha = _random_poly_form(rng, n, degree, 3)
         if to_cochain(d_simplex(alpha)) != coboundary(to_cochain(alpha)):
@@ -407,8 +389,8 @@ def check_tau_chain_map(scenario, check, settings):
 
 def check_tau_cohomology(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    K = named_complex(check.params["complex"])
-    cutoff = _max_weight(check, settings, 3)
+    K = check.params["complex"]
+    cutoff = _max_weight(check, settings)
     fc = FamilyComplex(K, cutoff)
     prev = FamilyComplex(K, cutoff - 1) if cutoff > 1 else None
     stabilized = prev is not None and all(
@@ -465,9 +447,9 @@ def check_tau_cohomology(scenario, check, settings):
 
 def check_aw_laws(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    K = named_complex(check.params.get("complex", "delta3"))
+    K = check.params["complex"]
     rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = int(check.params.get("count", 30))
+    count = check.params["count"]
     top = K.dimension
     one = unit_cochain(K)
     for _ in range(count):
@@ -519,17 +501,14 @@ def _noncommutative_witness(K):
 
 def check_extension(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    K = named_complex(check.params["complex"])
+    K = check.params["complex"]
     n = K.dimension + 1
-    from .simplicial import standard_simplex
-
     full = standard_simplex(n)
     rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = int(check.params.get("count", 20))
-    max_coeff_degree = int(check.params.get("max_coeff_degree", 2))
+    count = check.params["count"]
     for _ in range(count):
         q = rng.randint(0, n - 1)
-        source = _random_poly_form(rng, n, q, max_coeff_degree)
+        source = _random_poly_form(rng, n, q, check.params["max_coeff_degree"])
         family = FormsFamily.restricted_to(FormsFamily.from_top_form(full, source), K)
         extended = extend_from_boundary(family)
         for i in range(n + 1):
@@ -547,9 +526,8 @@ def check_extension(scenario, check, settings):
 
 def check_simplicial_cohomology(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    K = named_complex(check.params["complex"])
-    expected = [int(d) for d in check.params["dims"].split()]
-    for q, expect in enumerate(expected):
+    K = check.params["complex"]
+    for q, expect in enumerate(check.params["dims"]):
         got = simplicial_cohomology(K, q).dimension
         result.detail("h%d" % q, got)
         if got != expect:
@@ -559,11 +537,11 @@ def check_simplicial_cohomology(scenario, check, settings):
 
 def check_coboundary_pairing(scenario, check, settings):
     result = CheckResult(check.name, check.kind)
-    _, n = _complex_spec(check.params["complex"], "check %s" % check.name)
+    n = check.params["complex"].dimension + 1
     cycle = fundamental_boundary_cycle(n)
     K = cycle.complex
     rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = int(check.params.get("count", 20))
+    count = check.params["count"]
     for _ in range(count):
         c = _random_cochain(rng, K, n - 2)
         if pair(coboundary(c), cycle) != 0:
@@ -595,8 +573,6 @@ CHECK_KINDS = {
 
 
 def run_check(scenario, check, settings):
-    if check.kind not in CHECK_KINDS:
-        raise ValidationError("check %s has unknown kind %r" % (check.name, check.kind))
     try:
         return CHECK_KINDS[check.kind](scenario, check, settings)
     except RhamcheckError as exc:
@@ -608,9 +584,9 @@ def run_check(scenario, check, settings):
 def _top_degree(check):
     """The highest form degree a cohomology check computes, or None."""
     if check.kind == "cohomology":
-        return int(check.params["degree"])
+        return check.params["degree"]
     if check.kind == "tau_cohomology":
-        return named_complex(check.params["complex"]).dimension
+        return check.params["complex"].dimension
     return None
 
 

@@ -120,7 +120,7 @@ class ParamSimplex:
             return self._validated
         residuals = []
         for j, f in enumerate(self.target.algebra.ideal_generators):
-            value = _substitute_poly(f, self.components)
+            value = self.substitute(f)
             if not value.num.is_zero():
                 residuals.append((j, value.num))
         self._validated = SimplexCertificate(not residuals, residuals)
@@ -156,20 +156,26 @@ class ParamSimplex:
         return ParamSimplex(h.source, self.target, comps, check=False)
 
     def component_powers(self, index, k):
+        """sigma_index ** k by repeated multiplication, cached."""
         if self._powers is None:
-            self._powers = [
-                {0: RationalFunc.constant(simplex_variables(self.n), 1)}
-                for _ in self.components
-            ]
-        cache = self._powers[index]
-        if k not in cache:
-            best = max(j for j in cache if j <= k)
-            acc = cache[best]
-            while best < k:
-                acc = acc * self.components[index]
-                best += 1
-                cache[best] = acc
-        return cache[k]
+            one = RationalFunc.constant(simplex_variables(self.n), 1)
+            self._powers = [[one] for _ in self.components]
+        powers = self._powers[index]
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.components[index])
+        return powers[k]
+
+    def substitute(self, f):
+        """f(sigma_1, ..., sigma_m) as a RationalFunc on the simplex."""
+        variables = simplex_variables(self.n)
+        total = RationalFunc.constant(variables, 0)
+        for e, c in sorted(f.terms.items()):
+            piece = RationalFunc.constant(variables, c)
+            for i, k in enumerate(e):
+                if k:
+                    piece = piece * self.component_powers(i, k)
+            total = total + piece
+        return total
 
     def component_differentials(self):
         """The 1-forms d(sigma_i) on the simplex, cached."""
@@ -200,19 +206,6 @@ class ParamSimplex:
         )
 
 
-def _substitute_poly(f, components):
-    """f(sigma_1, ..., sigma_m) as a RationalFunc on the simplex."""
-    variables = components[0].variables if components else ()
-    total = RationalFunc.constant(variables, 0)
-    for e, c in sorted(f.terms.items()):
-        piece = RationalFunc.constant(variables, c)
-        for i, k in enumerate(e):
-            if k:
-                piece = piece * components[i] ** k
-        total = total + piece
-    return total
-
-
 def pullback_form(sigma, omega):
     """The substitution morphism x_i -> sigma_i, dx_i -> d sigma_i.
 
@@ -223,18 +216,10 @@ def pullback_form(sigma, omega):
         raise AlgebraMismatch("form and simplex over different algebras")
     sigma.ensure_valid()
     n = sigma.n
-    variables = simplex_variables(n)
     dcomp = sigma.component_differentials()
     result = PolyForm.zero(n, omega.degree)
     for S, coeff in omega.terms.items():
-        scalar = RationalFunc.constant(variables, 0)
-        for e, c in sorted(coeff.terms.items()):
-            piece = RationalFunc.constant(variables, c)
-            for i, k in enumerate(e):
-                if k:
-                    piece = piece * sigma.component_powers(i, k)
-            scalar = scalar + piece
-        term = PolyForm(n, 0, {(): scalar})
+        term = PolyForm(n, 0, {(): sigma.substitute(coeff)})
         for i in S:
             term = wedge_simplex(term, dcomp[i])
         result = result + term
@@ -382,23 +367,6 @@ def naturality_residual(sigma, h, omega):
     left = pullback_form(sigma.compose_delta(h), omega)
     right = pullback_delta(h, pullback_form(sigma, omega))
     return left - right
-
-
-def xi_consistency_defect(omega, sigma, order=DEFAULT_QUAD_ORDER):
-    """Difference between the direct period and the cochain route.
-
-    The period can be computed directly, or by first mapping into forms
-    on the simplex and then restricting to the cochain value at the
-    identity simplex; the two must agree on both lanes.
-    """
-    from .simplex_forms import to_cochain
-
-    direct, _ = period(omega, sigma, order)
-    pulled = pullback_form(sigma, omega)
-    cochain = to_cochain(pulled, order=order)
-    identity_simplex = tuple(range(sigma.n + 1))
-    via_cochain = cochain.values[identity_simplex]
-    return direct - via_cochain
 
 
 def multiplicativity_check(omega1, omega2, family, chain, order=DEFAULT_QUAD_ORDER):

@@ -35,30 +35,30 @@ A scenario is parsed from line-oriented text with nested sections:
     tolerance 1e-8
 
 Families close themselves under faces symbolically, so chains may refer
-to the named top simplices only.  Every name referenced by a check must
-be declared, otherwise validation fails naming the offender.
+to the named top simplices only.  CHECK_KEYS lists each check kind's keys,
+their types and defaults; a check is parsed through it when the scenario
+loads, and an unknown kind or key, a missing required key, a malformed
+value or an undeclared name is refused naming the check and the key.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
+from collections import namedtuple
+from fractions import Fraction
 
 from .comparison import ParamSimplex, SingularFamily, VarietyPresentation
 from .derham import FpAlgebra, parse_algebraic_form
 from .errors import ParseError, ValidationError
+from .simplex_forms import parse_poly_form
 from .simplicial import boundary_complex, standard_simplex
 
 FORMAT_VERSION = 1
 
 
-class CheckSpec:
-    def __init__(self, name, params):
-        self.name = name
-        self.params = params
-
-    @property
-    def kind(self):
-        return self.params.get("kind")
+# params maps each CHECK_KEYS key of the kind to its parsed value
+CheckSpec = namedtuple("CheckSpec", "name kind params")
 
 
 class Scenario:
@@ -74,7 +74,7 @@ class Scenario:
         self._simplex_lines = {}
         self._family_lines = {}
         self._chain_lines = {}
-        self.checks = []
+        self._check_lines = []
         self._parse(text)
         self._build()
 
@@ -83,8 +83,6 @@ class Scenario:
     def _parse(self, text):
         section = None
         section_name = None
-        check_params = None
-        order = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -108,9 +106,8 @@ class Scenario:
                 elif kind == "chain":
                     section = self._chain_lines.setdefault(self._need_name(kind, section_name, lineno), [])
                 elif kind == "check":
-                    check_params = {}
-                    self.checks.append(CheckSpec(self._need_name(kind, section_name, lineno), check_params))
-                    section = check_params
+                    section = {}
+                    self._check_lines.append((self._need_name(kind, section_name, lineno), section))
                 else:
                     raise ParseError("%s:%d: unknown section %r" % (self.source, lineno, kind))
                 continue
@@ -174,12 +171,7 @@ class Scenario:
                 raise ParseError("form %s has no expr" % name)
             declared = entries.get("degree")
             if declared is not None:
-                if not declared.isdecimal():
-                    raise ParseError(
-                        "form %s: degree %r is not a non-negative integer"
-                        % (name, declared)
-                    )
-                declared = int(declared)
+                declared = COUNT(self, declared, "form %s: degree" % name)
             form = parse_algebraic_form(entries["expr"], self.algebra, declared)
             if declared is not None and declared != form.degree:
                 raise ValidationError(
@@ -252,67 +244,52 @@ class Scenario:
                     raise ValidationError("chain %s references undefined simplex %s" % (name, sname))
             self.chains[name] = family.chain(degree, terms)
             self.chain_family[name] = family
-        for check in self.checks:
-            if not check.kind:
-                raise ValidationError("check %s has no kind" % check.name)
-            self._validate_check(check)
+        self.checks = [self._load_check(name, raw) for name, raw in self._check_lines]
 
-    def _validate_check(self, check):
-        p = check.params
-        where = "check %s" % check.name
-        if "complex" in p or check.kind == "coboundary_pairing":
-            kind, _ = _complex_spec(p.get("complex", ""), where)
-            if check.kind == "coboundary_pairing" and kind != "boundary":
-                raise ValidationError("%s: coboundary_pairing needs a boundary complex" % where)
-        if check.kind == "cohomology":
-            degree = _integer(p.get("degree", ""), "%s: degree" % where)
-            cutoff = _integer(p.get("max_weight", degree), "%s: max_weight" % where)
-            if cutoff < degree:
-                raise ParseError("%s: max_weight %d is below degree %d" % (where, cutoff, degree))
-        for key in ("form", "form1", "form2", "class_nonzero"):
-            if key in p and p[key] not in self.forms:
-                raise ValidationError(
-                    "check %s references undefined form %s" % (check.name, p[key])
-                )
-        for key in ("simplex",):
-            if key in p and p[key] not in self.simplices:
-                raise ValidationError(
-                    "check %s references undefined simplex %s" % (check.name, p[key])
-                )
-        if "simplices" in p:
-            for sname in p["simplices"].split():
-                if sname not in self.simplices:
-                    raise ValidationError(
-                        "check %s references undefined simplex %s" % (check.name, sname)
-                    )
-        if "chain" in p and p["chain"] not in self.chains:
-            raise ValidationError(
-                "check %s references undefined chain %s" % (check.name, p["chain"])
-            )
-        if "forms" in p:
-            for fname in p["forms"].split():
-                if fname not in self.forms:
-                    raise ValidationError(
-                        "check %s references undefined form %s" % (check.name, fname)
-                    )
-        self._validate_degrees(check, where)
+    def _load_check(self, name, raw):
+        """Parse one check's keys through CHECK_KEYS, then cross-check the values."""
+        where = "check %s" % name
+        kind = raw.pop("kind", None)
+        if kind not in CHECK_KEYS:
+            problem = "missing required key" if kind is None else "unknown kind %r" % kind
+            raise ValidationError("%s: kind: %s" % (where, problem))
+        keys = CHECK_KEYS[kind]
+        for key in raw:
+            if key not in keys:
+                raise ParseError("%s: %s: unknown key for kind %s" % (where, key, kind))
+        params = {}
+        for key, (parse, default) in keys.items():
+            text = raw.get(key, default)
+            if text is REQUIRED:
+                raise ValidationError("%s: %s: missing required key" % (where, key))
+            params[key] = None if text is None else parse(self, text, "%s: %s" % (where, key))
+        self._validate_degrees(kind, params, where)
+        return CheckSpec(name, kind, params)
 
-    def _validate_degrees(self, check, where):
-        """Refuse forms whose degrees cannot meet the check's simplices or chain."""
-        p = check.params
+    def _validate_degrees(self, kind, p, where):
+        """Refuse values that cannot meet; parse tau_witness forms on Delta^dim."""
         forms, simplices, chains = self.forms, self.simplices, self.chains
-        if check.kind == "idempotent_table":
-            for fname in p.get("forms", "").split():
-                for sname in p.get("simplices", "").split():
+        if kind == "cohomology" and p["max_weight"] < p["degree"]:
+            raise ParseError("%s: max_weight: %d is below degree %d"
+                             % (where, p["max_weight"], p["degree"]))
+        elif kind == "tau_witness":
+            for key in ("alpha", "beta"):
+                try:
+                    p[key] = parse_poly_form(p[key], p["dim"])
+                except (ParseError, ZeroDivisionError) as exc:
+                    raise ParseError("%s: %s: %s" % (where, key, exc)) from None
+        elif kind == "idempotent_table":
+            for fname in p["forms"]:
+                for sname in p["simplices"]:
                     _match_degree(where, "form %s" % fname, forms[fname].degree,
                                   "simplex %s" % sname, simplices[sname].n)
-        elif check.kind == "chain_map" and {"form", "simplex"} <= p.keys():
+        elif kind == "chain_map":
             _match_degree(where, "d of form %s" % p["form"], forms[p["form"]].degree + 1,
                           "simplex %s" % p["simplex"], simplices[p["simplex"]].n)
-        elif check.kind == "pairing" and {"form", "chain"} <= p.keys():
+        elif kind == "pairing":
             _match_degree(where, "form %s" % p["form"], forms[p["form"]].degree,
                           "chain %s" % p["chain"], chains[p["chain"]].degree)
-        elif check.kind == "multiplicativity" and {"form1", "form2", "chain"} <= p.keys():
+        elif kind == "multiplicativity":
             _match_degree(where, "%s ^ %s" % (p["form1"], p["form2"]),
                           forms[p["form1"]].degree + forms[p["form2"]].degree,
                           "chain %s" % p["chain"], chains[p["chain"]].degree)
@@ -338,20 +315,120 @@ def _integer(text, what):
         raise ParseError("%s: %r is not an integer" % (what, text)) from None
 
 
-def _complex_spec(text, section):
-    """('delta', k) for delta<k>, k >= 0, or ('boundary', k) for boundary<k>, k >= 1."""
-    for kind, least in (("delta", 0), ("boundary", 1)):
-        if text.startswith(kind):
-            k = _integer(text[len(kind) :], "%s: complex %s" % (section, text))
-            if k < least:
-                raise ParseError("%s: complex %s needs %s >= %d" % (section, text, kind, least))
-            return kind, k
-    raise ValidationError("%s: unknown complex %r" % (section, text))
+# ---------------------------------------------------------------------------
+# check keys
 
 
-def named_complex(text):
-    kind, k = _complex_spec(text, "named_complex")
-    return standard_simplex(k) if kind == "delta" else boundary_complex(k)
+def _at_least(least):
+    """An integer >= least."""
+    def parse(scenario, text, where):
+        value = _integer(text, where)
+        if value < least:
+            raise ParseError("%s: %d is below %d" % (where, value, least))
+        return value
+    return parse
+
+
+def _choice(**options):
+    """One of the given words, parsed to its value."""
+    def parse(scenario, text, where):
+        if text not in options:
+            raise ParseError("%s: %r is not one of %s" % (where, text, "|".join(options)))
+        return options[text]
+    return parse
+
+
+def _listed(item):
+    """A non-empty list of values of type `item`."""
+    def parse(scenario, text, where):
+        if not text.split():
+            raise ParseError("%s: lists nothing" % where)
+        return [item(scenario, word, where) for word in text.split()]
+    return parse
+
+
+def _ref(table):
+    """The name of a form, simplex or chain that the scenario declares."""
+    def parse(scenario, text, where):
+        if text not in getattr(scenario, table):
+            raise ValidationError("%s: undefined name %r" % (where, text))
+        return text
+    return parse
+
+
+def _complex(*kinds):
+    """The complex delta<k>, k >= 0, or boundary<k>, k >= 1, if of the given kinds."""
+    def parse(scenario, text, where):
+        for kind, least, build in (("delta", 0, standard_simplex), ("boundary", 1, boundary_complex)):
+            if text.startswith(kind):
+                k = _at_least(least)(scenario, text[len(kind) :], "%s: %s" % (where, text))
+                if kind not in kinds:
+                    raise ValidationError("%s: %s is not a %s complex" % (where, text, kinds[0]))
+                return build(k)
+        raise ValidationError("%s: unknown complex %r" % (where, text))
+    return parse
+
+
+def _number(scenario, text, where):
+    """A finite number: a decimal or exponent as a float, an integer or p/q as a Fraction."""
+    try:
+        value = float(text) if any(c in text for c in ".eE") else Fraction(text)
+        if math.isfinite(value):  # raises OverflowError for a Fraction beyond floats
+            return value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ParseError("%s: %r is not a finite number" % (where, text))
+
+
+def _tolerance(scenario, text, where):
+    value = float(_number(scenario, text, where))
+    if value < 0:
+        raise ParseError("%s: %r is below 0" % (where, text))
+    return value
+
+
+def _text(scenario, text, where):
+    """Kept as text for Scenario._validate_degrees to parse."""
+    return text
+
+
+REQUIRED = object()
+COUNT, POSITIVE = _at_least(0), _at_least(1)
+NUM_VARS = _choice(**{"1": 1, "2": 2, "3": 3})
+FLAG = _choice(true=True, false=False)
+VERDICT = _choice(valid="valid", violation="violation")
+FORM, SIMPLEX, CHAIN = _ref("forms"), _ref("simplices"), _ref("chains")
+COUNTS, FORMS, SIMPLICES = _listed(COUNT), _listed(FORM), _listed(SIMPLEX)
+COMPLEX, BOUNDARY = _complex("delta", "boundary"), _complex("boundary")
+
+# kind -> {key: (type, default)}.  A type parses a key's text, given the
+# scenario and `where` ("check <name>: <key>") for messages.  A default is
+# REQUIRED, None (the key may be left out and reads None) or text to parse.
+CHECK_KEYS = {
+    "validate": {"simplices": (SIMPLICES, REQUIRED), "expect": (VERDICT, "valid")},
+    "cohomology": {"degree": (COUNT, REQUIRED), "max_weight": (COUNT, "4"),
+                   "expect_dim": (COUNT, None), "expect_min_dim": (COUNT, None),
+                   "expect_stabilized": (FLAG, "false"), "class_nonzero": (FORM, None)},
+    "poincare": {"count": (COUNT, "50"), "max_dim": (POSITIVE, "3"), "max_degree": (COUNT, "6")},
+    "chain_map": {"form": (FORM, REQUIRED), "simplex": (SIMPLEX, REQUIRED),
+                  "tolerance": (_tolerance, None)},
+    "chain_map_random": {"count": (COUNT, "50"), "num_vars": (NUM_VARS, "2")},
+    "naturality_random": {"count": (COUNT, "30"), "num_vars": (NUM_VARS, "2")},
+    "pairing": {"form": (FORM, REQUIRED), "chain": (CHAIN, REQUIRED),
+                "expect": (_number, None), "tolerance": (_tolerance, None)},
+    "multiplicativity": {"form1": (FORM, REQUIRED), "form2": (FORM, REQUIRED),
+                         "chain": (CHAIN, REQUIRED), "expect": (_number, None),
+                         "expect_tolerance": (_tolerance, None), "tolerance": (_tolerance, None)},
+    "idempotent_table": {"forms": (FORMS, REQUIRED), "simplices": (SIMPLICES, REQUIRED)},
+    "tau_witness": {"dim": (COUNT, REQUIRED), "alpha": (_text, REQUIRED), "beta": (_text, REQUIRED)},
+    "tau_chain_map": {"count": (COUNT, "30"), "max_dim": (POSITIVE, "3")},
+    "tau_cohomology": {"complex": (COMPLEX, REQUIRED), "max_weight": (COUNT, "3")},
+    "aw_laws": {"complex": (COMPLEX, "delta3"), "count": (COUNT, "30")},
+    "extension": {"complex": (BOUNDARY, REQUIRED), "count": (COUNT, "20"),
+                  "max_coeff_degree": (COUNT, "2")},
+    "simplicial_cohomology": {"complex": (COMPLEX, REQUIRED), "dims": (COUNTS, REQUIRED)},
+    "coboundary_pairing": {"complex": (BOUNDARY, REQUIRED), "count": (COUNT, "20")},
+}
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,14 @@ def integrate_numeric(alpha, order=DEFAULT_QUAD_ORDER):
     return value, abs(value - check)
 
 
+def integrate(alpha, order=DEFAULT_QUAD_ORDER):
+    """(value, error estimate) of a top-degree form: exact (Fraction, 0) when
+    every coefficient is polynomial, quadrature of the given order otherwise."""
+    if alpha.is_polynomial():
+        return integrate_exact(alpha), Fraction(0)
+    return integrate_numeric(alpha, order)
+
+
 # ---------------------------------------------------------------------------
 # cone contraction to vertex 0
 
@@ -401,11 +409,7 @@ def to_cochain(alpha, order=DEFAULT_QUAD_ORDER, complex_=None):
     values = {}
     for simplex in K.n_simplices(alpha.degree):
         h = DeltaMorphism(alpha.degree, alpha.n, simplex)
-        pulled = pullback_delta(h, alpha)
-        if pulled.is_polynomial():
-            values[simplex] = integrate_exact(pulled)
-        else:
-            values[simplex], _ = integrate_numeric(pulled, order)
+        values[simplex], _ = integrate(pullback_delta(h, alpha), order)
     return Cochain(K, alpha.degree, values)
 
 
@@ -467,13 +471,8 @@ class FormsFamily:
         return FormsFamily(self.complex, self.degree + 1, assignment, check=False)
 
     def to_cochain(self, order=DEFAULT_QUAD_ORDER):
-        values = {}
-        for s in self.complex.n_simplices(self.degree):
-            form = self.assignment[s]
-            if form.is_polynomial():
-                values[s] = integrate_exact(form)
-            else:
-                values[s], _ = integrate_numeric(form, order)
+        values = {s: integrate(self.assignment[s], order)[0]
+                  for s in self.complex.n_simplices(self.degree)}
         return Cochain(self.complex, self.degree, values)
 
     @classmethod

@@ -62,9 +62,6 @@ class DeltaMorphism:
             other.source, self.target, tuple(self.values[v] for v in other.values)
         )
 
-    def is_identity(self):
-        return self.source == self.target and self.values == tuple(range(self.source + 1))
-
     def __eq__(self, other):
         return (
             isinstance(other, DeltaMorphism)
@@ -402,24 +399,7 @@ def simplicial_cohomology(complex_, p):
 
 
 # ---------------------------------------------------------------------------
-# subcomplex restriction/extension and the unnormalized comparison
-
-
-def restrict_cochain(cochain, subcomplex):
-    """Restriction to a subcomplex sharing simplex ids."""
-    values = {}
-    for s in subcomplex.n_simplices(cochain.degree):
-        values[s] = cochain.values[s]
-    return Cochain(subcomplex, cochain.degree, values)
-
-
-def extend_by_zero(cochain, complex_):
-    """Zero-fill extension from a subcomplex to the ambient complex."""
-    upstairs = set(complex_.n_simplices(cochain.degree))
-    for s in cochain.values:
-        if s not in upstairs:
-            raise ValueError("subcomplex simplex %r unknown upstairs" % (s,))
-    return Cochain(complex_, cochain.degree, dict(cochain.values))
+# the unnormalized comparison
 
 
 def weak_simplices(complex_, k):

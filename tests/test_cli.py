@@ -5,11 +5,35 @@ import io
 
 import pytest
 
-from rhamcheck.checks import Settings, run_scenario_checks
+from rhamcheck.checks import CHECK_KINDS, Settings, run_scenario_checks
 from rhamcheck.cli import main, report_lines, run_scenario
 from rhamcheck.comparison import period
 from rhamcheck.errors import DimensionMismatch, ParseError, ValidationError
-from rhamcheck.scenarios import Scenario, builtin_names, builtin_text, load_builtin
+from rhamcheck.scenarios import (
+    BOUNDARY,
+    CHAIN,
+    CHECK_KEYS,
+    COMPLEX,
+    COUNT,
+    COUNTS,
+    FLAG,
+    FORM,
+    FORMS,
+    NUM_VARS,
+    POSITIVE,
+    REQUIRED,
+    SIMPLEX,
+    SIMPLICES,
+    VERDICT,
+    Scenario,
+    _number,
+    _text,
+    _tolerance,
+    builtin_names,
+    builtin_text,
+    load_builtin,
+)
+from rhamcheck.simplicial import standard_simplex
 
 MINIMAL = """
 format_version 1
@@ -338,3 +362,117 @@ def test_console_output_follows_redirected_stdout():
         assert main(["--builtin", "two_points"]) == 0
     text = buffer.getvalue()
     assert "two_points" in text and "total: 5 pass, 0 fail, 0 skip" in text
+
+
+# One check over LINE per kind, with its required keys only: the loader
+# fills in every default through the key's own type.
+REQUIRED_KEYS = {
+    "validate": {"simplices": "s"},
+    "cohomology": {"degree": "0"},
+    "poincare": {},
+    "chain_map": {"form": "f", "simplex": "s"},
+    "chain_map_random": {},
+    "naturality_random": {},
+    "pairing": {"form": "w", "chain": "z"},
+    "multiplicativity": {"form1": "one", "form2": "one", "chain": "p"},
+    "idempotent_table": {"forms": "w", "simplices": "s"},
+    "tau_witness": {"dim": "2", "alpha": "t1", "beta": "dt1"},
+    "tau_chain_map": {},
+    "tau_cohomology": {"complex": "boundary2"},
+    "aw_laws": {},
+    "extension": {"complex": "boundary2"},
+    "simplicial_cohomology": {"complex": "boundary2", "dims": "1 1"},
+    "coboundary_pairing": {"complex": "boundary3"},
+}
+
+# A malformed, out-of-range or undefined value for each key type.
+MALFORMED = {
+    COUNT: "-3",
+    POSITIVE: "0",
+    NUM_VARS: "5",
+    FLAG: "yes",
+    VERDICT: "valdi",
+    _tolerance: "abc",
+    _number: "pi",
+    FORM: "ghost",
+    FORMS: "w ghost",
+    SIMPLEX: "ghost",
+    SIMPLICES: "s ghost",
+    CHAIN: "ghost",
+    COMPLEX: "cube3",
+    BOUNDARY: "delta2",
+    COUNTS: "1 x",
+    _text: "t1 +",
+}
+
+
+def _check_text(kind, keys):
+    return LINE.format(kind, "\n".join("%s %s" % kv for kv in keys.items()))
+
+
+def _refusal(tmp_path, capsys, text):
+    """The stderr lines of a CLI run of `text`, which must exit 2."""
+    path = tmp_path / "check.scn"
+    path.write_text(text)
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.splitlines()
+
+
+def test_check_keys_cover_every_kind():
+    assert set(CHECK_KEYS) == set(CHECK_KINDS) == set(REQUIRED_KEYS)
+    for kind, keys in CHECK_KEYS.items():
+        required = {key for key, (_, default) in keys.items() if default is REQUIRED}
+        assert set(REQUIRED_KEYS[kind]) == required, kind
+        check = Scenario(_check_text(kind, REQUIRED_KEYS[kind])).checks[0]
+        assert set(check.params) == set(keys)
+    # defaults are parsed by the key's type, like values from the file
+    aw = Scenario(_check_text("aw_laws", {})).checks[0]
+    assert aw.params == {"complex": standard_simplex(3), "count": 30}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind, keys in REQUIRED_KEYS.items() for key in keys],
+    ids=["%s-%s" % (kind, key) for kind, keys in REQUIRED_KEYS.items() for key in keys],
+)
+def test_check_refuses_missing_required_key(tmp_path, capsys, kind, key):
+    keys = {k: v for k, v in REQUIRED_KEYS[kind].items() if k != key}
+    lines = _refusal(tmp_path, capsys, _check_text(kind, keys))
+    assert lines == ["rhamcheck: check c: %s: missing required key" % key]
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind, keys in CHECK_KEYS.items() for key in keys],
+    ids=["%s-%s" % (kind, key) for kind, keys in CHECK_KEYS.items() for key in keys],
+)
+def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
+    parse, _ = CHECK_KEYS[kind][key]
+    keys = dict(REQUIRED_KEYS[kind], **{key: MALFORMED[parse]})
+    lines = _refusal(tmp_path, capsys, _check_text(kind, keys))
+    assert len(lines) == 1 and lines[0].startswith("rhamcheck: check c: %s: " % key), lines
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_check_text("pairing", {"form": "w", "chain": "z", "tolerence": "1e-30"}),
+         "tolerence: unknown key for kind pairing"),
+        (_check_text("chain_map_random", {"num_vars": "5"}), "num_vars: '5' is not one of 1|2|3"),
+        (_check_text("chain_map_random", {"count": "-3"}), "count: -3 is below 0"),
+        (_check_text("extension", {"complex": "delta2"}),
+         "complex: delta2 is not a boundary complex"),
+        (_check_text("tau_witness", {"dim": "2", "alpha": "t1 +", "beta": "dt1"}), "alpha: "),
+        (_check_text("cohomology", {"degree": "2", "max_weight": "1"}),
+         "max_weight: 1 is below degree 2"),
+        (_check_text("torsion", {}), "kind: unknown kind 'torsion'"),
+        (LINE.format("", "").replace("kind \n", ""), "kind: missing required key"),
+    ],
+    ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight", "kind",
+         "no_kind"],
+)
+def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
+    lines = _refusal(tmp_path, capsys, text)
+    assert len(lines) == 1 and lines[0].startswith("rhamcheck: check c: " + message), lines

@@ -17,13 +17,12 @@ from rhamcheck.comparison import (
     period,
     period_cochain,
     pullback_form,
-    xi_consistency_defect,
 )
 from rhamcheck.derham import AlgebraicForm, FpAlgebra, parse_algebraic_form, wedge
 from rhamcheck.errors import InvalidSimplex, NotACycle, NotClosedForm
 from rhamcheck.poly import Polynomial, parse_polynomial
 from rhamcheck.scenarios import load_builtin
-from rhamcheck.simplex_forms import parse_poly_form, simplex_variables
+from rhamcheck.simplex_forms import parse_poly_form, simplex_variables, to_cochain
 from rhamcheck.simplicial import DeltaMorphism, aw_cup, is_cycle, pair
 
 
@@ -142,6 +141,14 @@ def test_period_circle_arc_quarter_turn():
     value, estimate = period(omega, arc, order=16)
     assert abs(value - math.pi / 2) < 1e-10
     assert estimate < 1e-12
+
+
+def xi_consistency_defect(omega, sigma):
+    """The direct period minus the value at the identity simplex of the
+    cochain of the pulled-back form; the two routes agree on both lanes."""
+    direct, _ = period(omega, sigma)
+    cochain = to_cochain(pullback_form(sigma, omega))
+    return direct - cochain.values[tuple(range(sigma.n + 1))]
 
 
 def test_xi_consistency_both_routes():

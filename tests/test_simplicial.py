@@ -15,11 +15,9 @@ from rhamcheck.simplicial import (
     boundary,
     boundary_complex,
     coboundary,
-    extend_by_zero,
     fundamental_boundary_cycle,
     is_cycle,
     pair,
-    restrict_cochain,
     simplicial_cohomology,
     standard_simplex,
     unit_cochain,
@@ -173,20 +171,6 @@ def test_simplicial_cohomology_dimensions():
 def test_cohomology_degree_above_dimension_rejected():
     with pytest.raises(ValueError):
         simplicial_cohomology(standard_simplex(1), 2)
-
-
-def test_zero_fill_extension_commutes_with_restriction():
-    rng = random.Random(9)
-    K = standard_simplex(2)
-    sub = boundary_complex(2)
-    for p in range(2):
-        c = random_cochain(rng, sub, p)
-        up = extend_by_zero(c, K)
-        assert restrict_cochain(up, sub) == c
-        # extension is zero outside the subcomplex
-        for s in K.n_simplices(p):
-            if s not in sub.n_simplices(p):
-                assert up.values[s] == 0
 
 
 def test_unnormalized_matches_normalized_on_small_complexes():
