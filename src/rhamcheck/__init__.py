@@ -4,7 +4,6 @@ verified in exact rational arithmetic and certified quadrature."""
 from .comparison import (
     ParamSimplex,
     SingularFamily,
-    VarietyPresentation,
     chain_map_residual,
     multiplicativity_check,
     naturality_residual,
@@ -21,8 +20,9 @@ from .derham import (
     truncated_cohomology,
 )
 from .errors import RhamcheckError
-from .linalg import SparseMatrix, cohomology_pair, kernel_image
-from .poly import Polynomial, groebner_basis, normal_form, parse_polynomial
+from .formtext import parse_polynomial
+from .linalg import CohomologyPair, SparseMatrix, kernel_image
+from .poly import Polynomial, groebner_basis, normal_form
 from .ratfunc import RationalFunc
 from .scenarios import Scenario, builtin_names, builtin_text, load_builtin
 from .simplex_forms import (

@@ -14,7 +14,6 @@ from itertools import combinations
 
 from .comparison import (
     ParamSimplex,
-    VarietyPresentation,
     chain_map_residual,
     multiplicativity_check,
     naturality_residual,
@@ -149,10 +148,10 @@ def _random_algebraic_form(rng, algebra, degree, max_coeff_degree=2):
     return AlgebraicForm(algebra, degree, terms)
 
 
-def _random_simplex(rng, variety, n, max_degree=2):
+def _random_simplex(rng, algebra, n, max_degree=2):
     variables = simplex_variables(n)
-    comps = [_random_poly(rng, variables, max_degree) for _ in range(variety.ambient_dimension)]
-    return ParamSimplex(n, variety, comps)
+    comps = [_random_poly(rng, variables, max_degree) for _ in range(algebra.nvars)]
+    return ParamSimplex(n, algebra, comps)
 
 
 def _random_cochain(rng, complex_, p):
@@ -248,11 +247,11 @@ def check_chain_map_random(scenario, check, settings):
     rng = random.Random(check_rng_seed(settings.seed, check.name))
     count = check.params["count"]
     num_vars = check.params["num_vars"]
-    variety = VarietyPresentation(FpAlgebra(("x", "y", "z")[:num_vars], []))
+    algebra = FpAlgebra(("x", "y", "z")[:num_vars], [])
     for _ in range(count):
         p = rng.randint(0, num_vars - 1)
-        sigma = _random_simplex(rng, variety, p + 1)
-        omega = _random_algebraic_form(rng, variety.algebra, p)
+        sigma = _random_simplex(rng, algebra, p + 1)
+        omega = _random_algebraic_form(rng, algebra, p)
         residual, _ = chain_map_residual(omega, sigma)
         if residual != 0:
             result.fail("nonzero Stokes residual %s" % residual)
@@ -267,13 +266,13 @@ def check_naturality_random(scenario, check, settings):
     rng = random.Random(check_rng_seed(settings.seed, check.name))
     count = check.params["count"]
     num_vars = check.params["num_vars"]
-    variety = VarietyPresentation(FpAlgebra(("x", "y", "z")[:num_vars], []))
+    algebra = FpAlgebra(("x", "y", "z")[:num_vars], [])
     for _ in range(count):
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
         h = DeltaMorphism(m, n, sorted(rng.randint(0, n) for _ in range(m + 1)))
-        sigma = _random_simplex(rng, variety, n)
-        omega = _random_algebraic_form(rng, variety.algebra, rng.randint(0, min(2, num_vars)))
+        sigma = _random_simplex(rng, algebra, n)
+        omega = _random_algebraic_form(rng, algebra, rng.randint(0, min(2, num_vars)))
         if not naturality_residual(sigma, h, omega).is_zero():
             result.fail("naturality residual nonzero")
             break

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
-from .errors import ParseError, RhamcheckError, ValidationError
+from .errors import RhamcheckError
 from .scenarios import (
     BUILTIN_DESCRIPTIONS,
     Scenario,
@@ -150,7 +150,7 @@ def main(argv=None):
             with open(path, "r", encoding="utf-8") as handle:
                 scenarios.append(Scenario(handle.read(), source=path))
         validate_settings(settings, scenarios, check_filter)
-    except (ParseError, ValidationError) as exc:
+    except RhamcheckError as exc:
         sys.stderr.write("rhamcheck: %s\n" % exc)
         return EXIT_USAGE
     except OSError as exc:

@@ -22,19 +22,22 @@ from .derham import differential as d_algebraic, wedge as wedge_algebraic
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
-    FamilyNotClosed,
     InvalidSimplex,
     NotACycle,
     NotClosedForm,
+    ParseError,
+    ValidationError,
 )
 from .poly import Polynomial
 from .ratfunc import RationalFunc
 from .simplex_forms import (
     DEFAULT_QUAD_ORDER,
     PolyForm,
+    _affine_substitution,
     differential as d_simplex,
     integrate_exact,
     integrate_numeric,
+    parse_poly_form,
     pullback_delta,
     simplex_variables,
     wedge as wedge_simplex,
@@ -50,18 +53,6 @@ from .simplicial import (
 )
 
 
-class VarietyPresentation:
-    """The real points of a finitely presented algebra, one coordinate per
-    variable."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.ambient_dimension = algebra.nvars
-
-    def __repr__(self):
-        return "spec_R %r" % (self.algebra,)
-
-
 class SimplexCertificate:
     """Outcome of the on-variety check: valid, or a nonzero residual."""
 
@@ -74,7 +65,8 @@ class SimplexCertificate:
 
 
 class ParamSimplex:
-    """A rational-map singular simplex into a variety presentation."""
+    """A rational-map singular simplex into the real points of an FpAlgebra,
+    one component per variable."""
 
     def __init__(self, n, target, components, name=None, check=True):
         self.n = n
@@ -83,13 +75,10 @@ class ParamSimplex:
         comps = []
         for c in components:
             if isinstance(c, str):
-                from .poly import parse_ast
-                from .formtext import eval_form_ast
-
-                degree, terms = eval_form_ast(parse_ast(c), variables, rational=True)
-                if degree != 0:
-                    raise ValueError("simplex component %r is not a scalar" % c)
-                c = terms.get((), RationalFunc.constant(variables, 0))
+                form = parse_poly_form(c, n)
+                if form.degree != 0:
+                    raise ParseError("%r is a %d-form, not a scalar" % (c, form.degree))
+                c = form.terms.get((), RationalFunc.constant(variables, 0))
             elif isinstance(c, Polynomial):
                 c = RationalFunc(c)
             elif not isinstance(c, RationalFunc):
@@ -97,11 +86,8 @@ class ParamSimplex:
             if c.variables != variables:
                 raise ValueError("component over wrong variables")
             comps.append(c)
-        if len(comps) != target.ambient_dimension:
-            raise ValueError(
-                "expected %d components, got %d"
-                % (target.ambient_dimension, len(comps))
-            )
+        if len(comps) != target.nvars:
+            raise ValidationError("expected %d components, got %d" % (target.nvars, len(comps)))
         self.components = tuple(comps)
         self.name = name
         self._validated = None
@@ -119,7 +105,7 @@ class ParamSimplex:
         if self._validated is not None:
             return self._validated
         residuals = []
-        for j, f in enumerate(self.target.algebra.ideal_generators):
+        for j, f in enumerate(self.target.ideal_generators):
             value = self.substitute(f)
             if not value.num.is_zero():
                 residuals.append((j, value.num))
@@ -149,8 +135,6 @@ class ParamSimplex:
                 RationalFunc.constant(simplex_variables(h.source), v) for v in values
             ]
         else:
-            from .simplex_forms import _affine_substitution
-
             subs = _affine_substitution(h.values, h.source, self.n)
             comps = [c.substitute(subs) for c in self.components]
         return ParamSimplex(h.source, self.target, comps, check=False)
@@ -193,11 +177,6 @@ class ParamSimplex:
             ),
         )
 
-    def equivalent(self, other):
-        if self.n != other.n or self.target is not other.target:
-            return False
-        return all(a == b for a, b in zip(self.components, other.components))
-
     def __repr__(self):
         return "ParamSimplex(%s: Delta^%d -> %r)" % (
             self.name or "?",
@@ -212,7 +191,7 @@ def pullback_form(sigma, omega):
     A dg-algebra morphism, well defined on the quotient because the
     simplex kills the ideal; raises InvalidSimplex otherwise.
     """
-    if omega.algebra != sigma.target.algebra:
+    if omega.algebra != sigma.target:
         raise AlgebraMismatch("form and simplex over different algebras")
     sigma.ensure_valid()
     n = sigma.n
@@ -251,7 +230,7 @@ class SingularFamily:
     cochains, chains, and the Alexander-Whitney product all make sense.
     """
 
-    def __init__(self, simplices, close_under_faces=True):
+    def __init__(self, simplices):
         named = []
         for idx, sigma in enumerate(simplices):
             if sigma.name is None:
@@ -271,16 +250,15 @@ class SingularFamily:
 
         def register(sigma):
             key = sigma.key()
-            for existing in by_key.get(key, ()):
-                if self.simplex_of[existing].equivalent(sigma):
-                    return existing
+            if key in by_key:
+                return by_key[key]
             name = sigma.name
             if name in self.simplex_of:
                 name = "%s'" % name
                 sigma.name = name
             self.simplex_of[name] = sigma
             by_dim.setdefault(sigma.n, []).append(name)
-            by_key.setdefault(key, []).append(name)
+            by_key[key] = name
             return name
 
         queue = []
@@ -294,18 +272,6 @@ class SingularFamily:
             for i in range(sigma.n + 1):
                 face_simplex = sigma.face(i)
                 face_simplex.name = "%s/%d" % (name, i)
-                if not close_under_faces:
-                    found = None
-                    for existing in by_dim.get(face_simplex.n, ()):
-                        if self.simplex_of[existing].equivalent(face_simplex):
-                            found = existing
-                            break
-                    if found is None:
-                        raise FamilyNotClosed(
-                            "face %d of %s is missing from the family" % (i, name)
-                        )
-                    faces[(name, i)] = found
-                    continue
                 known = register(face_simplex)
                 if known == face_simplex.name:
                     queue.append(known)

@@ -18,18 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AlgebraMismatch, NotACocycle
+from .errors import AlgebraMismatch, NotACocycle, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
-from .linalg import Echelon, SparseMatrix, cohomology_pair, dense_vector, kernel_image, solve
-from .poly import (
-    Polynomial,
-    drl_key,
-    groebner_basis,
-    monomial_divides,
-    normal_form,
-    parse_ast,
-    parse_polynomial,
-)
+from .formtext import eval_form_ast, parse_polynomial
+from .linalg import CohomologyPair, Echelon, SparseMatrix, dense_vector, kernel_image, solve
+from .poly import Polynomial, drl_key, groebner_basis, monomial_divides, normal_form, parse_ast
 
 
 class FpAlgebra:
@@ -42,7 +35,7 @@ class FpAlgebra:
             if isinstance(g, str):
                 g = parse_polynomial(g, self.variables)
             if g.is_zero():
-                raise ValueError("zero ideal generator")
+                raise ValidationError("zero ideal generator")
             gens.append(g)
         self.ideal_generators = gens
         kwargs = {} if pair_budget is None else {"pair_budget": pair_budget}
@@ -409,7 +402,7 @@ def _truncated_pair(algebra, p, n_cutoff):
             rest, _ = up.relations.reduce(col)
             entries.update(((i, j), v) for i, v in rest.items())
         d_next = SparseMatrix(up.size, stratum.size, entries)
-    return cohomology_pair(d_prev, d_next), stratum
+    return CohomologyPair(d_prev, d_next), stratum
 
 
 def _invertible(rows):
@@ -436,10 +429,7 @@ def parse_algebraic_form(text, algebra, degree=None):
     A nonzero form keeps its parsed degree; comparing that with a
     declared degree is the caller's job.
     """
-    from .formtext import eval_form_ast
-
-    node = parse_ast(text)
-    parsed_degree, terms = eval_form_ast(node, algebra.variables, rational=False)
+    parsed_degree, terms = eval_form_ast(parse_ast(text), algebra.variables, rational=False)
     form = AlgebraicForm(algebra, parsed_degree, terms)
     if degree is not None and form.is_zero():
         return AlgebraicForm.zero(algebra, degree)

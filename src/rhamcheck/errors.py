@@ -57,10 +57,6 @@ class InvalidSimplex(RhamcheckError):
     """A parametrized simplex does not land on the target variety."""
 
 
-class FamilyNotClosed(RhamcheckError):
-    """A singular family is missing a face needed by the requested operation."""
-
-
 class NotACycle(RhamcheckError):
     """A chain with nonzero boundary was used where a cycle is required."""
 

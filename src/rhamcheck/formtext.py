@@ -1,17 +1,18 @@
-"""Evaluation of differential-form text.
+"""Evaluation of expression text: polynomials, rational functions and forms.
 
-Form text reuses the polynomial expression grammar; a name `d<var>` is
-read as the basis differential of a declared variable, `^` between
-differentials is the wedge, and `*` mixes scalars into forms:
+All scenario text goes through one evaluator over the expression grammar
+of `poly.parse_ast`.  A name `d<var>` is read as the basis differential
+of a declared variable, `^` between differentials is the wedge, and `*`
+mixes scalars into forms:
 
-    x*dy - y*dx        2/(1 + t1^2) * dt1        t1*t2 * dt1^dt2
+    x^2 + y^2 - 1      x*dy - y*dx      2/(1 + t1^2) * dt1      t1*t2 * dt1^dt2
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
 from .exterior import ExteriorForm, wedge_terms
-from .poly import Polynomial
+from .poly import Polynomial, parse_ast
 from .ratfunc import RationalFunc
 
 
@@ -34,65 +35,72 @@ def _wedge(a, b):
 
 
 def _eval(node, variables):
+    """Scalars stay Polynomial, the cheaper type, until a division needs a
+    RationalFunc; form coefficients are always RationalFunc."""
     kind = node[0]
     if kind == "num":
-        return RationalFunc.constant(variables, node[1])
+        return Polynomial.constant(variables, node[1])
     if kind == "var":
         name = node[1]
         if name in variables:
-            return RationalFunc(Polynomial.variable(variables, variables.index(name)))
+            return Polynomial.variable(variables, variables.index(name))
         if name.startswith("d") and name[1:] in variables:
             idx = variables.index(name[1:])
             return _FormValue(variables, 1, {(idx,): RationalFunc.constant(variables, 1)})
         raise ParseError("unknown name %r in form text" % name)
     if kind == "neg":
         return -_eval(node[1], variables)
+    a = _eval(node[1], variables)
+    if kind == "^":
+        if isinstance(a, _FormValue):
+            right = _eval(node[2], variables)
+            if not isinstance(right, _FormValue):
+                raise ParseError("'^' after a form must wedge another form")
+            return _wedge(a, right)
+        exponent = node[2]
+        if exponent[0] != "num":
+            raise ParseError("exponent must be a literal integer")
+        return a ** exponent[1]
+    b = _eval(node[2], variables)
+    forms = isinstance(a, _FormValue), isinstance(b, _FormValue)
     if kind in ("+", "-"):
-        a = _eval(node[1], variables)
-        b = _eval(node[2], variables)
-        if isinstance(a, _FormValue) or isinstance(b, _FormValue):
-            a = _promote(a, variables)
-            b = _promote(b, variables)
+        if any(forms):
+            a, b = _promote(a, variables), _promote(b, variables)
+        elif not isinstance(a, type(b)):
+            a, b = _rational(a), _rational(b)
         try:
             return a + b.scale(1 if kind == "+" else -1)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    if kind == "^":
-        left = _eval(node[1], variables)
-        if isinstance(left, _FormValue):
-            right = _eval(node[2], variables)
-            if not isinstance(right, _FormValue):
-                raise ParseError("'^' after a form must wedge another form")
-            return _wedge(left, right)
-        exponent = node[2]
-        if exponent[0] != "num":
-            raise ParseError("exponent must be a literal integer")
-        return left ** exponent[1]
     if kind == "*":
-        a = _eval(node[1], variables)
-        b = _eval(node[2], variables)
-        if isinstance(a, _FormValue) and isinstance(b, _FormValue):
+        if all(forms):
             return _wedge(a, b)
-        if isinstance(a, _FormValue):
-            return a._make(a.degree, {S: c * b for S, c in a.terms.items()})
-        if isinstance(b, _FormValue):
-            return b._make(b.degree, {S: a * c for S, c in b.terms.items()})
-        return a * b
+        if forms[0]:
+            return a._make(a.degree, {S: c * _rational(b) for S, c in a.terms.items()})
+        if forms[1]:
+            return b._make(b.degree, {S: _rational(a) * c for S, c in b.terms.items()})
+        return a * b if isinstance(a, type(b)) else _rational(a) * _rational(b)
     if kind == "/":
-        a = _eval(node[1], variables)
-        b = _eval(node[2], variables)
-        if isinstance(b, _FormValue):
+        if forms[1]:
             raise ParseError("cannot divide by a form")
-        if isinstance(a, _FormValue):
+        if b.is_zero():
+            raise ParseError("division by zero")
+        if forms[0]:
             return a._make(a.degree, {S: c / b for S, c in a.terms.items()})
-        return a / b
+        if isinstance(b, Polynomial) and b.is_constant():
+            return a.scale(1 / b.constant_value())
+        return _rational(a) / b
     raise ParseError("bad expression node %r" % (node,))
+
+
+def _rational(value):
+    return RationalFunc(value) if isinstance(value, Polynomial) else value
 
 
 def _promote(value, variables):
     if isinstance(value, _FormValue):
         return value
-    return _FormValue(variables, 0, {(): value})
+    return _FormValue(variables, 0, {(): _rational(value)})
 
 
 def eval_form_ast(node, variables, rational=True):
@@ -112,3 +120,15 @@ def eval_form_ast(node, variables, rational=True):
             raise ParseError("rational coefficient %s in a polynomial-only context" % c)
         terms[S] = poly
     return value.degree, terms
+
+
+def parse_polynomial(text, variables):
+    """Parse scalar text with polynomial value, e.g. 'x^2 + y^2 - 1'.
+
+    Division is allowed where it is exact, so '(x^2 - 1)/(x - 1)' reads
+    as x + 1; a form of degree >= 1 or a proper fraction is refused.
+    """
+    degree, terms = eval_form_ast(parse_ast(text), variables, rational=False)
+    if degree != 0:
+        raise ParseError("%r is a %d-form, not a polynomial" % (text, degree))
+    return terms.get((), Polynomial.zero(variables))

@@ -298,8 +298,3 @@ class CohomologyPair:
         witness = {self._boundary_cols[k]: c for k, c in boundary_coords.items()}
         witness = dense_vector(witness, self.d_prev.cols)
         return [coords.get(i, Fraction(0)) for i in range(self.dimension)], witness
-
-
-def cohomology_pair(d_prev, d_next):
-    """Convenience wrapper returning the CohomologyPair object."""
-    return CohomologyPair(d_prev, d_next)

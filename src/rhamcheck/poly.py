@@ -4,9 +4,12 @@ Polynomials are stored as a dictionary from exponent vectors to Fraction
 coefficients, under a fixed degree-reverse-lexicographic term order.  On
 top of the arithmetic this module provides Buchberger's algorithm (with
 the product and chain criteria), normal forms modulo a Groebner basis,
-and the text syntax used by scenario files and reports:
+and the expression grammar of scenario files and reports:
 
     x^2 + y^2 - 1      (1 - t1^2)/2      3*x*y - 1/2
+
+`parse_ast` only parses that grammar into a tree; `formtext` evaluates
+the tree, to polynomials as well as to forms.
 
 The order is degree-compatible, so reduction never raises total degree;
 the truncated de Rham machinery relies on that.
@@ -516,44 +519,3 @@ class _Parser:
 
 def parse_ast(text):
     return _Parser(tokenize(text), text).parse()
-
-
-def ast_to_polynomial(node, variables):
-    """Evaluate a parsed expression to a Polynomial; '/' needs constant divisor."""
-    kind = node[0]
-    if kind == "num":
-        return Polynomial.constant(variables, node[1])
-    if kind == "var":
-        name = node[1]
-        if name not in variables:
-            raise ParseError("unknown variable %r" % name)
-        return Polynomial.variable(variables, variables.index(name))
-    if kind == "neg":
-        return -ast_to_polynomial(node[1], variables)
-    if kind == "+":
-        return ast_to_polynomial(node[1], variables) + ast_to_polynomial(node[2], variables)
-    if kind == "-":
-        return ast_to_polynomial(node[1], variables) - ast_to_polynomial(node[2], variables)
-    if kind == "*":
-        return ast_to_polynomial(node[1], variables) * ast_to_polynomial(node[2], variables)
-    if kind == "/":
-        denom = ast_to_polynomial(node[2], variables)
-        if not denom.is_constant() or denom.is_zero():
-            raise ParseError("polynomial syntax only divides by nonzero constants")
-        return ast_to_polynomial(node[1], variables).scale(
-            Fraction(1) / denom.constant_value()
-        )
-    if kind == "^":
-        exponent = node[2]
-        if exponent[0] == "neg" and exponent[1][0] == "num":
-            raise ParseError("negative exponent")
-        if exponent[0] != "num":
-            raise ParseError("exponent must be a literal integer")
-        return ast_to_polynomial(node[1], variables) ** exponent[1]
-    raise ParseError("bad expression node %r" % (node,))
-
-
-def parse_polynomial(text, variables):
-    """Parse the shared text syntax, e.g. 'x^2 + y^2 - 1', into a Polynomial."""
-    variables = tuple(variables)
-    return ast_to_polynomial(parse_ast(text), variables)

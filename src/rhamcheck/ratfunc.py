@@ -64,10 +64,6 @@ class RationalFunc:
     def constant(cls, variables, value):
         return cls(Polynomial.constant(variables, value))
 
-    @classmethod
-    def from_polynomial(cls, poly):
-        return cls(poly)
-
     @property
     def variables(self):
         return self.num.variables

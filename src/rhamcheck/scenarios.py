@@ -34,11 +34,19 @@ A scenario is parsed from line-oriented text with nested sections:
     expect 6.283185307179586
     tolerance 1e-8
 
+Every section is read through one key table: SECTION_KEYS for the
+header (the lines before the first section) and the fixture sections,
+CHECK_KEYS for each check kind.  A table gives each key its type and its
+default.  Only `relation`, `component` and `term` lines repeat, and the
+lines of a check's list keys (`simplices`, `forms`, `dims`) continue one
+another; any other key given twice, an unknown key, a missing required
+key, a malformed value, an undeclared name and a second section of the
+same kind and name are refused, naming the section and the key.
+Sections are built in dependency order, whatever their order in the
+file, and all expression text is evaluated by `formtext`.
+
 Families close themselves under faces symbolically, so chains may refer
-to the named top simplices only.  CHECK_KEYS lists each check kind's keys,
-their types and defaults; a check is parsed through it when the scenario
-loads, and an unknown kind or key, a missing required key, a malformed
-value or an undeclared name is refused naming the check and the key.
+to the named top simplices only.
 """
 
 from __future__ import annotations
@@ -48,17 +56,16 @@ import zlib
 from collections import namedtuple
 from fractions import Fraction
 
-from .comparison import ParamSimplex, SingularFamily, VarietyPresentation
+from .comparison import ParamSimplex, SingularFamily
 from .derham import FpAlgebra, parse_algebraic_form
-from .errors import ParseError, ValidationError
+from .errors import ParseError, RhamcheckError, ValidationError
 from .simplex_forms import parse_poly_form
 from .simplicial import boundary_complex, standard_simplex
 
-FORMAT_VERSION = 1
-
-
 # params maps each CHECK_KEYS key of the kind to its parsed value
 CheckSpec = namedtuple("CheckSpec", "name kind params")
+
+UNNAMED = ("header", "algebra")  # the sections that take no name
 
 
 class Scenario:
@@ -66,203 +73,122 @@ class Scenario:
 
     def __init__(self, text, source="<string>"):
         self.source = source
-        self.name = None
-        self.description = ""
-        self.format_version = None
-        self._algebra_lines = []
-        self._form_lines = {}
-        self._simplex_lines = {}
-        self._family_lines = {}
-        self._chain_lines = {}
-        self._check_lines = []
         self._parse(text)
         self._build()
 
-    # -- parsing ------------------------------------------------------------
-
     def _parse(self, text):
-        section = None
-        section_name = None
+        """Group the lines by section: kind -> name -> {key: [text per line]}."""
+        self._sections = {kind: {} for kind in list(SECTION_KEYS) + ["check"]}
+        section = self._sections["header"][None] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            at = "%s:%d" % (self.source, lineno)
             if line.startswith("["):
-                if not line.endswith("]"):
-                    raise ParseError("%s:%d: unterminated section header" % (self.source, lineno))
-                header = line[1:-1].split()
+                header = line[1:-1].split() if line.endswith("]") else None
                 if not header:
-                    raise ParseError("%s:%d: empty section header" % (self.source, lineno))
-                kind = header[0]
-                section_name = header[1] if len(header) > 1 else None
-                if kind == "algebra":
-                    section = self._algebra_lines
-                elif kind == "form":
-                    section = self._form_lines.setdefault(self._need_name(kind, section_name, lineno), [])
-                elif kind == "simplex":
-                    section = self._simplex_lines.setdefault(self._need_name(kind, section_name, lineno), [])
-                elif kind == "family":
-                    section = self._family_lines.setdefault(self._need_name(kind, section_name, lineno), [])
-                elif kind == "chain":
-                    section = self._chain_lines.setdefault(self._need_name(kind, section_name, lineno), [])
-                elif kind == "check":
-                    section = {}
-                    self._check_lines.append((self._need_name(kind, section_name, lineno), section))
-                else:
-                    raise ParseError("%s:%d: unknown section %r" % (self.source, lineno, kind))
+                    raise ParseError("%s: malformed section header %r" % (at, line))
+                kind, names = header[0], header[1:]
+                if kind not in self._sections or kind == "header":
+                    raise ParseError("%s: unknown section %r" % (at, kind))
+                named = kind not in UNNAMED
+                if len(names) != int(named):
+                    raise ParseError("%s: section %r takes %s"
+                                     % (at, kind, "one name" if named else "no name"))
+                name = names[0] if names else None
+                if name in self._sections[kind]:
+                    raise ParseError("%s: %s: second section of that name"
+                                     % (at, _label(kind, name)))
+                section = self._sections[kind][name] = {}
                 continue
             key, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if section is None:
-                if key == "format_version":
-                    where = "%s:%d: format_version" % (self.source, lineno)
-                    self.format_version = _integer(rest, where)
-                elif key == "name":
-                    self.name = rest
-                elif key == "description":
-                    self.description = rest
-                else:
-                    raise ParseError("%s:%d: unknown top-level key %r" % (self.source, lineno, key))
+            section.setdefault(key, []).append(rest.strip())
+
+    def _load(self, where, keys, raw, owner):
+        """Parse one section's lines through its key table to {key: value}."""
+        for key in raw:
+            if key not in keys:
+                raise ParseError("%s: %s: unknown key for %s" % (where, key, owner))
+        params = {}
+        for key, (parse, default) in keys.items():
+            lines = raw.get(key, default)
+            if lines is REQUIRED:
+                raise ParseError("%s: %s: missing required key" % (where, key))
+            if lines is None:
+                params[key] = None
                 continue
-            if isinstance(section, dict):
-                if key in section:
-                    section[key] = section[key] + " " + rest
-                else:
-                    section[key] = rest
-            else:
-                section.append((key, rest))
-        if self.format_version != FORMAT_VERSION:
-            raise ParseError(
-                "%s: format_version %r not supported" % (self.source, self.format_version)
-            )
-        if not self.name:
-            raise ParseError("%s: scenario has no name" % self.source)
+            if isinstance(lines, str):
+                lines = [lines]
+            if not getattr(parse, "repeats", False):
+                if len(lines) > 1:
+                    raise ParseError("%s: %s: given %d times" % (where, key, len(lines)))
+                lines = lines[0]
+            params[key] = parse(self, lines, "%s: %s" % (where, key))
+        return params
 
-    def _need_name(self, kind, name, lineno):
-        if not name:
-            raise ParseError("%s:%d: section %r needs a name" % (self.source, lineno, kind))
-        return name
-
-    # -- building -----------------------------------------------------------
+    # -- building, in dependency order ---------------------------------------
 
     def _build(self):
         self.algebra = None
-        self.variety = None
-        if self._algebra_lines:
-            variables = None
-            relations = []
-            for key, rest in self._algebra_lines:
-                if key == "variables":
-                    variables = tuple(rest.split())
-                elif key == "relation":
-                    relations.append(rest)
-                else:
-                    raise ParseError("%s: unknown algebra key %r" % (self.source, key))
-            if variables is None:
-                raise ParseError("%s: algebra without variables" % self.source)
-            self.algebra = FpAlgebra(variables, relations)
-            self.variety = VarietyPresentation(self.algebra)
-        self.forms = {}
-        for name, lines in self._form_lines.items():
-            entries = dict(lines)
-            if self.algebra is None:
-                raise ValidationError("form %s declared without an algebra" % name)
-            if "expr" not in entries:
-                raise ParseError("form %s has no expr" % name)
-            declared = entries.get("degree")
-            if declared is not None:
-                declared = COUNT(self, declared, "form %s: degree" % name)
-            form = parse_algebraic_form(entries["expr"], self.algebra, declared)
-            if declared is not None and declared != form.degree:
-                raise ValidationError(
-                    "form %s declares degree %d but parses to degree %d"
-                    % (name, declared, form.degree)
-                )
-            self.forms[name] = form
-        self.simplices = {}
-        for name, lines in self._simplex_lines.items():
-            if self.variety is None:
-                raise ValidationError("simplex %s declared without an algebra" % name)
-            dim = None
-            lane = None
-            components = []
-            for key, rest in lines:
-                if key == "dim":
-                    dim = _integer(rest, "simplex %s: dim" % name)
-                elif key == "lane":
-                    lane = rest
-                elif key == "component":
-                    components.append(rest)
-                else:
-                    raise ParseError("simplex %s: unknown key %r" % (name, key))
-            if dim is None:
-                raise ParseError("simplex %s has no dim" % name)
-            simplex = ParamSimplex(dim, self.variety, components, name=name, check=False)
-            if lane is not None and lane != simplex.lane:
-                raise ValidationError(
-                    "simplex %s declares lane %s but its components are %s"
-                    % (name, lane, simplex.lane)
-                )
-            self.simplices[name] = simplex
-        self.families = {}
-        for name, lines in self._family_lines.items():
-            entries = dict(lines)
-            listed = entries.get("simplices", "").split()
-            if not listed:
-                raise ParseError("family %s lists no simplices" % name)
-            members = []
-            for sname in listed:
-                if sname not in self.simplices:
-                    raise ValidationError("family %s references undefined simplex %s" % (name, sname))
-                members.append(self.simplices[sname])
-            self.families[name] = SingularFamily(members)
-        self.chains = {}
-        self.chain_family = {}
-        for name, lines in self._chain_lines.items():
-            family_name = None
-            degree = None
-            terms = {}
-            for key, rest in lines:
-                if key == "family":
-                    family_name = rest
-                elif key == "degree":
-                    degree = _integer(rest, "chain %s: degree" % name)
-                elif key == "term":
-                    coeff_text, _, sname = rest.partition(" ")
-                    sname = sname.strip()
-                    coeff = _integer(coeff_text, "chain %s: term coefficient" % name)
-                    terms[sname] = terms.get(sname, 0) + coeff
-                else:
-                    raise ParseError("chain %s: unknown key %r" % (name, key))
-            if family_name not in self.families:
-                raise ValidationError("chain %s references undefined family %s" % (name, family_name))
-            family = self.families[family_name]
-            if degree is None:
-                raise ParseError("chain %s has no degree" % name)
-            for sname in terms:
-                if sname not in family.simplex_of:
-                    raise ValidationError("chain %s references undefined simplex %s" % (name, sname))
-            self.chains[name] = family.chain(degree, terms)
-            self.chain_family[name] = family
-        self.checks = [self._load_check(name, raw) for name, raw in self._check_lines]
+        self.forms, self.simplices, self.families = {}, {}, {}
+        self.chains, self.chain_family = {}, {}
+        for kind, keys in SECTION_KEYS.items():
+            for name, raw in self._sections[kind].items():
+                where = _label(kind, name)
+                # one method per section kind: _build_header, _build_algebra, ...
+                getattr(self, "_build_" + kind)(name, where, self._load(where, keys, raw, kind))
+        self.checks = [self._load_check(name, raw) for name, raw in self._sections["check"].items()]
+
+    def _build_header(self, name, where, p):
+        self.name, self.description = p["name"], p["description"]
+
+    def _build_algebra(self, name, where, p):
+        self.algebra = _evaluate("%s: relation" % where, FpAlgebra, p["variables"], p["relation"])
+
+    def _needs_algebra(self, where):
+        if self.algebra is None:
+            raise ValidationError("%s: declared without an [algebra] section" % where)
+        return self.algebra
+
+    def _build_form(self, name, where, p):
+        algebra, degree = self._needs_algebra(where), p["degree"]
+        form = _evaluate("%s: expr" % where, parse_algebraic_form, p["expr"], algebra, degree)
+        if degree is not None and degree != form.degree:
+            raise ValidationError("%s: degree: declared %d but expr has degree %d"
+                                  % (where, degree, form.degree))
+        self.forms[name] = form
+
+    def _build_simplex(self, name, where, p):
+        algebra = self._needs_algebra(where)
+        simplex = _evaluate("%s: component" % where, ParamSimplex, p["dim"], algebra,
+                            p["component"], name=name, check=False)
+        if p["lane"] is not None and p["lane"] != simplex.lane:
+            raise ValidationError("%s: lane: declared %s but the components are %s"
+                                  % (where, p["lane"], simplex.lane))
+        self.simplices[name] = simplex
+
+    def _build_family(self, name, where, p):
+        members = [self.simplices[s] for s in p["simplices"]]
+        self.families[name] = _evaluate("%s: simplices" % where, SingularFamily, members)
+
+    def _build_chain(self, name, where, p):
+        family, degree = self.families[p["family"]], p["degree"]
+        terms = {}
+        for coeff, sname in p["term"]:
+            if sname not in family.complex.n_simplices(degree):
+                raise ValidationError("%s: term: family %s has no %d-simplex %r"
+                                      % (where, p["family"], degree, sname))
+            terms[sname] = terms.get(sname, 0) + coeff
+        self.chains[name] = family.chain(degree, terms)
+        self.chain_family[name] = family
 
     def _load_check(self, name, raw):
-        """Parse one check's keys through CHECK_KEYS, then cross-check the values."""
+        """Look the check's kind up, then parse its keys through CHECK_KEYS."""
         where = "check %s" % name
-        kind = raw.pop("kind", None)
-        if kind not in CHECK_KEYS:
-            problem = "missing required key" if kind is None else "unknown kind %r" % kind
-            raise ValidationError("%s: kind: %s" % (where, problem))
-        keys = CHECK_KEYS[kind]
-        for key in raw:
-            if key not in keys:
-                raise ParseError("%s: %s: unknown key for kind %s" % (where, key, kind))
-        params = {}
-        for key, (parse, default) in keys.items():
-            text = raw.get(key, default)
-            if text is REQUIRED:
-                raise ValidationError("%s: %s: missing required key" % (where, key))
-            params[key] = None if text is None else parse(self, text, "%s: %s" % (where, key))
+        head = {"kind": raw.pop("kind")} if "kind" in raw else {}
+        kind = self._load(where, {"kind": (_kind, REQUIRED)}, head, "check")["kind"]
+        params = self._load(where, CHECK_KEYS[kind], raw, "kind %s" % kind)
         self._validate_degrees(kind, params, where)
         return CheckSpec(name, kind, params)
 
@@ -274,10 +200,7 @@ class Scenario:
                              % (where, p["max_weight"], p["degree"]))
         elif kind == "tau_witness":
             for key in ("alpha", "beta"):
-                try:
-                    p[key] = parse_poly_form(p[key], p["dim"])
-                except (ParseError, ZeroDivisionError) as exc:
-                    raise ParseError("%s: %s: %s" % (where, key, exc)) from None
+                p[key] = _evaluate("%s: %s" % (where, key), parse_poly_form, p[key], p["dim"])
         elif kind == "idempotent_table":
             for fname in p["forms"]:
                 for sname in p["simplices"]:
@@ -295,6 +218,18 @@ class Scenario:
                           "chain %s" % p["chain"], chains[p["chain"]].degree)
 
 
+def _label(kind, name):
+    return kind if name is None else "%s %s" % (kind, name)
+
+
+def _evaluate(where, build, *args, **kwargs):
+    """build(*args, **kwargs), with `where` prefixed to the message of its error."""
+    try:
+        return build(*args, **kwargs)
+    except RhamcheckError as exc:
+        raise type(exc)("%s: %s" % (where, exc)) from None
+
+
 def _match_degree(where, what, degree, target, dim):
     if degree != dim:
         raise ValidationError(
@@ -307,16 +242,17 @@ def check_rng_seed(seed, check_name):
     return (seed * 1000003 + zlib.crc32(check_name.encode("utf-8"))) % (2**31)
 
 
+# ---------------------------------------------------------------------------
+# key types: parse(scenario, text, where) -> value, `where` naming the
+# section and the key for messages
+
+
 def _integer(text, what):
     """int(text), or a ParseError naming `what` when text is no integer."""
     try:
         return int(text)
     except ValueError:
         raise ParseError("%s: %r is not an integer" % (what, text)) from None
-
-
-# ---------------------------------------------------------------------------
-# check keys
 
 
 def _at_least(least):
@@ -347,8 +283,24 @@ def _listed(item):
     return parse
 
 
+def _each(item):
+    """A key that repeats: one value of type `item` per line, as a list."""
+    def parse(scenario, lines, where):
+        return [item(scenario, text, where) for text in lines]
+    parse.repeats = True
+    return parse
+
+
+def _continued(item):
+    """A key whose repeated lines continue one value of type `item`."""
+    def parse(scenario, lines, where):
+        return item(scenario, " ".join(lines), where)
+    parse.repeats = True
+    return parse
+
+
 def _ref(table):
-    """The name of a form, simplex or chain that the scenario declares."""
+    """The name of a form, simplex, family or chain that the scenario declares."""
     def parse(scenario, text, where):
         if text not in getattr(scenario, table):
             raise ValidationError("%s: undefined name %r" % (where, text))
@@ -388,7 +340,36 @@ def _tolerance(scenario, text, where):
 
 
 def _text(scenario, text, where):
-    """Kept as text for Scenario._validate_degrees to parse."""
+    """Kept as text, to be evaluated once the section's other keys are parsed."""
+    return text
+
+
+def _word(scenario, text, where):
+    """A single word."""
+    if len(text.split()) != 1:
+        raise ParseError("%s: %r is not one word" % (where, text))
+    return text
+
+
+def _names(scenario, text, where):
+    """Distinct words, at least one."""
+    names = text.split()
+    if not names or len(set(names)) != len(names):
+        raise ParseError("%s: %r is not a list of distinct names" % (where, text))
+    return tuple(names)
+
+
+def _term(scenario, text, where):
+    """`<integer> <simplex>`: one term of a chain."""
+    words = text.split()
+    if len(words) != 2:
+        raise ParseError("%s: %r is not '<integer> <simplex>'" % (where, text))
+    return _integer(words[0], where), words[1]
+
+
+def _kind(scenario, text, where):
+    if text not in CHECK_KEYS:
+        raise ValidationError("%s: unknown kind %r" % (where, text))
     return text
 
 
@@ -398,12 +379,26 @@ NUM_VARS = _choice(**{"1": 1, "2": 2, "3": 3})
 FLAG = _choice(true=True, false=False)
 VERDICT = _choice(valid="valid", violation="violation")
 FORM, SIMPLEX, CHAIN = _ref("forms"), _ref("simplices"), _ref("chains")
-COUNTS, FORMS, SIMPLICES = _listed(COUNT), _listed(FORM), _listed(SIMPLEX)
+COUNTS, FORMS, SIMPLICES = (_continued(_listed(item)) for item in (COUNT, FORM, SIMPLEX))
 COMPLEX, BOUNDARY = _complex("delta", "boundary"), _complex("boundary")
 
 # kind -> {key: (type, default)}.  A type parses a key's text, given the
-# scenario and `where` ("check <name>: <key>") for messages.  A default is
-# REQUIRED, None (the key may be left out and reads None) or text to parse.
+# scenario and `where` ("<section>: <key>") for messages.  A default is
+# REQUIRED, None (the key may be left out and reads None) or text to parse;
+# a repeating key reads a list of lines, its default a list too.
+# SECTION_KEYS is in dependency order: each section refers to earlier ones.
+SECTION_KEYS = {
+    "header": {"format_version": (_choice(**{"1": 1}), REQUIRED), "name": (_word, REQUIRED),
+               "description": (_text, "")},
+    "algebra": {"variables": (_names, REQUIRED), "relation": (_each(_text), [])},
+    "form": {"degree": (COUNT, None), "expr": (_text, REQUIRED)},
+    "simplex": {"dim": (COUNT, REQUIRED), "component": (_each(_text), REQUIRED),
+                "lane": (_choice(exact="exact", numeric="numeric"), None)},
+    "family": {"simplices": (_listed(SIMPLEX), REQUIRED)},
+    "chain": {"family": (_ref("families"), REQUIRED), "degree": (COUNT, REQUIRED),
+              "term": (_each(_term), [])},
+}
+
 CHECK_KEYS = {
     "validate": {"simplices": (SIMPLICES, REQUIRED), "expect": (VERDICT, "valid")},
     "cohomology": {"degree": (COUNT, REQUIRED), "max_weight": (COUNT, "4"),

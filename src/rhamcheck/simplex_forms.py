@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast
-from .linalg import Echelon, SparseMatrix, cohomology_pair, kernel_image, solve
+from .linalg import CohomologyPair, Echelon, SparseMatrix, kernel_image
 from .poly import Polynomial, drl_key, parse_ast
 from .ratfunc import RationalFunc
 from .simplicial import Cochain, DeltaMorphism, standard_simplex
@@ -455,9 +455,6 @@ class FormsFamily:
                             "family not compatible at face %d of %r" % (i, s)
                         )
 
-    def __getitem__(self, simplex):
-        return self.assignment[simplex]
-
     def wedge(self, other):
         assignment = {
             s: wedge(f, other.assignment[s]) for s, f in self.assignment.items()
@@ -465,10 +462,6 @@ class FormsFamily:
         return FormsFamily(
             self.complex, self.degree + other.degree, assignment, check=False
         )
-
-    def differential(self):
-        assignment = {s: differential(f) for s, f in self.assignment.items()}
-        return FormsFamily(self.complex, self.degree + 1, assignment, check=False)
 
     def to_cochain(self, order=DEFAULT_QUAD_ORDER):
         values = {s: integrate(self.assignment[s], order)[0]
@@ -572,7 +565,7 @@ class FamilyComplex:
                 if q >= 1
                 else SparseMatrix.zero(len(self._family_basis[q]), 0)
             )
-            self._pairs[q] = cohomology_pair(d_prev, self._d_matrices[q])
+            self._pairs[q] = CohomologyPair(d_prev, self._d_matrices[q])
 
     def _local_basis(self, q):
         basis = []
@@ -677,24 +670,6 @@ class FamilyComplex:
             for s in ids:
                 assignment.setdefault(s, PolyForm.zero(d, q))
         return FormsFamily(self.complex, q, assignment, check=False)
-
-    def class_of(self, family):
-        """Class coordinates of a closed family in degree q."""
-        q = family.degree
-        local = [Fraction(0)] * len(self._locals[q])
-        index = {b: i for i, b in enumerate(self._locals[q])}
-        for s, form in family.assignment.items():
-            for S, c in form.terms.items():
-                poly = c.as_polynomial()
-                if poly is None:
-                    raise NonPolynomialCoefficient("family class needs polynomials")
-                for e, value in poly.terms.items():
-                    local[index[(s, e, S)]] += value
-        coords = solve(SparseMatrix.from_columns(self._family_basis[q], len(local)), local)
-        if coords is None:
-            raise ValueError("family does not fit the truncated family space")
-        cls, _ = self._pairs[q].class_of(coords)
-        return cls
 
 
 def _monomials_up_to(nvars, max_degree):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .errors import ComplexMismatch, DegreeMismatch
-from .linalg import SparseMatrix, cohomology_pair
+from .linalg import CohomologyPair, SparseMatrix
 
 
 class DeltaMorphism:
@@ -367,7 +367,7 @@ class SimplicialCohomology:
             len(sims), 0
         )
         d_next = _coboundary_matrix(complex_, p)
-        self._pair = cohomology_pair(d_prev, d_next)
+        self._pair = CohomologyPair(d_prev, d_next)
         self.dimension = self._pair.dimension
         self.representatives = [
             Cochain(complex_, p, {s: v[i] for s, i in self._index.items()})
@@ -438,4 +438,4 @@ def unnormalized_cohomology_dimension(complex_, p):
 
     d_prev = matrix(source, prev) if prev else SparseMatrix.zero(len(source), 0)
     d_next = matrix(target, source)
-    return cohomology_pair(d_prev, d_next).dimension
+    return CohomologyPair(d_prev, d_next).dimension

@@ -16,7 +16,6 @@ from rhamcheck.cli import main
 from rhamcheck.comparison import (
     ParamSimplex,
     SingularFamily,
-    VarietyPresentation,
     chain_map_residual,
     multiplicativity_check,
     naturality_residual,
@@ -70,9 +69,8 @@ def test_criterion_1_two_points():
         ok = ok and truncated_cohomology(algebra, 0, cutoff).dimension == 2
     ok = ok and truncated_cohomology(algebra, 0, 3).stabilized
     ok = ok and truncated_cohomology(algebra, 1, 4).dimension == 0
-    variety = VarietyPresentation(algebra)
-    plus = ParamSimplex(0, variety, ["1"], name="plus")
-    minus = ParamSimplex(0, variety, ["-1"], name="minus")
+    plus = ParamSimplex(0, algebra, ["1"], name="plus")
+    minus = ParamSimplex(0, algebra, ["-1"], name="minus")
     e_plus = parse_algebraic_form("(1 + x)/2", algebra)
     e_minus = parse_algebraic_form("(1 - x)/2", algebra)
     table = [
@@ -107,20 +105,20 @@ def test_criterion_3_stokes_chain_map():
     start = time.monotonic()
     ok = True
     rng = random.Random(33311)
-    variety = VarietyPresentation(FpAlgebra(("x", "y"), []))
+    algebra = FpAlgebra(("x", "y"), [])
     for _ in range(50):
         p = rng.randint(0, 1)
-        sigma = _random_simplex(rng, variety, p + 1)
-        omega = _random_algebraic_form(rng, variety.algebra, p)
+        sigma = _random_simplex(rng, algebra, p + 1)
+        omega = _random_algebraic_form(rng, algebra, p)
         residual, _ = chain_map_residual(omega, sigma)
         ok = ok and residual == 0
-    circle = load_builtin("circle").variety
+    circle = load_builtin("circle").algebra
     sweep = ParamSimplex(
         2,
         circle,
         ["(1 - (t1 + t2)^2)/(1 + (t1 + t2)^2)", "2*(t1 + t2)/(1 + (t1 + t2)^2)"],
     )
-    omega = parse_algebraic_form("x*dy - y*dx", circle.algebra)
+    omega = parse_algebraic_form("x*dy - y*dx", circle)
     residual, _ = chain_map_residual(omega, sweep, order=16)
     ok = ok and abs(residual) < 1e-10
     criterion(3, "Stokes residuals", ok, time.monotonic() - start, 10)
@@ -130,13 +128,13 @@ def test_criterion_4_naturality():
     start = time.monotonic()
     ok = True
     rng = random.Random(44904)
-    variety = VarietyPresentation(FpAlgebra(("x", "y"), []))
+    algebra = FpAlgebra(("x", "y"), [])
     for _ in range(30):
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
         h = DeltaMorphism(m, n, sorted(rng.randint(0, n) for _ in range(m + 1)))
-        sigma = _random_simplex(rng, variety, n)
-        omega = _random_algebraic_form(rng, variety.algebra, rng.randint(0, 2))
+        sigma = _random_simplex(rng, algebra, n)
+        omega = _random_algebraic_form(rng, algebra, rng.randint(0, 2))
         ok = ok and naturality_residual(sigma, h, omega).is_zero()
     criterion(4, "naturality", ok, time.monotonic() - start, 5)
 
@@ -145,7 +143,7 @@ def test_criterion_5_circle_pairing():
     start = time.monotonic()
     circle = load_builtin("circle")
     family, cycle = circle.families["loop"], circle.chains["z"]
-    omega = parse_algebraic_form("x*dy - y*dx", family.target.algebra)
+    omega = parse_algebraic_form("x*dy - y*dx", family.target)
     cochain, _ = period_cochain(omega, family, order=16)
     value = pair(cochain, cycle)
     ok = abs(value - 2 * math.pi) < 1e-8
@@ -156,7 +154,7 @@ def test_criterion_6_mixed_multiplicativity():
     start = time.monotonic()
     scenario = load_builtin("circle_x_points")
     family, z1, z0 = scenario.families["loops"], scenario.chains["z1"], scenario.chains["z0"]
-    algebra = family.target.algebra
+    algebra = family.target
     s_form = parse_algebraic_form("s", algebra)
     omega = parse_algebraic_form("x*dy - y*dx", algebra)
     lhs1, rhs1, _ = multiplicativity_check(s_form, omega, family, z1, order=16)
@@ -175,7 +173,7 @@ def test_criterion_7_torus_flagship():
     start = time.monotonic()
     torus = load_builtin("torus")
     family, cycle = torus.families["grid"], torus.chains["z"]
-    algebra = family.target.algebra
+    algebra = family.target
     omega1 = parse_algebraic_form("x*dy - y*dx", algebra)
     omega2 = parse_algebraic_form("z*dw - w*dz", algebra)
     lhs, rhs, _ = multiplicativity_check(omega1, omega2, family, cycle, order=16)

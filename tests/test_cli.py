@@ -9,6 +9,7 @@ from rhamcheck.checks import CHECK_KINDS, Settings, run_scenario_checks
 from rhamcheck.cli import main, report_lines, run_scenario
 from rhamcheck.comparison import period
 from rhamcheck.errors import DimensionMismatch, ParseError, ValidationError
+from rhamcheck.formtext import parse_polynomial
 from rhamcheck.scenarios import (
     BOUNDARY,
     CHAIN,
@@ -22,6 +23,7 @@ from rhamcheck.scenarios import (
     NUM_VARS,
     POSITIVE,
     REQUIRED,
+    SECTION_KEYS,
     SIMPLEX,
     SIMPLICES,
     VERDICT,
@@ -476,3 +478,153 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)
     assert len(lines) == 1 and lines[0].startswith("rhamcheck: check c: " + message), lines
+
+
+# One section of each SECTION_KEYS kind, as label -> {key: [text per line]};
+# the section tests below edit one key of one section.
+SECTIONS = {
+    "header": {"format_version": ["1"], "name": ["sections"], "description": ["one of each"]},
+    "algebra": {"variables": ["x"], "relation": ["x^2 - 1"]},
+    "form e": {"degree": ["0"], "expr": ["(1 + x)/2"]},
+    "simplex pt": {"dim": ["0"], "lane": ["exact"], "component": ["1"]},
+    "family pts": {"simplices": ["pt"]},
+    "chain z": {"family": ["pts"], "degree": ["0"], "term": ["1 pt"]},
+}
+
+# A malformed, out-of-range or undefined value for each section key that
+# can have one: a description is any text, and a form's degree has its
+# own test_scenario_rejects_malformed_form_degree.
+SECTION_MALFORMED = {
+    ("header", "format_version"): "2",
+    ("header", "name"): "two words",
+    ("algebra", "variables"): "x x",
+    ("algebra", "relation"): "dx",
+    ("form e", "expr"): "1/0",
+    ("simplex pt", "dim"): "-1",
+    ("simplex pt", "lane"): "fast",
+    ("simplex pt", "component"): "1/0",
+    ("family pts", "simplices"): "ghost",
+    ("chain z", "family"): "ghost",
+    ("chain z", "degree"): "-1",
+    ("chain z", "term"): "one pt",
+}
+
+SECTION_KEY_CASES = [(label, key) for label, keys in SECTIONS.items() for key in keys]
+
+
+def _sections_text(edits=(), extra=""):
+    """SECTIONS as scenario text, each {(label, key): texts} of `edits` setting
+    a key's lines (None drops the key), with `extra` appended."""
+    edits = dict(edits)
+    lines = []
+    for label, keys in SECTIONS.items():
+        if label != "header":
+            lines += ["", "[%s]" % label]
+        keys = dict(keys, **{key: texts for (at, key), texts in edits.items() if at == label})
+        lines += ["%s %s" % (key, text) for key, texts in keys.items() if texts for text in texts]
+    return "\n".join(lines) + "\n" + extra
+
+
+def _one_refusal(tmp_path, capsys, text):
+    lines = _refusal(tmp_path, capsys, text)
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+def test_section_keys_cover_every_section():
+    assert list(SECTION_KEYS) == [label.split()[0] for label in SECTIONS]
+    for label, keys in SECTIONS.items():
+        assert set(keys) == set(SECTION_KEYS[label.split()[0]]), label
+    assert set(SECTION_MALFORMED) == set(SECTION_KEY_CASES) - {("header", "description"),
+                                                                ("form e", "degree")}
+    scenario = Scenario(_sections_text())
+    assert scenario.name == "sections" and scenario.description == "one of each"
+    assert scenario.chains["z"].coeffs == {"pt": 1}
+
+
+@pytest.mark.parametrize(
+    "label, key",
+    [(label, key) for label, key in SECTION_KEY_CASES
+     if SECTION_KEYS[label.split()[0]][key][1] is REQUIRED],
+    ids=lambda value: value.replace(" ", "_"),
+)
+def test_section_refuses_missing_required_key(tmp_path, capsys, label, key):
+    line = _one_refusal(tmp_path, capsys, _sections_text({(label, key): None}))
+    assert line == "rhamcheck: %s: %s: missing required key" % (label, key)
+
+
+@pytest.mark.parametrize("label, key", sorted(SECTION_MALFORMED),
+                         ids=lambda value: value.replace(" ", "_"))
+def test_section_refuses_malformed_value(tmp_path, capsys, label, key):
+    text = _sections_text({(label, key): [SECTION_MALFORMED[label, key]]})
+    line = _one_refusal(tmp_path, capsys, text)
+    assert line.startswith("rhamcheck: %s: %s: " % (label, key)), line
+
+
+@pytest.mark.parametrize("label", list(SECTIONS), ids=lambda value: value.replace(" ", "_"))
+def test_section_refuses_unknown_key(tmp_path, capsys, label):
+    line = _one_refusal(tmp_path, capsys, _sections_text({(label, "colour"): ["blue"]}))
+    assert line == "rhamcheck: %s: colour: unknown key for %s" % (label, label.split()[0])
+
+
+@pytest.mark.parametrize(
+    "label, key",
+    [(label, key) for label, key in SECTION_KEY_CASES
+     if not getattr(SECTION_KEYS[label.split()[0]][key][0], "repeats", False)],
+    ids=lambda value: value.replace(" ", "_"),
+)
+def test_section_refuses_repeated_single_valued_key(tmp_path, capsys, label, key):
+    text = _sections_text({(label, key): SECTIONS[label][key] * 2})
+    line = _one_refusal(tmp_path, capsys, text)
+    assert line == "rhamcheck: %s: %s: given 2 times" % (label, key)
+
+
+@pytest.mark.parametrize("label", [label for label in SECTIONS if label != "header"] + ["check c"],
+                         ids=lambda value: value.replace(" ", "_"))
+def test_section_refuses_second_section_of_one_name(tmp_path, capsys, label):
+    # the header is every line before the first section, so it has no second
+    second = "\n[%s]\n" % label + "".join(
+        "%s %s\n" % (key, text) for key, texts in SECTIONS.get(label, {}).items() for text in texts)
+    check = "\n[check c]\nkind aw_laws\ncount 1\n"
+    line = _one_refusal(tmp_path, capsys, _sections_text(extra=check + second))
+    assert line.endswith(": %s: second section of that name" % label), line
+
+
+# Refusals beyond one bad key each; the tests above already take the other
+# inputs that used to load or end in a traceback (`colour blue`, two `expr`
+# lines, two [form e] or [check c] sections, `dim -1`, `variables x x`,
+# `expr 1/0`, `component 1/0`, `relation dx`).
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_sections_text({("form e", "degre"): ["2"]}), "form e: degre: unknown key for form"),
+        (_sections_text({("family pts", "simplex"): ["pt"]}),
+         "family pts: simplex: unknown key for family"),
+        (_sections_text({("simplex pt", "component"): ["dt1"], ("simplex pt", "dim"): ["1"]}),
+         "simplex pt: component: 'dt1' is a 1-form, not a scalar"),
+        (_sections_text({("simplex pt", "component"): ["1", "0"]}),
+         "simplex pt: component: expected 1 components, got 2"),
+        (_sections_text({("algebra", "relation"): ["0"]}),
+         "algebra: relation: zero ideal generator"),
+        (_sections_text({("algebra", "variables"): ["x y"], ("algebra", "relation"): ["x/y"],
+                         ("simplex pt", "component"): ["1", "1"]}),
+         "algebra: relation: rational coefficient x/(y)"),
+        (_sections_text({("chain z", "degree"): ["1"]}),
+         "chain z: term: family pts has no 1-simplex 'pt'"),
+        (_sections_text({("simplex pt", "component"): ["2"]}),
+         "family pts: simplices: generator 0 leaves residual 3 on pt"),
+    ],
+    ids=["degre", "family_simplex", "component_form", "component_count", "relation_zero",
+         "relation_fraction", "term_dimension", "off_variety_member"],
+)
+def test_section_refusal_names_section_and_key(tmp_path, capsys, text, message):
+    line = _one_refusal(tmp_path, capsys, text)
+    assert line.startswith("rhamcheck: ") and message in line, line
+
+
+def test_quotient_relation_loads_as_its_polynomial():
+    text = _sections_text({("algebra", "relation"): ["(x^2 - 1)/(x - 1)"],
+                           ("simplex pt", "component"): ["-1"]})
+    scenario = Scenario(text)
+    assert scenario.algebra.ideal_generators == [parse_polynomial("x + 1", ("x",))]
+    assert scenario.simplices["pt"].validate().valid

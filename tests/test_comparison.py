@@ -10,7 +10,6 @@ import pytest
 from rhamcheck.comparison import (
     ParamSimplex,
     SingularFamily,
-    VarietyPresentation,
     chain_map_residual,
     multiplicativity_check,
     naturality_residual,
@@ -20,21 +19,22 @@ from rhamcheck.comparison import (
 )
 from rhamcheck.derham import AlgebraicForm, FpAlgebra, parse_algebraic_form, wedge
 from rhamcheck.errors import InvalidSimplex, NotACycle, NotClosedForm
-from rhamcheck.poly import Polynomial, parse_polynomial
+from rhamcheck.formtext import parse_polynomial
+from rhamcheck.poly import Polynomial
 from rhamcheck.scenarios import load_builtin
 from rhamcheck.simplex_forms import parse_poly_form, simplex_variables, to_cochain
 from rhamcheck.simplicial import DeltaMorphism, aw_cup, is_cycle, pair
 
 
-def free_variety(nvars=2):
+def free_algebra(nvars=2):
     names = ("x", "y", "z")[:nvars]
-    return VarietyPresentation(FpAlgebra(names, []))
+    return FpAlgebra(names, [])
 
 
-def random_polynomial_simplex(rng, variety, n, max_degree=2):
+def random_polynomial_simplex(rng, algebra, n, max_degree=2):
     variables = simplex_variables(n)
     comps = []
-    for _ in range(variety.ambient_dimension):
+    for _ in range(algebra.nvars):
         terms = {}
         for _ in range(rng.randint(1, 3)):
             e = [0] * n
@@ -43,7 +43,7 @@ def random_polynomial_simplex(rng, variety, n, max_degree=2):
                     e[rng.randrange(n)] += 1
             terms[tuple(e)] = Fraction(rng.randint(-3, 3))
         comps.append(Polynomial(variables, terms))
-    return ParamSimplex(n, variety, comps)
+    return ParamSimplex(n, algebra, comps)
 
 
 def random_algebraic_form(rng, algebra, degree, max_coeff_degree=2):
@@ -61,14 +61,14 @@ def random_algebraic_form(rng, algebra, degree, max_coeff_degree=2):
 
 
 def test_validate_simplex_examples():
-    variety = load_builtin("circle").variety
-    const = ParamSimplex(0, variety, ["1", "0"])
+    algebra = load_builtin("circle").algebra
+    const = ParamSimplex(0, algebra, ["1", "0"])
     assert const.validate().valid
-    arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
+    arc = ParamSimplex(1, algebra, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
     assert arc.validate().valid
     with pytest.raises(InvalidSimplex):
-        ParamSimplex(1, variety, ["t1", "t1"])
-    bad = ParamSimplex(1, variety, ["t1", "t1"], check=False)
+        ParamSimplex(1, algebra, ["t1", "t1"])
+    bad = ParamSimplex(1, algebra, ["t1", "t1"], check=False)
     cert = bad.validate()
     assert not cert.valid
     # residual 2 t^2 - 1 after clearing denominators
@@ -79,33 +79,33 @@ def test_validate_simplex_examples():
 
 def test_pullback_constant_simplex_kills_positive_degree():
     rng = random.Random(1)
-    variety = load_builtin("circle").variety
-    const = ParamSimplex(0, variety, ["1", "0"])
-    omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
+    algebra = load_builtin("circle").algebra
+    const = ParamSimplex(0, algebra, ["1", "0"])
+    omega = parse_algebraic_form("x*dy - y*dx", algebra)
     assert pullback_form(const, omega).is_zero()
 
 
 def test_pullback_circle_arc_winding_form():
-    variety = load_builtin("circle").variety
-    arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
-    omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
+    algebra = load_builtin("circle").algebra
+    arc = ParamSimplex(1, algebra, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
+    omega = parse_algebraic_form("x*dy - y*dx", algebra)
     pulled = pullback_form(arc, omega)
     assert pulled == parse_poly_form("2/(1 + t1^2) * dt1", 1)
 
 
 def test_pullback_is_dg_morphism():
     rng = random.Random(3)
-    variety = free_variety(2)
+    algebra = free_algebra(2)
     from rhamcheck.derham import differential
     from rhamcheck.simplex_forms import differential as d_simplex
     from rhamcheck.simplex_forms import wedge as wedge_simplex
 
     for _ in range(30):
         n = rng.randint(1, 2)
-        sigma = random_polynomial_simplex(rng, variety, n)
+        sigma = random_polynomial_simplex(rng, algebra, n)
         p = rng.randint(0, 1)
-        omega1 = random_algebraic_form(rng, variety.algebra, p)
-        omega2 = random_algebraic_form(rng, variety.algebra, rng.randint(0, 1))
+        omega1 = random_algebraic_form(rng, algebra, p)
+        omega2 = random_algebraic_form(rng, algebra, rng.randint(0, 1))
         lhs = pullback_form(sigma, wedge(omega1, omega2))
         rhs = wedge_simplex(pullback_form(sigma, omega1), pullback_form(sigma, omega2))
         assert lhs == rhs
@@ -116,9 +116,8 @@ def test_pullback_is_dg_morphism():
 
 def test_period_idempotents_two_points():
     algebra = load_builtin("two_points").algebra
-    variety = VarietyPresentation(algebra)
-    plus = ParamSimplex(0, variety, ["1"], name="at_plus")
-    minus = ParamSimplex(0, variety, ["-1"], name="at_minus")
+    plus = ParamSimplex(0, algebra, ["1"], name="at_plus")
+    minus = ParamSimplex(0, algebra, ["-1"], name="at_minus")
     e_plus = parse_algebraic_form("(1 + x)/2", algebra)
     e_minus = parse_algebraic_form("(1 - x)/2", algebra)
     table = {}
@@ -135,9 +134,9 @@ def test_period_idempotents_two_points():
 
 
 def test_period_circle_arc_quarter_turn():
-    variety = load_builtin("circle").variety
-    arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
-    omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
+    algebra = load_builtin("circle").algebra
+    arc = ParamSimplex(1, algebra, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
+    omega = parse_algebraic_form("x*dy - y*dx", algebra)
     value, estimate = period(omega, arc, order=16)
     assert abs(value - math.pi / 2) < 1e-10
     assert estimate < 1e-12
@@ -153,64 +152,64 @@ def xi_consistency_defect(omega, sigma):
 
 def test_xi_consistency_both_routes():
     rng = random.Random(5)
-    variety = free_variety(2)
+    algebra = free_algebra(2)
     for _ in range(10):
         n = rng.randint(0, 2)
-        sigma = random_polynomial_simplex(rng, variety, n)
-        omega = random_algebraic_form(rng, variety.algebra, n)
+        sigma = random_polynomial_simplex(rng, algebra, n)
+        omega = random_algebraic_form(rng, algebra, n)
         assert xi_consistency_defect(omega, sigma) == 0
     # numeric lane too
-    circle = load_builtin("circle").variety
+    circle = load_builtin("circle").algebra
     arc = ParamSimplex(1, circle, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
-    omega = parse_algebraic_form("x*dy - y*dx", circle.algebra)
+    omega = parse_algebraic_form("x*dy - y*dx", circle)
     assert abs(xi_consistency_defect(omega, arc)) < 1e-12
 
 
 def test_chain_map_residual_exact_lane():
     rng = random.Random(7)
-    variety = free_variety(2)
+    algebra = free_algebra(2)
     for _ in range(50):
         p = rng.randint(0, 1)
-        sigma = random_polynomial_simplex(rng, variety, p + 1)
-        omega = random_algebraic_form(rng, variety.algebra, p)
+        sigma = random_polynomial_simplex(rng, algebra, p + 1)
+        omega = random_algebraic_form(rng, algebra, p)
         residual, estimate = chain_map_residual(omega, sigma)
         assert residual == 0
         assert estimate == 0
 
 
 def test_chain_map_residual_numeric_circle():
-    variety = load_builtin("circle").variety
+    algebra = load_builtin("circle").algebra
     # a 2-simplex sweeping a varying arc of the circle
     sigma = ParamSimplex(
         2,
-        variety,
+        algebra,
         [
             "(1 - (t1 + t2)^2)/(1 + (t1 + t2)^2)",
             "2*(t1 + t2)/(1 + (t1 + t2)^2)",
         ],
     )
-    omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
+    omega = parse_algebraic_form("x*dy - y*dx", algebra)
     residual, estimate = chain_map_residual(omega, sigma, order=16)
     assert abs(residual) < 1e-10
 
 
 def test_naturality_random_triples():
     rng = random.Random(9)
-    variety = free_variety(2)
+    algebra = free_algebra(2)
     for _ in range(30):
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
         values = sorted(rng.randint(0, n) for _ in range(m + 1))
         h = DeltaMorphism(m, n, values)
-        sigma = random_polynomial_simplex(rng, variety, n)
-        omega = random_algebraic_form(rng, variety.algebra, rng.randint(0, 2))
+        sigma = random_polynomial_simplex(rng, algebra, n)
+        omega = random_algebraic_form(rng, algebra, rng.randint(0, 2))
         assert naturality_residual(sigma, h, omega).is_zero()
 
 
 def test_naturality_identity_and_vertex():
-    variety = load_builtin("circle").variety
-    arc = ParamSimplex(1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
-    omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
+    algebra = load_builtin("circle").algebra
+    arc = ParamSimplex(1, algebra, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"])
+    omega = parse_algebraic_form("x*dy - y*dx", algebra)
     assert naturality_residual(arc, DeltaMorphism.identity(1), omega).is_zero()
     vertex = DeltaMorphism(0, 1, (1,))
     assert naturality_residual(arc, vertex, omega).is_zero()
@@ -228,7 +227,7 @@ def test_singular_family_closes_loop():
 def test_circle_pairing_two_pi():
     circle = load_builtin("circle")
     family, cycle = circle.families["loop"], circle.chains["z"]
-    omega = parse_algebraic_form("x*dy - y*dx", family.target.algebra)
+    omega = parse_algebraic_form("x*dy - y*dx", family.target)
     cochain, estimates = period_cochain(omega, family, order=16)
     value = pair(cochain, cycle)
     assert abs(value - 2 * math.pi) < 1e-8
@@ -236,9 +235,8 @@ def test_circle_pairing_two_pi():
 
 def test_multiplicativity_exact_two_points():
     algebra = load_builtin("two_points").algebra
-    variety = VarietyPresentation(algebra)
-    plus = ParamSimplex(0, variety, ["1"], name="plus")
-    minus = ParamSimplex(0, variety, ["-1"], name="minus")
+    plus = ParamSimplex(0, algebra, ["1"], name="plus")
+    minus = ParamSimplex(0, algebra, ["-1"], name="minus")
     family = SingularFamily([plus, minus])
     e_plus = parse_algebraic_form("(1 + x)/2", algebra)
     for z_name, expected in (("plus", 1), ("minus", 0)):
@@ -250,8 +248,7 @@ def test_multiplicativity_exact_two_points():
 
 def test_multiplicativity_rejects_bad_input():
     algebra = load_builtin("two_points").algebra
-    variety = VarietyPresentation(algebra)
-    plus = ParamSimplex(0, variety, ["1"], name="plus")
+    plus = ParamSimplex(0, algebra, ["1"], name="plus")
     family = SingularFamily([plus])
     e_plus = parse_algebraic_form("(1 + x)/2", algebra)
     x_form = parse_algebraic_form("x", algebra)
@@ -259,7 +256,7 @@ def test_multiplicativity_rejects_bad_input():
     # x is closed here (Omega^1 = 0), so closedness cannot fail; exercise
     # the cycle check instead on a 1-chain that is not a cycle
     loop_family = load_builtin("circle").families["loop"]
-    omega = parse_algebraic_form("x*dy - y*dx", loop_family.target.algebra)
+    omega = parse_algebraic_form("x*dy - y*dx", loop_family.target)
     not_cycle = loop_family.chain(1, {"arc0": 1})
     with pytest.raises(NotACycle):
         multiplicativity_check(omega, omega, loop_family, not_cycle)
@@ -268,7 +265,7 @@ def test_multiplicativity_rejects_bad_input():
 def test_multiplicativity_mixed_degree_circle_times_points():
     scenario = load_builtin("circle_x_points")
     family, z1, z0 = scenario.families["loops"], scenario.chains["z1"], scenario.chains["z0"]
-    algebra = family.target.algebra
+    algebra = family.target
     s_form = parse_algebraic_form("s", algebra)
     omega = parse_algebraic_form("x*dy - y*dx", algebra)
     lhs, rhs, estimate = multiplicativity_check(s_form, omega, family, z1, order=16)
@@ -283,11 +280,11 @@ def test_singular_aw_leibniz_numeric_lane():
     # a family with a genuine 2-simplex: one quarter-arc sweep triangle
     from rhamcheck.simplicial import Cochain, coboundary as delta
 
-    variety = load_builtin("circle").variety
-    omega = parse_algebraic_form("x*dy - y*dx", variety.algebra)
+    algebra = load_builtin("circle").algebra
+    omega = parse_algebraic_form("x*dy - y*dx", algebra)
     sweep = ParamSimplex(
         2,
-        variety,
+        algebra,
         [
             "(1 - (t1 + t2)^2)/(1 + (t1 + t2)^2)",
             "2*(t1 + t2)/(1 + (t1 + t2)^2)",
@@ -310,36 +307,24 @@ def test_singular_aw_leibniz_numeric_lane():
 
 
 def test_multiplicativity_rejects_non_closed_form():
-    variety = free_variety(2)
-    sigma = ParamSimplex(1, variety, ["t1", "t1^2"], name="curve")
+    algebra = free_algebra(2)
+    sigma = ParamSimplex(1, algebra, ["t1", "t1^2"], name="curve")
     family = SingularFamily([sigma])
     z = family.chain(0, {family.names(0)[0]: 1})
     with pytest.raises(NotClosedForm):
         multiplicativity_check(
-            parse_algebraic_form("x", variety.algebra),
-            parse_algebraic_form("y", variety.algebra),
+            parse_algebraic_form("x", algebra),
+            parse_algebraic_form("y", algebra),
             family,
             z,
         )
-
-
-def test_family_not_closed_error():
-    variety = load_builtin("circle").variety
-    arc = ParamSimplex(
-        1, variety, ["(1 - t1^2)/(1 + t1^2)", "2*t1/(1 + t1^2)"], name="arc0"
-    )
-    from rhamcheck.errors import FamilyNotClosed
-
-    with pytest.raises(FamilyNotClosed) as err:
-        SingularFamily([arc], close_under_faces=False)
-    assert "arc0" in str(err.value)
 
 
 def test_multiplicativity_torus_flagship():
     torus = load_builtin("torus")
     family, cycle = torus.families["grid"], torus.chains["z"]
     assert is_cycle(cycle)
-    algebra = family.target.algebra
+    algebra = family.target
     omega1 = parse_algebraic_form("x*dy - y*dx", algebra)
     omega2 = parse_algebraic_form("z*dw - w*dz", algebra)
     lhs, rhs, estimate = multiplicativity_check(omega1, omega2, family, cycle, order=16)

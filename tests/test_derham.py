@@ -16,7 +16,8 @@ from rhamcheck.derham import (
     wedge,
 )
 from rhamcheck.errors import AlgebraMismatch
-from rhamcheck.poly import Polynomial, parse_polynomial
+from rhamcheck.formtext import parse_polynomial
+from rhamcheck.poly import Polynomial
 
 
 def free_xy():

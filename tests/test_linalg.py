@@ -11,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from rhamcheck.derham import truncated_cohomology
 from rhamcheck.errors import CompositionNonzero, NotACocycle
-from rhamcheck.linalg import Echelon, SparseMatrix, cohomology_pair, kernel_image, solve
+from rhamcheck.linalg import CohomologyPair, Echelon, SparseMatrix, kernel_image, solve
 from rhamcheck.scenarios import load_builtin
 from rhamcheck.simplex_forms import FamilyComplex
 from rhamcheck.simplicial import boundary_complex
@@ -69,7 +69,7 @@ def test_sparse_path_matches_dense():
 def test_cohomology_zero_maps():
     z = SparseMatrix.zero(3, 0)
     z2 = SparseMatrix.zero(0, 3)
-    h = cohomology_pair(z, z2)
+    h = CohomologyPair(z, z2)
     assert h.dimension == 3
 
 
@@ -78,7 +78,7 @@ def test_cohomology_boundary_circle():
     # delta0: C^0 -> C^1 for edges (01), (02), (12)
     d0 = SparseMatrix.from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     d1 = SparseMatrix.zero(0, 3)
-    h = cohomology_pair(d0, d1)
+    h = CohomologyPair(d0, d1)
     assert h.dimension == 1
 
 
@@ -86,7 +86,7 @@ def test_cohomology_exact_sequence_is_trivial():
     # im(d_prev) = ker(d_next): H = 0
     d_prev = SparseMatrix.from_rows([[1], [0]])
     d_next = SparseMatrix.from_rows([[0, 1]])
-    h = cohomology_pair(d_prev, d_next)
+    h = CohomologyPair(d_prev, d_next)
     assert h.dimension == 0
 
 
@@ -94,7 +94,7 @@ def test_composition_checked():
     d_prev = SparseMatrix.identity(2)
     d_next = SparseMatrix.identity(2)
     with pytest.raises(CompositionNonzero):
-        cohomology_pair(d_prev, d_next)
+        CohomologyPair(d_prev, d_next)
 
 
 def test_class_of_unit_coordinates_and_coboundary_invariance():
@@ -102,7 +102,7 @@ def test_class_of_unit_coordinates_and_coboundary_invariance():
     # d_prev maps a 2-dim space into a 4-dim space; d_next kills everything
     d_prev = SparseMatrix.from_rows([[1, 0], [1, 1], [0, 0], [0, 0]])
     d_next = SparseMatrix.zero(0, 4)
-    h = cohomology_pair(d_prev, d_next)
+    h = CohomologyPair(d_prev, d_next)
     assert h.dimension == 2
     for i, rep in enumerate(h.representatives):
         coords, witness = h.class_of(rep)
@@ -123,7 +123,7 @@ def test_class_of_unit_coordinates_and_coboundary_invariance():
 def test_class_of_rejects_non_cocycle():
     d_prev = SparseMatrix.zero(2, 0)
     d_next = SparseMatrix.from_rows([[1, 0]])
-    h = cohomology_pair(d_prev, d_next)
+    h = CohomologyPair(d_prev, d_next)
     with pytest.raises(NotACocycle):
         h.class_of([Fraction(1), Fraction(0)])
 
@@ -135,7 +135,7 @@ def test_class_of_reconstructs_vector():
         d_prev = random_matrix(rng, rows, cols, density=density)
         # d_next = 0 so every vector is a cocycle
         d_next = SparseMatrix.zero(0, rows)
-        h = cohomology_pair(d_prev, d_next)
+        h = CohomologyPair(d_prev, d_next)
         for _ in range(10):
             c = [Fraction(rng.randint(-5, 5)) for _ in range(rows)]
             coords, witness = h.class_of(c)

@@ -6,13 +6,8 @@ from fractions import Fraction
 import pytest
 
 from rhamcheck.errors import ParseError, ResourceBudgetExceeded
-from rhamcheck.poly import (
-    Polynomial,
-    drl_key,
-    groebner_basis,
-    normal_form,
-    parse_polynomial,
-)
+from rhamcheck.formtext import parse_polynomial
+from rhamcheck.poly import Polynomial, drl_key, groebner_basis, normal_form
 
 XY = ("x", "y")
 
