@@ -55,9 +55,6 @@ class FpAlgebra:
     def nvars(self):
         return len(self.variables)
 
-    def poly(self, text):
-        return parse_polynomial(text, self.variables)
-
     def nf(self, f):
         return normal_form(f, self.groebner)
 
@@ -165,10 +162,6 @@ class AlgebraicForm(ExteriorForm):
     @classmethod
     def zero(cls, algebra, degree):
         return cls(algebra, degree, {})
-
-    @classmethod
-    def from_polynomial(cls, algebra, f):
-        return cls(algebra, 0, {(): f})
 
     @property
     def variables(self):
@@ -369,9 +362,6 @@ class TruncatedCohomology:
             AlgebraicForm(self.algebra, self.p, form.terms, reduce=False)
         )
         return self._pair.class_of(dense_vector(vec, self._stratum.size))
-
-    def is_cocycle(self, form):
-        return differential(form).is_zero()
 
     def class_of(self, form):
         """Coordinates of a closed form in the returned representative basis."""

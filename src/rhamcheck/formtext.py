@@ -10,6 +10,8 @@ mixes scalars into forms:
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import ParseError
 from .exterior import ExteriorForm, wedge_terms
 from .poly import Polynomial, parse_ast
@@ -88,7 +90,7 @@ def _eval(node, variables):
         if forms[0]:
             return a._make(a.degree, {S: c / b for S, c in a.terms.items()})
         if isinstance(b, Polynomial) and b.is_constant():
-            return a.scale(1 / b.constant_value())
+            return a.scale(Fraction(1, b.constant_value()))
         return _rational(a) / b
     raise ParseError("bad expression node %r" % (node,))
 

@@ -1,10 +1,14 @@
 """Multivariate polynomial arithmetic over exact rationals.
 
-Polynomials are stored as a dictionary from exponent vectors to Fraction
-coefficients, under a fixed degree-reverse-lexicographic term order.  On
-top of the arithmetic this module provides Buchberger's algorithm (with
-the product and chain criteria), normal forms modulo a Groebner basis,
-and the expression grammar of scenario files and reports:
+Polynomials are stored as a dictionary from exponent vectors to exact
+coefficients, under a fixed degree-reverse-lexicographic term order.
+A stored coefficient is never zero and never a float: it is an int when
+its value is integral and a Fraction with denominator > 1 otherwise, so
+the common integer case pays no gcd.  `int / int` is a float, so every
+division of coefficients goes through Fraction (`_quotient`).  On top of
+the arithmetic this module provides Buchberger's algorithm (with the
+product and chain criteria), normal forms modulo a Groebner basis, and
+the expression grammar of scenario files and reports:
 
     x^2 + y^2 - 1      (1 - t1^2)/2      3*x*y - 1/2
 
@@ -18,6 +22,7 @@ the truncated de Rham machinery relies on that.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import ParseError, ResourceBudgetExceeded
 
@@ -26,11 +31,11 @@ DEFAULT_PAIR_BUDGET = 20000
 
 def drl_key(expts):
     """Sort key for degrevlex: bigger key means bigger monomial."""
-    return (sum(expts), tuple(-e for e in reversed(expts)))
+    return (sum(expts), tuple(map(neg, reversed(expts))))
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
@@ -39,47 +44,92 @@ def monomial_divides(a, b):
 
 
 def monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _coefficient(value):
+    """The stored form of an exact scalar: int if integral, else Fraction."""
+    if type(value) not in (int, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a, b):
+    """Exact a / b of two coefficients; `int / int` would be a float."""
+    if b == 1:
+        return a
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _add_multiple(terms, poly_terms, coeff, shift=None):
+    """terms += coeff * x^shift * poly, in place; cancelled terms are dropped."""
+    for e, c in poly_terms.items():
+        if shift is not None:
+            e = monomial_mul(e, shift)
+        v = terms.get(e, 0) + coeff * c
+        if v:
+            terms[e] = v
+        else:
+            del terms[e]
+
+
 class Polynomial:
     """An exact multivariate polynomial over a fixed ordered variable tuple."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_lead")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
         clean = {}
         nvars = len(self.variables)
         for expts, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = _coefficient(coeff)
             if coeff == 0:
                 continue
             if len(expts) != nvars:
                 raise ValueError("exponent vector length != number of variables")
             clean[tuple(expts)] = coeff
         self.terms = clean
+        self._lead = None
+
+    @classmethod
+    def _of(cls, variables, terms):
+        """Trusted constructor for results of this module's arithmetic.
+
+        `variables` is already a tuple, the keys are exponent tuples of its
+        length and the values exact; only zeros are dropped and integral
+        Fractions demoted to int.
+        """
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly.terms = {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in terms.items()
+            if c
+        }
+        poly._lead = None
+        return poly
 
     @classmethod
     def zero(cls, variables):
-        return cls(variables, {})
+        return cls._of(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables, value):
-        value = Fraction(value)
-        if value == 0:
-            return cls.zero(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        variables = tuple(variables)
+        return cls._of(variables, {(0,) * len(variables): _coefficient(value)})
 
     @classmethod
     def variable(cls, variables, index):
+        variables = tuple(variables)
         expts = [0] * len(variables)
         expts[index] = 1
-        return cls(variables, {tuple(expts): Fraction(1)})
+        return cls._of(variables, {tuple(expts): 1})
 
     def is_zero(self):
         return not self.terms
@@ -89,7 +139,7 @@ class Polynomial:
 
     def constant_value(self):
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
@@ -100,9 +150,14 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def leading_term(self):
-        """(exponents, coefficient) of the degrevlex-largest term."""
-        expts = max(self.terms, key=drl_key)
-        return expts, self.terms[expts]
+        """(exponents, coefficient) of the degrevlex-largest term.
+
+        Cached on first use: no code changes `terms` after construction.
+        """
+        if self._lead is None:
+            expts = max(self.terms, key=drl_key)
+            self._lead = expts, self.terms[expts]
+        return self._lead
 
     def __eq__(self, other):
         return (
@@ -124,13 +179,13 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, terms)
+            terms[e] = terms.get(e, 0) + c
+        return Polynomial._of(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -148,17 +203,17 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = monomial_mul(e1, e2)
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.variables, terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Polynomial._of(self.variables, terms)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _coefficient(scalar)
         if scalar == 0:
             return Polynomial.zero(self.variables)
-        return Polynomial(self.variables, {e: c * scalar for e, c in self.terms.items()})
+        return Polynomial._of(self.variables, {e: c * scalar for e, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -176,7 +231,7 @@ class Polynomial:
         if self.is_zero():
             return self
         _, lc = self.leading_term()
-        return self.scale(Fraction(1) / lc)
+        return self.scale(_quotient(1, lc))
 
     def partial(self, index):
         """Termwise partial derivative with respect to variable `index`."""
@@ -188,8 +243,8 @@ class Polynomial:
             de = list(e)
             de[index] = k - 1
             de = tuple(de)
-            terms[de] = terms.get(de, Fraction(0)) + c * k
-        return Polynomial(self.variables, terms)
+            terms[de] = terms.get(de, 0) + c * k
+        return Polynomial._of(self.variables, terms)
 
     def substitute(self, values):
         """Substitute values[i] (a Polynomial) for variable i."""
@@ -198,10 +253,11 @@ class Polynomial:
         if not values:
             return self
         target_vars = values[0].variables
-        result = Polynomial.zero(target_vars)
-        powers = [{0: Polynomial.constant(target_vars, 1)} for _ in values]
+        one = Polynomial.constant(target_vars, 1)
+        powers = [{0: one} for _ in values]
+        result = {}
         for e, c in sorted(self.terms.items()):
-            term = Polynomial.constant(target_vars, c)
+            term = None
             for i, k in enumerate(e):
                 if k == 0:
                     continue
@@ -212,9 +268,9 @@ class Polynomial:
                         acc = acc * values[i]
                         kk += 1
                         powers[i][kk] = acc
-                term = term * powers[i][k]
-            result = result + term
-        return result
+                term = powers[i][k] if term is None else term * powers[i][k]
+            _add_multiple(result, one.terms if term is None else term.terms, c)
+        return Polynomial._of(target_vars, result)
 
     def eval_fraction(self, point):
         """Exact evaluation at a tuple of Fractions."""
@@ -233,16 +289,16 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         self._check(divisor)
         lead_e, lead_c = divisor.leading_term()
-        rem = self
-        quot = Polynomial.zero(self.variables)
-        while not rem.is_zero():
-            re, rc = rem.leading_term()
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            re = max(rem, key=drl_key)
             if not monomial_divides(lead_e, re):
                 return None
-            fac = Polynomial(self.variables, {monomial_div(re, lead_e): rc / lead_c})
-            quot = quot + fac
-            rem = rem - fac * divisor
-        return quot
+            shift = monomial_div(re, lead_e)
+            quot[shift] = fac = _quotient(rem[re], lead_c)
+            _add_multiple(rem, divisor.terms, -fac, shift)
+        return Polynomial._of(self.variables, quot)
 
     def sorted_terms(self):
         """Terms in descending degrevlex order."""
@@ -292,29 +348,32 @@ def normal_form(f, basis):
     degree-compatible, so the remainder never has larger total degree
     than f.
     """
-    rem_terms = {}
-    h = f
-    leads = [(g.leading_term()[0], g.leading_term()[1], g) for g in basis if not g.is_zero()]
-    while not h.is_zero():
-        he, hc = h.leading_term()
-        for ge, gc, g in leads:
+    if any(g.variables != f.variables for g in basis):
+        raise ValueError("polynomials over different variable tuples")
+    h = dict(f.terms)
+    rem = {}
+    leads = [g.leading_term() + (g.terms,) for g in basis if not g.is_zero()]
+    while h:
+        he = max(h, key=drl_key)
+        hc = h[he]
+        for ge, gc, gterms in leads:
             if monomial_divides(ge, he):
-                fac = Polynomial(h.variables, {monomial_div(he, ge): hc / gc})
-                h = h - fac * g
+                _add_multiple(h, gterms, -_quotient(hc, gc), monomial_div(he, ge))
                 break
         else:
-            rem_terms[he] = rem_terms.get(he, Fraction(0)) + hc
-            h = h - Polynomial(h.variables, {he: hc})
-    return Polynomial(f.variables, rem_terms)
+            rem[he] = hc
+            del h[he]
+    return Polynomial._of(f.variables, rem)
 
 
 def s_polynomial(f, g):
     fe, fc = f.leading_term()
     ge, gc = g.leading_term()
     lcm = monomial_lcm(fe, ge)
-    mf = Polynomial(f.variables, {monomial_div(lcm, fe): Fraction(1) / fc})
-    mg = Polynomial(f.variables, {monomial_div(lcm, ge): Fraction(1) / gc})
-    return mf * f - mg * g
+    terms = {}
+    _add_multiple(terms, f.terms, _quotient(1, fc), monomial_div(lcm, fe))
+    _add_multiple(terms, g.terms, -_quotient(1, gc), monomial_div(lcm, ge))
+    return Polynomial._of(f.variables, terms)
 
 
 def groebner_basis(generators, pair_budget=DEFAULT_PAIR_BUDGET):

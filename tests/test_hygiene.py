@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and none divides an int literal by a value that may itself be an int."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,29 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def int_literal_divisions(source):
+    """Lines of `source` with a true division whose left operand is an int literal.
+
+    Polynomial coefficients are stored as ints where integral, and
+    `1 / c` of two ints is a float; such quotients go through Fraction.
+    """
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.left, ast.Constant)
+        and type(node.left.value) is int
+    )
+
+
+def test_int_literal_divisions_are_found():
+    source = "a = 1 / c\nb = Fraction(1, c)\nd = 1.0 / c\ne = x / 2\nf = (2 / c) * 3\n"
+    assert int_literal_divisions(source) == [1, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_divides_no_int_literal(path):
+    assert int_literal_divisions(path.read_text(encoding="utf-8")) == []

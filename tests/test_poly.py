@@ -4,10 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rhamcheck.derham import FpAlgebra, parse_algebraic_form
 from rhamcheck.errors import ParseError, ResourceBudgetExceeded
 from rhamcheck.formtext import parse_polynomial
 from rhamcheck.poly import Polynomial, drl_key, groebner_basis, normal_form
+from rhamcheck.simplex_forms import parse_poly_form
 
 XY = ("x", "y")
 
@@ -137,3 +142,139 @@ def test_normal_form_degree_bound():
             continue
         r = normal_form(f, basis)
         assert r.total_degree() <= f.total_degree()
+
+
+def test_division_by_an_integer_constant_is_exact():
+    third = Fraction(1, 3)
+    omega = parse_algebraic_form("x/3 * dx", FpAlgebra(("x",), []))
+    assert omega.terms[(0,)].terms == {(1,): third}
+    alpha = parse_poly_form("(1 - t1^2)/3 * dt1", 1)
+    num = alpha.terms[(0,)].as_polynomial()
+    assert num.terms == {(0,): third, (2,): -third}
+    assert all(type(c) is Fraction for c in num.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for the exact kernel
+
+NAMES = ("x", "y", "z")
+TARGET = ("t1", "t2", "t3")
+COEFFICIENTS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+def polynomials(variables, max_degree=3, max_terms=4, nonzero=False):
+    exponents = st.tuples(*[st.integers(0, max_degree)] * len(variables)).filter(
+        lambda e: sum(e) <= max_degree
+    )
+    terms = st.dictionaries(exponents, COEFFICIENTS, min_size=int(nonzero), max_size=max_terms)
+    polys = terms.map(lambda t: Polynomial(variables, t))
+    return polys.filter(lambda p: not p.is_zero()) if nonzero else polys
+
+
+@st.composite
+def polynomial_tuples(draw, count, max_degree=3, max_terms=4, nonzero=False):
+    variables = NAMES[: draw(st.integers(1, 3))]
+    poly = polynomials(variables, max_degree, max_terms, nonzero)
+    return variables, [draw(poly) for _ in range(count)]
+
+
+def assert_stored_form(poly):
+    """Every coefficient is a nonzero int or a Fraction with denominator > 1."""
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+        assert c != 0
+
+
+def to_sympy(poly, symbols):
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms, *symbols, domain="QQ")
+
+
+def sympy_terms(expr, symbols):
+    poly = sympy.Poly(expr, *symbols, domain="QQ")
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.as_dict().items() if c}
+
+
+def agrees(poly, expr, symbols):
+    assert_stored_form(poly)
+    return poly.terms == sympy_terms(expr, symbols)
+
+
+ORACLE = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@ORACLE
+@given(polynomial_tuples(2), st.integers(0, 3))
+def test_arithmetic_matches_sympy(drawn, n):
+    variables, (f, g) = drawn
+    symbols = sympy.symbols(variables)
+    F, G = to_sympy(f, symbols), to_sympy(g, symbols)
+    assert agrees(f + g, F + G, symbols)
+    assert agrees(f - g, F - G, symbols)
+    assert agrees(-f, -F, symbols)
+    assert agrees(f * g, F * G, symbols)
+    assert agrees(f**n, F**n, symbols)
+    assert agrees(f.scale(Fraction(3, 2)), F * sympy.Rational(3, 2), symbols)
+    for i, s in enumerate(symbols):
+        assert agrees(f.partial(i), F.diff(s), symbols)
+    if not f.is_zero():
+        assert agrees(f.monic(), F * (1 / F.LC(order="grevlex")), symbols)
+
+
+@ORACLE
+@given(polynomial_tuples(1), st.data())
+def test_substitute_matches_sympy(drawn, data):
+    variables, (f,) = drawn
+    target = TARGET[: data.draw(st.integers(1, 3))]
+    values = [data.draw(polynomials(target, max_degree=2, max_terms=3)) for _ in variables]
+    symbols, target_symbols = sympy.symbols(variables), sympy.symbols(target)
+    expr = f.substitute(values)
+    composed = to_sympy(f, symbols).as_expr().xreplace(
+        {s: to_sympy(v, target_symbols).as_expr() for s, v in zip(symbols, values)}
+    )
+    assert expr.variables == target
+    assert agrees(expr, sympy.expand(composed), target_symbols)
+
+
+@ORACLE
+@given(polynomial_tuples(2))
+def test_divide_exact_matches_sympy(drawn):
+    variables, (f, g) = drawn
+    if g.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f.divide_exact(g)
+        return
+    symbols = sympy.symbols(variables)
+    F, G = to_sympy(f, symbols), to_sympy(g, symbols)
+    quotient = (f * g).divide_exact(g)
+    assert quotient is not None and agrees(quotient, F, symbols)
+    num, den = sympy.fraction(sympy.cancel(F.as_expr() / G.as_expr()))
+    result = f.divide_exact(g)
+    if den.is_number:
+        assert result is not None and agrees(result, num / den, symbols)
+    else:
+        assert result is None
+
+
+@ORACLE
+@given(
+    polynomial_tuples(3, max_degree=2, max_terms=3, nonzero=True),
+    polynomials(NAMES, max_degree=4),
+)
+def test_groebner_and_normal_form_match_sympy(drawn, probe):
+    variables, gens = drawn
+    symbols = sympy.symbols(variables)
+    exprs = [to_sympy(g, symbols).as_expr() for g in gens]
+    basis = groebner_basis(gens)
+    oracle = sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ")
+    for g in basis:
+        assert_stored_form(g)
+    assert sorted(sorted(g.terms.items()) for g in basis) == sorted(
+        sorted(sympy_terms(e, symbols).items()) for e in oracle.exprs
+    )
+    f = Polynomial(variables, {e[: len(variables)]: c for e, c in probe.terms.items()})
+    _, r = sympy.reduced(to_sympy(f, symbols).as_expr(), oracle.exprs, *symbols, order="grevlex")
+    assert agrees(normal_form(f, basis), r, symbols)
