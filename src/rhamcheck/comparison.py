@@ -29,18 +29,18 @@ from .errors import (
     ValidationError,
 )
 from .poly import Polynomial
-from .ratfunc import RationalFunc
+from .ratfunc import RationalFunc, parts
 from .simplex_forms import (
     DEFAULT_QUAD_ORDER,
     PolyForm,
-    _affine_substitution,
+    affine_map,
     differential as d_simplex,
     integrate_exact,
     integrate_numeric,
     parse_poly_form,
+    pull_back,
     pullback_delta,
     simplex_variables,
-    wedge as wedge_simplex,
 )
 from .simplicial import (
     Chain,
@@ -78,11 +78,9 @@ class ParamSimplex:
                 form = parse_poly_form(c, n)
                 if form.degree != 0:
                     raise ParseError("%r is a %d-form, not a scalar" % (c, form.degree))
-                c = form.terms.get((), RationalFunc.constant(variables, 0))
-            elif isinstance(c, Polynomial):
-                c = RationalFunc(c)
-            elif not isinstance(c, RationalFunc):
-                c = RationalFunc.constant(variables, c)
+                c = form.terms.get((), Polynomial.zero(variables))
+            elif not isinstance(c, (Polynomial, RationalFunc)):
+                c = Polynomial.constant(variables, c)
             if c.variables != variables:
                 raise ValueError("component over wrong variables")
             comps.append(c)
@@ -98,7 +96,7 @@ class ParamSimplex:
 
     @property
     def lane(self):
-        return "exact" if all(c.is_polynomial() for c in self.components) else "numeric"
+        return "exact" if all(isinstance(c, Polynomial) for c in self.components) else "numeric"
 
     def validate(self):
         """Exact on-variety check: each generator vanishes after substitution."""
@@ -107,8 +105,8 @@ class ParamSimplex:
         residuals = []
         for j, f in enumerate(self.target.ideal_generators):
             value = self.substitute(f)
-            if not value.num.is_zero():
-                residuals.append((j, value.num))
+            if not value.is_zero():
+                residuals.append((j, parts(value)[0]))
         self._validated = SimplexCertificate(not residuals, residuals)
         return self._validated
 
@@ -129,20 +127,14 @@ class ParamSimplex:
         """Precompose with the affine map of a simplex-category morphism."""
         if h.target != self.n:
             raise ValueError("morphism target does not match simplex dimension")
-        if self.n == 0:
-            values = [c.eval_fraction(()) for c in self.components]
-            comps = [
-                RationalFunc.constant(simplex_variables(h.source), v) for v in values
-            ]
-        else:
-            subs = _affine_substitution(h.values, h.source, self.n)
-            comps = [c.substitute(subs) for c in self.components]
+        substitute, _ = affine_map(h.values, h.source, self.n)
+        comps = [substitute(c) for c in self.components]
         return ParamSimplex(h.source, self.target, comps, check=False)
 
     def component_powers(self, index, k):
         """sigma_index ** k by repeated multiplication, cached."""
         if self._powers is None:
-            one = RationalFunc.constant(simplex_variables(self.n), 1)
+            one = Polynomial.constant(simplex_variables(self.n), 1)
             self._powers = [[one] for _ in self.components]
         powers = self._powers[index]
         while len(powers) <= k:
@@ -150,11 +142,12 @@ class ParamSimplex:
         return powers[k]
 
     def substitute(self, f):
-        """f(sigma_1, ..., sigma_m) as a RationalFunc on the simplex."""
+        """f(sigma_1, ..., sigma_m) on the simplex: a Polynomial, or a
+        RationalFunc where a denominator is left."""
         variables = simplex_variables(self.n)
-        total = RationalFunc.constant(variables, 0)
+        total = Polynomial.zero(variables)
         for e, c in sorted(f.terms.items()):
-            piece = RationalFunc.constant(variables, c)
+            piece = Polynomial.constant(variables, c)
             for i, k in enumerate(e):
                 if k:
                     piece = piece * self.component_powers(i, k)
@@ -172,8 +165,7 @@ class ParamSimplex:
         return (
             self.n,
             tuple(
-                (tuple(sorted(c.num.terms.items())), tuple(sorted(c.den.terms.items())))
-                for c in self.components
+                tuple(tuple(sorted(p.terms.items())) for p in parts(c)) for c in self.components
             ),
         )
 
@@ -194,15 +186,8 @@ def pullback_form(sigma, omega):
     if omega.algebra != sigma.target:
         raise AlgebraMismatch("form and simplex over different algebras")
     sigma.ensure_valid()
-    n = sigma.n
-    dcomp = sigma.component_differentials()
-    result = PolyForm.zero(n, omega.degree)
-    for S, coeff in omega.terms.items():
-        term = PolyForm(n, 0, {(): sigma.substitute(coeff)})
-        for i in S:
-            term = wedge_simplex(term, dcomp[i])
-        result = result + term
-    return result
+    return pull_back(omega.terms, omega.degree, sigma.n, sigma.substitute,
+                     sigma.component_differentials())
 
 
 def period(omega, sigma, order=DEFAULT_QUAD_ORDER):

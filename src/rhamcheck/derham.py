@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AlgebraMismatch, NotACocycle, ValidationError
+from .errors import AlgebraMismatch, NotACocycle, ParseError, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast, parse_polynomial
 from .linalg import CohomologyPair, Echelon, SparseMatrix, dense_vector, kernel_image, solve
@@ -419,7 +419,10 @@ def parse_algebraic_form(text, algebra, degree=None):
     A nonzero form keeps its parsed degree; comparing that with a
     declared degree is the caller's job.
     """
-    parsed_degree, terms = eval_form_ast(parse_ast(text), algebra.variables, rational=False)
+    parsed_degree, terms = eval_form_ast(parse_ast(text), algebra.variables)
+    for c in terms.values():
+        if not isinstance(c, Polynomial):
+            raise ParseError("rational coefficient %s in a polynomial-only context" % c)
     form = AlgebraicForm(algebra, parsed_degree, terms)
     if degree is not None and form.is_zero():
         return AlgebraicForm.zero(algebra, degree)

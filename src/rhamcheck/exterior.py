@@ -5,8 +5,9 @@ coefficients: the key S = (i_1 < ... < i_p) stands for the basis element
 dx_{i_1} ^ ... ^ dx_{i_p}.  The functions here apply the sign rules of
 the wedge product and the differential to such dicts.  They need of a
 coefficient only `+`, `*`, `scale`, `is_zero` and `partial`, so the
-same code serves Polynomial coefficients (algebraic forms) and
-RationalFunc coefficients (forms on simplices, form text).
+same code serves Polynomial coefficients (algebraic forms) and the
+Polynomial or RationalFunc coefficients of forms on simplices and of
+form text, mixed in one form.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ of a declared variable, `^` between differentials is the wedge, and `*`
 mixes scalars into forms:
 
     x^2 + y^2 - 1      x*dy - y*dx      2/(1 + t1^2) * dt1      t1*t2 * dt1^dt2
+
+A scalar or form coefficient is a Polynomial, or a RationalFunc where a
+division leaves a denominator that is not constant (see `ratfunc.ratio`).
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from fractions import Fraction
 from .errors import ParseError
 from .exterior import ExteriorForm, wedge_terms
 from .poly import Polynomial, parse_ast
-from .ratfunc import RationalFunc
+from .ratfunc import parts, ratio
 
 
 class _FormValue(ExteriorForm):
-    """Intermediate value: homogeneous form as dict S -> RationalFunc."""
+    """Intermediate value: homogeneous form as dict S -> coefficient."""
 
     __slots__ = ("variables", "degree", "terms")
 
@@ -36,9 +39,12 @@ def _wedge(a, b):
     return a._make(a.degree + b.degree, wedge_terms(a.terms, b.terms))
 
 
+def _divide(a, b):
+    (an, ad), (bn, bd) = parts(a), parts(b)
+    return ratio(an * bd, ad * bn)
+
+
 def _eval(node, variables):
-    """Scalars stay Polynomial, the cheaper type, until a division needs a
-    RationalFunc; form coefficients are always RationalFunc."""
     kind = node[0]
     if kind == "num":
         return Polynomial.constant(variables, node[1])
@@ -48,7 +54,7 @@ def _eval(node, variables):
             return Polynomial.variable(variables, variables.index(name))
         if name.startswith("d") and name[1:] in variables:
             idx = variables.index(name[1:])
-            return _FormValue(variables, 1, {(idx,): RationalFunc.constant(variables, 1)})
+            return _FormValue(variables, 1, {(idx,): Polynomial.constant(variables, 1)})
         raise ParseError("unknown name %r in form text" % name)
     if kind == "neg":
         return -_eval(node[1], variables)
@@ -68,8 +74,6 @@ def _eval(node, variables):
     if kind in ("+", "-"):
         if any(forms):
             a, b = _promote(a, variables), _promote(b, variables)
-        elif not isinstance(a, type(b)):
-            a, b = _rational(a), _rational(b)
         try:
             return a + b.scale(1 if kind == "+" else -1)
         except ValueError as exc:
@@ -78,50 +82,34 @@ def _eval(node, variables):
         if all(forms):
             return _wedge(a, b)
         if forms[0]:
-            return a._make(a.degree, {S: c * _rational(b) for S, c in a.terms.items()})
+            return a._make(a.degree, {S: c * b for S, c in a.terms.items()})
         if forms[1]:
-            return b._make(b.degree, {S: _rational(a) * c for S, c in b.terms.items()})
-        return a * b if isinstance(a, type(b)) else _rational(a) * _rational(b)
+            return b._make(b.degree, {S: a * c for S, c in b.terms.items()})
+        return a * b
     if kind == "/":
         if forms[1]:
             raise ParseError("cannot divide by a form")
         if b.is_zero():
             raise ParseError("division by zero")
-        if forms[0]:
-            return a._make(a.degree, {S: c / b for S, c in a.terms.items()})
         if isinstance(b, Polynomial) and b.is_constant():
             return a.scale(Fraction(1, b.constant_value()))
-        return _rational(a) / b
+        if forms[0]:
+            return a._make(a.degree, {S: _divide(c, b) for S, c in a.terms.items()})
+        return _divide(a, b)
     raise ParseError("bad expression node %r" % (node,))
-
-
-def _rational(value):
-    return RationalFunc(value) if isinstance(value, Polynomial) else value
 
 
 def _promote(value, variables):
     if isinstance(value, _FormValue):
         return value
-    return _FormValue(variables, 0, {(): _rational(value)})
+    return _FormValue(variables, 0, {(): value})
 
 
-def eval_form_ast(node, variables, rational=True):
-    """Evaluate parsed form text to (degree, terms dict S -> coefficient).
-
-    With rational=False the coefficients must be polynomial and come back
-    as Polynomial values; otherwise they are RationalFunc.
-    """
+def eval_form_ast(node, variables):
+    """Evaluate parsed form text to (degree, terms dict S -> coefficient)."""
     variables = tuple(variables)
     value = _promote(_eval(node, variables), variables)
-    if rational:
-        return value.degree, dict(value.terms)
-    terms = {}
-    for S, c in value.terms.items():
-        poly = c.as_polynomial()
-        if poly is None:
-            raise ParseError("rational coefficient %s in a polynomial-only context" % c)
-        terms[S] = poly
-    return value.degree, terms
+    return value.degree, dict(value.terms)
 
 
 def parse_polynomial(text, variables):
@@ -130,7 +118,10 @@ def parse_polynomial(text, variables):
     Division is allowed where it is exact, so '(x^2 - 1)/(x - 1)' reads
     as x + 1; a form of degree >= 1 or a proper fraction is refused.
     """
-    degree, terms = eval_form_ast(parse_ast(text), variables, rational=False)
+    degree, terms = eval_form_ast(parse_ast(text), variables)
     if degree != 0:
         raise ParseError("%r is a %d-form, not a polynomial" % (text, degree))
-    return terms.get((), Polynomial.zero(variables))
+    value = terms.get((), Polynomial.zero(variables))
+    if not isinstance(value, Polynomial):
+        raise ParseError("rational coefficient %s in a polynomial-only context" % value)
+    return value

@@ -22,6 +22,7 @@ the truncated de Rham machinery relies on that.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Number
 from operator import add, neg, sub
 
 from .errors import ParseError, ResourceBudgetExceeded
@@ -175,6 +176,8 @@ class Polynomial:
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
+            if not isinstance(other, Number):
+                return NotImplemented  # a RationalFunc adds itself
             other = Polynomial.constant(self.variables, other)
         self._check(other)
         terms = dict(self.terms)
@@ -197,7 +200,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return self.scale(other) if isinstance(other, Number) else NotImplemented
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():

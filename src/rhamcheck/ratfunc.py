@@ -1,9 +1,15 @@
 """Rational functions on a simplex, with a positivity certificate.
 
-A RationalFunc is a pair of polynomials num/den in the affine simplex
-coordinates t1..tn.  Equality is decided by cross-multiplication, so no
-gcd machinery is needed; normalization only strips content, makes the
-denominator monic, and cancels exact divisions.
+A scalar on a simplex is a Polynomial when its denominator is constant,
+and a RationalFunc, a pair of polynomials num/den in the affine simplex
+coordinates t1..tn, only when it is not: the type is the lane, exact
+or numeric.  `ratio` is the one constructor that decides.  It
+normalizes without gcd machinery: it cancels an exact division, makes
+the denominator monic, and returns a Polynomial when the denominator
+comes out constant.  All RationalFunc arithmetic that can change the
+denominator returns through it, and Polynomial arithmetic hands mixed
+operands to RationalFunc.
+Equality is decided by cross-multiplication.
 
 Denominators are admitted for quadrature when they pass a Polya-style
 certificate: rewritten in barycentric coordinates and multiplied by a
@@ -27,42 +33,42 @@ CERTIFICATE_POWER_BOUND = 6
 CERTIFICATE_CACHE_SIZE = 256
 
 
+def ratio(num, den):
+    """num/den, normalized: a Polynomial when den divides num exactly or is
+    constant, otherwise a RationalFunc with a monic denominator."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.variables != den.variables:
+        raise ValueError("numerator and denominator over different variables")
+    if num.is_zero():
+        return num
+    if den.is_constant():
+        return num.scale(Fraction(1, den.constant_value()))
+    quot = num.divide_exact(den)
+    if quot is not None:
+        return quot
+    _, lc = den.leading_term()
+    if lc != 1:
+        num, den = num.scale(Fraction(1, lc)), den.scale(Fraction(1, lc))
+    return RationalFunc(num, den)
+
+
+def parts(value):
+    """(numerator, denominator) of a Polynomial or a RationalFunc."""
+    if isinstance(value, RationalFunc):
+        return value.num, value.den
+    return value, Polynomial.constant(value.variables, 1)
+
+
 class RationalFunc:
-    """num/den with polynomial entries over a shared variable tuple."""
+    """num/den with a denominator that is not constant; built by `ratio`,
+    which keeps num and den over one variable tuple and den monic."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, normalize=True):
-        if den is None:
-            den = Polynomial.constant(num.variables, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.variables != den.variables:
-            raise ValueError("numerator and denominator over different variables")
+    def __init__(self, num, den):
         self.num = num
         self.den = den
-        if normalize:
-            self._normalize()
-
-    def _normalize(self):
-        if self.num.is_zero():
-            self.den = Polynomial.constant(self.num.variables, 1)
-            return
-        if not self.den.is_constant():
-            quot = self.num.divide_exact(self.den)
-            if quot is not None:
-                self.num = quot
-                self.den = Polynomial.constant(self.num.variables, 1)
-                return
-        _, lc = self.den.leading_term()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            self.num = self.num.scale(inv)
-            self.den = self.den.scale(inv)
-
-    @classmethod
-    def constant(cls, variables, value):
-        return cls(Polynomial.constant(variables, value))
 
     @property
     def variables(self):
@@ -71,88 +77,56 @@ class RationalFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_polynomial(self):
-        return self.den.is_constant()
-
-    def as_polynomial(self):
-        if not self.is_polynomial():
-            return None
-        return self.num.scale(Fraction(1) / self.den.constant_value())
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
+        if not isinstance(other, RationalFunc):
+            if isinstance(other, Polynomial) and other.is_zero():
+                return self
+            return ratio(self.num + other * self.den, self.den)
         # denominators are usually powers of the same factors; dividing one
         # into the other keeps sums from blowing up quadratically
         quot = other.den.divide_exact(self.den)
         if quot is not None:
-            return RationalFunc(self.num * quot + other.num, other.den)
+            return ratio(self.num * quot + other.num, other.den)
         quot = self.den.divide_exact(other.den)
         if quot is not None:
-            return RationalFunc(self.num + other.num * quot, self.den)
-        return RationalFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            return ratio(self.num + other.num * quot, self.den)
+        return ratio(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunc(-self.num, self.den, normalize=False)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return RationalFunc(-self.num, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunc(self.num * other.num, self.den * other.den)
+        if isinstance(other, RationalFunc):
+            return ratio(self.num * other.num, self.den * other.den)
+        return ratio(self.num * other, self.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunc(self.num * other.den, self.den * other.num)
-
     def __pow__(self, n):
-        if n < 0:
-            return RationalFunc(self.den, self.num) ** (-n)
-        return RationalFunc(self.num**n, self.den**n)
+        return ratio(self.num**n, self.den**n)
 
     def scale(self, scalar):
-        return RationalFunc(self.num.scale(scalar), self.den, normalize=False)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunc):
-            if other.variables != self.variables:
-                raise ValueError("rational functions over different variables")
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunc(other)
-        return RationalFunc.constant(self.variables, other)
+        if scalar == 0:
+            return Polynomial.zero(self.variables)
+        return RationalFunc(self.num.scale(scalar), self.den)
 
     def __eq__(self, other):
-        if not isinstance(other, (RationalFunc, Polynomial, int, Fraction)):
+        if not isinstance(other, RationalFunc):
             return NotImplemented
-        other = self._coerce(other)
         return (self.num * other.den) == (other.num * self.den)
 
     def partial(self, index):
         """Quotient rule derivative with respect to variable `index`."""
-        return RationalFunc(
+        return ratio(
             self.num.partial(index) * self.den - self.num * self.den.partial(index),
             self.den * self.den,
         )
 
     def substitute(self, values):
         """Substitute polynomials for the variables (e.g. affine maps)."""
-        return RationalFunc(self.num.substitute(values), self.den.substitute(values))
+        return ratio(self.num.substitute(values), self.den.substitute(values))
 
     def eval_fraction(self, point):
         den = self.den.eval_fraction(point)
@@ -162,15 +136,13 @@ class RationalFunc:
 
     def certify_denominator(self, power_bound=CERTIFICATE_POWER_BOUND):
         """Check the positivity certificate; raises DenominatorVanishes."""
-        if not self.is_polynomial() and not _has_certificate(self.den, power_bound):
+        if not _has_certificate(self.den, power_bound):
             raise DenominatorVanishes(
                 "no positivity certificate for denominator %s" % self.den
             )
         return True
 
     def __str__(self):
-        if self.is_polynomial():
-            return str(self.as_polynomial())
         num = str(self.num)
         if len(self.num.terms) > 1:
             num = "(%s)" % num

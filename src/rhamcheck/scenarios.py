@@ -216,6 +216,14 @@ class Scenario:
             _match_degree(where, "%s ^ %s" % (p["form1"], p["form2"]),
                           forms[p["form1"]].degree + forms[p["form2"]].degree,
                           "chain %s" % p["chain"], chains[p["chain"]].degree)
+        elif kind == "simplicial_cohomology" and len(p["dims"]) > p["complex"].dimension + 1:
+            raise ValidationError("%s: dims: %d degrees, but %s has cohomology only in degrees "
+                                  "0..%d" % (where, len(p["dims"]), p["complex"].name,
+                                             p["complex"].dimension))
+        elif kind == "coboundary_pairing" and p["complex"].dimension < 1:
+            raise ValidationError("%s: complex: the cycle of %s has degree 0, which no "
+                                  "coboundary reaches; use boundary<k>, k >= 2"
+                                  % (where, p["complex"].name))
 
 
 def _label(kind, name):

@@ -3,9 +3,9 @@
 The standard n-simplex carries affine coordinates t1..tn with the
 barycentric coordinate of vertex 0 eliminated (t0 = 1 - sum t_i), so
 vertex 0 sits at the origin and vertex k at the k-th unit vector.
-Forms are dictionaries from index sets to coefficients; coefficients
-are rational functions whose denominators need a positivity certificate
-before quadrature (polynomials are the exact lane).
+Forms are dictionaries from index sets to coefficients.  A coefficient
+is a Polynomial (the exact lane) or a RationalFunc, whose denominator is
+not constant and needs a positivity certificate before quadrature.
 
 This module supplies the dg-algebra operations, cosimplicial pullback,
 exact and Gauss-Legendre/Duffy integration, the cone contraction to
@@ -33,12 +33,13 @@ from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_
 from .formtext import eval_form_ast
 from .linalg import CohomologyPair, Echelon, SparseMatrix, kernel_image
 from .poly import Polynomial, drl_key, parse_ast
-from .ratfunc import RationalFunc
+from .ratfunc import RationalFunc, parts
 from .simplicial import Cochain, DeltaMorphism, standard_simplex
 
 DEFAULT_QUAD_ORDER = 16
 QUAD_CROSS_CHECK_STEP = 4
 QUAD_RULE_CACHE_SIZE = 32  # (n, order) rules kept; a run uses a handful
+AFFINE_MAP_CACHE_SIZE = 256  # (vertex map, m, n) maps kept; faces of small simplices
 
 
 def simplex_variables(n):
@@ -57,10 +58,8 @@ class PolyForm(ExteriorForm):
         clean = {}
         for S, coeff in terms.items():
             S = check_index_set(S, degree, n)
-            if isinstance(coeff, Polynomial):
-                coeff = RationalFunc(coeff)
-            elif not isinstance(coeff, RationalFunc):
-                coeff = RationalFunc.constant(variables, coeff)
+            if not isinstance(coeff, (Polynomial, RationalFunc)):
+                coeff = Polynomial.constant(variables, coeff)
             if coeff.variables != variables:
                 raise ValueError("coefficient over wrong variables")
             if not coeff.is_zero():
@@ -73,28 +72,20 @@ class PolyForm(ExteriorForm):
 
     @classmethod
     def constant(cls, n, value):
-        return cls(n, 0, {(): RationalFunc.constant(simplex_variables(n), value)})
+        return cls(n, 0, {(): Polynomial.constant(simplex_variables(n), value)})
 
     @property
     def variables(self):
         return simplex_variables(self.n)
 
     def is_polynomial(self):
-        return all(c.is_polynomial() for c in self.terms.values())
+        return all(isinstance(c, Polynomial) for c in self.terms.values())
 
     def polynomial_terms(self):
-        """terms with Polynomial coefficients; raises on the rational lane."""
-        out = {}
-        for S, c in self.terms.items():
-            p = c.as_polynomial()
-            if p is None:
-                raise NonPolynomialCoefficient("coefficient %s is not polynomial" % c)
-            out[S] = p
-        return out
-
-    def coefficient_degree(self):
-        degs = [c.num.total_degree() for c in self.terms.values()]
-        return max(degs) if degs else -1
+        """terms, whose coefficients are all Polynomial; raises on the rational lane."""
+        if not self.is_polynomial():
+            raise NonPolynomialCoefficient("form %s is not polynomial" % self)
+        return self.terms
 
     def _check(self, other):
         if self.n != other.n:
@@ -122,7 +113,7 @@ class PolyForm(ExteriorForm):
 
 def parse_poly_form(text, n):
     """Parse form text in t1..tn, e.g. '2/(1 + t1^2) * dt1'."""
-    degree, terms = eval_form_ast(parse_ast(text), simplex_variables(n), rational=True)
+    degree, terms = eval_form_ast(parse_ast(text), simplex_variables(n))
     return PolyForm(n, degree, terms)
 
 
@@ -141,54 +132,49 @@ def differential(alpha):
 # cosimplicial structure
 
 
-def _affine_substitution(vertex_map, m, n):
-    """Polynomials s_1..s_n over t1..tm for the affine map of a vertex map.
+def pull_back(terms, degree, n, substitute, differentials):
+    """The substitution morphism x_i -> s_i, dx_i -> ds_i on a form's terms.
 
-    vertex_map sends vertex i of the m-simplex to vertex vertex_map[i] of
-    the n-simplex; barycentric u_j pulls back to the sum of the u_i over
-    the preimage, which this rewrites in affine coordinates.
+    `substitute(c)` is the coefficient c with the s_i put in, over the
+    coordinates of the n-simplex, and `differentials[i]` is the 1-form
+    ds_i there; the pullback of the form is the sum over its terms of
+    substitute(c) ^ ds_{i_1} ^ ... ^ ds_{i_p}.
+    """
+    result = PolyForm.zero(n, degree)
+    for S, coeff in terms.items():
+        term = PolyForm(n, 0, {(): substitute(coeff)})
+        for i in S:
+            term = wedge(term, differentials[i])
+        result = result + term
+    return result
+
+
+@lru_cache(maxsize=AFFINE_MAP_CACHE_SIZE)
+def affine_map(vertex_map, m, n):
+    """(substitute, differentials) of the affine map of a vertex map.
+
+    vertex_map (a tuple) sends vertex i of the m-simplex to vertex
+    vertex_map[i] of the n-simplex; barycentric u_j pulls back to the
+    sum of the u_i over the preimage, which this rewrites in affine
+    coordinates s_1..s_n over t1..tm.  The pair is what `pull_back`
+    takes: `substitute` puts the s_j into a coefficient in t1..tn.
     """
     variables = simplex_variables(m)
-    one = Polynomial.constant(variables, 1)
-    t0 = one
+    if n == 0:
+        # a scalar on the point is a constant, which substitute() cannot move
+        return (lambda c: Polynomial.constant(variables, c.eval_fraction(()))), ()
+    t0 = Polynomial.constant(variables, 1)
     for i in range(m):
         t0 = t0 - Polynomial.variable(variables, i)
     subs = []
     for j in range(1, n + 1):
         s = Polynomial.zero(variables)
         for i, v in enumerate(vertex_map):
-            if v != j:
-                continue
-            s = s + (t0 if i == 0 else Polynomial.variable(variables, i - 1))
+            if v == j:
+                s = s + (t0 if i == 0 else Polynomial.variable(variables, i - 1))
         subs.append(s)
-    return subs
-
-
-def _linear_part(subs, m):
-    """Constant Jacobian entries c[j][i] = d(s_j)/d(t_i) of an affine map."""
-    out = []
-    for s in subs:
-        row = []
-        for i in range(m):
-            p = s.partial(i)
-            row.append(p.constant_value() if not p.is_zero() else Fraction(0))
-        out.append(row)
-    return out
-
-
-def _det(matrix):
-    size = len(matrix)
-    if size == 0:
-        return Fraction(1)
-    if size == 1:
-        return matrix[0][0]
-    total = Fraction(0)
-    for j in range(size):
-        if matrix[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        total += (-1) ** j * matrix[0][j] * _det(minor)
-    return total
+    differentials = tuple(differential(PolyForm(m, 0, {(): s})) for s in subs)
+    return (lambda c: c.substitute(subs)), differentials
 
 
 def pullback_affine(vertex_map, alpha, m):
@@ -196,29 +182,7 @@ def pullback_affine(vertex_map, alpha, m):
     n = alpha.n
     if len(vertex_map) != m + 1 or any(not 0 <= v <= n for v in vertex_map):
         raise ValueError("bad vertex map")
-    if n == 0:
-        # constants on the point pull back to constants
-        variables = simplex_variables(m)
-        terms = {
-            S: RationalFunc.constant(variables, c.eval_fraction(()))
-            for S, c in alpha.terms.items()
-        }
-        return PolyForm(m, alpha.degree, terms)
-    subs = _affine_substitution(vertex_map, m, n)
-    jac = _linear_part(subs, m)
-    terms = {}
-    for S, c in alpha.terms.items():
-        c_sub = c.substitute(subs)
-        if c_sub.is_zero():
-            continue
-        for T in combinations(range(m), alpha.degree):
-            minor = [[jac[j][i] for i in T] for j in S]
-            det = _det(minor)
-            if det == 0:
-                continue
-            value = c_sub.scale(det)
-            terms[T] = terms[T] + value if T in terms else value
-    return PolyForm(m, alpha.degree, terms)
+    return pull_back(alpha.terms, alpha.degree, m, *affine_map(tuple(vertex_map), m, n))
 
 
 def pullback_delta(h, alpha):
@@ -249,11 +213,10 @@ def integrate_exact(alpha):
     coeff = alpha.terms.get(tuple(range(n)))
     if coeff is None:
         return Fraction(0)
-    poly = coeff.as_polynomial()
-    if poly is None:
+    if not isinstance(coeff, Polynomial):
         raise NonPolynomialCoefficient("exact integration needs polynomial input")
     total = Fraction(0)
-    for e, c in poly.terms.items():
+    for e, c in coeff.terms.items():
         num = 1
         for k in e:
             num *= factorial(k)
@@ -319,10 +282,11 @@ def _quad_value(alpha, order):
     if coeff is None:
         return 0.0
     rule = _duffy_points(alpha.n, order)
-    den = rule.evaluate(coeff.den)
+    num, den = parts(coeff)
+    den = rule.evaluate(den)
     if not den.all():
         raise ZeroDivisionError("denominator vanished at quadrature node")
-    return fsum((rule.weights * (rule.evaluate(coeff.num) / den)).tolist())
+    return fsum((rule.weights * (rule.evaluate(num) / den)).tolist())
 
 
 def integrate_numeric(alpha, order=DEFAULT_QUAD_ORDER):
@@ -338,7 +302,8 @@ def integrate_numeric(alpha, order=DEFAULT_QUAD_ORDER):
     if alpha.degree != n:
         raise NotTopDegree("degree %d form on a %d-simplex" % (alpha.degree, n))
     for c in alpha.terms.values():
-        c.certify_denominator()
+        if isinstance(c, RationalFunc):
+            c.certify_denominator()
     value = _quad_value(alpha, order)
     check = _quad_value(alpha, order + QUAD_CROSS_CHECK_STEP)
     return value, abs(value - check)
@@ -376,9 +341,8 @@ def cone_homotopy(alpha):
                 bumped = list(e)
                 bumped[i] += 1
                 mono = Polynomial(variables, {tuple(bumped): scaled * ((-1) ** a)})
-                contrib = RationalFunc(mono)
-                terms[T] = terms[T] + contrib if T in terms else contrib
-    return PolyForm(alpha.n, p - 1, {S: c for S, c in terms.items() if not c.is_zero()})
+                terms[T] = terms[T] + mono if T in terms else mono
+    return PolyForm(alpha.n, p - 1, terms)
 
 
 def homotopy_defect(alpha):
@@ -603,15 +567,10 @@ class FamilyComplex:
                         return row_index[key]
 
                     for col, e, S in by_simplex.get(s, ()):
-                        form = PolyForm(
-                            d,
-                            q,
-                            {S: RationalFunc(Polynomial(simplex_variables(d), {e: Fraction(1)}))},
-                        )
+                        form = PolyForm(d, q, {S: Polynomial(simplex_variables(d), {e: 1})})
                         pulled = pullback_delta(DeltaMorphism.face(d, i), form)
                         for T, c in pulled.terms.items():
-                            poly = c.as_polynomial()
-                            for ee, value in poly.terms.items():
+                            for ee, value in c.terms.items():
                                 r = row_for((ee, T))
                                 entries[(r, col)] = entries.get((r, col), Fraction(0)) + value
                     for col, e, S in by_simplex.get(face, ()):
@@ -664,7 +623,7 @@ class FamilyComplex:
             d = self.complex.dim_of[s]
             form = assignment.get(s, PolyForm.zero(d, q))
             mono = Polynomial(simplex_variables(d), {e: value})
-            form = form + PolyForm(d, q, {S: RationalFunc(mono)})
+            form = form + PolyForm(d, q, {S: mono})
             assignment[s] = form
         for d, ids in self.complex.simplices.items():
             for s in ids:
@@ -695,10 +654,11 @@ def _radial_extension(gamma, n):
     variables = simplex_variables(n)
     q = gamma.degree
     s = Polynomial.constant(variables, 1) - Polynomial.variable(variables, n - 1)
-    coeff_degree = max(0, gamma.coefficient_degree())
+    coeffs = gamma.polynomial_terms()
+    coeff_degree = max([0] + [c.total_degree() for c in coeffs.values()])
     power = coeff_degree + 2 * q + 1
     terms = {}
-    for S, c in gamma.polynomial_terms().items():
+    for S, c in coeffs.items():
         # homogenized coefficient:  c(t/s) * s^coeff_degree  is polynomial
         c_hom = Polynomial.zero(variables)
         for e, value in c.terms.items():
@@ -714,6 +674,6 @@ def _radial_extension(gamma, n):
         slack = power - coeff_degree - 2 * q
         front = c_hom * s**slack
         for T, poly in expansion.items():
-            contrib = RationalFunc(front * poly)
+            contrib = front * poly
             terms[T] = terms[T] + contrib if T in terms else contrib
     return PolyForm(n, q, terms)

@@ -471,9 +471,13 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
          "max_weight: 1 is below degree 2"),
         (_check_text("torsion", {}), "kind: unknown kind 'torsion'"),
         (LINE.format("", "").replace("kind \n", ""), "kind: missing required key"),
+        (_check_text("simplicial_cohomology", {"complex": "boundary2", "dims": "1 1 0"}),
+         "dims: 3 degrees, but boundary2 has cohomology only in degrees 0..1"),
+        (_check_text("coboundary_pairing", {"complex": "boundary1"}),
+         "complex: the cycle of boundary1 has degree 0"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight", "kind",
-         "no_kind"],
+         "no_kind", "dims_above_dimension", "coboundary_of_degree_0"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none divides an int literal by a value that may itself be an int."""
+none divides an int literal by a value that may itself be an int, and
+none but `ratfunc` builds a RationalFunc directly."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,30 @@ def test_int_literal_divisions_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_divides_no_int_literal(path):
     assert int_literal_divisions(path.read_text(encoding="utf-8")) == []
+
+
+def rational_func_calls(source):
+    """Lines of `source` that call RationalFunc(...) directly.
+
+    A scalar is a Polynomial whenever its denominator is constant, and
+    only `ratfunc.ratio` decides that; a direct call could wrap a
+    polynomial or skip the normalization.
+    """
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "RationalFunc"
+             or getattr(node.func, "attr", None) == "RationalFunc")
+    )
+
+
+def test_rational_func_calls_are_found():
+    source = "a = RationalFunc(p)\nb = ratio(p, q)\nc = ratfunc.RationalFunc(p, q)\nd = RationalFunc\n"
+    assert rational_func_calls(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ratfunc.py"],
+                         ids=[p.stem for p in MODULES if p.name != "ratfunc.py"])
+def test_module_builds_no_rational_func_directly(path):
+    assert rational_func_calls(path.read_text(encoding="utf-8")) == []

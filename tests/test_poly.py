@@ -149,7 +149,8 @@ def test_division_by_an_integer_constant_is_exact():
     omega = parse_algebraic_form("x/3 * dx", FpAlgebra(("x",), []))
     assert omega.terms[(0,)].terms == {(1,): third}
     alpha = parse_poly_form("(1 - t1^2)/3 * dt1", 1)
-    num = alpha.terms[(0,)].as_polynomial()
+    num = alpha.terms[(0,)]
+    assert isinstance(num, Polynomial)
     assert num.terms == {(0,): third, (2,): -third}
     assert all(type(c) is Fraction for c in num.terms.values())
 
