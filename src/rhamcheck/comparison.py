@@ -129,7 +129,11 @@ class ParamSimplex:
             raise ValueError("morphism target does not match simplex dimension")
         substitute, _ = affine_map(h.values, h.source, self.n)
         comps = [substitute(c) for c in self.components]
-        return ParamSimplex(h.source, self.target, comps, check=False)
+        composed = ParamSimplex(h.source, self.target, comps, check=False)
+        if self._validated:
+            # f(sigma o h) = f(sigma) o h = 0: a valid simplex has valid faces
+            composed._validated = self._validated
+        return composed
 
     def component_powers(self, index, k):
         """sigma_index ** k by repeated multiplication, cached."""

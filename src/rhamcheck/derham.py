@@ -9,6 +9,14 @@ coefficient degree + form degree; the differential preserves it and
 degrevlex normal forms never raise it, so forms of weight <= N are an
 honest subcomplex and truncated cohomology makes sense.
 
+Each degree's relations are built once per algebra: the normal forms
+nf(x^m * df_j/dx_i) are memoised, and the generators m * df_j ^ dx_T go
+weight layer by weight layer into one forward-only echelon, whose rows
+never change.  The stratum of weight <= N reads off the rows inserted up
+to weight N + margin with pivot inside it; they span the relations of
+the stratum (see `_WeightStratum`), so every cutoff gets the rows of a
+build from scratch, whatever was requested before it.
+
 Truncated dimensions are evidence, not theorems: a `stabilized` flag
 records whether two consecutive cutoffs agree.
 """
@@ -19,9 +27,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import AlgebraMismatch, NotACocycle, ParseError, ValidationError
-from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
+from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, insert_index, wedge_terms
 from .formtext import eval_form_ast, parse_polynomial
-from .linalg import CohomologyPair, Echelon, SparseMatrix, dense_vector, kernel_image, solve
+from .linalg import (CohomologyPair, Echelon, SparseMatrix, dense_vector, insert_forward,
+                     kernel_image, solve)
 from .poly import Polynomial, drl_key, groebner_basis, monomial_divides, normal_form, parse_ast
 
 
@@ -44,10 +53,12 @@ class FpAlgebra:
             if not normal_form(g, self.groebner).is_zero():
                 raise AssertionError("Groebner basis does not reduce generator %s" % g)
         self._lead_monomials = [g.leading_term()[0] for g in self.groebner]
-        self._std_cache = {}
+        self._std_layers = [[(0,) * self.nvars]]
+        self._multiples = {}
+        self._relation_sets = {}
         self._stratum_cache = {}
         # margin of extra enumeration weight when intersecting the relation
-        # submodule with a weight stratum; see _stratum
+        # submodule with a weight stratum; see _WeightStratum
         degs = [g.total_degree() for g in gens]
         self.relation_margin = (max(degs) + 1) if degs else 1
 
@@ -61,25 +72,29 @@ class FpAlgebra:
     def is_standard(self, monomial):
         return not any(monomial_divides(lm, monomial) for lm in self._lead_monomials)
 
-    def standard_monomials(self, max_degree):
-        """Monomials of degree <= max_degree outside the leading-term ideal."""
-        if max_degree in self._std_cache:
-            return self._std_cache[max_degree]
-        out = []
-        current = [(0,) * self.nvars]
-        out.extend(current)
-        for _ in range(max_degree):
-            nxt = set()
-            for e in current:
-                for i in range(self.nvars):
-                    bumped = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                    if self.is_standard(bumped):
-                        nxt.add(bumped)
-            current = sorted(nxt)
-            out.extend(current)
-        out.sort(key=lambda e: (sum(e), drl_key(e)))
-        self._std_cache[max_degree] = out
-        return out
+    def standard_layer(self, degree):
+        """Standard monomials of exactly `degree`, in degrevlex order, each
+        layer from the one below (a divisor of a standard monomial is standard)."""
+        layers = self._std_layers
+        while len(layers) <= degree:
+            bumped = {e[:i] + (e[i] + 1,) + e[i + 1 :]
+                      for e in layers[-1] for i in range(self.nvars)}
+            layers.append(sorted(filter(self.is_standard, bumped), key=drl_key))
+        return layers[degree]
+
+    def multiple(self, j, i, m):
+        """nf(x^m * df_j/dx_i), memoised; built as nf(x_k * nf(x^(m - e_k) *
+        df_j/dx_i)), since a normal form is unique modulo the ideal."""
+        key = (j, i, m)
+        if key not in self._multiples:
+            k = next((k for k, e in enumerate(m) if e), None)
+            if k is None:
+                value = self.nf(self.ideal_generators[j].partial(i))
+            else:
+                lower = self.multiple(j, i, m[:k] + (m[k] - 1,) + m[k + 1 :])
+                value = self.nf(Polynomial.variable(self.variables, k) * lower)
+            self._multiples[key] = value
+        return self._multiples[key]
 
     def __eq__(self, other):
         return (
@@ -200,14 +215,73 @@ def differential(omega):
     return AlgebraicForm(omega.algebra, omega.degree + 1, d_terms(omega.terms, omega.algebra.nvars))
 
 
+class _DegreeRelations:
+    """The relation generators of degree-p forms, grown one weight layer at a time.
+
+    Layer w appends the (standard monomial, index set) pairs of weight w
+    to `basis`, ordered by monomial in degrevlex, then index set; then
+    it inserts each generator m * df_j ^ dx_T of weight w into the
+    forward-only echelon `rows` (its normal form has weight <= w).
+    `ends[w]` is (basis size, rows inserted) once layer w is in.
+    """
+
+    def __init__(self, algebra, p):
+        self.algebra = algebra
+        self.p = p
+        self.basis = []
+        self.index = {}
+        self.rows = {}
+        self.pivots = []  # in the order the rows were inserted
+        self.ends = {}
+        self._level = p - 1
+        self._index_sets = list(combinations(range(algebra.nvars), p))
+        self._sub_sets = list(combinations(range(algebra.nvars), p - 1)) if p else []
+
+    def grow(self, level):
+        algebra, p = self.algebra, self.p
+        zero = (0,) * algebra.nvars
+        while self._level < level:
+            self._level = w = self._level + 1
+            for m in algebra.standard_layer(w - p):
+                for S in self._index_sets:
+                    self.index[(m, S)] = len(self.basis)
+                    self.basis.append((m, S))
+            for j, f in enumerate(algebra.ideal_generators):
+                degree = w - p - f.total_degree() + 1
+                if degree < 0:
+                    continue
+                # m * df_j ^ dx_T = sum_i m * df_j/dx_i dx_i ^ dx_T, as (i, sign, S) per T
+                partials = [i for i in range(algebra.nvars)
+                            if not algebra.multiple(j, i, zero).is_zero()]
+                wedges = [[(i,) + insert_index(i, T) for i in partials if i not in T]
+                          for T in self._sub_sets]
+                for m in algebra.standard_layer(degree):
+                    for terms in wedges:
+                        vec = {}
+                        for i, sign, S in terms:
+                            for e, c in algebra.multiple(j, i, m).terms.items():
+                                vec[self.index[(e, S)]] = sign * c
+                        pivot = insert_forward(self.rows, vec)
+                        if pivot is not None:
+                            self.pivots.append(pivot)
+            self.ends[w] = (len(self.basis), len(self.pivots))
+
+
 class _WeightStratum:
     """Basis and relation echelon for degree-p forms of weight <= N.
 
-    Basis vectors are (standard monomial, index set) pairs ordered by
-    (weight, monomial, index set).  The relation submodule is spanned by
-    nf-images of m * df_j ^ dx_T; generators are enumerated up to an
-    extra weight margin and then intersected with the stratum, so that a
-    low-weight combination of high-weight generators is still caught.
+    The basis is the weight <= N prefix of the degree's basis.  The
+    relation submodule is spanned by the nf-images of m * df_j ^ dx_T;
+    generators up to weight N + margin are intersected with the stratum,
+    so that a low-weight combination of high-weight generators is caught.
+
+    Exactness: the rows of the degree's echelon inserted up to layer
+    N + margin are an echelon basis of those generators' span, since a
+    forward-only row never changes.  Where each row's pivot is its
+    largest index, a vector of the span is a combination of the rows
+    with pivot at most its own largest index; so span ∩ prefix is
+    spanned by the rows with pivot < size.  `relations` is their reduced
+    echelon basis, which is unique.
     """
 
     def __init__(self, algebra, p, n_cutoff):
@@ -215,64 +289,26 @@ class _WeightStratum:
             raise ValueError("weight cutoff below form degree")
         self.algebra = algebra
         self.p = p
-        self.n_cutoff = n_cutoff
-        margin = algebra.relation_margin
-        extended = n_cutoff + margin
-        index_sets = list(combinations(range(algebra.nvars), p))
-        monos_ext = algebra.standard_monomials(max(extended - p, 0))
-        self.ext_basis = []
-        for m in monos_ext:
-            for S in index_sets:
-                self.ext_basis.append((m, S))
-        self.ext_basis.sort(key=lambda b: (sum(b[0]) + p, drl_key(b[0]), b[1]))
-        self.ext_index = {b: i for i, b in enumerate(self.ext_basis)}
-        self.size_ext = len(self.ext_basis)
-        # stratum proper: the weight <= N prefix
-        self.size = sum(1 for m, _ in self.ext_basis if sum(m) + p <= n_cutoff)
-        self.basis = self.ext_basis[: self.size]
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        self._build_relations(extended)
-
-    def _build_relations(self, extended):
-        algebra = self.algebra
-        p = self.p
-        echelon = Echelon()
-        if p >= 1:
-            sub_sets = list(combinations(range(algebra.nvars), p - 1))
-            for j, f in enumerate(algebra.ideal_generators):
-                dcap = extended - p - (f.total_degree() - 1)
-                if dcap < 0:
-                    continue
-                # df_j ^ dx_T = d(f_j dx_T), coefficients in normal form
-                relations = [
-                    {S: algebra.nf(c) for S, c in d_terms({T: f}, algebra.nvars).items()}
-                    for T in sub_sets
-                ]
-                for m in algebra.standard_monomials(dcap):
-                    mono = Polynomial(algebra.variables, {m: Fraction(1)})
-                    for relation in relations:
-                        vec = {}
-                        for S, partial in relation.items():
-                            for e, c in algebra.nf(mono * partial).terms.items():
-                                idx = self.ext_index.get((e, S))
-                                if idx is None:
-                                    raise AssertionError(
-                                        "relation generator escaped the extended stratum"
-                                    )
-                                vec[idx] = c
-                        if vec:
-                            echelon.add(vec)
-        # intersect with the stratum: the rows lying entirely in the prefix,
-        # those whose pivot (their largest index) is below the stratum size
-        self.relations = Echelon(row for pivot, row in echelon.rows.items() if pivot < self.size)
+        extended = n_cutoff + algebra.relation_margin
+        if p not in algebra._relation_sets:
+            algebra._relation_sets[p] = _DegreeRelations(algebra, p)
+        degree_relations = algebra._relation_sets[p]
+        degree_relations.grow(extended)
+        self.size = degree_relations.ends[n_cutoff][0]
+        self.basis = degree_relations.basis[: self.size]
+        self.index = degree_relations.index  # of the whole grown basis: check idx < size
+        inserted = degree_relations.pivots[: degree_relations.ends[extended][1]]
+        self.relations = Echelon(
+            degree_relations.rows[pivot] for pivot in sorted(inserted) if pivot < self.size
+        )
 
     def vector_of(self, omega):
         """Coordinates of a (coefficient-normalized) form in this stratum."""
         vec = {}
         for S, c in omega.terms.items():
             for e, coeff in c.terms.items():
-                idx = self.index.get((e, S))
-                if idx is None:
+                idx = self.index.get((e, S), self.size)
+                if idx >= self.size:
                     raise ValueError("form does not fit in the weight stratum")
                 vec[idx] = vec.get(idx, Fraction(0)) + coeff
         return vec
@@ -283,7 +319,7 @@ class _WeightStratum:
         for idx, coeff in items:
             if not coeff:
                 continue
-            m, S = self.ext_basis[idx]
+            m, S = self.basis[idx]
             poly = Polynomial(self.algebra.variables, {m: coeff})
             if S in terms:
                 terms[S] = terms[S] + poly
@@ -340,18 +376,13 @@ class TruncatedCohomology:
         self.stabilized = False
         if n_cutoff > p:
             prev_pair, prev_stratum = _truncated_pair(algebra, p, n_cutoff - 1)
-            if prev_pair.dimension == self.dimension and self.dimension >= 0:
+            if prev_pair.dimension == self.dimension:
                 lifted = [prev_stratum.form_of(v) for v in prev_pair.representatives]
-                coord_rows = []
-                ok = True
-                for form in lifted:
-                    try:
-                        coords, _ = self._class_in_pair(form)
-                    except NotACocycle:
-                        ok = False
-                        break
-                    coord_rows.append(coords)
-                if ok and _invertible(coord_rows):
+                try:
+                    coord_rows = [self._class_in_pair(form)[0] for form in lifted]
+                except NotACocycle:
+                    coord_rows = None
+                if coord_rows is not None and _invertible(coord_rows):
                     self.stabilized = True
                     reps = lifted
         self.representatives = reps
@@ -396,13 +427,8 @@ def _truncated_pair(algebra, p, n_cutoff):
 
 
 def _invertible(rows):
-    if not rows:
-        return True
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    _, _, rank = kernel_image(SparseMatrix.from_rows(rows))
-    return rank == n
+    """Whether the square matrix of these rows has full rank."""
+    return not rows or kernel_image(SparseMatrix.from_rows(rows))[2] == len(rows)
 
 
 def truncated_cohomology(algebra, p, n_cutoff):

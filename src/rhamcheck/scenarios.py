@@ -220,6 +220,10 @@ class Scenario:
             raise ValidationError("%s: dims: %d degrees, but %s has cohomology only in degrees "
                                   "0..%d" % (where, len(p["dims"]), p["complex"].name,
                                              p["complex"].dimension))
+        elif kind == "aw_laws" and p["complex"].dimension < 1:
+            raise ValidationError("%s: complex: %s has only vertices, where the cup product "
+                                  "commutes; aw_laws needs dimension >= 1"
+                                  % (where, p["complex"].name))
         elif kind == "coboundary_pairing" and p["complex"].dimension < 1:
             raise ValidationError("%s: complex: the cycle of %s has degree 0, which no "
                                   "coboundary reaches; use boundary<k>, k >= 2"

@@ -475,9 +475,12 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
          "dims: 3 degrees, but boundary2 has cohomology only in degrees 0..1"),
         (_check_text("coboundary_pairing", {"complex": "boundary1"}),
          "complex: the cycle of boundary1 has degree 0"),
+        (_check_text("aw_laws", {"complex": "delta0"}), "complex: delta0 has only vertices"),
+        (_check_text("aw_laws", {"complex": "boundary1"}), "complex: boundary1 has only vertices"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight", "kind",
-         "no_kind", "dims_above_dimension", "coboundary_of_degree_0"],
+         "no_kind", "dims_above_dimension", "coboundary_of_degree_0", "aw_laws_on_delta0",
+         "aw_laws_on_boundary1"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)

@@ -330,3 +330,37 @@ def test_multiplicativity_torus_flagship():
     lhs, rhs, estimate = multiplicativity_check(omega1, omega2, family, cycle, order=16)
     assert abs(lhs - (2 * math.pi) ** 2) < 1e-4
     assert abs(lhs - rhs) < 1e-6
+
+
+def test_faces_of_a_valid_simplex_are_not_validated_again(monkeypatch):
+    """Only the scenario's own simplices substitute the ideal generators."""
+    calls = []
+    substitute = ParamSimplex.substitute
+
+    def counting(self, f):
+        calls.append((self.name, f))
+        return substitute(self, f)
+
+    monkeypatch.setattr(ParamSimplex, "substitute", counting)
+    torus = load_builtin("torus")
+    family, cycle = torus.families["grid"], torus.chains["z"]
+    generators = family.target.ideal_generators
+    omega1 = parse_algebraic_form("x*dy - y*dx", family.target)
+    omega2 = parse_algebraic_form("z*dw - w*dz", family.target)
+    multiplicativity_check(omega1, omega2, family, cycle, order=8)
+    validated = [name for name, f in calls if f in generators]
+    given = [name for name in family.simplex_of if "/" not in name]
+    assert len(given) == 32 and len(family.simplex_of) > len(given)
+    assert sorted(validated) == sorted(given * len(generators))
+
+
+def test_face_of_an_invalid_simplex_still_raises():
+    algebra = load_builtin("circle").algebra
+    x = parse_algebraic_form("x", algebra)
+    unchecked = ParamSimplex(1, algebra, ["t1", "t1"], check=False)
+    with pytest.raises(InvalidSimplex):
+        pullback_form(unchecked.face(0), x)
+    assert not unchecked.validate()
+    for i in (0, 1):
+        with pytest.raises(InvalidSimplex):
+            pullback_form(unchecked.face(i), x)

@@ -2,9 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rhamcheck import derham
 from rhamcheck.derham import (
     AlgebraicForm,
     FpAlgebra,
@@ -16,8 +21,10 @@ from rhamcheck.derham import (
     wedge,
 )
 from rhamcheck.errors import AlgebraMismatch
+from rhamcheck.exterior import d_terms
 from rhamcheck.formtext import parse_polynomial
-from rhamcheck.poly import Polynomial
+from rhamcheck.linalg import Echelon
+from rhamcheck.poly import Polynomial, drl_key
 
 
 def free_xy():
@@ -33,8 +40,6 @@ def circle():
 
 
 def random_form(rng, algebra, degree, max_coeff_degree=3):
-    from itertools import combinations
-
     terms = {}
     for S in combinations(range(algebra.nvars), degree):
         if rng.random() < 0.7:
@@ -275,3 +280,177 @@ def test_truncation_consistency_when_stabilized():
         expected = [Fraction(0)] * h.dimension
         expected[i] = Fraction(1)
         assert coords == expected
+
+
+# ---------------------------------------------------------------------------
+# the relation build against a from-scratch oracle
+
+RESCALED = {
+    "ellipse": (("x", "y"), ["{0}*x^2 + {1}*y^2 - 1"]),
+    "sphere": (("x", "y", "z"), ["{0}*x^2 + {1}*y^2 + {2}*z^2 - 1"]),
+    "torus": (("x", "y", "z", "w"), ["{0}*x^2 + {1}*y^2 - 1", "{2}*z^2 + {3}*w^2 - 1"]),
+}
+
+
+def rescaled(name, seed):
+    """The variety with each x -> x/a for a seeded rational a, as coefficients 1/a^2."""
+    rng = random.Random(seed)
+    variables, templates = RESCALED[name]
+    scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** -2 for _ in range(4)]
+    return FpAlgebra(variables, [t.format(*("(%s)" % s for s in scales)) for t in templates])
+
+
+def reference_relations(algebra, p, n_cutoff):
+    """(basis, relation rows) of the stratum, built from scratch by Gauss-Jordan.
+
+    Every generator m * df_j ^ dx_T up to weight N + margin goes into one
+    reduced echelon over the basis of weight <= N + margin; the rows with
+    pivot inside the weight <= N prefix are the relations of the stratum.
+    """
+    extended = n_cutoff + algebra.relation_margin
+
+    def standard(max_degree):
+        monomials = [e for e in product(range(max_degree + 1), repeat=algebra.nvars)
+                     if sum(e) <= max_degree and algebra.is_standard(e)]
+        return sorted(monomials, key=lambda e: (sum(e), drl_key(e)))
+
+    index_sets = list(combinations(range(algebra.nvars), p))
+    ext_basis = sorted(((m, S) for m in standard(max(extended - p, 0)) for S in index_sets),
+                       key=lambda b: (sum(b[0]) + p, drl_key(b[0]), b[1]))
+    ext_index = {b: i for i, b in enumerate(ext_basis)}
+    size = sum(1 for m, _ in ext_basis if sum(m) + p <= n_cutoff)
+    echelon = Echelon()
+    if p >= 1:
+        for f in algebra.ideal_generators:
+            dcap = extended - p - (f.total_degree() - 1)
+            if dcap < 0:
+                continue
+            relations = [
+                {S: algebra.nf(c) for S, c in d_terms({T: f}, algebra.nvars).items()}
+                for T in combinations(range(algebra.nvars), p - 1)
+            ]
+            for m in standard(dcap):
+                mono = Polynomial(algebra.variables, {m: 1})
+                for relation in relations:
+                    vec = {}
+                    for S, partial in relation.items():
+                        for e, c in algebra.nf(mono * partial).terms.items():
+                            vec[ext_index[(e, S)]] = c
+                    if vec:
+                        echelon.add(vec)
+    rows = Echelon(row for pivot, row in echelon.rows.items() if pivot < size).rows
+    return ext_basis[:size], rows
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(RESCALED)), st.integers(0, 2**32), st.integers(2, 4))
+def test_memoised_multiples_match_sympy(name, seed, n_cutoff):
+    algebra = rescaled(name, seed)
+    algebra._stratum(1, n_cutoff)
+    symbols = sympy.symbols(algebra.variables)
+    gens = [sympy.sympify(str(f), locals=dict(zip(algebra.variables, symbols)))
+            for f in algebra.ideal_generators]
+    basis = sympy.groebner(gens, *symbols, order="grevlex", domain="QQ").exprs
+    assert algebra._multiples
+    for (j, i, m), value in algebra._multiples.items():
+        multiple = sympy.Mul(*(s**k for s, k in zip(symbols, m))) * sympy.diff(gens[j], symbols[i])
+        _, r = sympy.reduced(sympy.expand(multiple), basis, *symbols, order="grevlex")
+        expect = sympy.Poly(r, *symbols, domain="QQ").as_dict() if r != 0 else {}
+        assert value.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in expect.items()}
+
+
+# rescaled varieties, and two whose relations of low weight in degree 2
+# come partly from generators above weight N + 1
+ORACLE_ALGEBRAS = {
+    "ellipse": (lambda: rescaled("ellipse", 7), 5),
+    "sphere": (lambda: rescaled("sphere", 7), 4),
+    "torus": (lambda: rescaled("torus", 7), 4),
+    "xyz": (lambda: FpAlgebra(("x", "y", "z"), ["x*y*z - 1"]), 4),
+    "cubic": (lambda: FpAlgebra(("x", "y"), ["x^2 + x*y - y^3 + 1"]), 5),
+}
+
+
+@pytest.mark.parametrize("margin", [None, 0, 1])
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_relations_match_a_build_from_scratch(name, margin):
+    """Also with margins too small to catch every relation, where the rows
+    of a stratum differ from those of the relations grown further."""
+    make, top = ORACLE_ALGEBRAS[name]
+    algebra = make()
+    if margin is not None:
+        algebra.relation_margin = margin
+    for p in range(1, algebra.nvars + 1):
+        for n_cutoff in range(p, top + 1):
+            stratum = algebra._stratum(p, n_cutoff)
+            basis, rows = reference_relations(algebra, p, n_cutoff)
+            assert (stratum.size, stratum.basis) == (len(basis), basis)
+            assert stratum.relations.rows == rows
+
+
+@pytest.mark.parametrize("margin", [None, 0])
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_relations_do_not_depend_on_the_order_of_cutoffs(name, margin):
+    make, top = ORACLE_ALGEBRAS[name]
+    cutoffs = [(p, n) for p in range(1, 3) for n in range(p, top + 1)]
+    increasing, decreasing = make(), make()
+    for algebra in (increasing, decreasing):
+        algebra.relation_margin = margin if margin is not None else algebra.relation_margin
+    up = {key: increasing._stratum(*key).relations.rows for key in cutoffs}
+    down = {key: decreasing._stratum(*key).relations.rows for key in reversed(cutoffs)}
+    fresh = {}
+    for key in cutoffs:
+        algebra = make()
+        algebra.relation_margin = increasing.relation_margin
+        fresh[key] = algebra._stratum(*key).relations.rows
+    assert up == down == fresh
+
+
+def test_each_multiple_and_generator_is_built_once(monkeypatch):
+    """One normal form per (j, i, m) multiple, one insertion per generator (j, m, T)."""
+    normal_forms, requested, inserted = [], set(), []
+    building = []
+    nf, multiple, insert = FpAlgebra.nf, FpAlgebra.multiple, derham.insert_forward
+    stratum_init = derham._WeightStratum.__init__
+
+    def counting_nf(self, f):
+        if building:
+            normal_forms.append(f)
+        return nf(self, f)
+
+    def recording_multiple(self, j, i, m):
+        requested.add((j, i, m))
+        return multiple(self, j, i, m)
+
+    def counting_insert(rows, vec):
+        inserted.append(vec)
+        return insert(rows, vec)
+
+    def flagged_init(self, *args):
+        building.append(True)
+        try:
+            stratum_init(self, *args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(FpAlgebra, "nf", counting_nf)
+    monkeypatch.setattr(FpAlgebra, "multiple", recording_multiple)
+    monkeypatch.setattr(derham, "insert_forward", counting_insert)
+    monkeypatch.setattr(derham._WeightStratum, "__init__", flagged_init)
+    torus = rescaled("torus", 5)
+    truncated_cohomology(torus, 1, 4)
+    assert len(normal_forms) == len(requested) > 0
+    # relation sets of degrees 1 and 2 reach weight 4 + margin; every
+    # generator m * df_j ^ dx_T up to it goes in once
+    top = 4 + torus.relation_margin
+    generators = sum(
+        len(list(combinations(range(4), p - 1)))
+        * sum(1 for d in range(top - p - f.total_degree() + 2) for _ in torus.standard_layer(d))
+        for p in (1, 2)
+        for f in torus.ideal_generators
+    )
+    assert len(inserted) == generators
+    for n_cutoff in (2, 3, 4):
+        truncated_cohomology(torus, 1, n_cutoff)
+        reduce_form(random_form(random.Random(n_cutoff), torus, 2, max_coeff_degree=2))
+    assert len(normal_forms) == len(requested)
+    assert len(inserted) == generators
