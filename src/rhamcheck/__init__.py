@@ -14,7 +14,6 @@ from .comparison import (
 from .derham import (
     AlgebraicForm,
     FpAlgebra,
-    KaehlerPresentation,
     parse_algebraic_form,
     reduce_form,
     truncated_cohomology,

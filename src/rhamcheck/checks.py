@@ -609,6 +609,15 @@ def validate_settings(settings, scenarios, check_filter=None):
                     "--max-weight %d is below degree %d of check %s.%s"
                     % (settings.max_weight, top, scenario.name, check.name)
                 )
+            if check.kind == "cohomology" and check.params["class_nonzero"] is not None:
+                # the class is read off the stratum, which holds forms of weight <= cutoff
+                name, cutoff = check.params["class_nonzero"], _max_weight(check, settings)
+                weight = scenario.forms[name].weight()
+                if weight > cutoff:
+                    raise ValidationError(
+                        "check %s: class_nonzero: form %s has weight %d, above max_weight %d"
+                        % (check.name, name, weight, cutoff)
+                    )
     unmatched = sorted(check_filter - matched) if check_filter else []
     if unmatched:
         raise ValidationError("--check %s matches no check" % ",".join(unmatched))

@@ -1,21 +1,19 @@
 """Algebraic differential forms of a finitely presented rational algebra.
 
-For B = Q[x1..xm]/I the module of degree-p forms is presented as the
-free module on the dx_S (|S| = p) with polynomial coefficients, modulo
-two layers of relations: coefficients are taken modulo I (Groebner
-normal forms), and the submodule generated by the df_j is eliminated by
-exact linear algebra, stratified by weight.  The weight of a term is
-coefficient degree + form degree; the differential preserves it and
-degrevlex normal forms never raise it, so forms of weight <= N are an
-honest subcomplex and truncated cohomology makes sense.
+For B = Q[x1..xm]/I the degree-p forms are F_p / M_p: F_p is free on the
+dx_S (|S| = p) over Q[x1..xm], and M_p = I*F_p + dI ^ F_(p-1).  Each
+degree has one reduced Groebner basis G_p of M_p, built once per algebra.
+Its terms (m, S) are ordered term-over-position, degrevlex on m and then
+S; a form's module normal form is its unique remainder on the standard
+terms, those no leading term of G_p divides, and vanishes exactly on M_p.
 
-Each degree's relations are built once per algebra: the normal forms
-nf(x^m * df_j/dx_i) are memoised, and the generators m * df_j ^ dx_T go
-weight layer by weight layer into one forward-only echelon, whose rows
-never change.  The stratum of weight <= N reads off the rows inserted up
-to weight N + margin with pivot inside it; they span the relations of
-the stratum (see `_WeightStratum`), so every cutoff gets the rows of a
-build from scratch, whatever was requested before it.
+The weight of a term is deg m + p, and d preserves it.  The order is
+degree-compatible, so reduction never raises weight and an element of
+M_p of weight <= N reduces to zero within weight N.  So the standard
+terms of weight <= N are a basis of the truncated quotient
+F_p^(<=N) / (M_p ∩ F_p^(<=N)), and those of weight <= N - 1 a prefix of
+them.  No relation is sought among generators up to a margin above N:
+G_p is exact at every weight.
 
 Truncated dimensions are evidence, not theorems: a `stabilized` flag
 records whether two consecutive cutoffs agree.
@@ -23,21 +21,24 @@ records whether two consecutive cutoffs agree.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AlgebraMismatch, NotACocycle, ParseError, ValidationError
-from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, insert_index, wedge_terms
+from .errors import AlgebraMismatch, ParseError, ResourceBudgetExceeded, ValidationError
+from .exterior import (ExteriorForm, check_index_set, d_monomial, d_terms, insert_index,
+                       wedge_terms)
 from .formtext import eval_form_ast, parse_polynomial
-from .linalg import (CohomologyPair, Echelon, SparseMatrix, dense_vector, insert_forward,
-                     kernel_image, solve)
-from .poly import Polynomial, drl_key, groebner_basis, monomial_divides, normal_form, parse_ast
+from .linalg import CohomologyPair, SparseMatrix, dense_vector, kernel_image, solve
+from .poly import (DEFAULT_PAIR_BUDGET, Polynomial, _quotient, drl_key, groebner_basis,
+                   monomial_div, monomial_divides, monomial_lcm, monomial_mul, normal_form,
+                   parse_ast)
 
 
 class FpAlgebra:
     """A finitely presented commutative algebra with a normal-form oracle."""
 
-    def __init__(self, variables, ideal_generators, pair_budget=None):
+    def __init__(self, variables, ideal_generators):
         self.variables = tuple(variables)
         gens = []
         for g in ideal_generators:
@@ -47,20 +48,10 @@ class FpAlgebra:
                 raise ValidationError("zero ideal generator")
             gens.append(g)
         self.ideal_generators = gens
-        kwargs = {} if pair_budget is None else {"pair_budget": pair_budget}
-        self.groebner = groebner_basis(gens, **kwargs) if gens else []
-        for g in gens:
-            if not normal_form(g, self.groebner).is_zero():
-                raise AssertionError("Groebner basis does not reduce generator %s" % g)
+        self.groebner = groebner_basis(gens) if gens else []
         self._lead_monomials = [g.leading_term()[0] for g in self.groebner]
         self._std_layers = [[(0,) * self.nvars]]
-        self._multiples = {}
-        self._relation_sets = {}
-        self._stratum_cache = {}
-        # margin of extra enumeration weight when intersecting the relation
-        # submodule with a weight stratum; see _WeightStratum
-        degs = [g.total_degree() for g in gens]
-        self.relation_margin = (max(degs) + 1) if degs else 1
+        self._modules = {}
 
     @property
     def nvars(self):
@@ -82,19 +73,11 @@ class FpAlgebra:
             layers.append(sorted(filter(self.is_standard, bumped), key=drl_key))
         return layers[degree]
 
-    def multiple(self, j, i, m):
-        """nf(x^m * df_j/dx_i), memoised; built as nf(x_k * nf(x^(m - e_k) *
-        df_j/dx_i)), since a normal form is unique modulo the ideal."""
-        key = (j, i, m)
-        if key not in self._multiples:
-            k = next((k for k, e in enumerate(m) if e), None)
-            if k is None:
-                value = self.nf(self.ideal_generators[j].partial(i))
-            else:
-                lower = self.multiple(j, i, m[:k] + (m[k] - 1,) + m[k + 1 :])
-                value = self.nf(Polynomial.variable(self.variables, k) * lower)
-            self._multiples[key] = value
-        return self._multiples[key]
+    def _module(self, p):
+        """The degree-p forms as a `_FormModule`, built on first use."""
+        if p not in self._modules:
+            self._modules[p] = _FormModule(self, p)
+        return self._modules[p]
 
     def __eq__(self, other):
         return (
@@ -114,43 +97,190 @@ class FpAlgebra:
             ", ".join(str(g) for g in self.ideal_generators),
         )
 
-    def _stratum(self, p, n_cutoff):
-        key = (p, n_cutoff)
-        if key not in self._stratum_cache:
-            self._stratum_cache[key] = _WeightStratum(self, p, n_cutoff)
-        return self._stratum_cache[key]
+
+# ---------------------------------------------------------------------------
+# module Groebner bases: a vector is a dict (monomial, index set) -> coefficient
 
 
-class KaehlerPresentation:
-    """Conormal presentation of the degree-one forms of an algebra.
+def _term_key(term):
+    """Sort key of the term order: degrevlex on the monomial, then the index set."""
+    return drl_key(term[0]), term[1]
 
-    One row per ideal generator f_j; entry (j, i) is nf(df_j/dx_i), so
-    row j spells out the relation sum_i nf(df_j/dx_i) dx_i = 0.
+
+def _add_shifted(vec, terms, coeff, shift):
+    """vec += coeff * x^shift * terms, in place; cancelled terms are dropped."""
+    for (e, S), c in terms.items():
+        key = (monomial_mul(e, shift), S)
+        v = vec.get(key, 0) + coeff * c
+        if v:
+            vec[key] = v
+        else:
+            del vec[key]
+
+
+def _module_normal_form(vec, divisors):
+    """Remainder of vec under division by monic vectors, listed per leading position.
+
+    `divisors` maps an index set S to (leading monomial, vector) pairs
+    whose leading term sits at S with coefficient 1.
+    """
+    h = dict(vec)
+    rem = {}
+    while h:
+        term = max(h, key=_term_key)
+        m, S = term
+        c = h[term]
+        for lead, terms in divisors.get(S, ()):
+            if monomial_divides(lead, m):
+                _add_shifted(h, terms, -c, monomial_div(m, lead))
+                break
+        else:
+            rem[term] = c
+            del h[term]
+    return rem
+
+
+def _module_groebner(algebra, p):
+    """Reduced Groebner basis of M_p = I*F_p + dI ^ F_(p-1), per leading position.
+
+    Buchberger on vectors: it pairs only leads at the same position,
+    picks the pair of lowest lcm term, skips pairs of two I*e_S elements
+    (their S-vectors reduce to zero on the Groebner basis of I) and those
+    the chain criterion covers.  Each generator df_j ^ dx_T is reduced
+    before it is inserted.  Raises ResourceBudgetExceeded past
+    DEFAULT_PAIR_BUDGET pairs.
+    """
+    budget = DEFAULT_PAIR_BUDGET
+    basis, leads, divisors = [], [], {}
+    at = {}  # position -> indices of the elements that lead there
+    pairs, done = [], set()  # a heap of (lcm term key, i, j, lcm), and the pairs popped
+
+    def append(m, S, vec):
+        new = len(basis)
+        for k in at.get(S, ()) if new >= ideal else ():
+            lcm = monomial_lcm(leads[k][0], m)
+            heapq.heappush(pairs, (_term_key((lcm, S)), k, new, lcm))
+        basis.append(vec)
+        leads.append((m, S))
+        at.setdefault(S, []).append(new)
+        divisors.setdefault(S, []).append((m, vec))
+
+    def insert(vec):
+        vec = _module_normal_form(vec, divisors)
+        if vec:  # scaled to 1 at its leading term
+            (m, S) = lead = max(vec, key=_term_key)
+            append(m, S, {t: _quotient(c, vec[lead]) for t, c in vec.items()})
+
+    # the reduced Groebner basis of I at each position, already monic
+    positions = list(combinations(range(algebra.nvars), p))
+    ideal = len(positions) * len(algebra.groebner)
+    for S in positions:
+        for g in algebra.groebner:
+            append(g.leading_term()[0], S, {(e, S): c for e, c in g.terms.items()})
+    for f in algebra.ideal_generators if p else ():
+        partials = [(i, f.partial(i)) for i in range(algebra.nvars)]
+        for T in combinations(range(algebra.nvars), p - 1):
+            # df ^ dx_T = sum_i df/dx_i dx_i ^ dx_T
+            vec = {}
+            for i, partial in partials:
+                sign, S = insert_index(i, T)
+                vec.update(((e, S), sign * c) for e, c in partial.terms.items() if sign)
+            insert(vec)
+
+    def treated(i, k):
+        return max(i, k) < ideal or (min(i, k), max(i, k)) in done
+
+    processed = 0
+    while pairs:
+        processed += 1
+        if processed > budget or len(pairs) > budget:
+            raise ResourceBudgetExceeded("module Groebner pair queue exceeded budget of %d" % budget)
+        (_, S), i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
+        if any(k != i and k != j and monomial_divides(leads[k][0], lcm)
+               and treated(i, k) and treated(j, k) for k in at[S]):
+            continue  # chain criterion
+        s_vector = {}
+        _add_shifted(s_vector, basis[i], 1, monomial_div(lcm, leads[i][0]))
+        _add_shifted(s_vector, basis[j], -1, monomial_div(lcm, leads[j][0]))
+        insert(s_vector)
+
+    # minimalise, then tail-reduce: the unique reduced basis.  No two leads
+    # are equal, as each element was reduced by the earlier ones; a tail
+    # term is below its own lead, so no element reduces its own tail.
+    kept = {S: [(leads[k][0], basis[k]) for k in indices
+                if not any(k2 != k and monomial_divides(leads[k2][0], leads[k][0])
+                           for k2 in indices)]
+            for S, indices in at.items()}
+    reduced = {}
+    for S, elements in kept.items():
+        for m, vec in elements:
+            tail = _module_normal_form({t: c for t, c in vec.items() if t != (m, S)}, kept)
+            tail[(m, S)] = 1
+            reduced.setdefault(S, []).append((m, tail))
+    return reduced
+
+
+class _FormModule:
+    """The degree-p forms F_p / M_p of an algebra, on the standard terms of G_p.
+
+    `divisors` is G_p per leading position.  `basis` lists the standard
+    terms weight layer by weight layer, each layer in term order, so the
+    terms of weight <= N are the prefix `basis[:ends[N]]` and indices
+    never change as the basis grows.  `d_column(k)` memoises the normal
+    form of d(basis[k]) in the degree p + 1 module.
     """
 
-    def __init__(self, algebra):
+    def __init__(self, algebra, p):
         self.algebra = algebra
-        self.generator_labels = tuple("d" + v for v in algebra.variables)
-        self.relation_matrix = [
-            [algebra.nf(f.partial(i)) for i in range(algebra.nvars)]
-            for f in algebra.ideal_generators
-        ]
+        self.p = p
+        self.divisors = _module_groebner(algebra, p)
+        self.basis = []
+        self.index = {}
+        self.ends = {}
+        self._columns = []
+        self._index_sets = list(combinations(range(algebra.nvars), p))
 
-    def relation_forms(self):
-        """Each relation row as a degree-one AlgebraicForm (not reduced)."""
-        forms = []
-        for row in self.relation_matrix:
-            terms = {(i,): c for i, c in enumerate(row) if not c.is_zero()}
-            forms.append(AlgebraicForm(self.algebra, 1, terms, reduce=False))
-        return forms
+    def grow(self, level):
+        """Append the standard terms of every weight up to `level`."""
+        for w in range(self.p + len(self.ends), level + 1):
+            for m in self.algebra.standard_layer(w - self.p):
+                for S in self._index_sets:
+                    if not any(monomial_divides(lead, m) for lead, _ in self.divisors.get(S, ())):
+                        self.index[(m, S)] = len(self.basis)
+                        self.basis.append((m, S))
+            self.ends[w] = len(self.basis)
+
+    def reduce_terms(self, terms):
+        """The normal form of a form given by its terms S -> Polynomial."""
+        rem = _module_normal_form(
+            {(e, S): c for S, poly in terms.items() for e, c in poly.terms.items()}, self.divisors)
+        by_set = {}
+        for (e, S), c in rem.items():
+            by_set.setdefault(S, {})[e] = c
+        return {S: Polynomial(self.algebra.variables, t) for S, t in by_set.items()}
+
+    def d_column(self, k):
+        """Normal form of d(basis[k]) as {index in the degree p + 1 basis: coefficient}.
+
+        That basis must be grown to the weight of basis[k]; d keeps weight
+        and reduction never raises it, so every term has an index.
+        """
+        target = self.algebra._module(self.p + 1)
+        while len(self._columns) <= k:
+            m, S = self.basis[len(self._columns)]
+            image = _module_normal_form({(dm, T): c for c, dm, T in d_monomial(m, S)},
+                                        target.divisors)
+            self._columns.append({target.index[t]: c for t, c in image.items()})
+        return self._columns[k]
 
 
 class AlgebraicForm(ExteriorForm):
     """A degree-p form: map from strictly increasing index sets to coefficients.
 
     Construction normalizes coefficients; `reduce=True` (the default)
-    additionally eliminates the relation submodule, yielding the
-    canonical representative at the form's own weight cutoff.
+    instead takes the module normal form, the canonical representative
+    of the form's class in F_p / M_p.
 
     The graded algebra has a single zero, so a zero form carries its
     degree only as a label: zero forms over one algebra compare equal
@@ -163,16 +293,16 @@ class AlgebraicForm(ExteriorForm):
     def __init__(self, algebra, degree, terms, reduce=True):
         self.algebra = algebra
         self.degree = degree
+        terms = {check_index_set(S, degree, algebra.nvars): c for S, c in terms.items()}
+        if reduce and degree >= 1 and algebra.ideal_generators and terms:
+            self.terms = algebra._module(degree).reduce_terms(terms)
+            return
         clean = {}
         for S, coeff in terms.items():
-            S = check_index_set(S, degree, algebra.nvars)
             coeff = algebra.nf(coeff)
             if not coeff.is_zero():
                 clean[S] = coeff
         self.terms = clean
-        if reduce and degree >= 1 and algebra.ideal_generators and clean:
-            reduced = reduce_form(self)
-            self.terms = reduced.terms
 
     @classmethod
     def zero(cls, algebra, degree):
@@ -215,150 +345,61 @@ def differential(omega):
     return AlgebraicForm(omega.algebra, omega.degree + 1, d_terms(omega.terms, omega.algebra.nvars))
 
 
-class _DegreeRelations:
-    """The relation generators of degree-p forms, grown one weight layer at a time.
-
-    Layer w appends the (standard monomial, index set) pairs of weight w
-    to `basis`, ordered by monomial in degrevlex, then index set; then
-    it inserts each generator m * df_j ^ dx_T of weight w into the
-    forward-only echelon `rows` (its normal form has weight <= w).
-    `ends[w]` is (basis size, rows inserted) once layer w is in.
-    """
-
-    def __init__(self, algebra, p):
-        self.algebra = algebra
-        self.p = p
-        self.basis = []
-        self.index = {}
-        self.rows = {}
-        self.pivots = []  # in the order the rows were inserted
-        self.ends = {}
-        self._level = p - 1
-        self._index_sets = list(combinations(range(algebra.nvars), p))
-        self._sub_sets = list(combinations(range(algebra.nvars), p - 1)) if p else []
-
-    def grow(self, level):
-        algebra, p = self.algebra, self.p
-        zero = (0,) * algebra.nvars
-        while self._level < level:
-            self._level = w = self._level + 1
-            for m in algebra.standard_layer(w - p):
-                for S in self._index_sets:
-                    self.index[(m, S)] = len(self.basis)
-                    self.basis.append((m, S))
-            for j, f in enumerate(algebra.ideal_generators):
-                degree = w - p - f.total_degree() + 1
-                if degree < 0:
-                    continue
-                # m * df_j ^ dx_T = sum_i m * df_j/dx_i dx_i ^ dx_T, as (i, sign, S) per T
-                partials = [i for i in range(algebra.nvars)
-                            if not algebra.multiple(j, i, zero).is_zero()]
-                wedges = [[(i,) + insert_index(i, T) for i in partials if i not in T]
-                          for T in self._sub_sets]
-                for m in algebra.standard_layer(degree):
-                    for terms in wedges:
-                        vec = {}
-                        for i, sign, S in terms:
-                            for e, c in algebra.multiple(j, i, m).terms.items():
-                                vec[self.index[(e, S)]] = sign * c
-                        pivot = insert_forward(self.rows, vec)
-                        if pivot is not None:
-                            self.pivots.append(pivot)
-            self.ends[w] = (len(self.basis), len(self.pivots))
-
-
 class _WeightStratum:
-    """Basis and relation echelon for degree-p forms of weight <= N.
+    """The degree-p forms of weight <= N: the standard terms of G_p up to N.
 
-    The basis is the weight <= N prefix of the degree's basis.  The
-    relation submodule is spanned by the nf-images of m * df_j ^ dx_T;
-    generators up to weight N + margin are intersected with the stratum,
-    so that a low-weight combination of high-weight generators is caught.
-
-    Exactness: the rows of the degree's echelon inserted up to layer
-    N + margin are an echelon basis of those generators' span, since a
-    forward-only row never changes.  Where each row's pivot is its
-    largest index, a vector of the span is a combination of the rows
-    with pivot at most its own largest index; so span ∩ prefix is
-    spanned by the rows with pivot < size.  `relations` is their reduced
-    echelon basis, which is unique.
+    Since the term order compares weight first, these terms are a basis
+    of F_p^(<=N) / (M_p ∩ F_p^(<=N)): a relation of weight <= N has its
+    leading term among the non-standard terms and reduces to zero within
+    the weight.  The basis is a prefix of the degree's shared basis, so a
+    vector at cutoff N - 1 is one at N, padded with zeros.
     """
 
     def __init__(self, algebra, p, n_cutoff):
         if n_cutoff < p:
             raise ValueError("weight cutoff below form degree")
-        self.algebra = algebra
-        self.p = p
-        extended = n_cutoff + algebra.relation_margin
-        if p not in algebra._relation_sets:
-            algebra._relation_sets[p] = _DegreeRelations(algebra, p)
-        degree_relations = algebra._relation_sets[p]
-        degree_relations.grow(extended)
-        self.size = degree_relations.ends[n_cutoff][0]
-        self.basis = degree_relations.basis[: self.size]
-        self.index = degree_relations.index  # of the whole grown basis: check idx < size
-        inserted = degree_relations.pivots[: degree_relations.ends[extended][1]]
-        self.relations = Echelon(
-            degree_relations.rows[pivot] for pivot in sorted(inserted) if pivot < self.size
-        )
+        self.module = algebra._module(p)
+        self.module.grow(n_cutoff)
+        self.size = self.module.ends[n_cutoff]
 
     def vector_of(self, omega):
-        """Coordinates of a (coefficient-normalized) form in this stratum."""
+        """Coordinates of a reduced form in this stratum."""
         vec = {}
         for S, c in omega.terms.items():
             for e, coeff in c.terms.items():
-                idx = self.index.get((e, S), self.size)
+                idx = self.module.index.get((e, S), self.size)
                 if idx >= self.size:
                     raise ValueError("form does not fit in the weight stratum")
-                vec[idx] = vec.get(idx, Fraction(0)) + coeff
+                vec[idx] = coeff
         return vec
 
     def form_of(self, vec):
         terms = {}
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        for idx, coeff in items:
-            if not coeff:
-                continue
-            m, S = self.basis[idx]
-            poly = Polynomial(self.algebra.variables, {m: coeff})
-            if S in terms:
-                terms[S] = terms[S] + poly
-            else:
-                terms[S] = poly
-        return AlgebraicForm(self.algebra, self.p, terms, reduce=False)
+        for idx, coeff in enumerate(vec):
+            if coeff:
+                m, S = self.module.basis[idx]
+                terms.setdefault(S, {})[m] = coeff
+        algebra = self.module.algebra
+        terms = {S: Polynomial(algebra.variables, t) for S, t in terms.items()}
+        return AlgebraicForm(algebra, self.module.p, terms, reduce=False)
 
     def differential_matrix(self, target):
-        """Matrix of the termwise differential into the degree p+1 stratum."""
-        entries = {}
-        for col, (m, S) in enumerate(self.basis):
-            for coeff, dm, T in d_monomial(m, S):
-                row = target.index[(dm, T)]
-                entries[(row, col)] = entries.get((row, col), Fraction(0)) + coeff
+        """Matrix of d into the degree p+1 stratum, on normal forms."""
+        entries = {(row, col): v for col in range(self.size)
+                   for row, v in self.module.d_column(col).items()}
         return SparseMatrix(target.size, self.size, entries)
 
-    def relation_matrix(self):
-        rows = [row for _, row in sorted(self.relations.rows.items())]
-        entries = {(i, j): v for j, row in enumerate(rows) for i, v in row.items()}
-        return SparseMatrix(self.size, len(rows), entries)
 
+def reduce_form(omega):
+    """The module normal form of a form: its canonical representative.
 
-def reduce_form(omega, cutoff=None):
-    """Canonical representative of a raw form expansion.
-
-    Coefficients are put in Groebner normal form; the relation submodule
-    is then eliminated against the weight stratum at `cutoff` (default:
-    the form's own weight).  Idempotent and, at a fixed cutoff, linear.
+    Coefficients are reduced by the whole Groebner basis G_p of the
+    relations, I*e_S elements included, so the result is supported on
+    standard terms and depends only on the form's class in F_p / M_p: it
+    is zero exactly when the form lies in M_p, and the map is idempotent
+    and linear.  It never raises weight.
     """
-    algebra = omega.algebra
-    if omega.degree == 0 or not algebra.ideal_generators:
-        return AlgebraicForm(algebra, omega.degree, omega.terms, reduce=False)
-    normalized = AlgebraicForm(algebra, omega.degree, omega.terms, reduce=False)
-    if normalized.is_zero():
-        return normalized
-    n_cutoff = cutoff if cutoff is not None else normalized.weight()
-    stratum = algebra._stratum(omega.degree, n_cutoff)
-    vec = stratum.vector_of(normalized)
-    return stratum.form_of(stratum.relations.reduce(vec)[0])
+    return AlgebraicForm(omega.algebra, omega.degree, omega.terms)
 
 
 class TruncatedCohomology:
@@ -372,31 +413,26 @@ class TruncatedCohomology:
         self.n_cutoff = n_cutoff
         self._pair, self._stratum = _truncated_pair(algebra, p, n_cutoff)
         self.dimension = self._pair.dimension
-        reps = [self._stratum.form_of(v) for v in self._pair.representatives]
+        vectors = self._pair.representatives
         self.stabilized = False
         if n_cutoff > p:
             prev_pair, prev_stratum = _truncated_pair(algebra, p, n_cutoff - 1)
             if prev_pair.dimension == self.dimension:
-                lifted = [prev_stratum.form_of(v) for v in prev_pair.representatives]
-                try:
-                    coord_rows = [self._class_in_pair(form)[0] for form in lifted]
-                except NotACocycle:
-                    coord_rows = None
-                if coord_rows is not None and _invertible(coord_rows):
+                # the stratum at N - 1 is a prefix of the one at N, and d
+                # maps its cocycles to cocycles of the same coordinates
+                pad = [Fraction(0)] * (self._stratum.size - prev_stratum.size)
+                lifted = [v + pad for v in prev_pair.representatives]
+                coords = SparseMatrix.from_rows([self._pair.class_of(v)[0] for v in lifted])
+                if not lifted or kernel_image(coords)[2] == len(lifted):
                     self.stabilized = True
-                    reps = lifted
-        self.representatives = reps
-        self._rep_coords = [self._class_in_pair(r)[0] for r in reps]
-
-    def _class_in_pair(self, form):
-        vec = self._stratum.vector_of(
-            AlgebraicForm(self.algebra, self.p, form.terms, reduce=False)
-        )
-        return self._pair.class_of(dense_vector(vec, self._stratum.size))
+                    vectors = lifted
+        self.representatives = [self._stratum.form_of(v) for v in vectors]
+        self._rep_coords = [self._pair.class_of(v)[0] for v in vectors]
 
     def class_of(self, form):
         """Coordinates of a closed form in the returned representative basis."""
-        inner, _ = self._class_in_pair(form)
+        vec = self._stratum.vector_of(reduce_form(form))
+        inner, _ = self._pair.class_of(dense_vector(vec, self._stratum.size))
         if self.dimension == 0:
             return []
         matrix = SparseMatrix.from_columns(self._rep_coords, len(inner))
@@ -407,28 +443,16 @@ class TruncatedCohomology:
 
 
 def _truncated_pair(algebra, p, n_cutoff):
-    stratum = algebra._stratum(p, n_cutoff)
-    up = algebra._stratum(p + 1, n_cutoff) if n_cutoff >= p + 1 else None
-    if p >= 1 and n_cutoff >= p:
-        down = algebra._stratum(p - 1, n_cutoff)
-        d_prev = down.differential_matrix(stratum)
+    stratum = _WeightStratum(algebra, p, n_cutoff)
+    if p >= 1:
+        d_prev = _WeightStratum(algebra, p - 1, n_cutoff).differential_matrix(stratum)
     else:
         d_prev = SparseMatrix.zero(stratum.size, 0)
-    d_prev = d_prev.hstack(stratum.relation_matrix())
-    if up is None or up.size == 0:
-        d_next = SparseMatrix.zero(0, stratum.size)
+    if n_cutoff >= p + 1:
+        d_next = stratum.differential_matrix(_WeightStratum(algebra, p + 1, n_cutoff))
     else:
-        entries = {}
-        for j, col in enumerate(stratum.differential_matrix(up).columns()):
-            rest, _ = up.relations.reduce(col)
-            entries.update(((i, j), v) for i, v in rest.items())
-        d_next = SparseMatrix(up.size, stratum.size, entries)
+        d_next = SparseMatrix.zero(0, stratum.size)
     return CohomologyPair(d_prev, d_next), stratum
-
-
-def _invertible(rows):
-    """Whether the square matrix of these rows has full rank."""
-    return not rows or kernel_image(SparseMatrix.from_rows(rows))[2] == len(rows)
 
 
 def truncated_cohomology(algebra, p, n_cutoff):

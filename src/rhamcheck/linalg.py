@@ -104,14 +104,6 @@ class SparseMatrix:
     def is_zero(self):
         return not self.entries
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        entries = dict(self.entries)
-        for (i, j), value in other.entries.items():
-            entries[(i, j + self.cols)] = value
-        return SparseMatrix(self.rows, self.cols + other.cols, entries)
-
 
 def dense_vector(sparse, length):
     """The list of length `length` with the entries of a dict index -> value."""
@@ -192,26 +184,6 @@ class Echelon:
         if combo is not None:
             self._combos[pivot] = combo
         return red, coords
-
-
-def insert_forward(rows, vec):
-    """Add vec to a forward-only echelon; returns its new pivot, or None if in the span.
-
-    `rows` maps pivots to rows as in `Echelon`, but a row may have entries
-    at lower pivots: vec is reduced by descending pivot and a nonzero
-    remainder, scaled to 1 at its largest index, is stored.  No row ever
-    changes, and those with pivot < n span the part of the span below n.
-    """
-    vec = dict(vec)
-    while vec:
-        pivot = max(vec)
-        row = rows.get(pivot)
-        if row is None:
-            inv = Fraction(1) / vec[pivot]
-            rows[pivot] = {j: v * inv for j, v in vec.items()}
-            return pivot
-        _axpy(vec, -vec[pivot], row)
-    return None
 
 
 def _eliminate(columns, track):

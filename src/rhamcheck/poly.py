@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Number
-from operator import add, neg, sub
+from operator import add, le, neg, sub
 
 from .errors import ParseError, ResourceBudgetExceeded
 
@@ -41,7 +41,7 @@ def monomial_mul(a, b):
 
 def monomial_divides(a, b):
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a, b):

@@ -48,12 +48,6 @@ class DeltaMorphism:
         """The injection [n-1] -> [n] skipping i."""
         return cls(n - 1, n, tuple(v for v in range(n + 1) if v != i))
 
-    @classmethod
-    def degeneracy(cls, n, i):
-        """The surjection [n+1] -> [n] repeating i."""
-        values = list(range(i + 1)) + list(range(i, n + 1))
-        return cls(n + 1, n, tuple(values))
-
     def compose(self, other):
         """self after other: [k] -> [m] -> [n]."""
         if other.target != self.source:

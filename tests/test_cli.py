@@ -357,6 +357,46 @@ def test_max_weight_zero_is_honoured():
     assert h0.status == "fail"
 
 
+CIRCLE_CLASS = """
+format_version 1
+name circle_class
+
+[algebra]
+variables x y
+relation x^2 + y^2 - 1
+
+[form omega]
+degree 1
+expr x^3*dy - y^3*dx
+
+[check h]
+kind cohomology
+degree 1
+max_weight {}
+class_nonzero omega
+"""
+
+
+@pytest.mark.parametrize(
+    "max_weight, flags, cutoff",
+    [("2", [], 2), ("5", ["--max-weight", "3"], 3)],
+    ids=["scenario", "flag"],
+)
+def test_class_of_a_form_above_the_cutoff_is_refused(tmp_path, capsys, max_weight, flags,
+                                                     cutoff):
+    path = tmp_path / "circle.scn"
+    path.write_text(CIRCLE_CLASS.format(max_weight))
+    assert main(["--scenario", str(path)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "rhamcheck: check h: class_nonzero: form omega has weight 4, above max_weight %d"
+        % cutoff
+    ]
+    # at the form's own weight the class is read and is nonzero
+    assert main(["--scenario", str(path), "--max-weight", "4"]) == 0
+
+
 def test_console_output_follows_redirected_stdout():
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):

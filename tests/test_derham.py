@@ -13,18 +13,16 @@ from rhamcheck import derham
 from rhamcheck.derham import (
     AlgebraicForm,
     FpAlgebra,
-    KaehlerPresentation,
     differential,
     parse_algebraic_form,
     reduce_form,
     truncated_cohomology,
     wedge,
 )
-from rhamcheck.errors import AlgebraMismatch
+from rhamcheck.errors import AlgebraMismatch, ResourceBudgetExceeded
 from rhamcheck.exterior import d_terms
 from rhamcheck.formtext import parse_polynomial
-from rhamcheck.linalg import Echelon
-from rhamcheck.poly import Polynomial, drl_key
+from rhamcheck.poly import Polynomial, monomial_div, monomial_divides, monomial_lcm
 
 
 def free_xy():
@@ -39,7 +37,13 @@ def circle():
     return FpAlgebra(("x", "y"), ["x^2 + y^2 - 1"])
 
 
-def random_form(rng, algebra, degree, max_coeff_degree=3):
+def relation_form(algebra):
+    """df = sum_i df/dx_i dx_i of the first generator, not reduced."""
+    f = algebra.ideal_generators[0]
+    return AlgebraicForm(algebra, 1, d_terms({(): f}, algebra.nvars), reduce=False)
+
+
+def random_form(rng, algebra, degree, max_coeff_degree=3, reduce=True):
     terms = {}
     for S in combinations(range(algebra.nvars), degree):
         if rng.random() < 0.7:
@@ -50,32 +54,30 @@ def random_form(rng, algebra, degree, max_coeff_degree=3):
                     e[rng.randrange(algebra.nvars)] += 1
                 coeff[tuple(e)] = Fraction(rng.randint(-4, 4))
             terms[S] = Polynomial(algebra.variables, coeff)
-    return AlgebraicForm(algebra, degree, terms)
+    return AlgebraicForm(algebra, degree, terms, reduce=reduce)
 
 
 def test_kaehler_presentation_free_algebra():
-    pres = KaehlerPresentation(FpAlgebra(("x",), []))
-    assert pres.generator_labels == ("dx",)
-    assert pres.relation_matrix == []
+    B = FpAlgebra(("x",), [])
+    assert B._module(1).divisors == {}
+    # no relations: every term x^k dx is standard
+    stratum = derham._WeightStratum(B, 1, 3)
+    assert B._module(1).basis[: stratum.size] == [((k,), (0,)) for k in range(3)]
 
 
 def test_kaehler_presentation_two_points():
     B = two_points()
-    pres = KaehlerPresentation(B)
-    assert pres.relation_matrix == [[parse_polynomial("2*x", B.variables)]]
-    # x is a unit mod (x^2 - 1), so dx dies in the quotient
+    # x * (2x dx) = 2 dx mod (x^2 - 1), so dx itself lies in the relations
+    assert B._module(1).divisors == {(0,): [((0,), {((0,), (0,)): 1})]}
     dx = AlgebraicForm(B, 1, {(0,): parse_polynomial("1", B.variables)})
     assert dx.is_zero()
 
 
 def test_kaehler_presentation_circle():
     B = circle()
-    pres = KaehlerPresentation(B)
-    assert pres.relation_matrix == [
-        [parse_polynomial("2*x", B.variables), parse_polynomial("2*y", B.variables)]
-    ]
-    rel = pres.relation_forms()[0]
-    assert reduce_form(rel).is_zero()
+    # df / 2 = x dx + y dy, monic at its leading term x dx
+    assert ((1, 0), {((1, 0), (0,)): 1, ((0, 1), (1,)): 1}) in B._module(1).divisors[(0,)]
+    assert reduce_form(relation_form(B)).is_zero()
 
 
 def test_wedge_examples():
@@ -156,18 +158,14 @@ def test_reduce_form_examples():
 def test_reduce_form_kills_relation_multiples():
     rng = random.Random(33)
     B = circle()
-    pres = KaehlerPresentation(B)
-    rel = pres.relation_forms()[0]
+    rel = relation_form(B)
     for _ in range(10):
         base = random_form(rng, B, 1, max_coeff_degree=2)
         f = B.nf(
             Polynomial(B.variables, {(rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(-3, 3))})
         )
         noise = wedge(AlgebraicForm(B, 0, {(): f}), rel)
-        cutoff = max(base.weight(), noise.weight(), rel.weight())
-        lhs = reduce_form(base + noise, cutoff=cutoff)
-        rhs = reduce_form(base, cutoff=cutoff)
-        assert lhs == rhs
+        assert reduce_form(base + noise) == reduce_form(base)
 
 
 def test_reduce_form_idempotent_and_linear():
@@ -176,14 +174,11 @@ def test_reduce_form_idempotent_and_linear():
     for _ in range(10):
         f = random_form(rng, B, 1, max_coeff_degree=2)
         g = random_form(rng, B, 1, max_coeff_degree=2)
-        cutoff = max(f.weight(), g.weight())
-        rf = reduce_form(f, cutoff=cutoff)
-        assert reduce_form(rf, cutoff=cutoff) == rf
+        rf = reduce_form(f)
+        assert reduce_form(rf) == rf
         a, b = Fraction(2), Fraction(-3, 2)
-        combo = reduce_form(f.scale(a) + g.scale(b), cutoff=cutoff)
-        assert combo == reduce_form(f, cutoff=cutoff).scale(a) + reduce_form(
-            g, cutoff=cutoff
-        ).scale(b)
+        combo = reduce_form(f.scale(a) + g.scale(b))
+        assert combo == reduce_form(f).scale(a) + reduce_form(g).scale(b)
 
 
 def test_truncated_cohomology_polynomial_line():
@@ -283,12 +278,15 @@ def test_truncation_consistency_when_stabilized():
 
 
 # ---------------------------------------------------------------------------
-# the relation build against a from-scratch oracle
+# the module Groebner basis against sympy's module membership
 
 RESCALED = {
     "ellipse": (("x", "y"), ["{0}*x^2 + {1}*y^2 - 1"]),
+    "hyperbola": (("x", "y"), ["{0}*x*y - 1"]),
     "sphere": (("x", "y", "z"), ["{0}*x^2 + {1}*y^2 + {2}*z^2 - 1"]),
     "torus": (("x", "y", "z", "w"), ["{0}*x^2 + {1}*y^2 - 1", "{2}*z^2 + {3}*w^2 - 1"]),
+    "points": (("x",), ["{0}*x^2 - 1"]),
+    "plane": (("x", "y"), []),
 }
 
 
@@ -300,157 +298,205 @@ def rescaled(name, seed):
     return FpAlgebra(variables, [t.format(*("(%s)" % s for s in scales)) for t in templates])
 
 
-def reference_relations(algebra, p, n_cutoff):
-    """(basis, relation rows) of the stratum, built from scratch by Gauss-Jordan.
-
-    Every generator m * df_j ^ dx_T up to weight N + margin goes into one
-    reduced echelon over the basis of weight <= N + margin; the rows with
-    pivot inside the weight <= N prefix are the relations of the stratum.
-    """
-    extended = n_cutoff + algebra.relation_margin
-
-    def standard(max_degree):
-        monomials = [e for e in product(range(max_degree + 1), repeat=algebra.nvars)
-                     if sum(e) <= max_degree and algebra.is_standard(e)]
-        return sorted(monomials, key=lambda e: (sum(e), drl_key(e)))
-
-    index_sets = list(combinations(range(algebra.nvars), p))
-    ext_basis = sorted(((m, S) for m in standard(max(extended - p, 0)) for S in index_sets),
-                       key=lambda b: (sum(b[0]) + p, drl_key(b[0]), b[1]))
-    ext_index = {b: i for i, b in enumerate(ext_basis)}
-    size = sum(1 for m, _ in ext_basis if sum(m) + p <= n_cutoff)
-    echelon = Echelon()
-    if p >= 1:
-        for f in algebra.ideal_generators:
-            dcap = extended - p - (f.total_degree() - 1)
-            if dcap < 0:
-                continue
-            relations = [
-                {S: algebra.nf(c) for S, c in d_terms({T: f}, algebra.nvars).items()}
-                for T in combinations(range(algebra.nvars), p - 1)
-            ]
-            for m in standard(dcap):
-                mono = Polynomial(algebra.variables, {m: 1})
-                for relation in relations:
-                    vec = {}
-                    for S, partial in relation.items():
-                        for e, c in algebra.nf(mono * partial).terms.items():
-                            vec[ext_index[(e, S)]] = c
-                    if vec:
-                        echelon.add(vec)
-    rows = Echelon(row for pivot, row in echelon.rows.items() if pivot < size).rows
-    return ext_basis[:size], rows
-
-
-@settings(max_examples=12, derandomize=True, deadline=None)
-@given(st.sampled_from(sorted(RESCALED)), st.integers(0, 2**32), st.integers(2, 4))
-def test_memoised_multiples_match_sympy(name, seed, n_cutoff):
-    algebra = rescaled(name, seed)
-    algebra._stratum(1, n_cutoff)
-    symbols = sympy.symbols(algebra.variables)
-    gens = [sympy.sympify(str(f), locals=dict(zip(algebra.variables, symbols)))
-            for f in algebra.ideal_generators]
-    basis = sympy.groebner(gens, *symbols, order="grevlex", domain="QQ").exprs
-    assert algebra._multiples
-    for (j, i, m), value in algebra._multiples.items():
-        multiple = sympy.Mul(*(s**k for s, k in zip(symbols, m))) * sympy.diff(gens[j], symbols[i])
-        _, r = sympy.reduced(sympy.expand(multiple), basis, *symbols, order="grevlex")
-        expect = sympy.Poly(r, *symbols, domain="QQ").as_dict() if r != 0 else {}
-        assert value.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in expect.items()}
-
-
-# rescaled varieties, and two whose relations of low weight in degree 2
-# come partly from generators above weight N + 1
+# rescaled varieties, two non-homogeneous ones, the curve of known defect 1, and a
+# complete intersection whose Groebner basis needs its tails reduced
 ORACLE_ALGEBRAS = {
-    "ellipse": (lambda: rescaled("ellipse", 7), 5),
-    "sphere": (lambda: rescaled("sphere", 7), 4),
-    "torus": (lambda: rescaled("torus", 7), 4),
-    "xyz": (lambda: FpAlgebra(("x", "y", "z"), ["x*y*z - 1"]), 4),
-    "cubic": (lambda: FpAlgebra(("x", "y"), ["x^2 + x*y - y^3 + 1"]), 5),
+    "ellipse": lambda: rescaled("ellipse", 7),
+    "sphere": lambda: rescaled("sphere", 7),
+    "torus": lambda: rescaled("torus", 7),
+    "xyz": lambda: FpAlgebra(("x", "y", "z"), ["x*y*z - 1"]),
+    "cubic": lambda: FpAlgebra(("x", "y"), ["x^2 + x*y - y^3 + 1"]),
+    "defect_curve": lambda: FpAlgebra(("x", "y"), ["x^2*y^2 - x - y"]),
+    "space_curve": lambda: FpAlgebra(("x", "y", "z"), ["x^2 + y^2 + z^2 - 1", "x*y - z"]),
 }
 
 
-@pytest.mark.parametrize("margin", [None, 0, 1])
-@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
-def test_relations_match_a_build_from_scratch(name, margin):
-    """Also with margins too small to catch every relation, where the rows
-    of a stratum differ from those of the relations grown further."""
-    make, top = ORACLE_ALGEBRAS[name]
-    algebra = make()
-    if margin is not None:
-        algebra.relation_margin = margin
-    for p in range(1, algebra.nvars + 1):
-        for n_cutoff in range(p, top + 1):
-            stratum = algebra._stratum(p, n_cutoff)
-            basis, rows = reference_relations(algebra, p, n_cutoff)
-            assert (stratum.size, stratum.basis) == (len(basis), basis)
-            assert stratum.relations.rows == rows
+def sympy_term(e, c, symbols):
+    return sympy.Rational(c) * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
 
 
-@pytest.mark.parametrize("margin", [None, 0])
+def sympy_poly(poly, symbols):
+    return sum(sympy_term(e, c, symbols) for e, c in poly.terms.items())
+
+
+def relation_module(algebra, p):
+    """M_p = I*F_p + dI ^ F_(p-1) as a sympy submodule, with its positions and symbols."""
+    symbols = sympy.symbols(algebra.variables)
+    positions = list(combinations(range(algebra.nvars), p))
+    gens = []
+    for f in algebra.ideal_generators:
+        for S in positions:
+            gens.append([sympy_poly(f, symbols) if T == S else 0 for T in positions])
+        for T in combinations(range(algebra.nvars), p - 1) if p else ():
+            terms = d_terms({T: f}, algebra.nvars)
+            gens.append([sympy_poly(terms[S], symbols) if S in terms else 0 for S in positions])
+    gens = [g for g in gens if any(c != 0 for c in g)]
+    ring = sympy.QQ.old_poly_ring(*symbols)
+    return ring.free_module(len(positions)).submodule(*gens), positions, symbols
+
+
+def sympy_vector(vec, positions, symbols):
+    """A module vector {(monomial, S): c} as a list of sympy polynomials."""
+    return [sum(sympy_term(e, c, symbols) for (e, T), c in vec.items() if T == S)
+            for S in positions]
+
+
+def groebner_elements(algebra, p):
+    return [(S, lead, vec) for S, elements in algebra._module(p).divisors.items()
+            for lead, vec in elements]
+
+
+def test_defect_curve_reads_every_relation():
+    """Known defect 1: a relation of low weight built only from generators of high weight."""
+    B = FpAlgebra(("x", "y"), ["x^2*y^2 - x - y"])
+    assert [truncated_cohomology(B, 1, n).dimension for n in (2, 3, 4, 5)] == [1, 2, 3, 3]
+    assert reduce_form(parse_algebraic_form("dx^dy", B, degree=2)).is_zero()
+    x, y = sympy.symbols("x y")
+    f = x**2 * y**2 - x - y
+    module = sympy.QQ.old_poly_ring(x, y).free_module(1).submodule([f], [-f.diff(y)], [f.diff(x)])
+    assert module.contains([1])
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
-def test_relations_do_not_depend_on_the_order_of_cutoffs(name, margin):
-    make, top = ORACLE_ALGEBRAS[name]
-    cutoffs = [(p, n) for p in range(1, 3) for n in range(p, top + 1)]
+def test_groebner_elements_lie_in_the_relation_module(name):
+    algebra = ORACLE_ALGEBRAS[name]()
+    for p in range(algebra.nvars + 1):
+        module, positions, symbols = relation_module(algebra, p)
+        for _, _, vec in groebner_elements(algebra, p):
+            assert module.contains(sympy_vector(vec, positions, symbols))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_groebner_basis_is_reduced_and_closed_under_s_pairs(name):
+    algebra = ORACLE_ALGEBRAS[name]()
+    for p in range(algebra.nvars + 1):
+        divisors = algebra._module(p).divisors
+        elements = groebner_elements(algebra, p)
+        for S, lead, vec in elements:
+            assert max(vec, key=derham._term_key) == (lead, S) and vec[(lead, S)] == 1
+            # reduced: no other term of an element is divisible by any leading term
+            for (e, T), _ in vec.items():
+                assert not any(monomial_divides(other, e) for other, _ in divisors.get(T, ())
+                               if (e, T) != (lead, S))
+        for (S, lead1, vec1), (T, lead2, vec2) in combinations(elements, 2):
+            if S != T:
+                continue
+            lcm = monomial_lcm(lead1, lead2)
+            s_vector = {}
+            derham._add_shifted(s_vector, vec1, 1, monomial_div(lcm, lead1))
+            derham._add_shifted(s_vector, vec2, -1, monomial_div(lcm, lead2))
+            assert derham._module_normal_form(s_vector, divisors) == {}
+
+
+@st.composite
+def forms_near_the_relations(draw):
+    """(algebra, form): a combination of relation generators, plus maybe a random form."""
+    algebra = ORACLE_ALGEBRAS[draw(st.sampled_from(sorted(ORACLE_ALGEBRAS)))]()
+    p = draw(st.integers(1, min(2, algebra.nvars)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    form = AlgebraicForm.zero(algebra, p)
+    for f in algebra.ideal_generators:
+        for T in combinations(range(algebra.nvars), p - 1):
+            generator = AlgebraicForm(algebra, p, d_terms({T: f}, algebra.nvars), reduce=False)
+            form = form + wedge_raw(random_form(rng, algebra, 0, max_coeff_degree=2), generator)
+    if draw(st.booleans()):
+        form = form + random_form(rng, algebra, p, max_coeff_degree=2, reduce=False)
+    return algebra, form
+
+
+def wedge_raw(function, form):
+    """function * form, with coefficients only normalised, not reduced."""
+    c = function.terms.get((), Polynomial.zero(form.variables))
+    return AlgebraicForm(form.algebra, form.degree,
+                         {S: c * coeff for S, coeff in form.terms.items()}, reduce=False)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(forms_near_the_relations())
+def test_normal_form_vanishes_exactly_on_the_relation_module(case):
+    algebra, form = case
+    module, positions, symbols = relation_module(algebra, form.degree)
+    vec = {(e, S): c for S, poly in form.terms.items() for e, c in poly.terms.items()}
+    assert reduce_form(form).is_zero() == module.contains(sympy_vector(vec, positions, symbols))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_stratum_below_is_a_prefix_of_the_stratum_above(name):
+    """Each stratum is the standard terms of weight <= N in term order, built on a
+    fresh algebra, and the one at N - 1 is a prefix of the one at N."""
+    make = ORACLE_ALGEBRAS[name]
+    for p in range(1, make().nvars + 1):
+        below = None
+        for n_cutoff in range(p, 6):
+            algebra = make()
+            stratum = derham._WeightStratum(algebra, p, n_cutoff)
+            module = algebra._module(p)
+            terms = [(e, S) for e in product(range(n_cutoff - p + 1), repeat=algebra.nvars)
+                     if sum(e) <= n_cutoff - p
+                     for S in combinations(range(algebra.nvars), p)
+                     if not any(monomial_divides(lead, e) for lead, _ in module.divisors.get(S, ()))]
+            basis = module.basis[: stratum.size]
+            assert basis == sorted(terms, key=derham._term_key)
+            if below is not None:
+                assert basis[: len(below)] == below
+            below = basis
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_relations_do_not_depend_on_the_order_of_cutoffs(name, monkeypatch):
+    """G_p is built once per (algebra, p), whatever cutoffs are requested, in any order."""
+    builds = []
+    build = derham._module_groebner
+
+    def counting_build(algebra, p):
+        builds.append((id(algebra), p))
+        return build(algebra, p)
+
+    monkeypatch.setattr(derham, "_module_groebner", counting_build)
+    make = ORACLE_ALGEBRAS[name]
+    cutoffs = [(p, n) for p in range(1, 3) for n in range(p + 1, 6)]
     increasing, decreasing = make(), make()
-    for algebra in (increasing, decreasing):
-        algebra.relation_margin = margin if margin is not None else algebra.relation_margin
-    up = {key: increasing._stratum(*key).relations.rows for key in cutoffs}
-    down = {key: decreasing._stratum(*key).relations.rows for key in reversed(cutoffs)}
-    fresh = {}
-    for key in cutoffs:
-        algebra = make()
-        algebra.relation_margin = increasing.relation_margin
-        fresh[key] = algebra._stratum(*key).relations.rows
-    assert up == down == fresh
+    for algebra, order in ((increasing, cutoffs), (decreasing, cutoffs[::-1])):
+        for p, n_cutoff in order:
+            truncated_cohomology(algebra, p, n_cutoff)
+            reduce_form(random_form(random.Random(n_cutoff), algebra, p, max_coeff_degree=2))
+    assert sorted(builds) == sorted(set(builds))
+    for p in range(increasing.nvars + 1):
+        fresh = make()
+        assert increasing._module(p).divisors == decreasing._module(p).divisors
+        assert increasing._module(p).divisors == fresh._module(p).divisors
+        assert increasing._module(p).basis == decreasing._module(p).basis
 
 
-def test_each_multiple_and_generator_is_built_once(monkeypatch):
-    """One normal form per (j, i, m) multiple, one insertion per generator (j, m, T)."""
-    normal_forms, requested, inserted = [], set(), []
-    building = []
-    nf, multiple, insert = FpAlgebra.nf, FpAlgebra.multiple, derham.insert_forward
-    stratum_init = derham._WeightStratum.__init__
-
-    def counting_nf(self, f):
-        if building:
-            normal_forms.append(f)
-        return nf(self, f)
-
-    def recording_multiple(self, j, i, m):
-        requested.add((j, i, m))
-        return multiple(self, j, i, m)
-
-    def counting_insert(rows, vec):
-        inserted.append(vec)
-        return insert(rows, vec)
-
-    def flagged_init(self, *args):
-        building.append(True)
-        try:
-            stratum_init(self, *args)
-        finally:
-            building.pop()
-
-    monkeypatch.setattr(FpAlgebra, "nf", counting_nf)
-    monkeypatch.setattr(FpAlgebra, "multiple", recording_multiple)
-    monkeypatch.setattr(derham, "insert_forward", counting_insert)
-    monkeypatch.setattr(derham._WeightStratum, "__init__", flagged_init)
+def test_module_buchberger_stops_at_the_pair_budget(monkeypatch):
+    monkeypatch.setattr(derham, "DEFAULT_PAIR_BUDGET", 2)
     torus = rescaled("torus", 5)
-    truncated_cohomology(torus, 1, 4)
-    assert len(normal_forms) == len(requested) > 0
-    # relation sets of degrees 1 and 2 reach weight 4 + margin; every
-    # generator m * df_j ^ dx_T up to it goes in once
-    top = 4 + torus.relation_margin
-    generators = sum(
-        len(list(combinations(range(4), p - 1)))
-        * sum(1 for d in range(top - p - f.total_degree() + 2) for _ in torus.standard_layer(d))
-        for p in (1, 2)
-        for f in torus.ideal_generators
-    )
-    assert len(inserted) == generators
-    for n_cutoff in (2, 3, 4):
-        truncated_cohomology(torus, 1, n_cutoff)
-        reduce_form(random_form(random.Random(n_cutoff), torus, 2, max_coeff_degree=2))
-    assert len(normal_forms) == len(requested)
-    assert len(inserted) == generators
+    with pytest.raises(ResourceBudgetExceeded):
+        truncated_cohomology(torus, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# truncated cohomology against the Betti numbers of the complex points
+
+# name -> (Betti numbers, weight of the lowest generator per nonzero Betti degree)
+BETTI = {
+    "ellipse": ((1, 1, 0), {0: 0, 1: 2}),
+    "hyperbola": ((1, 1, 0), {0: 0, 1: 2}),
+    "sphere": ((1, 0, 1, 0), {0: 0, 2: 3}),
+    "torus": ((1, 2, 1, 0, 0), {0: 0, 1: 2, 2: 4}),
+    "points": ((2, 0), {0: 1}),
+    "plane": ((1, 0, 0), {0: 0}),
+}
+BETTI_CASES = [(name, seed, p, n_cutoff)
+               for name, (betti, lowest) in sorted(BETTI.items())
+               for seed in (3, 19)
+               for p in range(len(betti))
+               for n_cutoff in range(lowest.get(p, p) + 1, 6)]
+
+
+@pytest.mark.parametrize("name, seed, p, n_cutoff", BETTI_CASES)
+def test_truncated_cohomology_reads_the_betti_numbers(name, seed, p, n_cutoff):
+    h = truncated_cohomology(rescaled(name, seed), p, n_cutoff)
+    assert h.dimension == BETTI[name][0][p]
+    for i, rep in enumerate(h.representatives):
+        assert h.class_of(rep) == [Fraction(int(i == k)) for k in range(h.dimension)]

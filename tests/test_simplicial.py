@@ -35,8 +35,6 @@ def random_cochain(rng, K, p):
 def test_delta_morphism_compose_and_constructors():
     f = DeltaMorphism.face(2, 1)
     assert f.values == (0, 2)
-    s = DeltaMorphism.degeneracy(1, 0)
-    assert s.values == (0, 0, 1)
     comp = f.compose(DeltaMorphism.identity(1))
     assert comp == f
     with pytest.raises(ValueError):
