@@ -22,6 +22,7 @@ from rhamcheck.derham import (
 from rhamcheck.errors import AlgebraMismatch, ResourceBudgetExceeded
 from rhamcheck.exterior import d_terms
 from rhamcheck.formtext import parse_polynomial
+from rhamcheck.linalg import Echelon
 from rhamcheck.poly import Polynomial, monomial_div, monomial_divides, monomial_lcm
 
 
@@ -442,9 +443,105 @@ def test_stratum_below_is_a_prefix_of_the_stratum_above(name):
             below = basis
 
 
+def quotient_terms(algebra, p, n_cutoff):
+    """The terms (m, S) of weight <= N whose monomial is standard for the ideal, in term order."""
+    monomials = [e for e in product(range(n_cutoff - p + 1), repeat=algebra.nvars)
+                 if sum(e) <= n_cutoff - p and algebra.is_standard(e)]
+    return sorted(((m, S) for m in monomials for S in combinations(range(algebra.nvars), p)),
+                  key=derham._term_key)
+
+
+def wide_margin(algebra):
+    """A margin past which the from-scratch echelon reaches every relation of weight
+    <= N, for each oracle algebra at each cutoff compared; one more than the highest
+    generator degree is too small for the defect curve."""
+    return 2 * max(f.total_degree() for f in algebra.ideal_generators)
+
+
+def reference_relations(algebra, p, n_cutoff, margin):
+    """(terms, relation rows) of the stratum, built from scratch by Gauss-Jordan.
+
+    Every generator m * df_j ^ dx_T up to weight N + margin, m a standard
+    monomial of the ideal, goes into one reduced echelon over the terms of
+    weight <= N + margin; the rows with pivot inside the weight <= N prefix
+    span the relations of the stratum that this margin reaches.  `margin`
+    None is `wide_margin`.
+    """
+    extended = n_cutoff + (wide_margin(algebra) if margin is None else margin)
+    terms = quotient_terms(algebra, p, extended)
+    index = {t: i for i, t in enumerate(terms)}
+    size = sum(1 for m, _ in terms if sum(m) + p <= n_cutoff)
+    echelon = Echelon()
+    for f in algebra.ideal_generators:
+        cap = extended - p - (f.total_degree() - 1)
+        relations = [d_terms({T: f}, algebra.nvars)
+                     for T in combinations(range(algebra.nvars), p - 1)]
+        for m in product(range(max(cap, -1) + 1), repeat=algebra.nvars):
+            if sum(m) > cap or not algebra.is_standard(m):
+                continue
+            mono = Polynomial(algebra.variables, {m: 1})
+            for relation in relations:
+                vec = {}
+                for S, partial in relation.items():
+                    for e, c in algebra.nf(mono * partial).terms.items():
+                        vec[index[(e, S)]] = c
+                if vec:
+                    echelon.add(vec)
+    return terms[:size], {pivot: row for pivot, row in echelon.rows.items() if pivot < size}
+
+
+def stratum_relations(algebra, p, n_cutoff):
+    """The stratum's relations as reduced echelon rows over `quotient_terms`:
+    t - NF(t) for each term t of weight <= N that is not standard for G_p."""
+    derham._WeightStratum(algebra, p, n_cutoff)
+    module = algebra._module(p)
+    terms = quotient_terms(algebra, p, n_cutoff)
+    index = {t: i for i, t in enumerate(terms)}
+    rows = {}
+    for t in terms:
+        if t not in module.index:
+            remainder = derham._module_normal_form({t: 1}, module.divisors)
+            rows[index[t]] = {index[s]: -c for s, c in remainder.items()}
+            rows[index[t]][index[t]] = 1
+    return rows
+
+
+def check_against_reference(algebra, p, n_cutoff, margin, rows):
+    """At the wide margin the reference echelon equals the stratum's relations and
+    its non-pivot terms are the stratum's basis; at a smaller one it lies in their span."""
+    terms, reference = reference_relations(algebra, p, n_cutoff, margin)
+    if margin is None:
+        assert rows == reference
+        stratum = derham._WeightStratum(algebra, p, n_cutoff)
+        assert algebra._module(p).basis[: stratum.size] == [
+            t for i, t in enumerate(terms) if i not in reference]
+    else:
+        span = Echelon(rows.values())
+        assert all(not span.reduce(row)[0] for row in reference.values())
+
+
+def oracle_top(algebra):
+    return 5 if algebra.nvars <= 2 else 4
+
+
+@pytest.mark.parametrize("margin", [None, 0, 1])
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
-def test_relations_do_not_depend_on_the_order_of_cutoffs(name, monkeypatch):
-    """G_p is built once per (algebra, p), whatever cutoffs are requested, in any order."""
+def test_relations_match_a_build_from_scratch(name, margin):
+    """Also with margins too small to catch every relation, where the
+    from-scratch rows span only part of the stratum's relations."""
+    algebra = ORACLE_ALGEBRAS[name]()
+    for p in range(1, algebra.nvars + 1):
+        for n_cutoff in range(p, oracle_top(algebra) + 1):
+            rows = stratum_relations(algebra, p, n_cutoff)
+            check_against_reference(algebra, p, n_cutoff, margin, rows)
+
+
+@pytest.mark.parametrize("margin", [None, 0])
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_relations_do_not_depend_on_the_order_of_cutoffs(name, margin, monkeypatch):
+    """G_p is built once per (algebra, p), whatever cutoffs are requested, in any
+    order; each stratum's relations are those of a fresh algebra and agree with
+    the from-scratch echelon at `margin`."""
     builds = []
     build = derham._module_groebner
 
@@ -454,13 +551,24 @@ def test_relations_do_not_depend_on_the_order_of_cutoffs(name, monkeypatch):
 
     monkeypatch.setattr(derham, "_module_groebner", counting_build)
     make = ORACLE_ALGEBRAS[name]
-    cutoffs = [(p, n) for p in range(1, 3) for n in range(p + 1, 6)]
+    top = oracle_top(make())
+    cutoffs = [(p, n) for p in range(1, 3) for n in range(p, top + 1)]
     increasing, decreasing = make(), make()
+    relations = []
     for algebra, order in ((increasing, cutoffs), (decreasing, cutoffs[::-1])):
+        rows = {}
         for p, n_cutoff in order:
-            truncated_cohomology(algebra, p, n_cutoff)
+            if n_cutoff > p:
+                truncated_cohomology(algebra, p, n_cutoff)
             reduce_form(random_form(random.Random(n_cutoff), algebra, p, max_coeff_degree=2))
+            rows[(p, n_cutoff)] = stratum_relations(algebra, p, n_cutoff)
+        relations.append(rows)
+    up, down = relations
     assert sorted(builds) == sorted(set(builds))
+    fresh = {key: stratum_relations(make(), *key) for key in cutoffs}
+    assert up == down == fresh
+    for key in cutoffs:
+        check_against_reference(increasing, *key, margin, up[key])
     for p in range(increasing.nvars + 1):
         fresh = make()
         assert increasing._module(p).divisors == decreasing._module(p).divisors
