@@ -198,6 +198,12 @@ class Scenario:
         if kind == "cohomology" and p["max_weight"] < p["degree"]:
             raise ParseError("%s: max_weight: %d is below degree %d"
                              % (where, p["max_weight"], p["degree"]))
+        elif kind == "cohomology" and p["class_nonzero"] is not None:
+            # the class is read off the stratum, which holds forms of weight <= cutoff
+            weight = forms[p["class_nonzero"]].weight()
+            if weight > p["max_weight"]:
+                raise ValidationError("%s: class_nonzero: form %s has weight %d, above max_weight "
+                                      "%d" % (where, p["class_nonzero"], weight, p["max_weight"]))
         elif kind == "tau_witness":
             for key in ("alpha", "beta"):
                 p[key] = _evaluate("%s: %s" % (where, key), parse_poly_form, p[key], p["dim"])

@@ -11,14 +11,16 @@ This module supplies the dg-algebra operations, cosimplicial pullback,
 exact and Gauss-Legendre/Duffy integration, the cone contraction to
 vertex 0, the integration map onto simplicial cochains, families of
 forms over a simplicial set, and extension of a compatible boundary
-family into the interior.
+family into the interior.  The weight-truncated complex of families
+is spanned by barycentric forms lambda^alpha dlambda_sigma, written
+down face by face (Arnold-Falk-Winther), and by Whitney forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial, fsum
 
 import numpy as np
@@ -34,12 +36,12 @@ from .formtext import eval_form_ast
 from .linalg import CohomologyPair, Echelon, SparseMatrix, kernel_image
 from .poly import Polynomial, drl_key, parse_ast
 from .ratfunc import RationalFunc, parts
-from .simplicial import Cochain, DeltaMorphism, standard_simplex
+from .simplicial import Cochain, DeltaMorphism, _coboundary_matrix, standard_simplex
 
 DEFAULT_QUAD_ORDER = 16
 QUAD_CROSS_CHECK_STEP = 4
 QUAD_RULE_CACHE_SIZE = 32  # (n, order) rules kept; a run uses a handful
-AFFINE_MAP_CACHE_SIZE = 256  # (vertex map, m, n) maps kept; faces of small simplices
+AFFINE_MAP_CACHE_SIZE = 256  # affine maps, barycentric expansions kept; small simplices
 
 
 def simplex_variables(n):
@@ -497,31 +499,28 @@ def extend_from_boundary(family, n=None):
 class FamilyComplex:
     """The complex of polynomial form families over K, weight-truncated.
 
-    Families of q-forms with coefficient degree + q <= N form a finite
-    dimensional space (the kernel of the face-compatibility constraints);
-    the simplexwise differential preserves both the compatibility and the
-    weight, so cohomology is computed degree by degree with the exact
-    linear algebra kernel.
+    K's simplices are increasing vertex tuples.  The compatible families of
+    q-forms with coefficient degree + q <= N are P_r Lambda^q(K), r = N - q;
+    a family is a sparse dict (simplex, exponent, index set) -> coefficient
+    of t^e dt_S there.  For r >= 1 the basis is Arnold-Falk-Winther's (Acta
+    Numerica 15, 2006, sec. 3-4): per face f of dimension >= q, the forms
+    lambda^alpha dlambda_sigma in barycentric coordinates with |alpha| = r,
+    sigma a q-subset of f, supp(alpha) u sigma = f and alpha zero below
+    min(f - sigma).  Each has zero trace on the faces not containing f, so
+    its family is the same expression on every simplex containing f and
+    zero elsewhere.  For r = 0 the basis is the Whitney forms of a basis of
+    the q-cocycles.  The differential keeps compatibility and weight, so
+    cohomology is computed degree by degree with the exact linear algebra.
     """
 
     def __init__(self, complex_, weight_cutoff):
         self.complex = complex_
         self.weight_cutoff = weight_cutoff
         top = complex_.dimension
-        self._locals = {}
-        self._family_basis = {}
-        for q in range(top + 2):
-            basis = self._local_basis(q)
-            self._locals[q] = basis
-            if not basis:
-                self._family_basis[q] = []
-                continue
-            constraints = self._constraint_matrix(q)
-            kernel, _, _ = kernel_image(constraints)
-            self._family_basis[q] = kernel
-        self._d_matrices = {}
-        for q in range(top + 1):
-            self._d_matrices[q] = self._differential_matrix(q)
+        simplices = [s for ids in complex_.simplices.values() for s in ids]
+        self._cofaces = {f: [s for s in simplices if set(f) <= set(s)] for f in simplices}
+        self._family_basis = {q: self._basis(q) for q in range(top + 2)}
+        self._d_matrices = {q: self._differential_matrix(q) for q in range(top + 1)}
         self._pairs = {}
         for q in range(top + 1):
             d_prev = (
@@ -531,117 +530,106 @@ class FamilyComplex:
             )
             self._pairs[q] = CohomologyPair(d_prev, self._d_matrices[q])
 
-    def _local_basis(self, q):
+    def _basis(self, q):
+        r = self.weight_cutoff - q
+        if r < 0:
+            return []
+        if r == 0:
+            return self._whitney_basis(q)
         basis = []
-        for d in sorted(self.complex.simplices):
-            if q > d:
-                continue
-            cap = self.weight_cutoff - q
-            if cap < 0:
-                continue
-            monos = _monomials_up_to(d, cap)
-            for s in self.complex.simplices[d]:
-                for S in combinations(range(d), q):
-                    for e in monos:
-                        basis.append((s, e, S))
+        # alpha is positive on the dim f + 1 - q vertices of f - sigma, so dim f < q + r
+        for d in range(q, min(self.complex.dimension, q + r - 1) + 1):
+            for f in self.complex.n_simplices(d):
+                for sigma in combinations(f, q):
+                    rest = tuple(v for v in f if v not in sigma)
+                    free = [v for v in f if v >= rest[0]]
+                    for extra in combinations_with_replacement(free, r - len(rest)):
+                        basis.append(self._add_barycentric({}, 1, rest + extra, sigma, f))
         return basis
 
-    def _constraint_matrix(self, q):
-        basis = self._locals[q]
-        by_simplex = {}
-        for col, (s, e, S) in enumerate(basis):
-            by_simplex.setdefault(s, []).append((col, e, S))
-        entries = {}
-        row_count = 0
-        for d in sorted(self.complex.simplices):
-            if d == 0:
-                continue
-            for s in self.complex.simplices[d]:
-                for i in range(d + 1):
-                    face = self.complex.face(s, i)
-                    row_index = {}
+    def _whitney_basis(self, q):
+        """q! sum_s z(s) sum_i (-1)^i lambda_{s_i} dlambda_{s - s_i} for a basis of cocycles
+        z; on each simplex the degree-1 terms cancel, leaving a constant form."""
+        kernel, _, _ = kernel_image(_coboundary_matrix(self.complex, q))
+        basis = []
+        for z in kernel:
+            family = {}
+            for s, value in zip(self.complex.n_simplices(q), z):
+                for i, v in enumerate(s):
+                    scale = factorial(q) * (-1) ** i * value
+                    self._add_barycentric(family, scale, (v,), s[:i] + s[i + 1 :], s)
+            basis.append({key: c for key, c in family.items() if c})
+        return basis
 
-                    def row_for(key):
-                        if key not in row_index:
-                            row_index[key] = row_count + len(row_index)
-                        return row_index[key]
-
-                    for col, e, S in by_simplex.get(s, ()):
-                        form = PolyForm(d, q, {S: Polynomial(simplex_variables(d), {e: 1})})
-                        pulled = pullback_delta(DeltaMorphism.face(d, i), form)
-                        for T, c in pulled.terms.items():
-                            for ee, value in c.terms.items():
-                                r = row_for((ee, T))
-                                entries[(r, col)] = entries.get((r, col), Fraction(0)) + value
-                    for col, e, S in by_simplex.get(face, ()):
-                        r = row_for((e, S))
-                        entries[(r, col)] = entries.get((r, col), Fraction(0)) - 1
-                    row_count += len(row_index)
-        return SparseMatrix(row_count, len(basis), entries)
+    def _add_barycentric(self, family, scale, alpha, sigma, face):
+        """family += scale * lambda^alpha dlambda_sigma on each simplex containing face,
+        for alpha a tuple of vertices with repetition; returns family."""
+        for s in self._cofaces[face]:
+            local = _barycentric_terms(
+                tuple(alpha.count(v) for v in s), tuple(s.index(v) for v in sigma)
+            )
+            for (e, S), c in local:
+                family[(s, e, S)] = family.get((s, e, S), 0) + scale * c
+        return family
 
     def _differential_matrix(self, q):
         """Matrix of d in degree q, from the family basis to the next one."""
         source = self._family_basis[q]
-        target = self._family_basis.get(q + 1, [])
-        # a kernel basis is independent, so echelon input k is target[k]
+        target = self._family_basis[q + 1]
+        # the basis is independent, so echelon input k is target[k]
         echelon = Echelon(target, track=True)
         entries = {}
-        for col, vec in enumerate(source):
-            rest, coords = echelon.reduce(self._apply_d(vec, q))
+        for col, family in enumerate(source):
+            image = {}
+            for (s, e, S), c in family.items():
+                for m, de, T in d_monomial(e, S):
+                    image[(s, de, T)] = image.get((s, de, T), 0) + m * c
+            rest, coords = echelon.reduce(image)
             if rest:
                 raise AssertionError("differential left the family space")
             entries.update(((k, col), c) for k, c in coords.items())
         return SparseMatrix(len(target), len(source), entries)
 
-    def _apply_d(self, vec, q):
-        up_index = {b: i for i, b in enumerate(self._locals.get(q + 1, []))}
-        out = [Fraction(0)] * len(up_index)
-        for coeff, (s, e, S) in zip(vec, self._locals[q]):
-            if not coeff:
-                continue
-            for c, de, T in d_monomial(e, S):
-                out[up_index[(s, de, T)]] += coeff * c
-        return out
-
     def cohomology_dimension(self, q):
         return self._pairs[q].dimension
 
     def representatives(self, q):
-        return [self._materialize(vec, q) for vec in self._rep_vectors(q)]
+        reps = []
+        for vec in self._pairs[q].representatives:
+            combo = {}
+            for coeff, family in zip(vec, self._family_basis[q]):
+                for key, c in family.items():
+                    combo[key] = combo.get(key, 0) + coeff * c
+            reps.append(self._materialize(combo, q))
+        return reps
 
-    def _rep_vectors(self, q):
-        basis_matrix = SparseMatrix.from_columns(
-            self._family_basis[q], len(self._locals[q])
-        )
-        return [basis_matrix.mul_vec(v) for v in self._pairs[q].representatives]
-
-    def _materialize(self, local_vec, q):
+    def _materialize(self, family, q):
+        terms = {s: {} for s in self._cofaces}
+        for (s, e, S), c in family.items():
+            terms[s].setdefault(S, {})[e] = c
         assignment = {}
-        for value, (s, e, S) in zip(local_vec, self._locals[q]):
-            if not value:
-                continue
-            d = self.complex.dim_of[s]
-            form = assignment.get(s, PolyForm.zero(d, q))
-            mono = Polynomial(simplex_variables(d), {e: value})
-            form = form + PolyForm(d, q, {S: mono})
-            assignment[s] = form
-        for d, ids in self.complex.simplices.items():
-            for s in ids:
-                assignment.setdefault(s, PolyForm.zero(d, q))
+        for s, by_set in terms.items():
+            variables = simplex_variables(self.complex.dim_of[s])
+            by_set = {S: Polynomial(variables, monos) for S, monos in by_set.items()}
+            assignment[s] = PolyForm(self.complex.dim_of[s], q, by_set)
         return FormsFamily(self.complex, q, assignment, check=False)
 
 
-def _monomials_up_to(nvars, max_degree):
-    out = [(0,) * nvars]
-    current = list(out)
-    for _ in range(max_degree):
-        nxt = set()
-        for e in current:
-            for i in range(nvars):
-                nxt.add(e[:i] + (e[i] + 1,) + e[i + 1 :])
-        current = sorted(nxt)
-        out.extend(current)
-    return out
+@lru_cache(maxsize=AFFINE_MAP_CACHE_SIZE)
+def _barycentric_terms(alpha, sigma):
+    """lambda^alpha dlambda_sigma on the d-simplex as ((exponent, index set), coefficient)
+    pairs, for the exponents alpha of lambda_0..lambda_d and increasing vertex positions
+    sigma; a tuple, because the cache hands it to every caller."""
+    d = len(alpha) - 1
+    variables = simplex_variables(d)
+    t = [Polynomial.variable(variables, i) for i in range(d)]
+    lam = [Polynomial.constant(variables, 1) - sum(t, Polynomial.zero(variables))] + t
+    form = PolyForm.constant(d, 1)
+    for v, a in enumerate(alpha):
+        form = wedge(form, PolyForm(d, 0, {(): lam[v] ** a}))
+    for v in sigma:
+        form = wedge(form, differential(PolyForm(d, 0, {(): lam[v]})))
+    return tuple(((e, S), c) for S, poly in form.terms.items() for e, c in poly.terms.items())
 
 
 def _radial_extension(gamma, n):

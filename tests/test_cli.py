@@ -394,7 +394,30 @@ def test_class_of_a_form_above_the_cutoff_is_refused(tmp_path, capsys, max_weigh
         % cutoff
     ]
     # at the form's own weight the class is read and is nonzero
+    path.write_text(CIRCLE_CLASS.format("5"))
     assert main(["--scenario", str(path), "--max-weight", "4"]) == 0
+
+
+def test_class_above_the_scenario_cutoff_is_refused_whatever_the_flags(tmp_path, capsys):
+    path = tmp_path / "circle.scn"
+    path.write_text(CIRCLE_CLASS.format("2"))
+    assert main(["--scenario", str(path), "--max-weight", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "rhamcheck: check h: class_nonzero: form omega has weight 4, above max_weight 2"
+    ]
+
+
+def test_class_above_the_cutoff_is_refused_when_the_scenario_loads():
+    """In-process callers of run_scenario_checks get no validate_settings pass."""
+    with pytest.raises(ValidationError) as caught:
+        Scenario(CIRCLE_CLASS.format("2"))
+    assert str(caught.value) == (
+        "check h: class_nonzero: form omega has weight 4, above max_weight 2"
+    )
+    (result,) = run_scenario_checks(Scenario(CIRCLE_CLASS.format("4")), Settings())
+    assert result.status == "pass"
 
 
 def test_console_output_follows_redirected_stdout():

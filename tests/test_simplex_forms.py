@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhamcheck import ratfunc
+from rhamcheck import ratfunc, simplex_forms
 from rhamcheck.checks import _random_algebraic_form, _random_poly, _random_poly_form
 from rhamcheck.comparison import pullback_form
 from rhamcheck.errors import (
@@ -21,6 +21,7 @@ from rhamcheck.errors import (
     NonPolynomialCoefficient,
     NotTopDegree,
 )
+from rhamcheck.linalg import Echelon, kernel_image
 from rhamcheck.poly import Polynomial, drl_key
 from rhamcheck.ratfunc import RationalFunc, _positive_on_simplex, parts, ratio
 from rhamcheck.scenarios import load_builtin
@@ -43,7 +44,9 @@ from rhamcheck.simplex_forms import (
     _quad_value,
 )
 from rhamcheck.simplicial import (
+    Cochain,
     DeltaMorphism,
+    _coboundary_matrix,
     boundary_complex,
     coboundary,
     simplicial_cohomology,
@@ -489,7 +492,131 @@ def test_extension_round_trip(n):
 
 
 def test_family_complex_dimensions_match_simplicial():
-    for K in (standard_simplex(2), boundary_complex(2)):
-        fc = FamilyComplex(K, weight_cutoff=3)
+    cases = [(standard_simplex(2), 3), (boundary_complex(2), 3)]
+    for K in (standard_simplex(3), boundary_complex(3), boundary_complex(4)):
+        cases += [(K, N) for N in range(K.dimension, 5)]
+    for K, N in cases:
+        fc = FamilyComplex(K, weight_cutoff=N)
         for q in range(K.dimension + 1):
             assert fc.cohomology_dimension(q) == simplicial_cohomology(K, q).dimension
+
+
+# ---------------------------------------------------------------------------
+# the family basis against the face-compatibility constraints
+
+COMPLEXES = {"delta%d" % n: standard_simplex(n) for n in range(4)}
+COMPLEXES.update({"boundary%d" % n: boundary_complex(n) for n in range(1, 5)})
+
+
+def constraint_columns(K, N, q):
+    """The face-compatibility constraints on all local monomial q-forms of weight <= N.
+
+    One column per t^e dt_S on a simplex, keyed (simplex, e, S); one row per
+    (simplex, face index, monomial form on the face), holding pullback to the
+    face minus the face's own coordinate.  The compatible families are the
+    kernel.
+    """
+    r = N - q
+    columns = {}
+    for d, ids in K.simplices.items():
+        monos = [e for e in product(range(r + 1), repeat=d) if sum(e) <= r]
+        for s in ids:
+            for S in combinations(range(d), q):
+                for e in monos:
+                    columns[(s, e, S)] = {}
+    for (s, e, S), column in columns.items():
+        d = K.dim_of[s]
+        form = PolyForm(d, q, {S: Polynomial(simplex_variables(d), {e: 1})})
+        for i in range(d + 1) if d else ():
+            for T, c in pullback_delta(DeltaMorphism.face(d, i), form).terms.items():
+                for ee, value in c.terms.items():
+                    column[(s, i, ee, T)] = column.get((s, i, ee, T), 0) + value
+    for d, ids in K.simplices.items():
+        for s in ids:
+            for i in range(d + 1) if d else ():
+                face = K.face(s, i)
+                for (t, e, S), column in columns.items():
+                    if t == face:
+                        column[(s, i, e, S)] = column.get((s, i, e, S), 0) - 1
+    return columns
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_family_basis_spans_the_compatible_families(name):
+    K = COMPLEXES[name]
+    for N in range(5):
+        fc = FamilyComplex(K, N)
+        for q in range(K.dimension + 2):
+            columns = constraint_columns(K, N, q)
+            nullity = len(columns) - len(Echelon(columns.values()).rows)
+            basis = fc._family_basis[q]
+            assert len(basis) == len(Echelon(basis).rows) == nullity, (N, q)
+            for family in basis:
+                residual = {}
+                for key, c in family.items():
+                    for row, value in columns[key].items():
+                        residual[row] = residual.get(row, 0) + c * value
+                assert not any(residual.values()), (N, q, family)
+                FormsFamily(K, q, fc._materialize(family, q).assignment, check=True)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_family_basis_counts_per_face(name):
+    """For r >= 1, C(r-1, dim f - q) * C(r+q, q) families attach to each face f:
+    each family lives exactly on the simplices containing its face."""
+    K = COMPLEXES[name]
+    simplices = [s for ids in K.simplices.values() for s in ids]
+    for N in range(1, 5):
+        fc = FamilyComplex(K, N)
+        for q in range(min(N - 1, K.dimension) + 1):
+            r = N - q
+            counts = dict.fromkeys(simplices, 0)
+            for family in fc._family_basis[q]:
+                support = {s for s, _, _ in family}
+                face = min(support, key=len)
+                assert support == {s for s in simplices if set(face) <= set(s)}
+                counts[face] += 1
+            for f in simplices:
+                d = len(f) - 1
+                expected = math.comb(r - 1, d - q) * math.comb(r + q, q) if d >= q else 0
+                assert counts[f] == expected, (N, q, f)
+
+
+@pytest.mark.parametrize("name", ["delta2", "delta3", "boundary2", "boundary3"])
+def test_whitney_families_integrate_to_their_cocycles(name):
+    """At r = 0 the basis is the Whitney forms W(z) of a cocycle basis, and the
+    integration map sends each back to its cocycle: Psi(Lambda(z)) = z."""
+    K = COMPLEXES[name]
+    for q in range(K.dimension + 1):
+        fc = FamilyComplex(K, q)
+        cocycles, _, _ = kernel_image(_coboundary_matrix(K, q))
+        assert len(fc._family_basis[q]) == len(cocycles)
+        for family, z in zip(fc._family_basis[q], cocycles):
+            forms = fc._materialize(family, q)
+            assert all(c.total_degree() == 0 for form in forms.assignment.values()
+                       for c in form.terms.values())
+            values = dict(zip(K.n_simplices(q), z))
+            assert forms.to_cochain() == Cochain(K, q, values)
+            assert all(isinstance(v, Fraction) for v in forms.to_cochain().values.values())
+
+
+def test_family_complex_makes_no_pullback_and_no_constraint_kernel(monkeypatch):
+    """The basis is written down face by face: no pullback_delta, and the only
+    kernel is the simplicial coboundary's, at r = 0."""
+    pullbacks, kernels = [], []
+    monkeypatch.setattr(simplex_forms, "pullback_delta",
+                        lambda *args: pullbacks.append(args))
+    kernel = simplex_forms.kernel_image
+    monkeypatch.setattr(simplex_forms, "kernel_image",
+                        lambda m: kernels.append(m) or kernel(m))
+    K = boundary_complex(3)
+    for N in (1, 2, 3):
+        fc = FamilyComplex(K, N)
+        (matrix,) = kernels
+        expected = _coboundary_matrix(K, N)
+        assert (matrix.rows, matrix.cols, matrix.entries) == (
+            expected.rows, expected.cols, expected.entries)
+        kernels.clear()
+    assert [fc.cohomology_dimension(q) for q in range(3)] == [1, 0, 1]
+    FamilyComplex(K, 4)
+    assert pullbacks == [] and kernels == []
