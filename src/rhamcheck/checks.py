@@ -28,6 +28,7 @@ from .scenarios import check_rng_seed
 from .simplex_forms import (
     FamilyComplex,
     FormsFamily,
+    MAX_QUAD_ORDER,
     PolyForm,
     differential as d_simplex,
     extend_from_boundary,
@@ -593,6 +594,8 @@ def validate_settings(settings, scenarios, check_filter=None):
     """Raise ValidationError for settings that the selected checks cannot honour."""
     if settings.quad_order < 1:
         raise ValidationError("--quad-order %d is below 1" % settings.quad_order)
+    if settings.quad_order > MAX_QUAD_ORDER:
+        raise ValidationError("--quad-order %d is above %d" % (settings.quad_order, MAX_QUAD_ORDER))
     if settings.max_weight is not None and settings.max_weight < 0:
         raise ValidationError("--max-weight %d is below 0" % settings.max_weight)
     if settings.tolerance is not None and not settings.tolerance >= 0:

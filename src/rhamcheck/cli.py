@@ -14,7 +14,7 @@ import sys
 import time
 
 from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
-from .errors import RhamcheckError
+from .errors import ParseError, RhamcheckError
 from .scenarios import (
     BUILTIN_DESCRIPTIONS,
     Scenario,
@@ -142,13 +142,17 @@ def main(argv=None):
         tolerance=args.tolerance,
         seed=args.seed,
     )
-    check_filter = set(args.check.split(",")) if args.check else None
+    check_filter = set(args.check.split(",")) if args.check is not None else None
     runs = []
     try:
         scenarios = [load_builtin(name) for name in selected]
         for path in args.scenario:
             with open(path, "r", encoding="utf-8") as handle:
-                scenarios.append(Scenario(handle.read(), source=path))
+                try:
+                    text = handle.read()
+                except UnicodeDecodeError as exc:
+                    raise ParseError("%s: not UTF-8 text: %s" % (path, exc)) from None
+            scenarios.append(Scenario(text, source=path))
         validate_settings(settings, scenarios, check_filter)
     except RhamcheckError as exc:
         sys.stderr.write("rhamcheck: %s\n" % exc)

@@ -2,10 +2,12 @@
 
 For B = Q[x1..xm]/I the degree-p forms are F_p / M_p: F_p is free on the
 dx_S (|S| = p) over Q[x1..xm], and M_p = I*F_p + dI ^ F_(p-1).  Each
-degree has one reduced Groebner basis G_p of M_p, built once per algebra.
-Its terms (m, S) are ordered term-over-position, degrevlex on m and then
-S; a form's module normal form is its unique remainder on the standard
-terms, those no leading term of G_p divides, and vanishes exactly on M_p.
+degree has one reduced Groebner basis G_p of M_p, built once per algebra
+by the Groebner engine that `poly` shares with the ideal I (an ideal is a
+submodule of F_0 with one position).  Its terms (m, S) are ordered
+term-over-position, degrevlex on m and then S; a form's module normal
+form is its unique remainder on the standard terms, those no leading
+term of G_p divides, and vanishes exactly on M_p.
 
 The weight of a term is deg m + p, and d preserves it.  The order is
 degree-compatible, so reduction never raises weight and an element of
@@ -21,18 +23,15 @@ records whether two consecutive cutoffs agree.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AlgebraMismatch, ParseError, ResourceBudgetExceeded, ValidationError
-from .exterior import (ExteriorForm, check_index_set, d_monomial, d_terms, insert_index,
-                       wedge_terms)
+from .errors import AlgebraMismatch, ParseError, ValidationError
+from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast, parse_polynomial
 from .linalg import CohomologyPair, SparseMatrix, dense_vector, kernel_image, solve
-from .poly import (DEFAULT_PAIR_BUDGET, Polynomial, _quotient, drl_key, groebner_basis,
-                   monomial_div, monomial_divides, monomial_lcm, monomial_mul, normal_form,
-                   parse_ast)
+from .poly import (Polynomial, buchberger, drl_key, groebner_basis, monomial_divides,
+                   parse_ast, reduce_vector)
 
 
 class FpAlgebra:
@@ -48,7 +47,7 @@ class FpAlgebra:
                 raise ValidationError("zero ideal generator")
             gens.append(g)
         self.ideal_generators = gens
-        self.groebner = groebner_basis(gens) if gens else []
+        self.groebner = groebner_basis(gens)
         self._lead_monomials = [g.leading_term()[0] for g in self.groebner]
         self._std_layers = [[(0,) * self.nvars]]
         self._modules = {}
@@ -56,9 +55,6 @@ class FpAlgebra:
     @property
     def nvars(self):
         return len(self.variables)
-
-    def nf(self, f):
-        return normal_form(f, self.groebner)
 
     def is_standard(self, monomial):
         return not any(monomial_divides(lm, monomial) for lm in self._lead_monomials)
@@ -98,127 +94,24 @@ class FpAlgebra:
         )
 
 
-# ---------------------------------------------------------------------------
-# module Groebner bases: a vector is a dict (monomial, index set) -> coefficient
-
-
-def _term_key(term):
-    """Sort key of the term order: degrevlex on the monomial, then the index set."""
-    return drl_key(term[0]), term[1]
-
-
-def _add_shifted(vec, terms, coeff, shift):
-    """vec += coeff * x^shift * terms, in place; cancelled terms are dropped."""
-    for (e, S), c in terms.items():
-        key = (monomial_mul(e, shift), S)
-        v = vec.get(key, 0) + coeff * c
-        if v:
-            vec[key] = v
-        else:
-            del vec[key]
-
-
-def _module_normal_form(vec, divisors):
-    """Remainder of vec under division by monic vectors, listed per leading position.
-
-    `divisors` maps an index set S to (leading monomial, vector) pairs
-    whose leading term sits at S with coefficient 1.
-    """
-    h = dict(vec)
-    rem = {}
-    while h:
-        term = max(h, key=_term_key)
-        m, S = term
-        c = h[term]
-        for lead, terms in divisors.get(S, ()):
-            if monomial_divides(lead, m):
-                _add_shifted(h, terms, -c, monomial_div(m, lead))
-                break
-        else:
-            rem[term] = c
-            del h[term]
-    return rem
+def _vector(terms):
+    """A form given by its terms S -> Polynomial as a vector (monomial, S) -> coefficient."""
+    return {(e, S): c for S, poly in terms.items() for e, c in poly.terms.items()}
 
 
 def _module_groebner(algebra, p):
     """Reduced Groebner basis of M_p = I*F_p + dI ^ F_(p-1), per leading position.
 
-    Buchberger on vectors: it pairs only leads at the same position,
-    picks the pair of lowest lcm term, skips pairs of two I*e_S elements
-    (their S-vectors reduce to zero on the Groebner basis of I) and those
-    the chain criterion covers.  Each generator df_j ^ dx_T is reduced
-    before it is inserted.  Raises ResourceBudgetExceeded past
-    DEFAULT_PAIR_BUDGET pairs.
+    The ideal's Groebner engine `poly.buchberger` computes it: its seeds
+    are the reduced Groebner basis of I at each position, whose pairs
+    need no S-vector, and its generators the df_j ^ dx_T.
     """
-    budget = DEFAULT_PAIR_BUDGET
-    basis, leads, divisors = [], [], {}
-    at = {}  # position -> indices of the elements that lead there
-    pairs, done = [], set()  # a heap of (lcm term key, i, j, lcm), and the pairs popped
-
-    def append(m, S, vec):
-        new = len(basis)
-        for k in at.get(S, ()) if new >= ideal else ():
-            lcm = monomial_lcm(leads[k][0], m)
-            heapq.heappush(pairs, (_term_key((lcm, S)), k, new, lcm))
-        basis.append(vec)
-        leads.append((m, S))
-        at.setdefault(S, []).append(new)
-        divisors.setdefault(S, []).append((m, vec))
-
-    def insert(vec):
-        vec = _module_normal_form(vec, divisors)
-        if vec:  # scaled to 1 at its leading term
-            (m, S) = lead = max(vec, key=_term_key)
-            append(m, S, {t: _quotient(c, vec[lead]) for t, c in vec.items()})
-
-    # the reduced Groebner basis of I at each position, already monic
-    positions = list(combinations(range(algebra.nvars), p))
-    ideal = len(positions) * len(algebra.groebner)
-    for S in positions:
-        for g in algebra.groebner:
-            append(g.leading_term()[0], S, {(e, S): c for e, c in g.terms.items()})
-    for f in algebra.ideal_generators if p else ():
-        partials = [(i, f.partial(i)) for i in range(algebra.nvars)]
-        for T in combinations(range(algebra.nvars), p - 1):
-            # df ^ dx_T = sum_i df/dx_i dx_i ^ dx_T
-            vec = {}
-            for i, partial in partials:
-                sign, S = insert_index(i, T)
-                vec.update(((e, S), sign * c) for e, c in partial.terms.items() if sign)
-            insert(vec)
-
-    def treated(i, k):
-        return max(i, k) < ideal or (min(i, k), max(i, k)) in done
-
-    processed = 0
-    while pairs:
-        processed += 1
-        if processed > budget or len(pairs) > budget:
-            raise ResourceBudgetExceeded("module Groebner pair queue exceeded budget of %d" % budget)
-        (_, S), i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        if any(k != i and k != j and monomial_divides(leads[k][0], lcm)
-               and treated(i, k) and treated(j, k) for k in at[S]):
-            continue  # chain criterion
-        s_vector = {}
-        _add_shifted(s_vector, basis[i], 1, monomial_div(lcm, leads[i][0]))
-        _add_shifted(s_vector, basis[j], -1, monomial_div(lcm, leads[j][0]))
-        insert(s_vector)
-
-    # minimalise, then tail-reduce: the unique reduced basis.  No two leads
-    # are equal, as each element was reduced by the earlier ones; a tail
-    # term is below its own lead, so no element reduces its own tail.
-    kept = {S: [(leads[k][0], basis[k]) for k in indices
-                if not any(k2 != k and monomial_divides(leads[k2][0], leads[k][0])
-                           for k2 in indices)]
-            for S, indices in at.items()}
-    reduced = {}
-    for S, elements in kept.items():
-        for m, vec in elements:
-            tail = _module_normal_form({t: c for t, c in vec.items() if t != (m, S)}, kept)
-            tail[(m, S)] = 1
-            reduced.setdefault(S, []).append((m, tail))
-    return reduced
+    n = algebra.nvars
+    seeds = [_vector({S: g}) for S in combinations(range(n), p) for g in algebra.groebner]
+    generators = [_vector(d_terms({T: f}, n))
+                  for f in (algebra.ideal_generators if p else ())
+                  for T in combinations(range(n), p - 1)]
+    return buchberger(generators, seeds)
 
 
 class _FormModule:
@@ -253,8 +146,7 @@ class _FormModule:
 
     def reduce_terms(self, terms):
         """The normal form of a form given by its terms S -> Polynomial."""
-        rem = _module_normal_form(
-            {(e, S): c for S, poly in terms.items() for e, c in poly.terms.items()}, self.divisors)
+        rem = reduce_vector(_vector(terms), self.divisors)
         by_set = {}
         for (e, S), c in rem.items():
             by_set.setdefault(S, {})[e] = c
@@ -269,8 +161,7 @@ class _FormModule:
         target = self.algebra._module(self.p + 1)
         while len(self._columns) <= k:
             m, S = self.basis[len(self._columns)]
-            image = _module_normal_form({(dm, T): c for c, dm, T in d_monomial(m, S)},
-                                        target.divisors)
+            image = reduce_vector({(dm, T): c for c, dm, T in d_monomial(m, S)}, target.divisors)
             self._columns.append({target.index[t]: c for t, c in image.items()})
         return self._columns[k]
 
@@ -278,9 +169,10 @@ class _FormModule:
 class AlgebraicForm(ExteriorForm):
     """A degree-p form: map from strictly increasing index sets to coefficients.
 
-    Construction normalizes coefficients; `reduce=True` (the default)
-    instead takes the module normal form, the canonical representative
-    of the form's class in F_p / M_p.
+    `reduce=True` (the default) takes the module normal form, the
+    canonical representative of the form's class in F_p / M_p;
+    `reduce=False` keeps the nonzero terms as given, for callers that
+    already hold a normal form.
 
     The graded algebra has a single zero, so a zero form carries its
     degree only as a label: zero forms over one algebra compare equal
@@ -294,15 +186,10 @@ class AlgebraicForm(ExteriorForm):
         self.algebra = algebra
         self.degree = degree
         terms = {check_index_set(S, degree, algebra.nvars): c for S, c in terms.items()}
-        if reduce and degree >= 1 and algebra.ideal_generators and terms:
+        if reduce and terms:
             self.terms = algebra._module(degree).reduce_terms(terms)
-            return
-        clean = {}
-        for S, coeff in terms.items():
-            coeff = algebra.nf(coeff)
-            if not coeff.is_zero():
-                clean[S] = coeff
-        self.terms = clean
+        else:
+            self.terms = {S: c for S, c in terms.items() if not c.is_zero()}
 
     @classmethod
     def zero(cls, algebra, degree):

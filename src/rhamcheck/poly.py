@@ -5,10 +5,15 @@ coefficients, under a fixed degree-reverse-lexicographic term order.
 A stored coefficient is never zero and never a float: it is an int when
 its value is integral and a Fraction with denominator > 1 otherwise, so
 the common integer case pays no gcd.  `int / int` is a float, so every
-division of coefficients goes through Fraction (`_quotient`).  On top of
-the arithmetic this module provides Buchberger's algorithm (with the
-product and chain criteria), normal forms modulo a Groebner basis, and
-the expression grammar of scenario files and reports:
+division of coefficients goes through Fraction (`_quotient`).
+
+On top of the arithmetic this module holds the program's one Groebner
+engine.  It works on vectors (monomial, position) -> coefficient of a
+free module, ordered term over position: `reduce_vector` divides and
+`buchberger` computes reduced bases of submodules.  A polynomial is a
+vector at the one position (), and `groebner_basis` and `normal_form`
+are the engine there.  The module also holds the expression grammar of
+scenario files and reports:
 
     x^2 + y^2 - 1      (1 - t1^2)/2      3*x*y - 1/2
 
@@ -21,6 +26,7 @@ the truncated de Rham machinery relies on that.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from numbers import Number
 from operator import add, le, neg, sub
@@ -340,7 +346,123 @@ def _fmt_fraction(q):
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# division and Buchberger, on vectors (monomial, position) -> coefficient
+
+
+def _term_key(term):
+    """Sort key of the term order: degrevlex on the monomial, then the position."""
+    return drl_key(term[0]), term[1]
+
+
+def _add_shifted(vec, terms, coeff, shift):
+    """vec += coeff * x^shift * terms, in place; cancelled terms are dropped."""
+    for (e, S), c in terms.items():
+        key = (monomial_mul(e, shift), S)
+        v = vec.get(key, 0) + coeff * c
+        if v:
+            vec[key] = v
+        else:
+            del vec[key]
+
+
+def reduce_vector(vec, divisors):
+    """Remainder of vec under division by monic vectors, listed per leading position.
+
+    `divisors` maps a position to (leading monomial, vector) pairs whose
+    leading term sits there with coefficient 1.  When they are a Groebner
+    basis the remainder is the unique normal form, supported on the terms
+    no leading term divides; it vanishes exactly on the submodule.
+    """
+    h = dict(vec)
+    rem = {}
+    while h:
+        term = max(h, key=_term_key)
+        m, S = term
+        c = h[term]
+        for lead, terms in divisors.get(S, ()):
+            if monomial_divides(lead, m):
+                _add_shifted(h, terms, -c, monomial_div(m, lead))
+                break
+        else:
+            rem[term] = c
+            del h[term]
+    return rem
+
+
+def buchberger(generators, seeds=()):
+    """Reduced Groebner basis of the submodule that seeds and generators span.
+
+    Both are lists of vectors; the basis comes back per leading position
+    as (leading monomial, monic vector) pairs.  `seeds` must be a reduced
+    Groebner basis of what they span, so pairs of two seeds are skipped.
+    Each generator is reduced before it is inserted.  Pairs are taken
+    from a heap, lowest lcm term first, only between leads at the same
+    position, and the chain criterion drops those it covers.  Raises
+    ResourceBudgetExceeded past DEFAULT_PAIR_BUDGET pairs.
+    """
+    budget = DEFAULT_PAIR_BUDGET
+    basis, leads, divisors = [], [], {}
+    at = {}  # position -> indices of the elements that lead there
+    pairs, done = [], set()  # a heap of (lcm term key, i, j, lcm), and the pairs popped
+    n_seeds = len(seeds)
+
+    def append(vec):
+        (m, S) = lead = max(vec, key=_term_key)
+        vec = {t: _quotient(c, vec[lead]) for t, c in vec.items()}
+        new = len(basis)
+        for k in at.get(S, ()) if new >= n_seeds else ():
+            lcm = monomial_lcm(leads[k][0], m)
+            heapq.heappush(pairs, (_term_key((lcm, S)), k, new, lcm))
+        basis.append(vec)
+        leads.append((m, S))
+        at.setdefault(S, []).append(new)
+        divisors.setdefault(S, []).append((m, vec))
+
+    def insert(vec):
+        vec = reduce_vector(vec, divisors)
+        if vec:
+            append(vec)
+
+    for vec in seeds:
+        append(vec)
+    for vec in generators:
+        insert(vec)
+
+    def treated(i, k):
+        return max(i, k) < n_seeds or (min(i, k), max(i, k)) in done
+
+    processed = 0
+    while pairs:
+        processed += 1
+        if processed > budget or len(pairs) > budget:
+            raise ResourceBudgetExceeded("Groebner pair queue exceeded budget of %d" % budget)
+        (_, S), i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
+        if any(k != i and k != j and monomial_divides(leads[k][0], lcm)
+               and treated(i, k) and treated(j, k) for k in at[S]):
+            continue  # chain criterion
+        s_vector = {}
+        _add_shifted(s_vector, basis[i], 1, monomial_div(lcm, leads[i][0]))
+        _add_shifted(s_vector, basis[j], -1, monomial_div(lcm, leads[j][0]))
+        insert(s_vector)
+
+    # minimalise, then tail-reduce: the unique reduced basis.  No two leads
+    # are equal, as each element was reduced by the earlier ones; a tail
+    # term is below its own lead, so no element reduces its own tail.
+    kept = {S: [(leads[k][0], basis[k]) for k in indices
+                if not any(k2 != k and monomial_divides(leads[k2][0], leads[k][0])
+                           for k2 in indices)]
+            for S, indices in at.items()}
+    reduced = {}
+    for S, elements in kept.items():
+        for m, vec in elements:
+            tail = reduce_vector({t: c for t, c in vec.items() if t != (m, S)}, kept)
+            tail[(m, S)] = 1
+            reduced.setdefault(S, []).append((m, tail))
+    for vec in generators:
+        if reduce_vector(vec, reduced):
+            raise AssertionError("input generator does not reduce to zero: %s" % vec)
+    return reduced
 
 
 def normal_form(f, basis):
@@ -353,126 +475,26 @@ def normal_form(f, basis):
     """
     if any(g.variables != f.variables for g in basis):
         raise ValueError("polynomials over different variable tuples")
-    h = dict(f.terms)
-    rem = {}
-    leads = [g.leading_term() + (g.terms,) for g in basis if not g.is_zero()]
-    while h:
-        he = max(h, key=drl_key)
-        hc = h[he]
-        for ge, gc, gterms in leads:
-            if monomial_divides(ge, he):
-                _add_multiple(h, gterms, -_quotient(hc, gc), monomial_div(he, ge))
-                break
-        else:
-            rem[he] = hc
-            del h[he]
-    return Polynomial._of(f.variables, rem)
+    divisors = {(): [(g.leading_term()[0], {(e, ()): c for e, c in g.monic().terms.items()})
+                     for g in basis if not g.is_zero()]}
+    rem = reduce_vector({(e, ()): c for e, c in f.terms.items()}, divisors)
+    return Polynomial._of(f.variables, {e: c for (e, _), c in rem.items()})
 
 
-def s_polynomial(f, g):
-    fe, fc = f.leading_term()
-    ge, gc = g.leading_term()
-    lcm = monomial_lcm(fe, ge)
-    terms = {}
-    _add_multiple(terms, f.terms, _quotient(1, fc), monomial_div(lcm, fe))
-    _add_multiple(terms, g.terms, -_quotient(1, gc), monomial_div(lcm, ge))
-    return Polynomial._of(f.variables, terms)
-
-
-def groebner_basis(generators, pair_budget=DEFAULT_PAIR_BUDGET):
+def groebner_basis(generators):
     """Reduced degrevlex Groebner basis of the ideal the generators span.
 
-    Buchberger with the product criterion and the chain criterion; no
-    F4/F5 machinery, desk-scale ideals only.  Raises
-    ResourceBudgetExceeded when the pair queue outgrows `pair_budget`.
+    `buchberger` at the one position (), in increasing order of leading
+    monomial; desk-scale ideals only.
     """
-    gens = [g for g in generators]
+    gens = list(generators)
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator handed to groebner_basis")
-    basis = [g.monic() for g in gens]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    done = set()
-
-    def lm(i):
-        return basis[i].leading_term()[0]
-
-    processed = 0
-    while pairs:
-        processed += 1
-        if processed > pair_budget or len(pairs) > pair_budget:
-            raise ResourceBudgetExceeded(
-                "Groebner pair queue exceeded budget of %d" % pair_budget
-            )
-        i, j = min(pairs, key=lambda p: drl_key(monomial_lcm(lm(p[0]), lm(p[1]))))
-        pairs.discard((i, j))
-        done.add((i, j))
-        lcm = monomial_lcm(lm(i), lm(j))
-        # product criterion: coprime leading monomials reduce to zero
-        if lcm == monomial_mul(lm(i), lm(j)):
-            continue
-        # chain criterion: a third element whose lm divides the lcm and whose
-        # pairs with both i and j were already treated
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(lm(k), lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if rem.is_zero():
-            continue
-        rem = rem.monic()
-        new_index = len(basis)
-        basis.append(rem)
-        for k in range(new_index):
-            pairs.add((k, new_index))
-
-    reduced = _reduce_basis(basis)
-    for g in gens:
-        if not normal_form(g, reduced).is_zero():
-            raise AssertionError("input generator does not reduce to zero: %s" % g)
-    return reduced
-
-
-def _reduce_basis(basis):
-    """Minimalize and tail-reduce a Groebner basis (unique reduced form)."""
-    # minimal set: drop any element whose lm is divisible by another kept lm
-    minimal = []
-    for i, g in enumerate(basis):
-        ge = g.leading_term()[0]
-        divisible = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            he = h.leading_term()[0]
-            if monomial_divides(he, ge) and (he != ge or j < i):
-                divisible = True
-                break
-        if not divisible:
-            minimal.append(g)
-    # tail reduction until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            red = normal_form(minimal[i], others)
-            if red.is_zero():
-                minimal.pop(i)
-                changed = True
-                break
-            red = red.monic()
-            if red != minimal[i]:
-                minimal[i] = red
-                changed = True
-    minimal.sort(key=lambda g: drl_key(g.leading_term()[0]))
-    return minimal
+    if any(g.variables != gens[0].variables for g in gens):
+        raise ValueError("polynomials over different variable tuples")
+    reduced = buchberger([{(e, ()): c for e, c in g.terms.items()} for g in gens])
+    return [Polynomial._of(gens[0].variables, {e: c for (e, _), c in vec.items()})
+            for _, vec in sorted(reduced.get((), ()), key=lambda item: drl_key(item[0]))]
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,10 @@ from .simplicial import boundary_complex, standard_simplex
 CheckSpec = namedtuple("CheckSpec", "name kind params")
 
 UNNAMED = ("header", "algebra")  # the sections that take no name
+# The largest k of delta<k> and boundary<k>.  Loading lists all 2^(k+1) - 1
+# faces of delta<k> up front: k = 10 is 2,047 faces, far above the delta3
+# and boundary3 of the corpus, and each further step doubles the count.
+MAX_COMPLEX_K = 10
 
 
 class Scenario:
@@ -332,6 +336,8 @@ def _complex(*kinds):
         for kind, least, build in (("delta", 0, standard_simplex), ("boundary", 1, boundary_complex)):
             if text.startswith(kind):
                 k = _at_least(least)(scenario, text[len(kind) :], "%s: %s" % (where, text))
+                if k > MAX_COMPLEX_K:
+                    raise ParseError("%s: %s is above %s%d" % (where, text, kind, MAX_COMPLEX_K))
                 if kind not in kinds:
                     raise ValidationError("%s: %s is not a %s complex" % (where, text, kinds[0]))
                 return build(k)

@@ -40,6 +40,10 @@ from .simplicial import Cochain, DeltaMorphism, _coboundary_matrix, standard_sim
 
 DEFAULT_QUAD_ORDER = 16
 QUAD_CROSS_CHECK_STEP = 4
+# Order 32 already meets double-precision rounding on the corpus, so a
+# higher rule buys nothing; the cap keeps the rule and its node arrays
+# (order^n nodes on the n-simplex) allocatable.
+MAX_QUAD_ORDER = 64
 QUAD_RULE_CACHE_SIZE = 32  # (n, order) rules kept; a run uses a handful
 AFFINE_MAP_CACHE_SIZE = 256  # affine maps, barycentric expansions kept; small simplices
 

@@ -332,13 +332,15 @@ def test_scenario_rejects_form_degree_mismatch(tmp_path, kind, wrong, right):
         ["--builtin", "tau_witness", "--max-weight", "0"],
         ["--builtin", "two_points", "--quad-order", "0"],
         ["--builtin", "two_points", "--quad-order", "-3"],
+        ["--builtin", "two_points", "--quad-order", "100000"],
         ["--builtin", "two_points", "--tolerance", "-0.5"],
         ["--builtin", "two_points", "--tolerance", "nan"],
         ["--builtin", "two_points", "--check", "no_such_check"],
         ["--builtin", "two_points", "--check", "h0,no_such_check"],
+        ["--builtin", "two_points", "--check", ""],
     ],
-    ids=["weight<0", "weight<degree", "weight<dim", "quad0", "quad<0", "tol<0", "tol_nan",
-         "check", "check_part"],
+    ids=["weight<0", "weight<degree", "weight<dim", "quad0", "quad<0", "quad_too_large", "tol<0",
+         "tol_nan", "check", "check_part", "check_empty"],
 )
 def test_out_of_range_flags_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -485,6 +487,16 @@ def _refusal(tmp_path, capsys, text):
     return captured.err.splitlines()
 
 
+def test_scenario_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"format_version 1\nname caf\xe9\xff\n")
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("rhamcheck: %s: not UTF-8 text" % path), lines
+
+
 def test_check_keys_cover_every_kind():
     assert set(CHECK_KEYS) == set(CHECK_KINDS) == set(REQUIRED_KEYS)
     for kind, keys in CHECK_KEYS.items():
@@ -540,10 +552,12 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
          "complex: the cycle of boundary1 has degree 0"),
         (_check_text("aw_laws", {"complex": "delta0"}), "complex: delta0 has only vertices"),
         (_check_text("aw_laws", {"complex": "boundary1"}), "complex: boundary1 has only vertices"),
+        (_check_text("aw_laws", {"complex": "delta99999999999"}),
+         "complex: delta99999999999 is above delta10"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight", "kind",
          "no_kind", "dims_above_dimension", "coboundary_of_degree_0", "aw_laws_on_delta0",
-         "aw_laws_on_boundary1"],
+         "aw_laws_on_boundary1", "complex_too_large"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)

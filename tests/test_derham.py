@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhamcheck import derham
+from rhamcheck import derham, poly
 from rhamcheck.derham import (
     AlgebraicForm,
     FpAlgebra,
@@ -23,7 +23,8 @@ from rhamcheck.errors import AlgebraMismatch, ResourceBudgetExceeded
 from rhamcheck.exterior import d_terms
 from rhamcheck.formtext import parse_polynomial
 from rhamcheck.linalg import Echelon
-from rhamcheck.poly import Polynomial, monomial_div, monomial_divides, monomial_lcm
+from rhamcheck.poly import (Polynomial, _add_shifted, _term_key, groebner_basis, monomial_div,
+                            monomial_divides, monomial_lcm, normal_form, reduce_vector)
 
 
 def free_xy():
@@ -162,8 +163,9 @@ def test_reduce_form_kills_relation_multiples():
     rel = relation_form(B)
     for _ in range(10):
         base = random_form(rng, B, 1, max_coeff_degree=2)
-        f = B.nf(
-            Polynomial(B.variables, {(rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(-3, 3))})
+        f = normal_form(
+            Polynomial(B.variables, {(rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(-3, 3))}),
+            B.groebner,
         )
         noise = wedge(AlgebraicForm(B, 0, {(): f}), rel)
         assert reduce_form(base + noise) == reduce_form(base)
@@ -374,7 +376,7 @@ def test_groebner_basis_is_reduced_and_closed_under_s_pairs(name):
         divisors = algebra._module(p).divisors
         elements = groebner_elements(algebra, p)
         for S, lead, vec in elements:
-            assert max(vec, key=derham._term_key) == (lead, S) and vec[(lead, S)] == 1
+            assert max(vec, key=_term_key) == (lead, S) and vec[(lead, S)] == 1
             # reduced: no other term of an element is divisible by any leading term
             for (e, T), _ in vec.items():
                 assert not any(monomial_divides(other, e) for other, _ in divisors.get(T, ())
@@ -384,9 +386,35 @@ def test_groebner_basis_is_reduced_and_closed_under_s_pairs(name):
                 continue
             lcm = monomial_lcm(lead1, lead2)
             s_vector = {}
-            derham._add_shifted(s_vector, vec1, 1, monomial_div(lcm, lead1))
-            derham._add_shifted(s_vector, vec2, -1, monomial_div(lcm, lead2))
-            assert derham._module_normal_form(s_vector, divisors) == {}
+            _add_shifted(s_vector, vec1, 1, monomial_div(lcm, lead1))
+            _add_shifted(s_vector, vec2, -1, monomial_div(lcm, lead2))
+            assert reduce_vector(s_vector, divisors) == {}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_degree_zero_module_basis_is_the_ideal_basis(name):
+    """G_0, the basis of I*F_0, is the ideal's Groebner basis at the one position ()."""
+    algebra = ORACLE_ALGEBRAS[name]()
+    module = sorted(sorted(vec.items()) for _, vec in algebra._module(0).divisors[()])
+    ideal = sorted(sorted(((e, ()), c) for e, c in g.terms.items())
+                   for g in groebner_basis(algebra.ideal_generators))
+    assert module == ideal
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_ALGEBRAS)), st.integers(0, 2**32))
+def test_degree_zero_reduction_matches_sympy(name, seed):
+    """A 0-form reduces to sympy's remainder modulo sympy's Groebner basis of I."""
+    algebra = ORACLE_ALGEBRAS[name]()
+    zero = Polynomial.zero(algebra.variables)
+    f = random_form(random.Random(seed), algebra, 0, max_coeff_degree=4, reduce=False).terms
+    f = f.get((), zero)
+    symbols = sympy.symbols(algebra.variables)
+    oracle = sympy.groebner([sympy_poly(g, symbols) for g in algebra.ideal_generators], *symbols,
+                            order="grevlex", domain="QQ")
+    _, r = sympy.reduced(sympy_poly(f, symbols), oracle.exprs, *symbols, order="grevlex")
+    reduced = AlgebraicForm(algebra, 0, {(): f}).terms.get((), zero)
+    assert sympy.expand(sympy_poly(reduced, symbols) - r) == 0
 
 
 @st.composite
@@ -437,7 +465,7 @@ def test_stratum_below_is_a_prefix_of_the_stratum_above(name):
                      for S in combinations(range(algebra.nvars), p)
                      if not any(monomial_divides(lead, e) for lead, _ in module.divisors.get(S, ()))]
             basis = module.basis[: stratum.size]
-            assert basis == sorted(terms, key=derham._term_key)
+            assert basis == sorted(terms, key=_term_key)
             if below is not None:
                 assert basis[: len(below)] == below
             below = basis
@@ -448,7 +476,7 @@ def quotient_terms(algebra, p, n_cutoff):
     monomials = [e for e in product(range(n_cutoff - p + 1), repeat=algebra.nvars)
                  if sum(e) <= n_cutoff - p and algebra.is_standard(e)]
     return sorted(((m, S) for m in monomials for S in combinations(range(algebra.nvars), p)),
-                  key=derham._term_key)
+                  key=_term_key)
 
 
 def wide_margin(algebra):
@@ -483,7 +511,7 @@ def reference_relations(algebra, p, n_cutoff, margin):
             for relation in relations:
                 vec = {}
                 for S, partial in relation.items():
-                    for e, c in algebra.nf(mono * partial).terms.items():
+                    for e, c in normal_form(mono * partial, algebra.groebner).terms.items():
                         vec[index[(e, S)]] = c
                 if vec:
                     echelon.add(vec)
@@ -500,7 +528,7 @@ def stratum_relations(algebra, p, n_cutoff):
     rows = {}
     for t in terms:
         if t not in module.index:
-            remainder = derham._module_normal_form({t: 1}, module.divisors)
+            remainder = reduce_vector({t: 1}, module.divisors)
             rows[index[t]] = {index[s]: -c for s, c in remainder.items()}
             rows[index[t]][index[t]] = 1
     return rows
@@ -577,7 +605,7 @@ def test_relations_do_not_depend_on_the_order_of_cutoffs(name, margin, monkeypat
 
 
 def test_module_buchberger_stops_at_the_pair_budget(monkeypatch):
-    monkeypatch.setattr(derham, "DEFAULT_PAIR_BUDGET", 2)
+    monkeypatch.setattr(poly, "DEFAULT_PAIR_BUDGET", 2)
     torus = rescaled("torus", 5)
     with pytest.raises(ResourceBudgetExceeded):
         truncated_cohomology(torus, 1, 3)

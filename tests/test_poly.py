@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhamcheck import poly
 from rhamcheck.derham import FpAlgebra, parse_algebraic_form
 from rhamcheck.errors import ParseError, ResourceBudgetExceeded
 from rhamcheck.formtext import parse_polynomial
@@ -95,9 +96,10 @@ def test_groebner_point_ideal():
     assert normal_form(P("x*y - 1"), basis).is_zero()
 
 
-def test_groebner_budget():
+def test_groebner_budget(monkeypatch):
+    monkeypatch.setattr(poly, "DEFAULT_PAIR_BUDGET", 0)
     with pytest.raises(ResourceBudgetExceeded):
-        groebner_basis([P("x*y - 1"), P("x^2 - x")], pair_budget=0)
+        groebner_basis([P("x*y - 1"), P("x^2 - x")])
 
 
 def test_normal_form_examples():
