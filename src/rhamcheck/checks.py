@@ -417,7 +417,7 @@ def check_tau_cohomology(scenario, check, settings):
             continue
         rows = []
         for family in reps[q]:
-            coords, _ = sc.class_of(family.to_cochain())
+            coords = sc.class_of(family.to_cochain())
             rows.append(coords)
         matrix = SparseMatrix.from_rows(rows)
         _, _, rank = kernel_image(matrix)
@@ -433,8 +433,8 @@ def check_tau_cohomology(scenario, check, settings):
             sc = simplicial[q1 + q2]
             for F in fam1:
                 for G in fam2:
-                    lhs_coords, _ = sc.class_of(F.wedge(G).to_cochain())
-                    rhs_coords, _ = sc.class_of(aw_cup(F.to_cochain(), G.to_cochain()))
+                    lhs_coords = sc.class_of(F.wedge(G).to_cochain())
+                    rhs_coords = sc.class_of(aw_cup(F.to_cochain(), G.to_cochain()))
                     products += 1
                     if lhs_coords != rhs_coords:
                         result.fail(
@@ -623,7 +623,8 @@ def validate_settings(settings, scenarios, check_filter=None):
                     )
     unmatched = sorted(check_filter - matched) if check_filter else []
     if unmatched:
-        raise ValidationError("--check %s matches no check" % ",".join(unmatched))
+        names = ", ".join("'%s'" % name for name in unmatched)
+        raise ValidationError("--check %s matches no check" % names)
 
 
 def run_scenario_checks(scenario, settings, check_filter=None):

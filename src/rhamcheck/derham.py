@@ -30,8 +30,7 @@ from .errors import AlgebraMismatch, ParseError, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast, parse_polynomial
 from .linalg import CohomologyPair, SparseMatrix, dense_vector, kernel_image, solve
-from .poly import (Polynomial, buchberger, drl_key, groebner_basis, monomial_divides,
-                   parse_ast, reduce_vector)
+from .poly import Polynomial, buchberger, drl_key, monomial_divides, parse_ast, reduce_vector
 
 
 class FpAlgebra:
@@ -47,17 +46,17 @@ class FpAlgebra:
                 raise ValidationError("zero ideal generator")
             gens.append(g)
         self.ideal_generators = gens
-        self.groebner = groebner_basis(gens)
-        self._lead_monomials = [g.leading_term()[0] for g in self.groebner]
         self._std_layers = [[(0,) * self.nvars]]
         self._modules = {}
+        # G_0, the basis of I*F_0, is the ideal's reduced Groebner basis at position ()
+        self._ideal_basis = self._module(0).divisors.get((), [])
 
     @property
     def nvars(self):
         return len(self.variables)
 
     def is_standard(self, monomial):
-        return not any(monomial_divides(lm, monomial) for lm in self._lead_monomials)
+        return not any(monomial_divides(lm, monomial) for lm, _ in self._ideal_basis)
 
     def standard_layer(self, degree):
         """Standard monomials of exactly `degree`, in degrevlex order, each
@@ -102,14 +101,17 @@ def _vector(terms):
 def _module_groebner(algebra, p):
     """Reduced Groebner basis of M_p = I*F_p + dI ^ F_(p-1), per leading position.
 
-    The ideal's Groebner engine `poly.buchberger` computes it: its seeds
-    are the reduced Groebner basis of I at each position, whose pairs
-    need no S-vector, and its generators the df_j ^ dx_T.
+    The ideal's Groebner engine `poly.buchberger` computes it.  G_0 is I's
+    basis at the one position (); above, the seeds are G_0 at each
+    position, whose pairs need no S-vector, and the generators df_j ^ dx_T.
     """
     n = algebra.nvars
-    seeds = [_vector({S: g}) for S in combinations(range(n), p) for g in algebra.groebner]
+    if p == 0:
+        return buchberger([_vector({(): g}) for g in algebra.ideal_generators])
+    seeds = [{(e, S): c for (e, _), c in vec.items()}
+             for S in combinations(range(n), p) for _, vec in algebra._ideal_basis]
     generators = [_vector(d_terms({T: f}, n))
-                  for f in (algebra.ideal_generators if p else ())
+                  for f in algebra.ideal_generators
                   for T in combinations(range(n), p - 1)]
     return buchberger(generators, seeds)
 
@@ -309,17 +311,17 @@ class TruncatedCohomology:
                 # maps its cocycles to cocycles of the same coordinates
                 pad = [Fraction(0)] * (self._stratum.size - prev_stratum.size)
                 lifted = [v + pad for v in prev_pair.representatives]
-                coords = SparseMatrix.from_rows([self._pair.class_of(v)[0] for v in lifted])
+                coords = SparseMatrix.from_rows([self._pair.class_of(v) for v in lifted])
                 if not lifted or kernel_image(coords)[2] == len(lifted):
                     self.stabilized = True
                     vectors = lifted
         self.representatives = [self._stratum.form_of(v) for v in vectors]
-        self._rep_coords = [self._pair.class_of(v)[0] for v in vectors]
+        self._rep_coords = [self._pair.class_of(v) for v in vectors]
 
     def class_of(self, form):
         """Coordinates of a closed form in the returned representative basis."""
         vec = self._stratum.vector_of(reduce_form(form))
-        inner, _ = self._pair.class_of(dense_vector(vec, self._stratum.size))
+        inner = self._pair.class_of(dense_vector(vec, self._stratum.size))
         if self.dimension == 0:
             return []
         matrix = SparseMatrix.from_columns(self._rep_coords, len(inner))

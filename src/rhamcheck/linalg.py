@@ -246,8 +246,8 @@ class CohomologyPair:
     """H = ker(d_next) / im(d_prev) for a composable pair of maps.
 
     `representatives` are cocycles extending a basis of the image to a
-    basis of the kernel; `class_of` returns (coordinates, witness) with
-    cocycle = sum(coords * representatives) + d_prev * witness, exactly.
+    basis of the kernel; `class_of` returns the coordinates with
+    cocycle - sum(coords * representatives) in the image of d_prev.
     """
 
     def __init__(self, d_prev, d_next):
@@ -260,7 +260,7 @@ class CohomologyPair:
         self.d_next = d_next
         self.space_dim = d_prev.rows
         kernel, _, _ = kernel_image(d_next)
-        self._boundaries, self._boundary_cols, _ = _eliminate(d_prev.columns(), track=True)
+        self._boundaries = Echelon(d_prev.columns())
         # each representative is a kernel vector reduced against the
         # boundaries and the earlier representatives; adding the reduced
         # vector itself makes echelon input k representative k
@@ -278,15 +278,12 @@ class CohomologyPair:
         return all(v == 0 for v in self.d_next.mul_vec(vec))
 
     def class_of(self, vec):
-        """Coordinates of a cocycle in the representative basis, plus witness."""
+        """Coordinates of a cocycle in the representative basis."""
         if len(vec) != self.space_dim:
             raise ValueError("vector length mismatch")
         if not self.is_cocycle(vec):
             raise NotACocycle("class_of on a vector with nonzero coboundary")
-        work, boundary_coords = self._boundaries.reduce(vec)
-        rest, coords = self._reps.reduce(work)
+        rest, coords = self._reps.reduce(self._boundaries.reduce(vec)[0])
         if rest:
             raise NotACocycle("cocycle not spanned by representatives and boundaries")
-        witness = {self._boundary_cols[k]: c for k, c in boundary_coords.items()}
-        witness = dense_vector(witness, self.d_prev.cols)
-        return [coords.get(i, Fraction(0)) for i in range(self.dimension)], witness
+        return [coords.get(i, Fraction(0)) for i in range(self.dimension)]

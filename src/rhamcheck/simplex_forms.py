@@ -11,17 +11,18 @@ This module supplies the dg-algebra operations, cosimplicial pullback,
 exact and Gauss-Legendre/Duffy integration, the cone contraction to
 vertex 0, the integration map onto simplicial cochains, families of
 forms over a simplicial set, and extension of a compatible boundary
-family into the interior.  The weight-truncated complex of families
-is spanned by barycentric forms lambda^alpha dlambda_sigma, written
-down face by face (Arnold-Falk-Winther), and by Whitney forms.
+family into the interior.  Families and the extension share one
+barycentric engine, the Arnold-Falk-Winther basis lambda^alpha
+dlambda_sigma, each form written down as one expression on every
+coface of its face; Whitney forms span the families of weight q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import factorial, fsum
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial, fsum, prod
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from .formtext import eval_form_ast
 from .linalg import CohomologyPair, Echelon, SparseMatrix, kernel_image
 from .poly import Polynomial, drl_key, parse_ast
 from .ratfunc import RationalFunc, parts
-from .simplicial import Cochain, DeltaMorphism, _coboundary_matrix, standard_simplex
+from .simplicial import (Cochain, DeltaMorphism, _coboundary_matrix, boundary_complex,
+                         standard_simplex)
 
 DEFAULT_QUAD_ORDER = 16
 QUAD_CROSS_CHECK_STEP = 4
@@ -183,19 +185,11 @@ def affine_map(vertex_map, m, n):
     return (lambda c: c.substitute(subs)), differentials
 
 
-def pullback_affine(vertex_map, alpha, m):
-    """Pull back along the affine map of an arbitrary vertex map."""
-    n = alpha.n
-    if len(vertex_map) != m + 1 or any(not 0 <= v <= n for v in vertex_map):
-        raise ValueError("bad vertex map")
-    return pull_back(alpha.terms, alpha.degree, m, *affine_map(tuple(vertex_map), m, n))
-
-
 def pullback_delta(h, alpha):
     """Pull back along the affine map induced by a Delta morphism."""
     if h.target != alpha.n:
         raise DimensionMismatch("morphism target != form dimension")
-    return pullback_affine(h.values, alpha, h.source)
+    return pull_back(alpha.terms, alpha.degree, h.source, *affine_map(h.values, h.source, alpha.n))
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +362,14 @@ def homotopy_defect(alpha):
 # restriction to simplicial cochains
 
 
-def to_cochain(alpha, order=DEFAULT_QUAD_ORDER, complex_=None):
+def to_cochain(alpha, order=DEFAULT_QUAD_ORDER):
     """Integrate a degree-p form over the p-simplices of Delta[n].
 
     The value on a p-simplex (an increasing vertex tuple) is the
     integral of the pullback along the affine simplex it spans; the
     exact lane is used when every pulled-back coefficient is polynomial.
     """
-    K = complex_ if complex_ is not None else standard_simplex(alpha.n)
+    K = standard_simplex(alpha.n)
     values = {}
     for simplex in K.n_simplices(alpha.degree):
         h = DeltaMorphism(alpha.degree, alpha.n, simplex)
@@ -464,40 +458,66 @@ class FormsFamily:
 
 
 # ---------------------------------------------------------------------------
-# extension of a compatible boundary family
+# barycentric forms: the Arnold-Falk-Winther basis
 
 
-def extend_from_boundary(family, n=None):
-    """A polynomial form on Delta^n restricting to a compatible boundary family.
+def _barycentric_basis(cofaces, q, r):
+    """The Arnold-Falk-Winther basis of P_r Lambda^q(K), r >= 1 (Acta Numerica 15,
+    2006, sec. 3-4), as families (simplex, exponent, index set) -> coefficient.
 
-    Facets are handled in order; the first n corrections are pulled back
-    along vertex collapses onto already-fixed data, and the final facet
-    is extended by the cone over the opposite vertex, cleared of the
-    radial denominators by a power of the cone parameter.
+    Per face f of dimension >= q: lambda^alpha dlambda_sigma with |alpha| = r,
+    sigma a q-subset of f, supp(alpha) u sigma = f and alpha zero below
+    min(f - sigma).  Its trace vanishes on the faces not containing f, so its
+    family is one expression on each simplex in cofaces[f]; the keys of
+    `cofaces` are the simplices of K, dimension by dimension.
     """
-    if n is None:
-        n = family.complex.dimension + 1
-    q = family.degree
-    top = tuple(range(n + 1))
-    phi = PolyForm.zero(n, q)
-    for i in range(n + 1):
-        facet = top[:i] + top[i + 1 :]
-        target = family.assignment[facet]
-        gamma = target - pullback_delta(DeltaMorphism.face(n, i), phi)
-        if gamma.is_zero():
+    basis = []
+    for f in cofaces:
+        # alpha is positive on the dim f + 1 - q vertices of f - sigma, so dim f < q + r
+        if not q <= len(f) - 1 < q + r:
             continue
-        if not gamma.is_polynomial():
-            raise NonPolynomialCoefficient("boundary extension is polynomial-only")
-        if i < n:
-            # collapse vertex i onto vertex n, then read off facet coordinates
-            vmap = tuple(
-                (n - 1) if k == i else (k if k < i else k - 1) for k in range(n + 1)
-            )
-            correction = pullback_affine(vmap, gamma, n)
-        else:
-            correction = _radial_extension(gamma, n)
-        phi = phi + correction
-    return phi
+        for sigma in combinations(f, q):
+            rest = tuple(v for v in f if v not in sigma)
+            free = [v for v in f if v >= rest[0]]
+            for extra in combinations_with_replacement(free, r - len(rest)):
+                basis.append(_add_barycentric({}, cofaces, 1, rest + extra, sigma, f))
+    return basis
+
+
+def _add_barycentric(family, cofaces, scale, alpha, sigma, face):
+    """family += scale * lambda^alpha dlambda_sigma on each simplex in cofaces[face],
+    for alpha a tuple of vertices with repetition; returns family."""
+    for s in cofaces[face]:
+        local = _barycentric_terms(
+            tuple(alpha.count(v) for v in s), tuple(s.index(v) for v in sigma)
+        )
+        for (e, S), c in local:
+            family[(s, e, S)] = family.get((s, e, S), 0) + scale * c
+    return family
+
+
+@lru_cache(maxsize=AFFINE_MAP_CACHE_SIZE)
+def _barycentric_terms(alpha, sigma):
+    """lambda^alpha dlambda_sigma on the d-simplex as ((exponent, index set), coefficient)
+    pairs, for the exponents alpha of lambda_0..lambda_d and increasing vertex positions
+    sigma; a tuple, because the cache hands it to every caller."""
+    d = len(alpha) - 1
+    # dlambda_v = dt_v for v >= 1, and dlambda_0 = -(dt_1 + ... + dt_d) leads sigma
+    rest = tuple(v - 1 for v in sigma if v)
+    if sigma[:1] == (0,):
+        forms = [((-1) ** (1 + sum(j < i for j in rest)), tuple(sorted(rest + (i,))))
+                 for i in range(d) if i not in rest]
+    else:
+        forms = [(1, rest)]
+    # lambda^alpha = t^(alpha_1..alpha_d) (1 - t_1 - ... - t_d)^alpha_0, multinomially
+    terms = []
+    for k in product(range(alpha[0] + 1), repeat=d):
+        m = sum(k)
+        if m <= alpha[0]:
+            c = factorial(alpha[0]) // (factorial(alpha[0] - m) * prod(map(factorial, k)))
+            e = tuple(a + b for a, b in zip(k, alpha[1:]))
+            terms.extend(((e, S), (-1) ** m * sign * c) for sign, S in forms)
+    return tuple(terms)
 
 
 class FamilyComplex:
@@ -506,23 +526,19 @@ class FamilyComplex:
     K's simplices are increasing vertex tuples.  The compatible families of
     q-forms with coefficient degree + q <= N are P_r Lambda^q(K), r = N - q;
     a family is a sparse dict (simplex, exponent, index set) -> coefficient
-    of t^e dt_S there.  For r >= 1 the basis is Arnold-Falk-Winther's (Acta
-    Numerica 15, 2006, sec. 3-4): per face f of dimension >= q, the forms
-    lambda^alpha dlambda_sigma in barycentric coordinates with |alpha| = r,
-    sigma a q-subset of f, supp(alpha) u sigma = f and alpha zero below
-    min(f - sigma).  Each has zero trace on the faces not containing f, so
-    its family is the same expression on every simplex containing f and
-    zero elsewhere.  For r = 0 the basis is the Whitney forms of a basis of
-    the q-cocycles.  The differential keeps compatibility and weight, so
-    cohomology is computed degree by degree with the exact linear algebra.
+    of t^e dt_S there.  For r >= 1 the basis is `_barycentric_basis` on the
+    coface table of K, the engine `extend_from_boundary` shares; for r = 0
+    it is the Whitney forms of a basis of the q-cocycles.  The differential
+    keeps compatibility and weight, so cohomology is computed degree by
+    degree with the exact linear algebra.
     """
 
     def __init__(self, complex_, weight_cutoff):
         self.complex = complex_
         self.weight_cutoff = weight_cutoff
         top = complex_.dimension
-        simplices = [s for ids in complex_.simplices.values() for s in ids]
-        self._cofaces = {f: [s for s in simplices if set(f) <= set(s)] for f in simplices}
+        self._cofaces = {f: [s for s in complex_.dim_of if set(f) <= set(s)]
+                         for f in complex_.dim_of}
         self._family_basis = {q: self._basis(q) for q in range(top + 2)}
         self._d_matrices = {q: self._differential_matrix(q) for q in range(top + 1)}
         self._pairs = {}
@@ -540,16 +556,7 @@ class FamilyComplex:
             return []
         if r == 0:
             return self._whitney_basis(q)
-        basis = []
-        # alpha is positive on the dim f + 1 - q vertices of f - sigma, so dim f < q + r
-        for d in range(q, min(self.complex.dimension, q + r - 1) + 1):
-            for f in self.complex.n_simplices(d):
-                for sigma in combinations(f, q):
-                    rest = tuple(v for v in f if v not in sigma)
-                    free = [v for v in f if v >= rest[0]]
-                    for extra in combinations_with_replacement(free, r - len(rest)):
-                        basis.append(self._add_barycentric({}, 1, rest + extra, sigma, f))
-        return basis
+        return _barycentric_basis(self._cofaces, q, r)
 
     def _whitney_basis(self, q):
         """q! sum_s z(s) sum_i (-1)^i lambda_{s_i} dlambda_{s - s_i} for a basis of cocycles
@@ -561,20 +568,9 @@ class FamilyComplex:
             for s, value in zip(self.complex.n_simplices(q), z):
                 for i, v in enumerate(s):
                     scale = factorial(q) * (-1) ** i * value
-                    self._add_barycentric(family, scale, (v,), s[:i] + s[i + 1 :], s)
+                    _add_barycentric(family, self._cofaces, scale, (v,), s[:i] + s[i + 1 :], s)
             basis.append({key: c for key, c in family.items() if c})
         return basis
-
-    def _add_barycentric(self, family, scale, alpha, sigma, face):
-        """family += scale * lambda^alpha dlambda_sigma on each simplex containing face,
-        for alpha a tuple of vertices with repetition; returns family."""
-        for s in self._cofaces[face]:
-            local = _barycentric_terms(
-                tuple(alpha.count(v) for v in s), tuple(s.index(v) for v in sigma)
-            )
-            for (e, S), c in local:
-                family[(s, e, S)] = family.get((s, e, S), 0) + scale * c
-        return family
 
     def _differential_matrix(self, q):
         """Matrix of d in degree q, from the family basis to the next one."""
@@ -619,53 +615,49 @@ class FamilyComplex:
         return FormsFamily(self.complex, q, assignment, check=False)
 
 
+# ---------------------------------------------------------------------------
+# extension of a compatible boundary family
+
+
 @lru_cache(maxsize=AFFINE_MAP_CACHE_SIZE)
-def _barycentric_terms(alpha, sigma):
-    """lambda^alpha dlambda_sigma on the d-simplex as ((exponent, index set), coefficient)
-    pairs, for the exponents alpha of lambda_0..lambda_d and increasing vertex positions
-    sigma; a tuple, because the cache hands it to every caller."""
-    d = len(alpha) - 1
-    variables = simplex_variables(d)
-    t = [Polynomial.variable(variables, i) for i in range(d)]
-    lam = [Polynomial.constant(variables, 1) - sum(t, Polynomial.zero(variables))] + t
-    form = PolyForm.constant(d, 1)
-    for v, a in enumerate(alpha):
-        form = wedge(form, PolyForm(d, 0, {(): lam[v] ** a}))
-    for v in sigma:
-        form = wedge(form, differential(PolyForm(d, 0, {(): lam[v]})))
-    return tuple(((e, S), c) for S, poly in form.terms.items() for e, c in poly.terms.items())
+def _boundary_basis(n, q, r):
+    """The basis of P_r Lambda^q on the boundary of Delta^n, written on the facets,
+    which fix a boundary family, and on Delta^n: an echelon of the facet terms,
+    whose input k is basis form k, and each basis form's terms on Delta^n."""
+    top = tuple(range(n + 1))
+    boundary = boundary_complex(n)
+    written = boundary.n_simplices(n - 1) + (top,)
+    cofaces = {f: [s for s in written if set(f) <= set(s)] for f in boundary.dim_of}
+    echelon, on_top = Echelon(track=True), []
+    for family in _barycentric_basis(cofaces, q, r):
+        echelon.add({key: c for key, c in family.items() if key[0] != top})
+        on_top.append({(e, S): c for (s, e, S), c in family.items() if s == top})
+    return echelon, on_top
 
 
-def _radial_extension(gamma, n):
-    """Extend a form on the facet opposite vertex n by the cone over it.
+def extend_from_boundary(family):
+    """The least-degree polynomial form on Delta^n restricting to a boundary family.
 
-    gamma lives on Delta^{n-1} = {u_n = 0} and must pull back to zero on
-    every facet of that facet; the radial pullback t'_j = t_j / s with
-    s = 1 - t_n is cleared to a polynomial by multiplying with s^D.
+    The facet forms, of coefficient degree <= r = max(1, their highest), are
+    solved against `_barycentric_basis` of the boundary, as `FamilyComplex`
+    builds it; a basis form is one expression on every coface of its face,
+    so the same coordinates on its terms on Delta^n give the extension.
+    Raises IncompatibleFamily when facets disagree on a shared face.
     """
-    variables = simplex_variables(n)
-    q = gamma.degree
-    s = Polynomial.constant(variables, 1) - Polynomial.variable(variables, n - 1)
-    coeffs = gamma.polynomial_terms()
-    coeff_degree = max([0] + [c.total_degree() for c in coeffs.values()])
-    power = coeff_degree + 2 * q + 1
+    n = family.complex.dimension + 1
+    facet_terms = {}
+    for s in boundary_complex(n).n_simplices(n - 1):
+        for S, poly in family.assignment[s].polynomial_terms().items():
+            facet_terms.update(((s, e, S), c) for e, c in poly.terms.items())
+    r = max([1] + [sum(e) for _, e, _ in facet_terms])
+    echelon, on_top = _boundary_basis(n, family.degree, r)
+    rest, coords = echelon.reduce(facet_terms)
+    if rest:
+        raise IncompatibleFamily("boundary family's facets disagree on a shared face")
     terms = {}
-    for S, c in coeffs.items():
-        # homogenized coefficient:  c(t/s) * s^coeff_degree  is polynomial
-        c_hom = Polynomial.zero(variables)
-        for e, value in c.terms.items():
-            mono = Polynomial(
-                variables, {tuple(e) + (0,): value}
-            )  # same monomial in t1..t_{n-1}
-            c_hom = c_hom + mono * s ** (coeff_degree - sum(e))
-        # each dt'_j clears to (s dt_j + t_j dt_n) with one s^2 each
-        expansion = {(): Polynomial.constant(variables, 1)}
-        for j in S:
-            tj = Polynomial.variable(variables, j)
-            expansion = wedge_terms(expansion, {(j,): s, (n - 1,): tj})
-        slack = power - coeff_degree - 2 * q
-        front = c_hom * s**slack
-        for T, poly in expansion.items():
-            contrib = front * poly
-            terms[T] = terms[T] + contrib if T in terms else contrib
-    return PolyForm(n, q, terms)
+    for k, coeff in coords.items():
+        for (e, S), c in on_top[k].items():
+            monos = terms.setdefault(S, {})
+            monos[e] = monos.get(e, 0) + coeff * c
+    variables = simplex_variables(n)
+    return PolyForm(n, family.degree, {S: Polynomial(variables, m) for S, m in terms.items()})

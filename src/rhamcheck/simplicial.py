@@ -370,8 +370,7 @@ class SimplicialCohomology:
 
     def class_of(self, cochain):
         vec = [cochain.values[s] for s in self._sims]
-        coords, witness = self._pair.class_of(vec)
-        return coords, witness
+        return self._pair.class_of(vec)
 
 
 def _coboundary_matrix(complex_, p):

@@ -202,7 +202,7 @@ def test_criterion_8_integration_map_behavior():
     sc = {q: simplicial_cohomology(K, q) for q in range(2)}
     for q in range(2):
         for family in reps[q]:
-            coords, _ = sc[q].class_of(family.to_cochain())
+            coords = sc[q].class_of(family.to_cochain())
             ok = ok and any(c != 0 for c in coords)
     for q1 in range(2):
         for q2 in range(2):
@@ -210,8 +210,8 @@ def test_criterion_8_integration_map_behavior():
                 continue
             for F in reps[q1]:
                 for G in reps[q2]:
-                    left, _ = sc[q1 + q2].class_of(F.wedge(G).to_cochain())
-                    right, _ = sc[q1 + q2].class_of(
+                    left = sc[q1 + q2].class_of(F.wedge(G).to_cochain())
+                    right = sc[q1 + q2].class_of(
                         aw_cup(F.to_cochain(), G.to_cochain())
                     )
                     ok = ok and left == right

@@ -325,29 +325,35 @@ def test_scenario_rejects_form_degree_mismatch(tmp_path, kind, wrong, right):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, line",
     [
-        ["--builtin", "interval", "--max-weight", "-1"],
-        ["--builtin", "interval", "--max-weight", "0"],
-        ["--builtin", "tau_witness", "--max-weight", "0"],
-        ["--builtin", "two_points", "--quad-order", "0"],
-        ["--builtin", "two_points", "--quad-order", "-3"],
-        ["--builtin", "two_points", "--quad-order", "100000"],
-        ["--builtin", "two_points", "--tolerance", "-0.5"],
-        ["--builtin", "two_points", "--tolerance", "nan"],
-        ["--builtin", "two_points", "--check", "no_such_check"],
-        ["--builtin", "two_points", "--check", "h0,no_such_check"],
-        ["--builtin", "two_points", "--check", ""],
+        (["--builtin", "interval", "--max-weight", "-1"], None),
+        (["--builtin", "interval", "--max-weight", "0"], None),
+        (["--builtin", "tau_witness", "--max-weight", "0"], None),
+        (["--builtin", "two_points", "--quad-order", "0"], None),
+        (["--builtin", "two_points", "--quad-order", "-3"], None),
+        (["--builtin", "two_points", "--quad-order", "100000"], None),
+        (["--builtin", "two_points", "--tolerance", "-0.5"], None),
+        (["--builtin", "two_points", "--tolerance", "nan"], None),
+        (["--builtin", "two_points", "--check", "no_such_check"],
+         "rhamcheck: --check 'no_such_check' matches no check"),
+        (["--builtin", "two_points", "--check", "h0,no_such_check"],
+         "rhamcheck: --check 'no_such_check' matches no check"),
+        (["--builtin", "two_points", "--check", ""], "rhamcheck: --check '' matches no check"),
+        (["--builtin", "two_points", "--check", "h0,,x"],
+         "rhamcheck: --check '', 'x' matches no check"),
     ],
     ids=["weight<0", "weight<degree", "weight<dim", "quad0", "quad<0", "quad_too_large", "tol<0",
-         "tol_nan", "check", "check_part", "check_empty"],
+         "tol_nan", "check", "check_part", "check_empty", "check_empty_part"],
 )
-def test_out_of_range_flags_exit_2(capsys, argv):
+def test_out_of_range_flags_exit_2(capsys, argv, line):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("rhamcheck: "), lines
+    if line is not None:
+        assert lines[0] == line
 
 
 def test_max_weight_zero_is_honoured():

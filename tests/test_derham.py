@@ -165,7 +165,7 @@ def test_reduce_form_kills_relation_multiples():
         base = random_form(rng, B, 1, max_coeff_degree=2)
         f = normal_form(
             Polynomial(B.variables, {(rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(-3, 3))}),
-            B.groebner,
+            groebner_basis(B.ideal_generators),
         )
         noise = wedge(AlgebraicForm(B, 0, {(): f}), rel)
         assert reduce_form(base + noise) == reduce_form(base)
@@ -401,6 +401,24 @@ def test_degree_zero_module_basis_is_the_ideal_basis(name):
     assert module == ideal
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_ideal_basis_is_computed_once(name, monkeypatch):
+    """The ideal's Groebner basis, which is G_0, takes one `buchberger` run."""
+    calls = []
+    run = poly.buchberger
+
+    def counting_run(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(poly, "buchberger", counting_run)
+    monkeypatch.setattr(derham, "buchberger", counting_run)
+    algebra = ORACLE_ALGEBRAS[name]()
+    algebra._module(0)
+    algebra.standard_layer(3)
+    assert len(calls) == 1
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(st.sampled_from(sorted(ORACLE_ALGEBRAS)), st.integers(0, 2**32))
 def test_degree_zero_reduction_matches_sympy(name, seed):
@@ -500,6 +518,7 @@ def reference_relations(algebra, p, n_cutoff, margin):
     index = {t: i for i, t in enumerate(terms)}
     size = sum(1 for m, _ in terms if sum(m) + p <= n_cutoff)
     echelon = Echelon()
+    ideal_basis = groebner_basis(algebra.ideal_generators)
     for f in algebra.ideal_generators:
         cap = extended - p - (f.total_degree() - 1)
         relations = [d_terms({T: f}, algebra.nvars)
@@ -511,7 +530,7 @@ def reference_relations(algebra, p, n_cutoff, margin):
             for relation in relations:
                 vec = {}
                 for S, partial in relation.items():
-                    for e, c in normal_form(mono * partial, algebra.groebner).terms.items():
+                    for e, c in normal_form(mono * partial, ideal_basis).terms.items():
                         vec[index[(e, S)]] = c
                 if vec:
                     echelon.add(vec)

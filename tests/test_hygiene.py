@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-none divides an int literal by a value that may itself be an int, and
-none but `ratfunc` builds a RationalFunc directly."""
+none divides an int literal by a value that may itself be an int, none
+but `ratfunc` builds a RationalFunc directly, and every module-level
+function or class is named somewhere in src, tests or benchmarks."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,47 @@ def test_rational_func_calls_are_found():
                          ids=[p.stem for p in MODULES if p.name != "ratfunc.py"])
 def test_module_builds_no_rational_func_directly(path):
     assert rational_func_calls(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(p for folder in ("src", "tests", "benchmarks") for p in (ROOT / folder).rglob("*.py"))
+
+
+def referenced_names(source):
+    """Identifiers `source` reads: names, attributes, imported names, and the
+    parts of strings that are dotted identifier paths (names patched by string)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def dead_definitions(source, used):
+    """Module-level functions and classes of `source` whose names are not in `used`."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    )
+
+
+def test_dead_definitions_are_found():
+    source = "def a():\n    return b()\n\n\ndef b():\n    pass\n\n\ndef c():\n    pass\n\n\nclass D:\n    pass\n"
+    used = referenced_names(source) | referenced_names("x = D()\ny = 'mod.a'\n")
+    assert dead_definitions(source, used) == [(9, "c")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_defines_nothing_unnamed(path):
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in SOURCES))
+    assert dead_definitions(path.read_text(encoding="utf-8"), used) == []

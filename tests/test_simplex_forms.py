@@ -405,9 +405,8 @@ def test_to_cochain_is_chain_map():
         n = rng.randint(1, 3)
         degree = rng.randint(0, n - 1)
         alpha = _random_poly_form(rng, n, degree, 3)
-        K = standard_simplex(n)
-        lhs = to_cochain(differential(alpha), complex_=K)
-        rhs = coboundary(to_cochain(alpha, complex_=K))
+        lhs = to_cochain(differential(alpha))
+        rhs = coboundary(to_cochain(alpha))
         assert lhs == rhs
 
 
@@ -416,11 +415,10 @@ def test_tau_not_multiplicative_at_cochain_level():
     # tau(alpha ^ beta) = 1/2 while (tau alpha u tau beta) = 0 there
     alpha = parse_poly_form("t1", 2)
     beta = parse_poly_form("dt1", 2)
-    K = standard_simplex(2)
-    lhs = to_cochain(wedge(alpha, beta), complex_=K)
+    lhs = to_cochain(wedge(alpha, beta))
     from rhamcheck.simplicial import aw_cup
 
-    rhs = aw_cup(to_cochain(alpha, complex_=K), to_cochain(beta, complex_=K))
+    rhs = aw_cup(to_cochain(alpha), to_cochain(beta))
     assert lhs.values[(0, 1)] == Fraction(1, 2)
     assert rhs.values[(0, 1)] == 0
     assert lhs != rhs
@@ -435,7 +433,7 @@ def test_naturality_of_to_cochain():
         degree = rng.randint(0, m)
         alpha = _random_poly_form(rng, n, degree, 3)
         Km = standard_simplex(m)
-        lhs = to_cochain(pullback_delta(h, alpha), complex_=Km)
+        lhs = to_cochain(pullback_delta(h, alpha))
         tau_big = to_cochain(alpha)
         # restriction along h: value on an m-simplex is the value on its image
         for simplex in Km.n_simplices(degree):
@@ -489,6 +487,42 @@ def test_extension_round_trip(n):
             restricted = pullback_delta(DeltaMorphism.face(n, i), extended)
             facet = tuple(v for v in range(n + 1) if v != i)
             assert restricted == family.assignment[facet]
+
+
+def coefficient_degree(form):
+    return max([0] + [c.total_degree() for c in form.polynomial_terms().values()])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extension_has_the_least_degree(n):
+    """A compatible family of coefficient degree r <= 3 on the boundary of Delta^n
+    extends to a form of coefficient degree <= max(1, r) restricting to every facet."""
+    rng = random.Random(59 + n)
+    bc = boundary_complex(n)
+    full = standard_simplex(n)
+    for _ in range(12):
+        q = rng.randint(0, n - 1)
+        source = _random_poly_form(rng, n, q, max_coeff_degree=rng.randint(0, 3))
+        family = FormsFamily.restricted_to(FormsFamily.from_top_form(full, source), bc)
+        r = max(coefficient_degree(family.assignment[s]) for s in bc.n_simplices(n - 1))
+        extended = extend_from_boundary(family)
+        assert coefficient_degree(extended) <= max(1, r)
+        for i in range(n + 1):
+            restricted = pullback_delta(DeltaMorphism.face(n, i), extended)
+            assert restricted == family.assignment[DeltaMorphism.face(n, i).values]
+
+
+def test_extension_refuses_facets_that_disagree():
+    """lambda_0 lambda_1 on the facet (0, 1, 2) of the boundary of Delta^3 and zero
+    elsewhere: the facets (0, 1, 2) and (0, 1, 3) disagree on their edge (0, 1)."""
+    bc = boundary_complex(3)
+    assignment = {s: PolyForm.zero(len(s) - 1, 0) for ids in bc.simplices.values() for s in ids}
+    assignment[(0, 1, 2)] = parse_poly_form("t1 * (1 - t1 - t2)", 2)
+    with pytest.raises(IncompatibleFamily):
+        FormsFamily(bc, 0, assignment)
+    family = FormsFamily(bc, 0, assignment, check=False)
+    with pytest.raises(IncompatibleFamily):
+        extend_from_boundary(family)
 
 
 def test_family_complex_dimensions_match_simplicial():
