@@ -170,8 +170,12 @@ def main(argv=None):
     failures = human_summary(runs)
     if args.report:
         text = "\n".join(report_lines(runs, settings)) + "\n"
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            sys.stderr.write("rhamcheck: %s\n" % exc)
+            return EXIT_USAGE
     return EXIT_CHECK_FAILURE if failures else EXIT_PASS
 
 

@@ -18,18 +18,19 @@ them.  No relation is sought among generators up to a margin above N:
 G_p is exact at every weight.
 
 Truncated dimensions are evidence, not theorems: a `stabilized` flag
-records whether two consecutive cutoffs agree.
+records that H^p has the same dimension at cutoffs N - 1 and N and that
+every representative at N already lies in the stratum at N - 1, so that
+H^(N-1) -> H^N is an isomorphism.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import AlgebraMismatch, ParseError, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast, parse_polynomial
-from .linalg import CohomologyPair, SparseMatrix, dense_vector, kernel_image, solve
+from .linalg import CohomologyPair, SparseMatrix, dense_vector
 from .poly import Polynomial, buchberger, drl_key, monomial_divides, parse_ast, reduce_vector
 
 
@@ -292,43 +293,31 @@ def reduce_form(omega):
 
 
 class TruncatedCohomology:
-    """H^p of the weight-truncated de Rham complex at a fixed cutoff."""
+    """H^p of the weight-truncated de Rham complex at a fixed cutoff N.
+
+    `representatives` and `class_of` are those of the one `CohomologyPair`
+    at N.  `stabilized` holds when H^p has the same dimension at N - 1 and
+    at N and every representative at N is zero beyond the N - 1 prefix of
+    the stratum: then H^(N-1) -> H^N is onto, so an isomorphism.
+    """
 
     def __init__(self, algebra, p, n_cutoff):
         if n_cutoff < p:
             raise ValueError("cutoff must be at least the degree")
-        self.algebra = algebra
-        self.p = p
-        self.n_cutoff = n_cutoff
         self._pair, self._stratum = _truncated_pair(algebra, p, n_cutoff)
         self.dimension = self._pair.dimension
         vectors = self._pair.representatives
+        self.representatives = [self._stratum.form_of(v) for v in vectors]
         self.stabilized = False
         if n_cutoff > p:
             prev_pair, prev_stratum = _truncated_pair(algebra, p, n_cutoff - 1)
-            if prev_pair.dimension == self.dimension:
-                # the stratum at N - 1 is a prefix of the one at N, and d
-                # maps its cocycles to cocycles of the same coordinates
-                pad = [Fraction(0)] * (self._stratum.size - prev_stratum.size)
-                lifted = [v + pad for v in prev_pair.representatives]
-                coords = SparseMatrix.from_rows([self._pair.class_of(v) for v in lifted])
-                if not lifted or kernel_image(coords)[2] == len(lifted):
-                    self.stabilized = True
-                    vectors = lifted
-        self.representatives = [self._stratum.form_of(v) for v in vectors]
-        self._rep_coords = [self._pair.class_of(v) for v in vectors]
+            self.stabilized = prev_pair.dimension == self.dimension and not any(
+                any(v[prev_stratum.size :]) for v in vectors)
 
     def class_of(self, form):
-        """Coordinates of a closed form in the returned representative basis."""
+        """Coordinates of a closed form in the representative basis."""
         vec = self._stratum.vector_of(reduce_form(form))
-        inner = self._pair.class_of(dense_vector(vec, self._stratum.size))
-        if self.dimension == 0:
-            return []
-        matrix = SparseMatrix.from_columns(self._rep_coords, len(inner))
-        coords = solve(matrix, inner)
-        if coords is None:
-            raise AssertionError("representative basis failed to span a class")
-        return coords
+        return self._pair.class_of(dense_vector(vec, self._stratum.size))
 
 
 def _truncated_pair(algebra, p, n_cutoff):

@@ -59,15 +59,6 @@ class SparseMatrix:
                     entries[(i, j)] = Fraction(value)
         return cls(rows, cols, entries)
 
-    @classmethod
-    def from_columns(cls, columns, rows):
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, value in enumerate(col):
-                if value:
-                    entries[(i, j)] = Fraction(value)
-        return cls(rows, len(columns), entries)
-
     def columns(self):
         """The entries grouped by column: one dict row -> value per column."""
         cols = [{} for _ in range(self.cols)]

@@ -66,9 +66,10 @@ from .simplicial import boundary_complex, standard_simplex
 CheckSpec = namedtuple("CheckSpec", "name kind params")
 
 UNNAMED = ("header", "algebra")  # the sections that take no name
-# The largest k of delta<k> and boundary<k>.  Loading lists all 2^(k+1) - 1
-# faces of delta<k> up front: k = 10 is 2,047 faces, far above the delta3
-# and boundary3 of the corpus, and each further step doubles the count.
+# The largest k of delta<k> and boundary<k>, and the largest dim of a
+# [simplex] or a tau_witness.  Loading lists all 2^(k+1) - 1 faces of
+# delta<k> up front: k = 10 is 2,047 faces, far above the delta3 and
+# boundary3 of the corpus, and each further step doubles the count.
 MAX_COMPLEX_K = 10
 
 
@@ -277,12 +278,14 @@ def _integer(text, what):
         raise ParseError("%s: %r is not an integer" % (what, text)) from None
 
 
-def _at_least(least):
-    """An integer >= least."""
+def _at_least(least, most=None):
+    """An integer >= least, and <= most if given."""
     def parse(scenario, text, where):
         value = _integer(text, where)
         if value < least:
             raise ParseError("%s: %d is below %d" % (where, value, least))
+        if most is not None and value > most:
+            raise ParseError("%s: %d is above %d" % (where, value, most))
         return value
     return parse
 
@@ -399,6 +402,7 @@ def _kind(scenario, text, where):
 
 REQUIRED = object()
 COUNT, POSITIVE = _at_least(0), _at_least(1)
+_dim = _at_least(0, MAX_COMPLEX_K)
 NUM_VARS = _choice(**{"1": 1, "2": 2, "3": 3})
 FLAG = _choice(true=True, false=False)
 VERDICT = _choice(valid="valid", violation="violation")
@@ -416,7 +420,7 @@ SECTION_KEYS = {
                "description": (_text, "")},
     "algebra": {"variables": (_names, REQUIRED), "relation": (_each(_text), [])},
     "form": {"degree": (COUNT, None), "expr": (_text, REQUIRED)},
-    "simplex": {"dim": (COUNT, REQUIRED), "component": (_each(_text), REQUIRED),
+    "simplex": {"dim": (_dim, REQUIRED), "component": (_each(_text), REQUIRED),
                 "lane": (_choice(exact="exact", numeric="numeric"), None)},
     "family": {"simplices": (_listed(SIMPLEX), REQUIRED)},
     "chain": {"family": (_ref("families"), REQUIRED), "degree": (COUNT, REQUIRED),
@@ -439,7 +443,7 @@ CHECK_KEYS = {
                          "chain": (CHAIN, REQUIRED), "expect": (_number, None),
                          "expect_tolerance": (_tolerance, None), "tolerance": (_tolerance, None)},
     "idempotent_table": {"forms": (FORMS, REQUIRED), "simplices": (SIMPLICES, REQUIRED)},
-    "tau_witness": {"dim": (COUNT, REQUIRED), "alpha": (_text, REQUIRED), "beta": (_text, REQUIRED)},
+    "tau_witness": {"dim": (_dim, REQUIRED), "alpha": (_text, REQUIRED), "beta": (_text, REQUIRED)},
     "tau_chain_map": {"count": (COUNT, "30"), "max_dim": (POSITIVE, "3")},
     "tau_cohomology": {"complex": (COMPLEX, REQUIRED), "max_weight": (COUNT, "3")},
     "aw_laws": {"complex": (COMPLEX, "delta3"), "count": (COUNT, "30")},

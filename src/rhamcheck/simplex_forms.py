@@ -461,6 +461,19 @@ class FormsFamily:
 # barycentric forms: the Arnold-Falk-Winther basis
 
 
+def _coface_table(faces, simplices):
+    """{f: the simplices containing f, in the order of `simplices`} for each of `faces`,
+    in their order; all are increasing vertex tuples, so a simplex's faces are its
+    `combinations`."""
+    table = {f: [] for f in faces}
+    for s in simplices:
+        for k in range(1, len(s) + 1):
+            for f in combinations(s, k):
+                if f in table:
+                    table[f].append(s)
+    return table
+
+
 def _barycentric_basis(cofaces, q, r):
     """The Arnold-Falk-Winther basis of P_r Lambda^q(K), r >= 1 (Acta Numerica 15,
     2006, sec. 3-4), as families (simplex, exponent, index set) -> coefficient.
@@ -537,8 +550,7 @@ class FamilyComplex:
         self.complex = complex_
         self.weight_cutoff = weight_cutoff
         top = complex_.dimension
-        self._cofaces = {f: [s for s in complex_.dim_of if set(f) <= set(s)]
-                         for f in complex_.dim_of}
+        self._cofaces = _coface_table(complex_.dim_of, complex_.dim_of)
         self._family_basis = {q: self._basis(q) for q in range(top + 2)}
         self._d_matrices = {q: self._differential_matrix(q) for q in range(top + 1)}
         self._pairs = {}
@@ -627,7 +639,7 @@ def _boundary_basis(n, q, r):
     top = tuple(range(n + 1))
     boundary = boundary_complex(n)
     written = boundary.n_simplices(n - 1) + (top,)
-    cofaces = {f: [s for s in written if set(f) <= set(s)] for f in boundary.dim_of}
+    cofaces = _coface_table(boundary.dim_of, written)
     echelon, on_top = Echelon(track=True), []
     for family in _barycentric_basis(cofaces, q, r):
         echelon.add({key: c for key, c in family.items() if key[0] != top})

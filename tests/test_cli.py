@@ -28,6 +28,7 @@ from rhamcheck.scenarios import (
     SIMPLICES,
     VERDICT,
     Scenario,
+    _dim,
     _number,
     _text,
     _tolerance,
@@ -237,6 +238,14 @@ def test_cli_writes_report(tmp_path):
     assert text.startswith("format_version 1")
     assert "check.two_points.h0.status pass" in text
     assert "seed" in text
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_report_path_exits_2(tmp_path, capsys, where):
+    report = tmp_path if where == "directory" else tmp_path / "no_such_dir" / "report.txt"
+    assert main(["--builtin", "two_points", "--report", str(report)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rhamcheck: ") and str(report) in lines[0], lines
 
 
 def test_coboundary_pairing_needs_a_boundary_complex(tmp_path):
@@ -461,6 +470,7 @@ REQUIRED_KEYS = {
 # A malformed, out-of-range or undefined value for each key type.
 MALFORMED = {
     COUNT: "-3",
+    _dim: "11",
     POSITIVE: "0",
     NUM_VARS: "5",
     FLAG: "yes",
@@ -560,10 +570,12 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
         (_check_text("aw_laws", {"complex": "boundary1"}), "complex: boundary1 has only vertices"),
         (_check_text("aw_laws", {"complex": "delta99999999999"}),
          "complex: delta99999999999 is above delta10"),
+        (_check_text("tau_witness", {"dim": "14", "alpha": "t1", "beta": "dt1"}),
+         "dim: 14 is above 10"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight", "kind",
          "no_kind", "dims_above_dimension", "coboundary_of_degree_0", "aw_laws_on_delta0",
-         "aw_laws_on_boundary1", "complex_too_large"],
+         "aw_laws_on_boundary1", "complex_too_large", "tau_witness_dim_too_large"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)
@@ -703,9 +715,10 @@ def test_section_refuses_second_section_of_one_name(tmp_path, capsys, label):
          "chain z: term: family pts has no 1-simplex 'pt'"),
         (_sections_text({("simplex pt", "component"): ["2"]}),
          "family pts: simplices: generator 0 leaves residual 3 on pt"),
+        (_sections_text({("simplex pt", "dim"): ["14"]}), "simplex pt: dim: 14 is above 10"),
     ],
     ids=["degre", "family_simplex", "component_form", "component_count", "relation_zero",
-         "relation_fraction", "term_dimension", "off_variety_member"],
+         "relation_fraction", "term_dimension", "off_variety_member", "simplex_dim_too_large"],
 )
 def test_section_refusal_names_section_and_key(tmp_path, capsys, text, message):
     line = _one_refusal(tmp_path, capsys, text)

@@ -22,7 +22,7 @@ from rhamcheck.derham import (
 from rhamcheck.errors import AlgebraMismatch, ResourceBudgetExceeded
 from rhamcheck.exterior import d_terms
 from rhamcheck.formtext import parse_polynomial
-from rhamcheck.linalg import Echelon
+from rhamcheck.linalg import CohomologyPair, Echelon, SparseMatrix, dense_vector
 from rhamcheck.poly import (Polynomial, _add_shifted, _term_key, groebner_basis, monomial_div,
                             monomial_divides, monomial_lcm, normal_form, reduce_vector)
 
@@ -655,3 +655,75 @@ def test_truncated_cohomology_reads_the_betti_numbers(name, seed, p, n_cutoff):
     assert h.dimension == BETTI[name][0][p]
     for i, rep in enumerate(h.representatives):
         assert h.class_of(rep) == [Fraction(int(i == k)) for k in range(h.dimension)]
+
+
+# ---------------------------------------------------------------------------
+# `stabilized` and the representatives against the lift from cutoff N - 1
+
+
+def lifted_reference(algebra, p, n_cutoff):
+    """The lift check truncated cohomology used to make, kept as a reference:
+    (stabilized, representative forms, class_of).
+
+    At equal dimensions the representatives at N - 1, padded with zeros, are
+    lifted to N; the truncation is stabilized when their classes at N are
+    independent, and then they are the representatives.  class_of solves the
+    class at N on the classes of the representatives.
+    """
+    pair, stratum = derham._truncated_pair(algebra, p, n_cutoff)
+    vectors, stabilized = pair.representatives, False
+    if n_cutoff > p:
+        prev_pair, prev_stratum = derham._truncated_pair(algebra, p, n_cutoff - 1)
+        if prev_pair.dimension == pair.dimension:
+            pad = [Fraction(0)] * (stratum.size - prev_stratum.size)
+            lifted = [v + pad for v in prev_pair.representatives]
+            coords = [pair.class_of(v) for v in lifted]
+            if len(Echelon(coords).rows) == len(lifted):
+                stabilized, vectors = True, lifted
+    # the representatives' classes are independent, so echelon input k is representative k
+    echelon = Echelon([pair.class_of(v) for v in vectors], track=True)
+
+    def class_of(form):
+        vec = dense_vector(stratum.vector_of(reduce_form(form)), stratum.size)
+        rest, coords = echelon.reduce(pair.class_of(vec))
+        assert not rest
+        return [coords.get(k, Fraction(0)) for k in range(len(vectors))]
+
+    return stabilized, [stratum.form_of(v) for v in vectors], class_of
+
+
+@pytest.mark.parametrize("name, seed, p, n_cutoff", BETTI_CASES + [
+    ("defect_curve", None, p, n_cutoff) for n_cutoff in range(2, 7) for p in range(3)])
+def test_one_representative_basis_matches_the_lift(name, seed, p, n_cutoff):
+    algebra = ORACLE_ALGEBRAS[name]() if seed is None else rescaled(name, seed)
+    h = truncated_cohomology(algebra, p, n_cutoff)
+    stabilized, representatives, class_of = lifted_reference(algebra, p, n_cutoff)
+    assert h.stabilized == stabilized
+    assert h.representatives == representatives
+    for rep in representatives:
+        assert h.class_of(rep) == class_of(rep)
+
+
+class _StubStratum:
+    def __init__(self, size):
+        self.size = size
+
+    def form_of(self, vec):
+        return tuple(vec)
+
+
+@pytest.mark.parametrize("hit, stabilized", [(0, False), (1, True)])
+def test_stabilized_needs_the_representatives_below_the_cutoff(monkeypatch, hit, stabilized):
+    """At N - 1 one free cocycle e0; at N a new coordinate e1 and a boundary on
+    e_hit.  Both cutoffs have dimension 1, but when the boundary kills e0 the
+    class at N is e1, which no cocycle at N - 1 reaches."""
+    pairs = {
+        0: (CohomologyPair(SparseMatrix.zero(1, 0), SparseMatrix.zero(0, 1)), _StubStratum(1)),
+        1: (CohomologyPair(SparseMatrix(2, 1, {(hit, 0): 1}), SparseMatrix.zero(0, 2)),
+            _StubStratum(2)),
+    }
+    monkeypatch.setattr(derham, "_truncated_pair", lambda algebra, p, n_cutoff: pairs[n_cutoff])
+    h = truncated_cohomology(None, 0, 1)
+    assert pairs[0][0].dimension == h.dimension == 1
+    assert h.representatives == [(Fraction(hit), Fraction(1 - hit))]
+    assert h.stabilized == stabilized

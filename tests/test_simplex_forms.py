@@ -40,6 +40,7 @@ from rhamcheck.simplex_forms import (
     simplex_variables,
     to_cochain,
     wedge,
+    _coface_table,
     _duffy_points,
     _quad_value,
 )
@@ -540,6 +541,26 @@ def test_family_complex_dimensions_match_simplicial():
 
 COMPLEXES = {"delta%d" % n: standard_simplex(n) for n in range(4)}
 COMPLEXES.update({"boundary%d" % n: boundary_complex(n) for n in range(1, 5)})
+
+
+def pairwise_cofaces(faces, simplices):
+    """The coface table by testing every pair: the reference for `_coface_table`."""
+    return {f: [s for s in simplices if set(f) <= set(s)] for f in faces}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_coface_table_matches_the_pairwise_test(name):
+    K = COMPLEXES[name]
+    got = _coface_table(K.dim_of, K.dim_of)
+    expected = pairwise_cofaces(K.dim_of, K.dim_of)
+    assert got == expected and list(got) == list(expected)
+    if name.startswith("boundary"):
+        # the facets-plus-top table that the boundary extension builds
+        n = K.dimension + 1
+        written = K.n_simplices(n - 1) + (tuple(range(n + 1)),)
+        got = _coface_table(K.dim_of, written)
+        expected = pairwise_cofaces(K.dim_of, written)
+        assert got == expected and list(got) == list(expected)
 
 
 def constraint_columns(K, N, q):
