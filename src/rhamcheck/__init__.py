@@ -20,7 +20,7 @@ from .derham import (
 )
 from .errors import RhamcheckError
 from .formtext import parse_polynomial
-from .linalg import CohomologyPair, SparseMatrix, kernel_image
+from .linalg import CohomologyPair, kernel_image
 from .poly import Polynomial, groebner_basis, normal_form
 from .ratfunc import RationalFunc
 from .scenarios import Scenario, builtin_names, builtin_text, load_builtin

@@ -416,7 +416,7 @@ def check_tau_cohomology(scenario, check, settings):
         if sc.dimension == 0:
             continue
         rows = [sc.class_of(family.to_cochain()) for family in reps[q]]
-        rank = len(Echelon(rows).rows)
+        rank = len(Echelon(dict(enumerate(row)) for row in rows).rows)
         result.detail("rank_%d" % q, rank)
         if rank != sc.dimension:
             result.fail("degree %d: induced map is not an isomorphism" % q)

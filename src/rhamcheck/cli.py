@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 
 from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
 from .errors import ParseError, RhamcheckError
@@ -154,28 +155,25 @@ def main(argv=None):
                     raise ParseError("%s: not UTF-8 text: %s" % (path, exc)) from None
             scenarios.append(Scenario(text, source=path))
         validate_settings(settings, scenarios, check_filter)
+        # opened before the first check runs, so a path it cannot write is refused up front
+        report = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
     except RhamcheckError as exc:
         sys.stderr.write("rhamcheck: %s\n" % exc)
         return EXIT_USAGE
     except OSError as exc:
         sys.stderr.write("rhamcheck: %s\n" % exc)
         return EXIT_USAGE
-    for scenario in scenarios:
-        try:
-            results, elapsed = run_scenario(scenario, settings, check_filter)
-        except RhamcheckError as exc:
-            sys.stderr.write("rhamcheck: %s: %s\n" % (scenario.name, exc))
-            return EXIT_USAGE
-        runs.append((scenario, results, elapsed))
-    failures = human_summary(runs)
-    if args.report:
-        text = "\n".join(report_lines(runs, settings)) + "\n"
-        try:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            sys.stderr.write("rhamcheck: %s\n" % exc)
-            return EXIT_USAGE
+    with report:
+        for scenario in scenarios:
+            try:
+                results, elapsed = run_scenario(scenario, settings, check_filter)
+            except RhamcheckError as exc:
+                sys.stderr.write("rhamcheck: %s: %s\n" % (scenario.name, exc))
+                return EXIT_USAGE
+            runs.append((scenario, results, elapsed))
+        failures = human_summary(runs)
+        if args.report:
+            report.write("\n".join(report_lines(runs, settings)) + "\n")
     return EXIT_CHECK_FAILURE if failures else EXIT_PASS
 
 

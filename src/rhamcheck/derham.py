@@ -30,7 +30,7 @@ from itertools import combinations
 from .errors import AlgebraMismatch, ParseError, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast, parse_polynomial
-from .linalg import CohomologyPair, SparseMatrix, dense_vector
+from .linalg import CohomologyPair, Matrix
 from .poly import Polynomial, buchberger, drl_key, monomial_divides, parse_ast, reduce_vector
 
 
@@ -265,19 +265,16 @@ class _WeightStratum:
 
     def form_of(self, vec):
         terms = {}
-        for idx, coeff in enumerate(vec):
-            if coeff:
-                m, S = self.module.basis[idx]
-                terms.setdefault(S, {})[m] = coeff
+        for idx, coeff in sorted(vec.items()):
+            m, S = self.module.basis[idx]
+            terms.setdefault(S, {})[m] = coeff
         algebra = self.module.algebra
         terms = {S: Polynomial(algebra.variables, t) for S, t in terms.items()}
         return AlgebraicForm(algebra, self.module.p, terms, reduce=False)
 
     def differential_matrix(self, target):
         """Matrix of d into the degree p+1 stratum, on normal forms."""
-        entries = {(row, col): v for col in range(self.size)
-                   for row, v in self.module.d_column(col).items()}
-        return SparseMatrix(target.size, self.size, entries)
+        return Matrix(target.size, [self.module.d_column(col) for col in range(self.size)])
 
 
 def reduce_form(omega):
@@ -311,13 +308,12 @@ class TruncatedCohomology:
         self.stabilized = False
         if n_cutoff > p:
             prev_pair, prev_stratum = _truncated_pair(algebra, p, n_cutoff - 1)
-            self.stabilized = prev_pair.dimension == self.dimension and not any(
-                any(v[prev_stratum.size :]) for v in vectors)
+            self.stabilized = prev_pair.dimension == self.dimension and all(
+                max(v) < prev_stratum.size for v in vectors)
 
     def class_of(self, form):
         """Coordinates of a closed form in the representative basis."""
-        vec = self._stratum.vector_of(reduce_form(form))
-        return self._pair.class_of(dense_vector(vec, self._stratum.size))
+        return self._pair.class_of(self._stratum.vector_of(reduce_form(form)))
 
 
 def _truncated_pair(algebra, p, n_cutoff):
@@ -325,11 +321,11 @@ def _truncated_pair(algebra, p, n_cutoff):
     if p >= 1:
         d_prev = _WeightStratum(algebra, p - 1, n_cutoff).differential_matrix(stratum)
     else:
-        d_prev = SparseMatrix.zero(stratum.size, 0)
+        d_prev = Matrix(stratum.size, [])
     if n_cutoff >= p + 1:
         d_next = stratum.differential_matrix(_WeightStratum(algebra, p + 1, n_cutoff))
     else:
-        d_next = SparseMatrix.zero(0, stratum.size)
+        d_next = Matrix(0, [{}] * stratum.size)
     return CohomologyPair(d_prev, d_next), stratum
 
 

@@ -3,7 +3,12 @@
 Everything downstream (de Rham truncations, simplicial cohomology, the
 forms-family complexes) funnels through two operations: kernel/image
 bases of a single map, and the cohomology of a composable pair.  All
-vectors are exact Fractions; there is no floating-point path here.
+values are exact Fractions; there is no floating-point path here.
+
+A vector is a sparse dict index -> nonzero Fraction.  A matrix is a
+`Matrix`: its row count and the list of its columns, each a vector
+row -> entry.  Nothing here mutates an input vector or column, so a
+matrix may share columns its producer keeps cached.
 
 One elimination engine serves them all: `Echelon`, the reduced echelon
 basis of a growing span of sparse vectors.  A map's columns are inserted
@@ -22,86 +27,26 @@ from .errors import CompositionNonzero, NotACocycle
 DENSE_LIMIT = 64  # read only by the benchmark tracer (benchmarks/spans.py) to label sizes
 
 
-class SparseMatrix:
-    """Immutable sparse rational matrix; entries keyed by (row, col)."""
+class Matrix:
+    """A `rows`-high matrix as the list of its columns, vectors row -> entry."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "columns")
 
-    def __init__(self, rows, cols, entries):
+    def __init__(self, rows, columns):
         self.rows = rows
-        self.cols = cols
-        clean = {}
-        for (i, j), value in entries.items():
-            value = Fraction(value)
-            if value == 0:
-                continue
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError("entry (%d, %d) out of range" % (i, j))
-            clean[(i, j)] = value
-        self.entries = clean
+        self.columns = columns
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, {})
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows_list):
-            for j, value in enumerate(row):
-                if value:
-                    entries[(i, j)] = Fraction(value)
-        return cls(rows, cols, entries)
-
-    def columns(self):
-        """The entries grouped by column: one dict row -> value per column."""
-        cols = [{} for _ in range(self.cols)]
-        for (i, j), value in self.entries.items():
-            cols[j][i] = value
-        return cols
-
-    def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
-        for (i, j), value in self.entries.items():
-            if vec[j]:
-                out[i] += value * vec[j]
-        return out
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        by_row = {}
-        for (i, k), value in self.entries.items():
-            by_row.setdefault(i, []).append((k, value))
-        by_col = {}
-        for (k, j), value in other.entries.items():
-            by_col.setdefault(k, []).append((j, value))
-        entries = {}
-        for i, row in by_row.items():
-            for k, a in row:
-                for j, b in by_col.get(k, ()):
-                    key = (i, j)
-                    entries[key] = entries.get(key, Fraction(0)) + a * b
-        return SparseMatrix(self.rows, other.cols, entries)
-
-    def is_zero(self):
-        return not self.entries
+    @property
+    def cols(self):
+        return len(self.columns)
 
 
-def dense_vector(sparse, length):
-    """The list of length `length` with the entries of a dict index -> value."""
-    vec = [Fraction(0)] * length
-    for j, v in sparse.items():
-        vec[j] = v
-    return vec
+def _apply(matrix, vec):
+    """matrix * vec, as a vector."""
+    out = {}
+    for j, v in vec.items():
+        _axpy(out, v, matrix.columns[j])
+    return out
 
 
 def _axpy(target, scale, source):
@@ -117,16 +62,17 @@ def _axpy(target, scale, source):
 class Echelon:
     """The reduced echelon basis of the span of the vectors added so far.
 
-    `rows` maps each pivot to its row, a sparse dict index -> Fraction.
-    A row's pivot is its largest index and its entry there is 1, and no
-    other row has an entry at that pivot.  So the rows are the unique
-    reduced basis of their span, whatever order vectors arrive in, and
-    reduction leaves the unique remainder that vanishes at every pivot.
+    Vectors are sparse dicts index -> Fraction; a zero entry in an input
+    is dropped.  `rows` maps each pivot to its row, a vector.  A row's
+    pivot is its largest index and its entry there is 1, and no other
+    row has an entry at that pivot.  So the rows are the unique reduced
+    basis of their span, whatever order vectors arrive in, and reduction
+    leaves the unique remainder that vanishes at every pivot.
 
     With `track`, each row also keeps its combination of the independent
     vectors added so far, numbered 0, 1, ... in the order they were
     added; `reduce` then returns the coordinates of what it removed on
-    those vectors.  Vectors may be dicts or dense lists.
+    those vectors.  Inputs are copied, never changed.
     """
 
     def __init__(self, vectors=(), track=False):
@@ -137,8 +83,7 @@ class Echelon:
 
     def reduce(self, vec):
         """(remainder, coords) with vec = remainder + sum of coords[k] * vector k."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        out = {j: v for j, v in items if v}
+        out = {j: v for j, v in vec.items() if v}
         coords = {}
         # a row has no entry at any other pivot, so the pivots hit are
         # exactly those present at the start, in any order
@@ -202,23 +147,19 @@ def kernel_image(matrix):
     there, minus its coordinates on the earlier independent columns.
     The image basis is the independent columns themselves.
     """
-    columns = matrix.columns()
-    _, independent, dependent = _eliminate(columns, track=True)
+    _, independent, dependent = _eliminate(matrix.columns, track=True)
     kernel = []
     for j, coords in dependent:
-        vec = dense_vector({independent[k]: -c for k, c in coords.items()}, matrix.cols)
+        vec = {independent[k]: -c for k, c in coords.items()}
         vec[j] = Fraction(1)
         kernel.append(vec)
-    image = [dense_vector(columns[j], matrix.rows) for j in independent]
-    return kernel, image, len(independent)
+    return kernel, [matrix.columns[j] for j in independent], len(independent)
 
 
 def kernel_image_of_columns(matrix):
     """(column-space basis, independent column indices, rank) of a matrix."""
-    columns = matrix.columns()
-    _, independent, _ = _eliminate(columns, track=False)
-    image = [dense_vector(columns[j], matrix.rows) for j in independent]
-    return image, independent, len(independent)
+    _, independent, _ = _eliminate(matrix.columns, track=False)
+    return [matrix.columns[j] for j in independent], independent, len(independent)
 
 
 def solve(matrix, rhs):
@@ -226,11 +167,11 @@ def solve(matrix, rhs):
 
     The solution is zero off the independent columns.
     """
-    echelon, independent, _ = _eliminate(matrix.columns(), track=True)
+    echelon, independent, _ = _eliminate(matrix.columns, track=True)
     rest, coords = echelon.reduce(rhs)
     if rest:
         return None
-    return dense_vector({independent[k]: c for k, c in coords.items()}, matrix.cols)
+    return {independent[k]: c for k, c in coords.items()}
 
 
 class CohomologyPair:
@@ -244,14 +185,12 @@ class CohomologyPair:
     def __init__(self, d_prev, d_next):
         if d_prev.rows != d_next.cols:
             raise ValueError("d_prev codomain != d_next domain")
-        composite = d_next.matmul(d_prev)
-        if not composite.is_zero():
+        if any(_apply(d_next, col) for col in d_prev.columns):
             raise CompositionNonzero("d_next . d_prev != 0")
-        self.d_prev = d_prev
         self.d_next = d_next
         self.space_dim = d_prev.rows
         kernel, _, _ = kernel_image(d_next)
-        self._boundaries = Echelon(d_prev.columns())
+        self._boundaries = Echelon(d_prev.columns)
         # each representative is a kernel vector reduced against the
         # boundaries and the earlier representatives; adding the reduced
         # vector itself makes echelon input k representative k
@@ -261,17 +200,17 @@ class CohomologyPair:
             red, _ = self._reps.reduce(self._boundaries.reduce(vec)[0])
             if red:
                 self._reps.add(red)
-                reps.append(dense_vector(red, self.space_dim))
+                reps.append(red)
         self.representatives = reps
         self.dimension = len(reps)
 
     def is_cocycle(self, vec):
-        return all(v == 0 for v in self.d_next.mul_vec(vec))
+        return not _apply(self.d_next, vec)
 
     def class_of(self, vec):
         """Coordinates of a cocycle in the representative basis."""
-        if len(vec) != self.space_dim:
-            raise ValueError("vector length mismatch")
+        if not all(0 <= j < self.space_dim for j in vec):
+            raise ValueError("vector index out of range")
         if not self.is_cocycle(vec):
             raise NotACocycle("class_of on a vector with nonzero coboundary")
         rest, coords = self._reps.reduce(self._boundaries.reduce(vec)[0])

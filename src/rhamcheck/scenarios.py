@@ -209,6 +209,13 @@ class Scenario:
             if weight > p["max_weight"]:
                 raise ValidationError("%s: class_nonzero: form %s has weight %d, above max_weight "
                                       "%d" % (where, p["class_nonzero"], weight, p["max_weight"]))
+        elif (kind == "tau_cohomology" and p["complex"].name.startswith("boundary")
+              and p["max_weight"] < p["complex"].dimension):
+            # the top class of boundary<k> has degree k - 1, and a family complex
+            # at a lower cutoff has no forms there
+            raise ValidationError("%s: max_weight: %d is below %d, the degree of the top class "
+                                  "of %s" % (where, p["max_weight"], p["complex"].dimension,
+                                             p["complex"].name))
         elif kind == "tau_witness":
             for key in ("alpha", "beta"):
                 p[key] = _evaluate("%s: %s" % (where, key), parse_poly_form, p[key], p["dim"])

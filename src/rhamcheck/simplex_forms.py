@@ -34,7 +34,7 @@ from .errors import (
 )
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form_ast
-from .linalg import CohomologyPair, Echelon, SparseMatrix, kernel_image
+from .linalg import CohomologyPair, Echelon, Matrix, kernel_image
 from .poly import Polynomial, drl_key, parse_ast
 from .ratfunc import RationalFunc, parts
 from .simplicial import (Cochain, DeltaMorphism, _coboundary_matrix, boundary_complex,
@@ -555,11 +555,7 @@ class FamilyComplex:
         self._d_matrices = {q: self._differential_matrix(q) for q in range(top + 1)}
         self._pairs = {}
         for q in range(top + 1):
-            d_prev = (
-                self._d_matrices[q - 1]
-                if q >= 1
-                else SparseMatrix.zero(len(self._family_basis[q]), 0)
-            )
+            d_prev = self._d_matrices[q - 1] if q >= 1 else Matrix(len(self._family_basis[q]), [])
             self._pairs[q] = CohomologyPair(d_prev, self._d_matrices[q])
 
     def _basis(self, q):
@@ -574,10 +570,12 @@ class FamilyComplex:
         """q! sum_s z(s) sum_i (-1)^i lambda_{s_i} dlambda_{s - s_i} for a basis of cocycles
         z; on each simplex the degree-1 terms cancel, leaving a constant form."""
         kernel, _, _ = kernel_image(_coboundary_matrix(self.complex, q))
+        simplices = self.complex.n_simplices(q)
         basis = []
         for z in kernel:
             family = {}
-            for s, value in zip(self.complex.n_simplices(q), z):
+            for j, value in sorted(z.items()):
+                s = simplices[j]
                 for i, v in enumerate(s):
                     scale = factorial(q) * (-1) ** i * value
                     _add_barycentric(family, self._cofaces, scale, (v,), s[:i] + s[i + 1 :], s)
@@ -590,8 +588,8 @@ class FamilyComplex:
         target = self._family_basis[q + 1]
         # the basis is independent, so echelon input k is target[k]
         echelon = Echelon(target, track=True)
-        entries = {}
-        for col, family in enumerate(source):
+        columns = []
+        for family in source:
             image = {}
             for (s, e, S), c in family.items():
                 for m, de, T in d_monomial(e, S):
@@ -599,8 +597,8 @@ class FamilyComplex:
             rest, coords = echelon.reduce(image)
             if rest:
                 raise AssertionError("differential left the family space")
-            entries.update(((k, col), c) for k, c in coords.items())
-        return SparseMatrix(len(target), len(source), entries)
+            columns.append(coords)
+        return Matrix(len(target), columns)
 
     def cohomology_dimension(self, q):
         return self._pairs[q].dimension
@@ -609,8 +607,8 @@ class FamilyComplex:
         reps = []
         for vec in self._pairs[q].representatives:
             combo = {}
-            for coeff, family in zip(vec, self._family_basis[q]):
-                for key, c in family.items():
+            for k, coeff in sorted(vec.items()):
+                for key, c in self._family_basis[q][k].items():
                     combo[key] = combo.get(key, 0) + coeff * c
             reps.append(self._materialize(combo, q))
         return reps

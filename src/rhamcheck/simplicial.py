@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .errors import ComplexMismatch, DegreeMismatch
-from .linalg import CohomologyPair, SparseMatrix
+from .linalg import CohomologyPair, Matrix
 
 
 class DeltaMorphism:
@@ -354,37 +354,38 @@ class SimplicialCohomology:
             raise ValueError("degree above the dimension bound")
         self.complex = complex_
         self.p = p
-        sims = list(complex_.n_simplices(p))
+        sims = complex_.n_simplices(p)
         self._index = {s: i for i, s in enumerate(sims)}
-        self._sims = sims
-        d_prev = _coboundary_matrix(complex_, p - 1) if p >= 1 else SparseMatrix.zero(
-            len(sims), 0
-        )
-        d_next = _coboundary_matrix(complex_, p)
-        self._pair = CohomologyPair(d_prev, d_next)
+        d_prev = _coboundary_matrix(complex_, p - 1) if p >= 1 else Matrix(len(sims), [])
+        self._pair = CohomologyPair(d_prev, _coboundary_matrix(complex_, p))
         self.dimension = self._pair.dimension
         self.representatives = [
-            Cochain(complex_, p, {s: v[i] for s, i in self._index.items()})
-            for v in self._pair.representatives
+            Cochain(complex_, p, {sims[i]: v for i, v in rep.items()})
+            for rep in self._pair.representatives
         ]
 
     def class_of(self, cochain):
-        vec = [cochain.values[s] for s in self._sims]
-        return self._pair.class_of(vec)
+        return self._pair.class_of(
+            {self._index[s]: v for s, v in cochain.values.items() if v})
+
+
+def _alternating_faces(target, source, faces):
+    """Matrix of sum_k (-1)^k face k, from functions on `source` to functions on
+    `target`; `faces(s)` lists the faces of s in order.  Cancelled entries are dropped."""
+    index = {s: j for j, s in enumerate(source)}
+    columns = [{} for _ in source]
+    for i, s in enumerate(target):
+        for k, f in enumerate(faces(s)):
+            column = columns[index[f]]
+            column[i] = column.get(i, 0) + (-1) ** k
+    return Matrix(len(target), [{i: Fraction(v) for i, v in column.items() if v}
+                                for column in columns])
 
 
 def _coboundary_matrix(complex_, p):
     """Matrix of delta: C^p -> C^{p+1} on nondegenerate simplices."""
-    source = list(complex_.n_simplices(p))
-    target = list(complex_.n_simplices(p + 1))
-    src_index = {s: j for j, s in enumerate(source)}
-    entries = {}
-    for i, s in enumerate(target):
-        for k in range(p + 2):
-            f = complex_.face(s, k)
-            j = src_index[f]
-            entries[(i, j)] = entries.get((i, j), Fraction(0)) + (-1) ** k
-    return SparseMatrix(len(target), len(source), entries)
+    return _alternating_faces(complex_.n_simplices(p + 1), complex_.n_simplices(p),
+                              lambda s: [complex_.face(s, k) for k in range(p + 2)])
 
 
 def simplicial_cohomology(complex_, p):
@@ -415,20 +416,13 @@ def weak_simplices(complex_, k):
 
 def unnormalized_cohomology_dimension(complex_, p):
     """H^p computed on all (weak) simplices, degenerate ones included."""
+    def faces(s):
+        return [s[:k] + s[k + 1 :] for k in range(len(s))]
+
     source = weak_simplices(complex_, p)
-    target = weak_simplices(complex_, p + 1)
-    prev = weak_simplices(complex_, p - 1) if p >= 1 else []
-
-    def matrix(rows, cols):
-        col_index = {s: j for j, s in enumerate(cols)}
-        entries = {}
-        for i, s in enumerate(rows):
-            for k in range(len(s)):
-                f = s[:k] + s[k + 1 :]
-                j = col_index[f]
-                entries[(i, j)] = entries.get((i, j), Fraction(0)) + (-1) ** k
-        return SparseMatrix(len(rows), len(cols), entries)
-
-    d_prev = matrix(source, prev) if prev else SparseMatrix.zero(len(source), 0)
-    d_next = matrix(target, source)
+    if p >= 1:
+        d_prev = _alternating_faces(source, weak_simplices(complex_, p - 1), faces)
+    else:
+        d_prev = Matrix(len(source), [])
+    d_next = _alternating_faces(weak_simplices(complex_, p + 1), source, faces)
     return CohomologyPair(d_prev, d_next).dimension

@@ -244,7 +244,10 @@ def test_cli_writes_report(tmp_path):
 def test_unwritable_report_path_exits_2(tmp_path, capsys, where):
     report = tmp_path if where == "directory" else tmp_path / "no_such_dir" / "report.txt"
     assert main(["--builtin", "two_points", "--report", str(report)]) == 2
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    # the path is refused before the first check runs
+    assert captured.out == ""
+    lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("rhamcheck: ") and str(report) in lines[0], lines
 
 
@@ -572,14 +575,28 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
          "complex: delta99999999999 is above delta10"),
         (_check_text("tau_witness", {"dim": "14", "alpha": "t1", "beta": "dt1"}),
          "dim: 14 is above 10"),
+        (_check_text("tau_cohomology", {"complex": "boundary4", "max_weight": "2"}),
+         "max_weight: 2 is below 3, the degree of the top class of boundary4"),
+        (_check_text("tau_cohomology", {"complex": "boundary5"}),
+         "max_weight: 3 is below 4, the degree of the top class of boundary5"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight", "kind",
          "no_kind", "dims_above_dimension", "coboundary_of_degree_0", "aw_laws_on_delta0",
-         "aw_laws_on_boundary1", "complex_too_large", "tau_witness_dim_too_large"],
+         "aw_laws_on_boundary1", "complex_too_large", "tau_witness_dim_too_large",
+         "tau_boundary4_below_its_top_degree", "tau_boundary5_at_the_default_weight"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)
     assert len(lines) == 1 and lines[0].startswith("rhamcheck: check c: " + message), lines
+
+
+@pytest.mark.parametrize("complex_, max_weight",
+                         [("delta3", 1), ("boundary3", 2), ("boundary4", 3)])
+def test_tau_cohomology_loads_at_any_cutoff_its_top_class_allows(complex_, max_weight):
+    """On delta<k> every degree above 0 has H = 0, so a low cutoff is right there;
+    boundary<k> needs a cutoff of at least k - 1, its top degree."""
+    text = _check_text("tau_cohomology", {"complex": complex_, "max_weight": str(max_weight)})
+    assert [r.status for r in run_scenario_checks(Scenario(text), Settings())] == ["pass"]
 
 
 # One section of each SECTION_KEYS kind, as label -> {key: [text per line]};

@@ -22,9 +22,10 @@ from rhamcheck.derham import (
 from rhamcheck.errors import AlgebraMismatch, ResourceBudgetExceeded
 from rhamcheck.exterior import d_terms
 from rhamcheck.formtext import parse_polynomial
-from rhamcheck.linalg import CohomologyPair, Echelon, SparseMatrix, dense_vector
+from rhamcheck.linalg import CohomologyPair, Echelon
 from rhamcheck.poly import (Polynomial, _add_shifted, _term_key, groebner_basis, monomial_div,
                             monomial_divides, monomial_lcm, normal_form, reduce_vector)
+from test_linalg import from_rows
 
 
 def free_xy():
@@ -675,17 +676,17 @@ def lifted_reference(algebra, p, n_cutoff):
     if n_cutoff > p:
         prev_pair, prev_stratum = derham._truncated_pair(algebra, p, n_cutoff - 1)
         if prev_pair.dimension == pair.dimension:
-            pad = [Fraction(0)] * (stratum.size - prev_stratum.size)
-            lifted = [v + pad for v in prev_pair.representatives]
-            coords = [pair.class_of(v) for v in lifted]
+            # a vector at N - 1 is one at N, padded with zeros
+            lifted = prev_pair.representatives
+            coords = [dict(enumerate(pair.class_of(v))) for v in lifted]
             if len(Echelon(coords).rows) == len(lifted):
                 stabilized, vectors = True, lifted
     # the representatives' classes are independent, so echelon input k is representative k
-    echelon = Echelon([pair.class_of(v) for v in vectors], track=True)
+    echelon = Echelon([dict(enumerate(pair.class_of(v))) for v in vectors], track=True)
 
     def class_of(form):
-        vec = dense_vector(stratum.vector_of(reduce_form(form)), stratum.size)
-        rest, coords = echelon.reduce(pair.class_of(vec))
+        vec = stratum.vector_of(reduce_form(form))
+        rest, coords = echelon.reduce(dict(enumerate(pair.class_of(vec))))
         assert not rest
         return [coords.get(k, Fraction(0)) for k in range(len(vectors))]
 
@@ -709,7 +710,7 @@ class _StubStratum:
         self.size = size
 
     def form_of(self, vec):
-        return tuple(vec)
+        return tuple(vec.get(i, 0) for i in range(self.size))
 
 
 @pytest.mark.parametrize("hit, stabilized", [(0, False), (1, True)])
@@ -718,8 +719,8 @@ def test_stabilized_needs_the_representatives_below_the_cutoff(monkeypatch, hit,
     e_hit.  Both cutoffs have dimension 1, but when the boundary kills e0 the
     class at N is e1, which no cocycle at N - 1 reaches."""
     pairs = {
-        0: (CohomologyPair(SparseMatrix.zero(1, 0), SparseMatrix.zero(0, 1)), _StubStratum(1)),
-        1: (CohomologyPair(SparseMatrix(2, 1, {(hit, 0): 1}), SparseMatrix.zero(0, 2)),
+        0: (CohomologyPair(from_rows([[]]), from_rows([], 1)), _StubStratum(1)),
+        1: (CohomologyPair(from_rows([[int(i == hit)] for i in range(2)]), from_rows([], 2)),
             _StubStratum(2)),
     }
     monkeypatch.setattr(derham, "_truncated_pair", lambda algebra, p, n_cutoff: pairs[n_cutoff])

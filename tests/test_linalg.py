@@ -1,7 +1,9 @@
 """Exact kernels, images, and cohomology of composable pairs."""
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,32 +11,47 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from rhamcheck.checks import Settings, run_scenario_checks
 from rhamcheck.derham import truncated_cohomology
 from rhamcheck.errors import CompositionNonzero, NotACocycle
-from rhamcheck.linalg import CohomologyPair, Echelon, SparseMatrix, kernel_image, solve
-from rhamcheck.scenarios import load_builtin
+from rhamcheck.linalg import CohomologyPair, Echelon, Matrix, kernel_image, solve
+from rhamcheck.scenarios import Scenario, load_builtin
 from rhamcheck.simplex_forms import FamilyComplex
 from rhamcheck.simplicial import boundary_complex
 
 
+def from_rows(rows_list, cols=None):
+    """The matrix with these rows, in column form; `cols` is the width when there is no row."""
+    if rows_list:
+        cols = len(rows_list[0])
+    columns = [{i: Fraction(row[j]) for i, row in enumerate(rows_list) if row[j]}
+               for j in range(cols)]
+    return Matrix(len(rows_list), columns)
+
+
+def apply(matrix, vec):
+    """matrix * vec for a sparse vec, as a dense list."""
+    out = [Fraction(0)] * matrix.rows
+    for j, v in vec.items():
+        for i, a in matrix.columns[j].items():
+            out[i] += a * v
+    return out
+
+
 def random_matrix(rng, rows, cols, density=0.6):
-    entries = {}
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < density:
-                entries[(i, j)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return SparseMatrix(rows, cols, entries)
+    return from_rows([[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < density
+                       else 0 for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def test_identity_has_trivial_kernel():
-    kernel, image, rank = kernel_image(SparseMatrix.identity(2))
+    kernel, image, rank = kernel_image(from_rows([[1, 0], [0, 1]]))
     assert kernel == []
     assert rank == 2
-    assert image == [[1, 0], [0, 1]]
+    assert image == [{0: 1}, {1: 1}]
 
 
 def test_one_by_two_row():
-    m = SparseMatrix.from_rows([[1, 1]])
+    m = from_rows([[1, 1]])
     kernel, _, rank = kernel_image(m)
     assert rank == 1
     assert len(kernel) == 1
@@ -50,7 +67,7 @@ def test_kernel_vectors_multiply_back_to_zero(seed):
     kernel, image, rank = kernel_image(m)
     assert rank + len(kernel) == 6
     for v in kernel:
-        assert m.mul_vec(v) == [0] * 6
+        assert apply(m, v) == [0] * 6
     # image vectors really are columns of m, hence in the column space
     for w in image:
         assert solve(m, w) is not None
@@ -63,9 +80,9 @@ def test_kernel_vector_ends_at_its_own_column(rows, cols, density):
     the kernel of a prefix of the columns inside that prefix."""
     m = random_matrix(random.Random(rows * cols), rows, cols, density=density)
     kernel, _, _ = kernel_image(m)
-    ends = [max(j for j, v in enumerate(vec) if v) for vec in kernel]
+    ends = [max(j for j, v in vec.items() if v) for vec in kernel]
     assert all(vec[j] == 1 for vec, j in zip(kernel, ends))
-    assert ends == sorted(set(ends)) and len(ends) == cols - len(Echelon(m.columns()).rows)
+    assert ends == sorted(set(ends)) and len(ends) == cols - len(Echelon(m.columns).rows)
 
 
 def test_sparse_path_matches_dense():
@@ -75,12 +92,12 @@ def test_sparse_path_matches_dense():
     kernel, _, rank = kernel_image(wide)
     assert rank + len(kernel) == 70
     for v in kernel[:10]:
-        assert wide.mul_vec(v) == [0] * 5
+        assert apply(wide, v) == [0] * 5
 
 
 def test_cohomology_zero_maps():
-    z = SparseMatrix.zero(3, 0)
-    z2 = SparseMatrix.zero(0, 3)
+    z = from_rows([[], [], []])
+    z2 = from_rows([], 3)
     h = CohomologyPair(z, z2)
     assert h.dimension == 3
 
@@ -88,23 +105,23 @@ def test_cohomology_zero_maps():
 def test_cohomology_boundary_circle():
     # simplicial cochain complex of the 3-vertex circle in degree 1:
     # delta0: C^0 -> C^1 for edges (01), (02), (12)
-    d0 = SparseMatrix.from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
-    d1 = SparseMatrix.zero(0, 3)
+    d0 = from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+    d1 = from_rows([], 3)
     h = CohomologyPair(d0, d1)
     assert h.dimension == 1
 
 
 def test_cohomology_exact_sequence_is_trivial():
     # im(d_prev) = ker(d_next): H = 0
-    d_prev = SparseMatrix.from_rows([[1], [0]])
-    d_next = SparseMatrix.from_rows([[0, 1]])
+    d_prev = from_rows([[1], [0]])
+    d_next = from_rows([[0, 1]])
     h = CohomologyPair(d_prev, d_next)
     assert h.dimension == 0
 
 
 def test_composition_checked():
-    d_prev = SparseMatrix.identity(2)
-    d_next = SparseMatrix.identity(2)
+    d_prev = from_rows([[1, 0], [0, 1]])
+    d_next = from_rows([[1, 0], [0, 1]])
     with pytest.raises(CompositionNonzero):
         CohomologyPair(d_prev, d_next)
 
@@ -112,28 +129,28 @@ def test_composition_checked():
 def test_class_of_unit_coordinates_and_coboundary_invariance():
     rng = random.Random(17)
     # d_prev maps a 2-dim space into a 4-dim space; d_next kills everything
-    d_prev = SparseMatrix.from_rows([[1, 0], [1, 1], [0, 0], [0, 0]])
-    d_next = SparseMatrix.zero(0, 4)
+    d_prev = from_rows([[1, 0], [1, 1], [0, 0], [0, 0]])
+    d_next = from_rows([], 4)
     h = CohomologyPair(d_prev, d_next)
     assert h.dimension == 2
     for i, rep in enumerate(h.representatives):
         expected = [Fraction(0)] * h.dimension
         expected[i] = Fraction(1)
         assert h.class_of(rep) == expected
-        assert all(v == 0 for v in h.d_next.mul_vec(rep))
+        assert not any(apply(d_next, rep))
     for _ in range(10):
         c = [Fraction(rng.randint(-4, 4)) for _ in range(4)]
         w = [Fraction(rng.randint(-4, 4)) for _ in range(2)]
-        shifted = [a + b for a, b in zip(c, d_prev.mul_vec(w))]
-        assert h.class_of(c) == h.class_of(shifted)
+        shifted = [a + b for a, b in zip(c, apply(d_prev, dict(enumerate(w))))]
+        assert h.class_of(dict(enumerate(c))) == h.class_of(dict(enumerate(shifted)))
 
 
 def test_class_of_rejects_non_cocycle():
-    d_prev = SparseMatrix.zero(2, 0)
-    d_next = SparseMatrix.from_rows([[1, 0]])
+    d_prev = from_rows([[], []])
+    d_next = from_rows([[1, 0]])
     h = CohomologyPair(d_prev, d_next)
     with pytest.raises(NotACocycle):
-        h.class_of([Fraction(1), Fraction(0)])
+        h.class_of({0: Fraction(1)})
 
 
 def test_class_of_reconstructs_vector():
@@ -142,15 +159,16 @@ def test_class_of_reconstructs_vector():
     for rows, cols, density in ((5, 3, 0.8), (80, 70, 0.05)):
         d_prev = random_matrix(rng, rows, cols, density=density)
         # d_next = 0 so every vector is a cocycle
-        d_next = SparseMatrix.zero(0, rows)
+        d_next = from_rows([], rows)
         h = CohomologyPair(d_prev, d_next)
         for _ in range(10):
-            c = [Fraction(rng.randint(-5, 5)) for _ in range(rows)]
-            residual = list(c)
+            c = {i: Fraction(rng.randint(-5, 5)) for i in range(rows)}
+            residual = dict(c)
             for a, rep in zip(h.class_of(c), h.representatives):
-                residual = [r - a * x for r, x in zip(residual, rep)]
+                for j, x in rep.items():
+                    residual[j] -= a * x
             # c - sum(coords * reps) is a boundary: the image of d_prev reduces it to nothing
-            assert Echelon(d_prev.columns()).reduce(residual)[0] == {}
+            assert Echelon(d_prev.columns).reduce(residual)[0] == {}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -181,8 +199,9 @@ def oracle_rank(matrix, extra_column=None):
     """Rank from sympy's DomainMatrix over QQ, optionally of [matrix | extra_column]."""
     cols = matrix.cols
     rows = {}
-    for (i, j), value in matrix.entries.items():
-        rows.setdefault(i, {})[j] = QQ(value.numerator, value.denominator)
+    for j, column in enumerate(matrix.columns):
+        for i, value in column.items():
+            rows.setdefault(i, {})[j] = QQ(value.numerator, value.denominator)
     if extra_column is not None:
         cols += 1
         for i, value in enumerate(extra_column):
@@ -206,25 +225,23 @@ def test_elimination_matches_sympy_oracle(rows, cols, density, seed):
     assert got_rank == len(image) == rank
     assert len(kernel) == cols - rank
     for v in kernel:
-        assert not any(m.mul_vec(v))
+        assert not any(apply(m, v))
     x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-    b = m.mul_vec(x0)
-    x = solve(m, b)
-    assert x is not None and m.mul_vec(x) == b
+    b = apply(m, dict(enumerate(x0)))
+    x = solve(m, dict(enumerate(b)))
+    assert x is not None and apply(m, x) == b
     b = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]
-    x = solve(m, b)
+    x = solve(m, dict(enumerate(b)))
     if oracle_rank(m, b) > rank:
         assert x is None
     else:
-        assert x is not None and m.mul_vec(x) == b
+        assert x is not None and apply(m, x) == b
 
 
 def test_solve_never_pivots_on_the_right_hand_side():
     # column 0 all ones, column 1 all ones but row 0: x = (1, -1) solves A x = e0
-    entries = {(i, 0): 1 for i in range(70)}
-    entries.update({(i, 1): 1 for i in range(1, 70)})
-    m = SparseMatrix(70, 2, entries)
-    assert solve(m, [Fraction(1)] + [Fraction(0)] * 69) == [1, -1]
+    m = from_rows([[1, int(i > 0)] for i in range(70)])
+    assert solve(m, {0: Fraction(1)}) == {0: 1, 1: -1}
 
 
 def test_torus_first_cohomology_at_weight_four():
@@ -236,3 +253,39 @@ def test_torus_first_cohomology_at_weight_four():
 def test_family_complex_on_boundary_of_tetrahedron_at_weight_three():
     fc = FamilyComplex(boundary_complex(3), 3)
     assert [fc.cohomology_dimension(q) for q in range(3)] == [1, 0, 1]
+
+
+def test_linalg_leaves_its_input_columns_as_they_were():
+    """Producers hand in columns they keep cached, so nothing here may change one."""
+    rng = random.Random(29)
+    d_prev = random_matrix(rng, 12, 7, density=0.3)
+    d_next = from_rows([], 12)
+    kept = [dict(column) for column in d_prev.columns]
+    h = CohomologyPair(d_prev, d_next)
+    kernel_image(d_prev)
+    solve(d_prev, {0: Fraction(1)})
+    for rep in h.representatives:
+        h.class_of(rep)
+    assert d_prev.columns == kept
+
+
+def test_benchmark_tracer_still_reads_the_matrix_shapes(monkeypatch):
+    """The benchmark's tracer hooks kernel_image, kernel_image_of_columns and solve
+    by name and reads the integer .rows and .cols of their first argument; a
+    family complex at r = 0 reaches kernel_image through its Whitney basis."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    spans = importlib.import_module("spans")
+    text = ("format_version 1\nname traced\n\n[check tau]\nkind tau_cohomology\n"
+            "complex boundary2\nmax_weight 1\n")
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        tracer.begin("bench.trace")
+        results = run_scenario_checks(Scenario(text), Settings())
+        tracer.end()
+    finally:
+        uninstall()
+    assert [r.status for r in results] == ["pass"]
+    metrics = spans.layer_metrics(tracer.summary())
+    assert metrics["linalg.kernel_image.calls"] > 0
+    assert metrics["linalg.max_dim"] > 0

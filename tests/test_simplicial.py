@@ -11,6 +11,8 @@ from rhamcheck.simplicial import (
     Chain,
     Cochain,
     DeltaMorphism,
+    FiniteSimplicialSet,
+    _coboundary_matrix,
     aw_cup,
     boundary,
     boundary_complex,
@@ -178,3 +180,14 @@ def test_unnormalized_matches_normalized_on_small_complexes():
             assert unnormalized_cohomology_dimension(K, p) == normalized
     # degenerate simplices exist and are seen by the weak complex
     assert len(weak_simplices(standard_simplex(1), 1)) == 3
+
+
+def test_cohomology_of_a_loop_drops_the_cancelled_coboundary_entry():
+    """One vertex v and one edge e with both faces v: (delta c)(e) = c(v) - c(v)
+    cancels, so the coboundary has no entry, and H^0 = H^1 = Q with H^1 spanned
+    by e -> 1."""
+    loop = FiniteSimplicialSet("loop", {0: ["v"], 1: ["e"]}, {("e", 0): "v", ("e", 1): "v"})
+    assert _coboundary_matrix(loop, 0).columns == [{}]
+    h = [simplicial_cohomology(loop, p) for p in range(2)]
+    assert [x.dimension for x in h] == [1, 1]
+    assert h[1].representatives == [Cochain(loop, 1, {"e": Fraction(1)})]
