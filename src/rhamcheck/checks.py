@@ -8,6 +8,7 @@ fixed seed and quadrature order, so reports are byte-identical).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -594,8 +595,9 @@ def validate_settings(settings, scenarios, check_filter=None):
         raise ValidationError("--quad-order %d is above %d" % (settings.quad_order, MAX_QUAD_ORDER))
     if settings.max_weight is not None and settings.max_weight < 0:
         raise ValidationError("--max-weight %d is below 0" % settings.max_weight)
-    if settings.tolerance is not None and not settings.tolerance >= 0:
-        raise ValidationError("--tolerance %r is not a non-negative number" % settings.tolerance)
+    if settings.tolerance is not None and not 0 <= settings.tolerance < math.inf:
+        raise ValidationError("--tolerance %r is not a finite non-negative number"
+                              % settings.tolerance)
     matched = set()
     for scenario in scenarios:
         for check in scenario.checks:

@@ -3,7 +3,7 @@
 Everything downstream (de Rham truncations, simplicial cohomology, the
 forms-family complexes) funnels through two operations: kernel/image
 bases of a single map, and the cohomology of a composable pair.  All
-values are exact Fractions; there is no floating-point path here.
+results are exact Fractions; there is no floating-point path here.
 
 A vector is a sparse dict index -> nonzero Fraction.  A matrix is a
 `Matrix`: its row count and the list of its columns, each a vector
@@ -16,11 +16,19 @@ in order; a column that reduces to zero is a combination of the earlier
 independent columns, which gives one kernel vector, and the independent
 columns are the image.  Since the reduced basis of a span is unique,
 every result is canonical whatever the sparsity of the input.
+
+`Echelon` eliminates without fractions.  Each input is scaled to an
+integer vector once, on entry; its rows are primitive integer vectors
+and their combinations share each row's integer scale.  Fractions are
+made at one point only: when `reduce` or `add` returns a remainder and
+coordinates, or a row is read through `Echelon.rows`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CompositionNonzero, NotACocycle
 
@@ -50,7 +58,8 @@ def _apply(matrix, vec):
 
 
 def _axpy(target, scale, source):
-    """target += scale * source on sparse dicts, dropping cancelled entries."""
+    """target += scale * source on sparse dicts, dropping cancelled entries;
+    on Fractions for `_apply`, on integers inside `Echelon`."""
     for j, v in source.items():
         nv = target.get(j, 0) + scale * v
         if nv:
@@ -59,67 +68,153 @@ def _axpy(target, scale, source):
             target.pop(j, None)
 
 
+class _Rows(Mapping):
+    """Read-only view pivot -> pivot-1 row of an `Echelon`, made on reading."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __getitem__(self, pivot):
+        row = self._rows[pivot]
+        lead = row[pivot]
+        return {j: Fraction(v, lead) for j, v in row.items()}
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+
+def _integral(vec):
+    """(integer vector, scale) with vec = integer vector / scale; zeros dropped."""
+    scale = lcm(*[v.denominator for v in vec.values()])
+    return {j: v.numerator * (scale // v.denominator) for j, v in vec.items() if v}, scale
+
+
+def _fractions(vec, scale):
+    """The integer vector vec / scale, in Fractions."""
+    return {j: Fraction(v, scale) for j, v in vec.items()}
+
+
+def _divide(vecs, pivot_entry):
+    """Divide the integer vectors by their common content, signed so that
+    pivot_entry, an entry of the first, becomes positive."""
+    g = gcd(*[v for vec in vecs for v in vec.values()])
+    if pivot_entry < 0:
+        g = -g
+    if g != 1:
+        for vec in vecs:
+            for j, v in vec.items():
+                vec[j] = v // g
+
+
 class Echelon:
     """The reduced echelon basis of the span of the vectors added so far.
 
-    Vectors are sparse dicts index -> Fraction; a zero entry in an input
-    is dropped.  `rows` maps each pivot to its row, a vector.  A row's
-    pivot is its largest index and its entry there is 1, and no other
-    row has an entry at that pivot.  So the rows are the unique reduced
-    basis of their span, whatever order vectors arrive in, and reduction
-    leaves the unique remainder that vanishes at every pivot.
+    Vectors are sparse dicts index -> Fraction (or int); a zero entry in
+    an input is dropped.  A row's pivot is its largest index, and no
+    other row has an entry at that pivot.  `rows` is a read-only view
+    pivot -> row with entry 1 at its pivot: the unique reduced basis of
+    the span, whatever order vectors arrive in.  Reduction leaves the
+    unique remainder that vanishes at every pivot.
 
     With `track`, each row also keeps its combination of the independent
     vectors added so far, numbered 0, 1, ... in the order they were
     added; `reduce` then returns the coordinates of what it removed on
-    those vectors.  Inputs are copied, never changed.
+    those vectors.  The `modulo` vectors are added first and get no
+    number: the coordinates are then taken modulo their span.  Inputs
+    are copied, never changed.
+
+    Inside, the arithmetic is fraction-free, after Bareiss (Math. Comp.
+    22, 1968).  Each row is an integer vector with a positive pivot
+    entry, kept with its integer combination, the two divided by their
+    common content: the row read through `rows` is that vector over its
+    pivot entry, and its combination is over the same entry.  An input
+    is scaled to integers once, an entry at a new pivot is cleared by
+    a * row - b * new row, and a remainder and its coordinates become
+    Fractions only when `reduce` or `add` returns them.  So a rank,
+    `len(rows)`, makes no Fraction.
     """
 
-    def __init__(self, vectors=(), track=False):
-        self.rows = {}
-        self._combos = {} if track else None
+    def __init__(self, vectors=(), track=False, modulo=()):
+        self._rows = {}
+        self._combos = {}  # pivot -> combination; all empty without `track`
+        self.rows = _Rows(self._rows)
+        self._track = False
+        self._inputs = 0
+        for vec in modulo:
+            self._insert(*self._reduce(vec))
+        self._track = track
         for vec in vectors:
-            self.add(vec)
+            self._insert(*self._reduce(vec))
+
+    def _reduce(self, vec):
+        """(out, coords, scale): integer vectors with vec = (out + sum of
+        coords[k] * vector k) / scale, out vanishing at every pivot."""
+        out, scale = _integral(vec)
+        # a row has no entry at any other pivot, so the pivots hit are
+        # exactly those present at the start, in any order
+        hit = [j for j in out if j in self._rows]
+        coords = {}
+        if not hit:
+            return out, coords, scale
+        # scale once so that every row's multiple is an integer
+        common = lcm(*[self._rows[pivot][pivot] for pivot in hit])
+        if common != 1:
+            out = {j: v * common for j, v in out.items()}
+            scale *= common
+        for pivot in hit:
+            row = self._rows[pivot]
+            coeff = out[pivot] // row[pivot]
+            _axpy(out, -coeff, row)
+            _axpy(coords, coeff, self._combos[pivot])
+        return out, coords, scale
+
+    def _insert(self, out, coords, scale):
+        """Make the reduced remainder `out` of the next input a row."""
+        if not out:
+            return
+        pivot = max(out)
+        combo = {}
+        if self._track:
+            # out = scale * input - sum of coords[k] * vector k
+            combo = {k: -c for k, c in coords.items()}
+            combo[self._inputs] = scale
+            self._inputs += 1
+        _divide((out, combo), out[pivot])
+        lead = out[pivot]
+        for other_pivot, other in self._rows.items():
+            coeff = other.get(pivot)
+            if coeff:
+                g = gcd(lead, coeff)
+                a, b = lead // g, coeff // g
+                other_combo = self._combos[other_pivot]
+                for vec, new in ((other, out), (other_combo, combo)):
+                    for j in vec:
+                        vec[j] *= a
+                    _axpy(vec, -b, new)
+                _divide((other, other_combo), other[other_pivot])
+        self._rows[pivot] = out
+        self._combos[pivot] = combo
 
     def reduce(self, vec):
         """(remainder, coords) with vec = remainder + sum of coords[k] * vector k."""
-        out = {j: v for j, v in vec.items() if v}
-        coords = {}
-        # a row has no entry at any other pivot, so the pivots hit are
-        # exactly those present at the start, in any order
-        for pivot in [j for j in out if j in self.rows]:
-            coeff = out[pivot]
-            _axpy(out, -coeff, self.rows[pivot])
-            if self._combos is not None:
-                _axpy(coords, coeff, self._combos[pivot])
-        return out, coords
+        out, coords, scale = self._reduce(vec)
+        return _fractions(out, scale), _fractions(coords, scale)
 
     def add(self, vec):
         """Insert vec; returns its reduction as `reduce` gives it.
 
         An empty remainder means vec lies in the span and nothing changed;
-        otherwise vec becomes independent vector number len(rows) - 1.
+        otherwise vec becomes the next numbered independent vector.
         """
-        red, coords = self.reduce(vec)
-        if not red:
-            return red, coords
-        pivot = max(red)
-        inv = Fraction(1) / red[pivot]
-        row = {j: v * inv for j, v in red.items()}
-        combo = None
-        if self._combos is not None:
-            combo = {k: -v * inv for k, v in coords.items()}
-            combo[len(self.rows)] = inv
-        for other_pivot, other in self.rows.items():
-            coeff = other.get(pivot)
-            if coeff:
-                _axpy(other, -coeff, row)
-                if combo is not None:
-                    _axpy(self._combos[other_pivot], -coeff, combo)
-        self.rows[pivot] = row
-        if combo is not None:
-            self._combos[pivot] = combo
-        return red, coords
+        out, coords, scale = self._reduce(vec)
+        red = _fractions(out, scale), _fractions(coords, scale)  # before _insert divides out
+        self._insert(out, coords, scale)
+        return red
 
 
 def _eliminate(columns, track):
@@ -190,14 +285,14 @@ class CohomologyPair:
         self.d_next = d_next
         self.space_dim = d_prev.rows
         kernel, _, _ = kernel_image(d_next)
-        self._boundaries = Echelon(d_prev.columns)
-        # each representative is a kernel vector reduced against the
-        # boundaries and the earlier representatives; adding the reduced
+        # one echelon holds the boundaries, unnumbered, and the
+        # representatives: each is a kernel vector reduced against the
+        # boundaries and the earlier representatives, and adding the reduced
         # vector itself makes echelon input k representative k
-        self._reps = Echelon(track=True)
+        self._reps = Echelon(track=True, modulo=d_prev.columns)
         reps = []
         for vec in kernel:
-            red, _ = self._reps.reduce(self._boundaries.reduce(vec)[0])
+            red, _ = self._reps.reduce(vec)
             if red:
                 self._reps.add(red)
                 reps.append(red)
@@ -213,7 +308,7 @@ class CohomologyPair:
             raise ValueError("vector index out of range")
         if not self.is_cocycle(vec):
             raise NotACocycle("class_of on a vector with nonzero coboundary")
-        rest, coords = self._reps.reduce(self._boundaries.reduce(vec)[0])
+        rest, coords = self._reps.reduce(vec)
         if rest:
             raise NotACocycle("cocycle not spanned by representatives and boundaries")
         return [coords.get(i, Fraction(0)) for i in range(self.dimension)]

@@ -347,6 +347,10 @@ def test_scenario_rejects_form_degree_mismatch(tmp_path, kind, wrong, right):
         (["--builtin", "two_points", "--quad-order", "100000"], None),
         (["--builtin", "two_points", "--tolerance", "-0.5"], None),
         (["--builtin", "two_points", "--tolerance", "nan"], None),
+        (["--builtin", "two_points", "--tolerance", "inf"],
+         "rhamcheck: --tolerance inf is not a finite non-negative number"),
+        (["--builtin", "two_points", "--tolerance", "1e400"],
+         "rhamcheck: --tolerance inf is not a finite non-negative number"),
         (["--builtin", "two_points", "--check", "no_such_check"],
          "rhamcheck: --check 'no_such_check' matches no check"),
         (["--builtin", "two_points", "--check", "h0,no_such_check"],
@@ -356,7 +360,7 @@ def test_scenario_rejects_form_degree_mismatch(tmp_path, kind, wrong, right):
          "rhamcheck: --check '', 'x' matches no check"),
     ],
     ids=["weight<0", "weight<degree", "weight<dim", "quad0", "quad<0", "quad_too_large", "tol<0",
-         "tol_nan", "check", "check_part", "check_empty", "check_empty_part"],
+         "tol_nan", "tol_inf", "tol_overflow", "check", "check_part", "check_empty", "check_empty_part"],
 )
 def test_out_of_range_flags_exit_2(capsys, argv, line):
     assert main(argv) == 2
