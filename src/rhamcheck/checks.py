@@ -25,7 +25,7 @@ from .derham import AlgebraicForm, FpAlgebra, differential as d_algebraic, trunc
 from .errors import RhamcheckError, ValidationError
 from .linalg import Echelon
 from .poly import Polynomial
-from .scenarios import check_rng_seed
+from .scenarios import MAX_WEIGHT, check_rng_seed
 from .simplex_forms import (
     FamilyComplex,
     FormsFamily,
@@ -595,6 +595,8 @@ def validate_settings(settings, scenarios, check_filter=None):
         raise ValidationError("--quad-order %d is above %d" % (settings.quad_order, MAX_QUAD_ORDER))
     if settings.max_weight is not None and settings.max_weight < 0:
         raise ValidationError("--max-weight %d is below 0" % settings.max_weight)
+    if settings.max_weight is not None and settings.max_weight > MAX_WEIGHT:
+        raise ValidationError("--max-weight %d is above %d" % (settings.max_weight, MAX_WEIGHT))
     if settings.tolerance is not None and not 0 <= settings.tolerance < math.inf:
         raise ValidationError("--tolerance %r is not a finite non-negative number"
                               % settings.tolerance)

@@ -20,7 +20,12 @@ G_p is exact at every weight.
 Truncated dimensions are evidence, not theorems: a `stabilized` flag
 records that H^p has the same dimension at cutoffs N - 1 and N and that
 every representative at N already lies in the stratum at N - 1, so that
-H^(N-1) -> H^N is an isomorphism.
+H^(N-1) -> H^N is an isomorphism.  The dimension at N - 1 is read from
+the pair at N, with no second pair: the strata are prefixes and d keeps
+weight, so the maps at N - 1 are the first columns of those at N, the
+columns of weight <= N - 1, and the elimination at N, which takes the
+columns in order, gives their kernel and rank too (after Edelsbrunner,
+Letscher and Zomorodian, Discrete Comput. Geom. 28, 2002).
 """
 
 from __future__ import annotations
@@ -295,21 +300,24 @@ class TruncatedCohomology:
     `representatives` and `class_of` are those of the one `CohomologyPair`
     at N.  `stabilized` holds when H^p has the same dimension at N - 1 and
     at N and every representative at N is zero beyond the N - 1 prefix of
-    the stratum: then H^(N-1) -> H^N is onto, so an isomorphism.
+    the stratum: then H^(N-1) -> H^N is onto, so an isomorphism.  The
+    dimension at N - 1 is the pair's `prefix_dimension` on the columns of
+    weight <= N - 1: the kernel columns of d_next below the N - 1 size of
+    the stratum, less the independent columns of d_prev below the N - 1
+    size of the degree p - 1 stratum.
     """
 
     def __init__(self, algebra, p, n_cutoff):
         if n_cutoff < p:
             raise ValueError("cutoff must be at least the degree")
-        self._pair, self._stratum = _truncated_pair(algebra, p, n_cutoff)
+        self._pair, self._stratum, (prev_cols, cols) = _truncated_pair(algebra, p, n_cutoff)
         self.dimension = self._pair.dimension
         vectors = self._pair.representatives
         self.representatives = [self._stratum.form_of(v) for v in vectors]
         self.stabilized = False
         if n_cutoff > p:
-            prev_pair, prev_stratum = _truncated_pair(algebra, p, n_cutoff - 1)
-            self.stabilized = prev_pair.dimension == self.dimension and all(
-                max(v) < prev_stratum.size for v in vectors)
+            below = self._pair.prefix_dimension(prev_cols, cols)
+            self.stabilized = below == self.dimension and all(max(v) < cols for v in vectors)
 
     def class_of(self, form):
         """Coordinates of a closed form in the representative basis."""
@@ -317,16 +325,21 @@ class TruncatedCohomology:
 
 
 def _truncated_pair(algebra, p, n_cutoff):
+    """(pair, stratum, below) of degree p at cutoff N.  `below` holds the
+    numbers of columns of d_prev and of d_next of weight <= N - 1, whose
+    prefixes make the pair at N - 1."""
     stratum = _WeightStratum(algebra, p, n_cutoff)
+    cols = stratum.module.ends.get(n_cutoff - 1, 0)
     if p >= 1:
-        d_prev = _WeightStratum(algebra, p - 1, n_cutoff).differential_matrix(stratum)
+        source = _WeightStratum(algebra, p - 1, n_cutoff)
+        d_prev, prev_cols = source.differential_matrix(stratum), source.module.ends[n_cutoff - 1]
     else:
-        d_prev = Matrix(stratum.size, [])
+        d_prev, prev_cols = Matrix(stratum.size, []), 0
     if n_cutoff >= p + 1:
         d_next = stratum.differential_matrix(_WeightStratum(algebra, p + 1, n_cutoff))
     else:
         d_next = Matrix(0, [{}] * stratum.size)
-    return CohomologyPair(d_prev, d_next), stratum
+    return CohomologyPair(d_prev, d_next), stratum, (prev_cols, cols)
 
 
 def truncated_cohomology(algebra, p, n_cutoff):

@@ -19,13 +19,22 @@ every result is canonical whatever the sparsity of the input.
 
 `Echelon` eliminates without fractions.  Each input is scaled to an
 integer vector once, on entry; its rows are primitive integer vectors
-and their combinations share each row's integer scale.  Fractions are
-made at one point only: when `reduce` or `add` returns a remainder and
-coordinates, or a row is read through `Echelon.rows`.
+and their combinations share each row's integer scale.  The routines
+below stay on those integer vectors, with their scales, from the
+elimination to the kernel and the representatives: a Fraction is made
+only for a public result, a kernel vector, a solution, a
+representative, a class, or a row read through `Echelon.rows`.
+
+`CohomologyPair` checks d_next . d_prev = 0 by a rank identity, not by
+multiplying the maps out.  With the boundaries inserted first, every
+kernel vector either lies in their span or adds a representative, so
+rank(im d_prev) + #representatives >= dim ker d_next, with equality
+exactly when the image lies in the kernel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
@@ -125,8 +134,9 @@ class Echelon:
     vectors added so far, numbered 0, 1, ... in the order they were
     added; `reduce` then returns the coordinates of what it removed on
     those vectors.  The `modulo` vectors are added first and get no
-    number: the coordinates are then taken modulo their span.  Inputs
-    are copied, never changed.
+    number: the coordinates are then taken modulo their span, and
+    `independent_modulo` lists the indices of those outside the span of
+    the earlier ones.  Inputs are copied, never changed.
 
     Inside, the arithmetic is fraction-free, after Bareiss (Math. Comp.
     22, 1968).  Each row is an integer vector with a positive pivot
@@ -145,11 +155,9 @@ class Echelon:
         self.rows = _Rows(self._rows)
         self._track = False
         self._inputs = 0
-        for vec in modulo:
-            self._insert(*self._reduce(vec))
+        self.independent_modulo, _ = _eliminate(modulo, self)
         self._track = track
-        for vec in vectors:
-            self._insert(*self._reduce(vec))
+        _eliminate(vectors, self)
 
     def _reduce(self, vec):
         """(out, coords, scale): integer vectors with vec = (out + sum of
@@ -217,22 +225,32 @@ class Echelon:
         return red
 
 
-def _eliminate(columns, track):
-    """Insert the columns in order: (echelon, independent columns, dependent).
+def _eliminate(columns, echelon):
+    """Insert the columns into `echelon` in order: (independent, dependent).
 
-    `dependent` lists (column, coords) for each column in the span of the
-    earlier ones, its coords taken on the independent columns.
+    `independent` lists the columns outside the span of the earlier ones.
+    `dependent` lists (column, coords, scale) for the others, on integers:
+    the column is the sum of coords[k] * independent column k over scale,
+    with coords on the echelon's numbered vectors when it tracks them.
     """
-    echelon = Echelon(track=track)
     independent = []
     dependent = []
     for j, col in enumerate(columns):
-        red, coords = echelon.add(col)
-        if red:
+        out, coords, scale = echelon._reduce(col)
+        if out:
             independent.append(j)
+            echelon._insert(out, coords, scale)
         else:
-            dependent.append((j, coords))
-    return echelon, independent, dependent
+            dependent.append((j, coords, scale))
+    return independent, dependent
+
+
+def _kernel_vector(independent, j, coords, scale):
+    """scale times the kernel vector of dependent column j: scale at j, minus
+    its coords on the independent columns."""
+    vec = {independent[k]: -c for k, c in coords.items()}
+    vec[j] = scale
+    return vec
 
 
 def kernel_image(matrix):
@@ -242,18 +260,15 @@ def kernel_image(matrix):
     there, minus its coordinates on the earlier independent columns.
     The image basis is the independent columns themselves.
     """
-    _, independent, dependent = _eliminate(matrix.columns, track=True)
-    kernel = []
-    for j, coords in dependent:
-        vec = {independent[k]: -c for k, c in coords.items()}
-        vec[j] = Fraction(1)
-        kernel.append(vec)
+    independent, dependent = _eliminate(matrix.columns, Echelon(track=True))
+    kernel = [_fractions(_kernel_vector(independent, j, coords, scale), scale)
+              for j, coords, scale in dependent]
     return kernel, [matrix.columns[j] for j in independent], len(independent)
 
 
 def kernel_image_of_columns(matrix):
     """(column-space basis, independent column indices, rank) of a matrix."""
-    _, independent, _ = _eliminate(matrix.columns, track=False)
+    independent, _ = _eliminate(matrix.columns, Echelon())
     return [matrix.columns[j] for j in independent], independent, len(independent)
 
 
@@ -262,7 +277,8 @@ def solve(matrix, rhs):
 
     The solution is zero off the independent columns.
     """
-    echelon, independent, _ = _eliminate(matrix.columns, track=True)
+    echelon = Echelon(track=True)
+    independent, _ = _eliminate(matrix.columns, echelon)
     rest, coords = echelon.reduce(rhs)
     if rest:
         return None
@@ -275,29 +291,50 @@ class CohomologyPair:
     `representatives` are cocycles extending a basis of the image to a
     basis of the kernel; `class_of` returns the coordinates with
     cocycle - sum(coords * representatives) in the image of d_prev.
+
+    The columns of both maps are eliminated in order, so the pair of
+    their first columns is read from the same elimination:
+    `prefix_dimension` counts the kernel columns of d_next and the
+    independent columns of d_prev among them.
     """
 
     def __init__(self, d_prev, d_next):
         if d_prev.rows != d_next.cols:
             raise ValueError("d_prev codomain != d_next domain")
-        if any(_apply(d_next, col) for col in d_prev.columns):
-            raise CompositionNonzero("d_next . d_prev != 0")
         self.d_next = d_next
         self.space_dim = d_prev.rows
-        kernel, _, _ = kernel_image(d_next)
+        cocycle_columns, kernel = _eliminate(d_next.columns, Echelon(track=True))
+        self._kernel_columns = [j for j, _, _ in kernel]
         # one echelon holds the boundaries, unnumbered, and the
         # representatives: each is a kernel vector reduced against the
-        # boundaries and the earlier representatives, and adding the reduced
-        # vector itself makes echelon input k representative k
+        # boundaries and the earlier representatives, and inserting the
+        # reduced vector itself makes echelon input k representative k
         self._reps = Echelon(track=True, modulo=d_prev.columns)
+        self._boundary_columns = self._reps.independent_modulo
         reps = []
-        for vec in kernel:
-            red, _ = self._reps.reduce(vec)
-            if red:
-                self._reps.add(red)
-                reps.append(red)
+        for j, coords, scale in kernel:
+            out, _, reduced_scale = self._reps._reduce(
+                _kernel_vector(cocycle_columns, j, coords, scale))
+            if out:
+                scale *= reduced_scale
+                reps.append(_fractions(out, scale))  # before _insert divides out
+                self._reps._insert(out, {}, scale)
+        # the span of boundaries and cocycles is the kernel exactly when
+        # every boundary is a cocycle, that is when d_next . d_prev = 0
+        if len(self._boundary_columns) + len(reps) != len(kernel):
+            raise CompositionNonzero("d_next . d_prev != 0")
         self.representatives = reps
         self.dimension = len(reps)
+
+    def prefix_dimension(self, prev_cols, cols):
+        """dim H of the pair made of the first prev_cols columns of d_prev and
+        the first cols columns of d_next, when those make a pair.
+
+        A prefix of columns has the kernel vectors of its dependent columns
+        and the rank of its independent ones.
+        """
+        return (bisect_left(self._kernel_columns, cols)
+                - bisect_left(self._boundary_columns, prev_cols))
 
     def is_cocycle(self, vec):
         return not _apply(self.d_next, vec)

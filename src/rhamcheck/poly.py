@@ -354,6 +354,16 @@ def _term_key(term):
     return drl_key(term[0]), term[1]
 
 
+def _heap_key(term):
+    """Min-heap key of a term: the least key is the largest term.
+
+    It negates `_term_key` entry by entry, which reverses its order since
+    the positions of one vector are tuples of one length.
+    """
+    m, S = term
+    return -sum(m), m[::-1], tuple(map(neg, S))
+
+
 def _add_shifted(vec, terms, coeff, shift):
     """vec += coeff * x^shift * terms, in place; cancelled terms are dropped."""
     for (e, S), c in terms.items():
@@ -372,20 +382,43 @@ def reduce_vector(vec, divisors):
     leading term sits there with coefficient 1.  When they are a Groebner
     basis the remainder is the unique normal form, supported on the terms
     no leading term divides; it vanishes exactly on the submodule.
+
+    The terms left to divide are taken from a heap, largest first.  A
+    division step only adds terms below the one it removes, as the order
+    is a module order, so a term leaves the heap for good once taken; a
+    cancelled term stays in the heap and is skipped when it comes up.
     """
     h = dict(vec)
+    heap = [(_heap_key(term), term) for term in h]
+    heapq.heapify(heap)
     rem = {}
-    while h:
-        term = max(h, key=_term_key)
+    while heap:
+        term = heapq.heappop(heap)[1]
+        c = h.pop(term, None)
+        if c is None:
+            continue  # cancelled, or a second entry of a term already taken
         m, S = term
-        c = h[term]
         for lead, terms in divisors.get(S, ()):
             if monomial_divides(lead, m):
-                _add_shifted(h, terms, -c, monomial_div(m, lead))
+                # h -= c * x^shift * terms, pushing the terms new to h
+                shift, coeff = monomial_div(m, lead), -c
+                for (e, T), a in terms.items():
+                    key = (monomial_mul(e, shift), T)
+                    if key == term:
+                        continue  # the lead, with coefficient 1, cancels c
+                    v = h.get(key)
+                    if v is None:
+                        h[key] = coeff * a
+                        heapq.heappush(heap, (_heap_key(key), key))
+                    else:
+                        v += coeff * a
+                        if v:
+                            h[key] = v
+                        else:
+                            del h[key]
                 break
         else:
             rem[term] = c
-            del h[term]
     return rem
 
 

@@ -71,6 +71,11 @@ UNNAMED = ("header", "algebra")  # the sections that take no name
 # delta<k> up front: k = 10 is 2,047 faces, far above the delta3 and
 # boundary3 of the corpus, and each further step doubles the count.
 MAX_COMPLEX_K = 10
+# The largest weight cutoff, of a max_weight key or of --max-weight.  The
+# strata and family bases grow fast with it: FamilyComplex(boundary3, w)
+# takes 0.5 s at w = 10, 2.6 s at w = 14 and 5 s at w = 16 (CPU time on
+# one core), where the corpus uses at most 6.
+MAX_WEIGHT = 16
 
 
 class Scenario:
@@ -410,6 +415,7 @@ def _kind(scenario, text, where):
 REQUIRED = object()
 COUNT, POSITIVE = _at_least(0), _at_least(1)
 _dim = _at_least(0, MAX_COMPLEX_K)
+WEIGHT = _at_least(0, MAX_WEIGHT)
 NUM_VARS = _choice(**{"1": 1, "2": 2, "3": 3})
 FLAG = _choice(true=True, false=False)
 VERDICT = _choice(valid="valid", violation="violation")
@@ -436,7 +442,7 @@ SECTION_KEYS = {
 
 CHECK_KEYS = {
     "validate": {"simplices": (SIMPLICES, REQUIRED), "expect": (VERDICT, "valid")},
-    "cohomology": {"degree": (COUNT, REQUIRED), "max_weight": (COUNT, "4"),
+    "cohomology": {"degree": (COUNT, REQUIRED), "max_weight": (WEIGHT, "4"),
                    "expect_dim": (COUNT, None), "expect_min_dim": (COUNT, None),
                    "expect_stabilized": (FLAG, "false"), "class_nonzero": (FORM, None)},
     "poincare": {"count": (COUNT, "50"), "max_dim": (POSITIVE, "3"), "max_degree": (COUNT, "6")},
@@ -452,7 +458,7 @@ CHECK_KEYS = {
     "idempotent_table": {"forms": (FORMS, REQUIRED), "simplices": (SIMPLICES, REQUIRED)},
     "tau_witness": {"dim": (_dim, REQUIRED), "alpha": (_text, REQUIRED), "beta": (_text, REQUIRED)},
     "tau_chain_map": {"count": (COUNT, "30"), "max_dim": (POSITIVE, "3")},
-    "tau_cohomology": {"complex": (COMPLEX, REQUIRED), "max_weight": (COUNT, "3")},
+    "tau_cohomology": {"complex": (COMPLEX, REQUIRED), "max_weight": (WEIGHT, "3")},
     "aw_laws": {"complex": (COMPLEX, "delta3"), "count": (COUNT, "30")},
     "extension": {"complex": (BOUNDARY, REQUIRED), "count": (COUNT, "20"),
                   "max_coeff_degree": (COUNT, "2")},

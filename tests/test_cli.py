@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from rhamcheck.checks import CHECK_KINDS, Settings, run_scenario_checks
+from rhamcheck.checks import CHECK_KINDS, Settings, run_scenario_checks, validate_settings
 from rhamcheck.cli import main, report_lines, run_scenario
 from rhamcheck.comparison import period
 from rhamcheck.errors import DimensionMismatch, ParseError, ValidationError
@@ -20,6 +20,7 @@ from rhamcheck.scenarios import (
     FLAG,
     FORM,
     FORMS,
+    MAX_WEIGHT,
     NUM_VARS,
     POSITIVE,
     REQUIRED,
@@ -27,6 +28,7 @@ from rhamcheck.scenarios import (
     SIMPLEX,
     SIMPLICES,
     VERDICT,
+    WEIGHT,
     Scenario,
     _dim,
     _number,
@@ -341,6 +343,9 @@ def test_scenario_rejects_form_degree_mismatch(tmp_path, kind, wrong, right):
     [
         (["--builtin", "interval", "--max-weight", "-1"], None),
         (["--builtin", "interval", "--max-weight", "0"], None),
+        (["--builtin", "interval", "--max-weight", "17"], "rhamcheck: --max-weight 17 is above 16"),
+        (["--builtin", "tau_witness", "--max-weight", "1000000"],
+         "rhamcheck: --max-weight 1000000 is above 16"),
         (["--builtin", "tau_witness", "--max-weight", "0"], None),
         (["--builtin", "two_points", "--quad-order", "0"], None),
         (["--builtin", "two_points", "--quad-order", "-3"], None),
@@ -359,7 +364,8 @@ def test_scenario_rejects_form_degree_mismatch(tmp_path, kind, wrong, right):
         (["--builtin", "two_points", "--check", "h0,,x"],
          "rhamcheck: --check '', 'x' matches no check"),
     ],
-    ids=["weight<0", "weight<degree", "weight<dim", "quad0", "quad<0", "quad_too_large", "tol<0",
+    ids=["weight<0", "weight<degree", "weight_too_large", "weight_far_too_large", "weight<dim",
+         "quad0", "quad<0", "quad_too_large", "tol<0",
          "tol_nan", "tol_inf", "tol_overflow", "check", "check_part", "check_empty", "check_empty_part"],
 )
 def test_out_of_range_flags_exit_2(capsys, argv, line):
@@ -492,6 +498,7 @@ MALFORMED = {
     COMPLEX: "cube3",
     BOUNDARY: "delta2",
     COUNTS: "1 x",
+    WEIGHT: "17",
     _text: "t1 +",
 }
 
@@ -567,6 +574,10 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
         (_check_text("tau_witness", {"dim": "2", "alpha": "t1 +", "beta": "dt1"}), "alpha: "),
         (_check_text("cohomology", {"degree": "2", "max_weight": "1"}),
          "max_weight: 1 is below degree 2"),
+        (_check_text("cohomology", {"degree": "1", "max_weight": "1000000"}),
+         "max_weight: 1000000 is above 16"),
+        (_check_text("tau_cohomology", {"complex": "boundary3", "max_weight": "17"}),
+         "max_weight: 17 is above 16"),
         (_check_text("torsion", {}), "kind: unknown kind 'torsion'"),
         (LINE.format("", "").replace("kind \n", ""), "kind: missing required key"),
         (_check_text("simplicial_cohomology", {"complex": "boundary2", "dims": "1 1 0"}),
@@ -584,7 +595,8 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
         (_check_text("tau_cohomology", {"complex": "boundary5"}),
          "max_weight: 3 is below 4, the degree of the top class of boundary5"),
     ],
-    ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight", "kind",
+    ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight",
+         "weight_too_large", "tau_weight_too_large", "kind",
          "no_kind", "dims_above_dimension", "coboundary_of_degree_0", "aw_laws_on_delta0",
          "aw_laws_on_boundary1", "complex_too_large", "tau_witness_dim_too_large",
          "tau_boundary4_below_its_top_degree", "tau_boundary5_at_the_default_weight"],
@@ -592,6 +604,13 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)
     assert len(lines) == 1 and lines[0].startswith("rhamcheck: check c: " + message), lines
+
+
+def test_max_weight_at_its_bound_is_accepted():
+    scenario = Scenario(_check_text("tau_cohomology", {"complex": "boundary3",
+                                                       "max_weight": str(MAX_WEIGHT)}))
+    assert scenario.checks[0].params["max_weight"] == MAX_WEIGHT == 16
+    validate_settings(Settings(max_weight=MAX_WEIGHT), [scenario])
 
 
 @pytest.mark.parametrize("complex_, max_weight",

@@ -671,10 +671,10 @@ def lifted_reference(algebra, p, n_cutoff):
     independent, and then they are the representatives.  class_of solves the
     class at N on the classes of the representatives.
     """
-    pair, stratum = derham._truncated_pair(algebra, p, n_cutoff)
+    pair, stratum, _ = derham._truncated_pair(algebra, p, n_cutoff)
     vectors, stabilized = pair.representatives, False
     if n_cutoff > p:
-        prev_pair, prev_stratum = derham._truncated_pair(algebra, p, n_cutoff - 1)
+        prev_pair, _, _ = derham._truncated_pair(algebra, p, n_cutoff - 1)
         if prev_pair.dimension == pair.dimension:
             # a vector at N - 1 is one at N, padded with zeros
             lifted = prev_pair.representatives
@@ -705,6 +705,40 @@ def test_one_representative_basis_matches_the_lift(name, seed, p, n_cutoff):
         assert h.class_of(rep) == class_of(rep)
 
 
+# the algebras of the weight-filtration probe: rescaled ones, a circle, and the rest
+# of ORACLE_ALGEBRAS
+PREFIX_ALGEBRAS = dict(
+    {"%s-%d" % (name, seed): (lambda name=name, seed=seed: rescaled(name, seed))
+     for name in sorted(BETTI) for seed in (3, 19)},
+    circle=lambda: FpAlgebra(("x", "y"), ["x^2 + y^2 - 1"]),
+    **{name: make for name, make in ORACLE_ALGEBRAS.items()
+       if name in ("xyz", "cubic", "defect_curve", "space_curve")},
+)
+
+
+def pair_below_reference(algebra, p, n_cutoff):
+    """The second pair truncated cohomology used to build: (dimension at
+    N - 1, stabilized) from a separate pair at N - 1."""
+    pair, _, _ = derham._truncated_pair(algebra, p, n_cutoff)
+    prev_pair, prev_stratum, _ = derham._truncated_pair(algebra, p, n_cutoff - 1)
+    stabilized = prev_pair.dimension == pair.dimension and all(
+        max(v) < prev_stratum.size for v in pair.representatives)
+    return prev_pair.dimension, stabilized
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_ALGEBRAS))
+def test_the_cutoff_below_is_read_from_the_pair_at_the_cutoff(name):
+    """At every p and N <= 6, the dimension at N - 1 from the pair at N, and
+    `stabilized`, equal those of a separately built pair at N - 1."""
+    algebra = PREFIX_ALGEBRAS[name]()
+    for p in range(algebra.nvars + 1):
+        for n_cutoff in range(p + 1, 7):
+            pair, _, below = derham._truncated_pair(algebra, p, n_cutoff)
+            dimension, stabilized = pair_below_reference(algebra, p, n_cutoff)
+            assert pair.prefix_dimension(*below) == dimension
+            assert truncated_cohomology(algebra, p, n_cutoff).stabilized == stabilized
+
+
 class _StubStratum:
     def __init__(self, size):
         self.size = size
@@ -718,13 +752,12 @@ def test_stabilized_needs_the_representatives_below_the_cutoff(monkeypatch, hit,
     """At N - 1 one free cocycle e0; at N a new coordinate e1 and a boundary on
     e_hit.  Both cutoffs have dimension 1, but when the boundary kills e0 the
     class at N is e1, which no cocycle at N - 1 reaches."""
-    pairs = {
-        0: (CohomologyPair(from_rows([[]]), from_rows([], 1)), _StubStratum(1)),
-        1: (CohomologyPair(from_rows([[int(i == hit)] for i in range(2)]), from_rows([], 2)),
-            _StubStratum(2)),
-    }
-    monkeypatch.setattr(derham, "_truncated_pair", lambda algebra, p, n_cutoff: pairs[n_cutoff])
+    below = CohomologyPair(from_rows([[]]), from_rows([], 1))
+    pair = CohomologyPair(from_rows([[int(i == hit)] for i in range(2)]), from_rows([], 2))
+    # the pair at N - 1 is the first column of d_next and no column of d_prev
+    monkeypatch.setattr(derham, "_truncated_pair",
+                        lambda algebra, p, n_cutoff: (pair, _StubStratum(2), (0, 1)))
     h = truncated_cohomology(None, 0, 1)
-    assert pairs[0][0].dimension == h.dimension == 1
+    assert below.dimension == pair.prefix_dimension(0, 1) == h.dimension == 1
     assert h.representatives == [(Fraction(hit), Fraction(1 - hit))]
     assert h.stabilized == stabilized

@@ -38,49 +38,59 @@ class FractionEchelon:
     Each row is kept with entry 1 at its pivot, its largest index, and with
     no entry at any other pivot; with `track`, with its combination of the
     numbered independent inputs.  `modulo` vectors are added first, unnumbered.
+    It has the entry points `CohomologyPair` and `_eliminate` use too:
+    `independent_modulo`, `_reduce`, which gives scale 1, and `_insert`,
+    which makes a reduced remainder a row.
     """
 
     def __init__(self, vectors=(), track=False, modulo=()):
         self.rows = {}
-        self._combos = None
-        for vec in modulo:
-            self.add(vec)
-        self._combos = {pivot: {} for pivot in self.rows} if track else None
+        self._combos = {}  # pivot -> combination; all empty without `track`
+        self._track = False
         self._inputs = 0
+        self.independent_modulo = [i for i, vec in enumerate(modulo) if self.add(vec)[0]]
+        self._track = track
         for vec in vectors:
             self.add(vec)
 
-    def reduce(self, vec):
+    def _reduce(self, vec):
+        """(out, coords, 1) with vec = out + sum of coords[k] * vector k."""
         out = {j: v for j, v in vec.items() if v}
         coords = {}
         for pivot in [j for j in out if j in self.rows]:
             coeff = out[pivot]
             _axpy(out, -coeff, self.rows[pivot])
-            if self._combos is not None:
-                _axpy(coords, coeff, self._combos[pivot])
-        return out, coords
+            _axpy(coords, coeff, self._combos[pivot])
+        return out, coords, 1
 
-    def add(self, vec):
-        red, coords = self.reduce(vec)
-        if not red:
-            return red, coords
-        pivot = max(red)
-        inv = Fraction(1) / red[pivot]
-        row = {j: v * inv for j, v in red.items()}
-        combo = None
-        if self._combos is not None:
+    def _insert(self, out, coords, scale):
+        """Make the reduced remainder out = scale * input - sum of coords[k] *
+        vector k a row."""
+        if not out:
+            return
+        pivot = max(out)
+        inv = Fraction(1) / out[pivot]
+        row = {j: v * inv for j, v in out.items()}
+        combo = {}
+        if self._track:
             combo = {k: -v * inv for k, v in coords.items()}
-            combo[self._inputs] = inv
+            combo[self._inputs] = scale * inv
             self._inputs += 1
         for other_pivot, other in self.rows.items():
             coeff = other.get(pivot)
             if coeff:
                 _axpy(other, -coeff, row)
-                if combo is not None:
-                    _axpy(self._combos[other_pivot], -coeff, combo)
+                _axpy(self._combos[other_pivot], -coeff, combo)
         self.rows[pivot] = row
-        if combo is not None:
-            self._combos[pivot] = combo
+        self._combos[pivot] = combo
+
+    def reduce(self, vec):
+        red, coords, _ = self._reduce(vec)
+        return red, coords
+
+    def add(self, vec):
+        red, coords, scale = self._reduce(vec)
+        self._insert(red, coords, scale)
         return red, coords
 
 
@@ -397,6 +407,7 @@ def test_echelon_matches_the_fraction_engine(track, modulo, steps):
         assert vec == kept
         assert len(fast.rows) == len(reference.rows)
         assert dict(fast.rows) == reference.rows
+    assert fast.independent_modulo == reference.independent_modulo
 
 
 def family_outputs(name, weight):
@@ -428,3 +439,114 @@ def test_family_complex_is_the_same_on_the_fraction_engine(name, monkeypatch):
     finally:
         simplex_forms._boundary_basis.cache_clear()
     assert fast == reference
+
+
+# ---------------------------------------------------------------------------
+# CohomologyPair against the pair it replaced
+
+
+def apply_sparse(matrix, vec):
+    """matrix * vec, as a sparse vector."""
+    out = {}
+    for j, v in vec.items():
+        _axpy(out, v, matrix.columns[j])
+    return out
+
+
+class ReferencePair:
+    """`CohomologyPair` as it was before its rank identity and its integer
+    kernel, kept as the reference, on `FractionEchelon`: d_next . d_prev is
+    multiplied out, and each Fraction kernel vector is reduced against the
+    boundaries and the earlier representatives."""
+
+    def __init__(self, d_prev, d_next):
+        if any(apply_sparse(d_next, col) for col in d_prev.columns):
+            raise CompositionNonzero("d_next . d_prev != 0")
+        self.d_next = d_next
+        echelon, independent, kernel = FractionEchelon(track=True), [], []
+        for j, col in enumerate(d_next.columns):
+            red, coords = echelon.add(col)
+            if red:
+                independent.append(j)
+            else:
+                vec = {independent[k]: -c for k, c in coords.items()}
+                vec[j] = Fraction(1)
+                kernel.append(vec)
+        self._reps = FractionEchelon(track=True, modulo=d_prev.columns)
+        self.representatives = []
+        for vec in kernel:
+            red, _ = self._reps.reduce(vec)
+            if red:
+                self._reps.add(red)
+                self.representatives.append(red)
+        self.dimension = len(self.representatives)
+
+    def class_of(self, vec):
+        if apply_sparse(self.d_next, vec):
+            raise NotACocycle("class_of on a vector with nonzero coboundary")
+        rest, coords = self._reps.reduce(vec)
+        assert not rest
+        return [coords.get(i, Fraction(0)) for i in range(self.dimension)]
+
+
+def random_pair(rng):
+    """A random composable pair: d_prev's columns are combinations of d_next's
+    kernel vectors, ordered by their last row, and some pairs get one entry
+    added, which mostly makes d_next . d_prev nonzero."""
+    rows, cols = rng.randint(0, 6), rng.randint(1, 9)
+    d_next = random_matrix(rng, rows, cols, density=rng.choice([0.2, 0.5]))
+    kernel = ReferencePair(Matrix(cols, []), d_next).representatives
+    columns = []
+    for _ in range(rng.randint(0, 6)):
+        col = {}
+        for vec in rng.sample(kernel, rng.randint(0, len(kernel))):
+            _axpy(col, Fraction(rng.randint(-3, 3), rng.randint(1, 2)), vec)
+        columns.append(col)
+    if columns and rng.random() < 0.3:
+        col = rng.choice(columns)
+        j = rng.randrange(cols)
+        col[j] = col.get(j, 0) + 1
+        if not col[j]:
+            del col[j]
+    columns.sort(key=lambda col: max(col, default=-1))
+    return Matrix(cols, columns), d_next
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_cohomology_pair_matches_the_reference_pair(seed):
+    """CompositionNonzero exactly when the product is nonzero; otherwise the
+    same dimension, representatives and class_of, and each prefix pair's
+    dimension read from the whole one."""
+    rng = random.Random(seed)
+    d_prev, d_next = random_pair(rng)
+    if any(apply_sparse(d_next, col) for col in d_prev.columns):
+        with pytest.raises(CompositionNonzero):
+            CohomologyPair(d_prev, d_next)
+        return
+    h, reference = CohomologyPair(d_prev, d_next), ReferencePair(d_prev, d_next)
+    assert h.dimension == reference.dimension
+    assert h.representatives == reference.representatives
+    cocycles = ReferencePair(Matrix(d_next.cols, []), d_next).representatives
+    for _ in range(5):
+        vec = {}
+        for source in cocycles + d_prev.columns:
+            _axpy(vec, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), source)
+        assert h.class_of(vec) == reference.class_of(vec)
+    # the first cols coordinates and the d_prev columns supported on them make a pair
+    for cols in range(d_next.cols + 1):
+        prev_cols = sum(1 for col in d_prev.columns if max(col, default=-1) < cols)
+        below = ReferencePair(Matrix(cols, d_prev.columns[:prev_cols]),
+                              Matrix(d_next.rows, d_next.columns[:cols]))
+        assert h.prefix_dimension(prev_cols, cols) == below.dimension
+
+
+def test_random_pairs_reach_both_outcomes():
+    """The seeds above cover nonzero compositions and nonzero cohomology."""
+    outcomes = set()
+    for seed in range(120):
+        d_prev, d_next = random_pair(random.Random(seed))
+        if any(apply_sparse(d_next, col) for col in d_prev.columns):
+            outcomes.add("nonzero")
+        else:
+            outcomes.add(ReferencePair(d_prev, d_next).dimension > 0)
+    assert outcomes == {"nonzero", True, False}

@@ -8,12 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhamcheck import poly
+from rhamcheck import derham, poly
 from rhamcheck.derham import FpAlgebra, parse_algebraic_form
 from rhamcheck.errors import ParseError, ResourceBudgetExceeded
 from rhamcheck.formtext import parse_polynomial
-from rhamcheck.poly import Polynomial, drl_key, groebner_basis, normal_form
+from rhamcheck.poly import (Polynomial, _add_shifted, _quotient, _term_key, drl_key,
+                            groebner_basis, monomial_div, monomial_divides, normal_form,
+                            reduce_vector)
 from rhamcheck.simplex_forms import parse_poly_form
+from test_derham import ORACLE_ALGEBRAS
 
 XY = ("x", "y")
 
@@ -281,3 +284,79 @@ def test_groebner_and_normal_form_match_sympy(drawn, probe):
     f = Polynomial(variables, {e[: len(variables)]: c for e, c in probe.terms.items()})
     _, r = sympy.reduced(to_sympy(f, symbols).as_expr(), oracle.exprs, *symbols, order="grevlex")
     assert agrees(normal_form(f, basis), r, symbols)
+
+
+# ---------------------------------------------------------------------------
+# heap-ordered division against the scan it replaced
+
+
+def scan_reduce_vector(vec, divisors):
+    """Division as `reduce_vector` made it before it kept a heap, kept as the
+    reference: each step scans every term left for the largest."""
+    h = dict(vec)
+    rem = {}
+    while h:
+        term = max(h, key=_term_key)
+        m, S = term
+        c = h[term]
+        for lead, terms in divisors.get(S, ()):
+            if monomial_divides(lead, m):
+                _add_shifted(h, terms, -c, monomial_div(m, lead))
+                break
+        else:
+            rem[term] = c
+            del h[term]
+    return rem
+
+
+def typed(vec):
+    """A vector's terms in order, each with its coefficient's type."""
+    return [(t, c, type(c)) for t, c in vec.items()]
+
+
+MODULE_COEFFICIENTS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.builds(Fraction, st.integers(-4, 4)),  # integral values stored as Fractions
+).filter(bool)
+
+
+@st.composite
+def module_divisions(draw):
+    """(vector, monic divisors per leading position) over positions of one length."""
+    nvars = draw(st.integers(1, 3))
+    positions = draw(st.sampled_from([[()], [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]))
+    terms = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), st.sampled_from(positions))
+    vectors = st.dictionaries(terms, MODULE_COEFFICIENTS, max_size=8)
+    divisors = {}
+    for vec in draw(st.lists(vectors.filter(bool), max_size=5)):
+        m, S = lead = max(vec, key=_term_key)
+        divisors.setdefault(S, []).append(
+            (m, {t: _quotient(c, vec[lead]) for t, c in vec.items()}))
+    return draw(vectors), divisors
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(module_divisions())
+def test_heap_division_matches_the_scan(drawn):
+    """The same remainder, in value, in coefficient type and in term order,
+    and the input left as it was."""
+    vec, divisors = drawn
+    kept = dict(vec)
+    assert typed(reduce_vector(vec, divisors)) == typed(scan_reduce_vector(vec, divisors))
+    assert vec == kept
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_module_bases_are_the_same_with_the_scan(name, monkeypatch):
+    """`buchberger` divides with `reduce_vector`; every G_p is the same, with
+    the same coefficient types, when it divides by the scan."""
+    def bases():
+        algebra = ORACLE_ALGEBRAS[name]()
+        return [{S: [(m, typed(vec)) for m, vec in elements]
+                 for S, elements in derham._module_groebner(algebra, p).items()}
+                for p in range(algebra.nvars + 1)]
+
+    fast = bases()
+    monkeypatch.setattr(poly, "reduce_vector", scan_reduce_vector)
+    assert bases() == fast
