@@ -86,9 +86,15 @@ def _add_multiple(terms, poly_terms, coeff, shift=None):
 
 
 class Polynomial:
-    """An exact multivariate polynomial over a fixed ordered variable tuple."""
+    """An exact multivariate polynomial over a fixed ordered variable tuple.
 
-    __slots__ = ("variables", "terms", "_lead")
+    Immutable by convention: nothing assigns to `variables` or `terms`, or
+    changes the `terms` dict, after construction.  The cached leading term
+    and hash, and the rational-function kernels memoised on Polynomial keys
+    (`ratfunc`), rely on that.
+    """
+
+    __slots__ = ("variables", "terms", "_lead", "_hash")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
@@ -103,6 +109,7 @@ class Polynomial:
             clean[tuple(expts)] = coeff
         self.terms = clean
         self._lead = None
+        self._hash = None
 
     @classmethod
     def _of(cls, variables, terms):
@@ -120,6 +127,7 @@ class Polynomial:
             if c
         }
         poly._lead = None
+        poly._hash = None
         return poly
 
     @classmethod
@@ -174,7 +182,9 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.variables, frozenset(self.terms.items())))
+        return self._hash
 
     def _check(self, other):
         if self.variables != other.variables:

@@ -11,6 +11,17 @@ denominator returns through it, and Polynomial arithmetic hands mixed
 operands to RationalFunc.
 Equality is decided by cross-multiplication.
 
+Products, partial derivatives and substitutions are memoised
+(`_product`, `_partial`, `_substitute`, each an lru_cache of
+RATIONAL_CACHE_SIZE entries), because the simplices of a run pull back
+along a few arc maps and so repeat the same algebra many times.  The
+caches are keyed on the (num, den) polynomials of the representation,
+not on the value: a*q/(b*q) and a/b are equal RationalFuncs, but `ratio`
+does not reduce them to one representation, and the two can integrate
+to different last bits, so they keep separate entries.  A cached result is
+handed to every caller; that is safe because nothing changes a
+Polynomial or a RationalFunc after construction.
+
 Denominators are admitted for quadrature when they pass a Polya-style
 certificate: rewritten in barycentric coordinates and multiplied by a
 power of (u0+...+un), every monomial of the right degree must appear
@@ -31,6 +42,7 @@ from .poly import Polynomial
 
 CERTIFICATE_POWER_BOUND = 6
 CERTIFICATE_CACHE_SIZE = 256
+RATIONAL_CACHE_SIZE = 1024  # operand tuples kept per kernel; `--builtin all` uses at most 130
 
 
 def ratio(num, den):
@@ -62,7 +74,11 @@ def parts(value):
 
 class RationalFunc:
     """num/den with a denominator that is not constant; built by `ratio`,
-    which keeps num and den over one variable tuple and den monic."""
+    which keeps num and den over one variable tuple and den monic.
+
+    Immutable by convention: nothing assigns to `num` or `den` after
+    construction, which the memoised kernels below rely on.
+    """
 
     __slots__ = ("num", "den")
 
@@ -99,7 +115,9 @@ class RationalFunc:
 
     def __mul__(self, other):
         if isinstance(other, RationalFunc):
-            return ratio(self.num * other.num, self.den * other.den)
+            return _product(self.num, self.den, other.num, other.den)
+        if isinstance(other, Polynomial):
+            return _product(self.num, self.den, other, None)
         return ratio(self.num * other, self.den)
 
     __rmul__ = __mul__
@@ -119,14 +137,11 @@ class RationalFunc:
 
     def partial(self, index):
         """Quotient rule derivative with respect to variable `index`."""
-        return ratio(
-            self.num.partial(index) * self.den - self.num * self.den.partial(index),
-            self.den * self.den,
-        )
+        return _partial(self.num, self.den, index)
 
     def substitute(self, values):
         """Substitute polynomials for the variables (e.g. affine maps)."""
-        return ratio(self.num.substitute(values), self.den.substitute(values))
+        return _substitute(self.num, self.den, tuple(values))
 
     def eval_fraction(self, point):
         den = self.den.eval_fraction(point)
@@ -149,6 +164,27 @@ class RationalFunc:
         return "%s/(%s)" % (num, self.den)
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=RATIONAL_CACHE_SIZE)
+def _product(num, den, other_num, other_den):
+    """(num/den) * (other_num/other_den), normalized; other_den is None for a
+    polynomial factor."""
+    if other_den is None:
+        return ratio(num * other_num, den)
+    return ratio(num * other_num, den * other_den)
+
+
+@lru_cache(maxsize=RATIONAL_CACHE_SIZE)
+def _partial(num, den, index):
+    """d(num/den)/dt_index by the quotient rule, normalized."""
+    return ratio(num.partial(index) * den - num * den.partial(index), den * den)
+
+
+@lru_cache(maxsize=RATIONAL_CACHE_SIZE)
+def _substitute(num, den, values):
+    """num/den with the tuple of Polynomials `values` put in for the variables."""
+    return ratio(num.substitute(values), den.substitute(values))
 
 
 def _barycentric_homogenization(poly):

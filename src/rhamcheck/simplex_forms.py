@@ -24,8 +24,6 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial, fsum, prod
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     IncompatibleFamily,
@@ -47,9 +45,10 @@ QUAD_CROSS_CHECK_STEP = 4
 # (order^n nodes on the n-simplex) allocatable.
 MAX_QUAD_ORDER = 64
 QUAD_RULE_CACHE_SIZE = 32  # (n, order) rules kept; a run uses a handful
-AFFINE_MAP_CACHE_SIZE = 256  # affine maps, barycentric expansions kept; small simplices
+AFFINE_MAP_CACHE_SIZE = 256  # affine maps, barycentric expansions, variable tuples; small simplices
 
 
+@lru_cache(maxsize=AFFINE_MAP_CACHE_SIZE)
 def simplex_variables(n):
     return tuple("t%d" % (i + 1) for i in range(n))
 
@@ -73,6 +72,20 @@ class PolyForm(ExteriorForm):
             if not coeff.is_zero():
                 clean[S] = coeff
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n, degree, terms):
+        """Trusted constructor for results of this module's arithmetic.
+
+        The keys are index sets valid for the degree and the values
+        Polynomial or RationalFunc over t1..tn; only zeros are dropped,
+        as `Polynomial._of` does.
+        """
+        form = object.__new__(cls)
+        form.n = n
+        form.degree = degree
+        form.terms = {S: c for S, c in terms.items() if not c.is_zero()}
+        return form
 
     @classmethod
     def zero(cls, n, degree=0):
@@ -100,7 +113,7 @@ class PolyForm(ExteriorForm):
             raise DimensionMismatch("forms on simplices of different dimension")
 
     def _make(self, degree, terms):
-        return PolyForm(self.n, degree, terms)
+        return PolyForm._of(self.n, degree, terms)
 
     def __eq__(self, other):
         if not isinstance(other, PolyForm):
@@ -128,12 +141,12 @@ def parse_poly_form(text, n):
 def wedge(alpha, beta):
     """Graded-commutative wedge product."""
     alpha._check(beta)
-    return PolyForm(alpha.n, alpha.degree + beta.degree, wedge_terms(alpha.terms, beta.terms))
+    return PolyForm._of(alpha.n, alpha.degree + beta.degree, wedge_terms(alpha.terms, beta.terms))
 
 
 def differential(alpha):
     """Exterior differential; quotient rule on rational coefficients."""
-    return PolyForm(alpha.n, alpha.degree + 1, d_terms(alpha.terms, alpha.n))
+    return PolyForm._of(alpha.n, alpha.degree + 1, d_terms(alpha.terms, alpha.n))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +251,15 @@ class _QuadRule:
         # Python's pow on each node: numpy's power differs in the last bit
         # on some nodes, which would move printed digits
         if (i, k) not in self._powers:
+            import numpy as np  # only quadrature needs numpy; the exact lane never loads it
+
             self._powers[i, k] = np.array([x**k for x in self.coords[i].tolist()])
         return self._powers[i, k]
 
     def evaluate(self, poly):
         """Values of a Polynomial at every node, summed term by term in drl order."""
+        import numpy as np  # only quadrature needs numpy; the exact lane never loads it
+
         total = np.zeros(len(self.weights))
         for e in sorted(poly.terms, key=drl_key):
             v = np.full(len(self.weights), float(poly.terms[e]))
@@ -261,6 +278,8 @@ def _duffy_points(n, order):
     with Jacobian prod_i prod_{j<i} (1 - x_j); n = 0 is one node of
     weight 1.
     """
+    import numpy as np  # only quadrature needs numpy; the exact lane never loads it
+
     raw_x, raw_w = np.polynomial.legendre.leggauss(order)
     grids = zip(
         np.meshgrid(*[(raw_x + 1.0) / 2.0] * n, indexing="ij"),

@@ -2,9 +2,14 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rhamcheck
 from rhamcheck.checks import CHECK_KINDS, Settings, run_scenario_checks, validate_settings
 from rhamcheck.cli import main, report_lines, run_scenario
 from rhamcheck.comparison import period
@@ -204,6 +209,19 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--scenario", str(bad)]) == 2
     assert main([]) == 2
     assert main(["--builtin", "no_such_builtin"]) == 2
+
+
+def run_python(*args):
+    """A fresh interpreter on `args` that imports this rhamcheck; check=True."""
+    src = str(Path(rhamcheck.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+
+
+def test_python_dash_m_runs_the_cli():
+    run = run_python("-m", "rhamcheck", "--list")
+    assert [line.split()[0] for line in run.stdout.splitlines()] == list(builtin_names())
 
 
 def test_cli_check_failure_exit(tmp_path):

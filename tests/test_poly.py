@@ -52,6 +52,14 @@ def test_parse_roundtrip_and_arithmetic():
     assert P("x")**3 == P("x^3")
 
 
+def test_trusted_and_checked_constructors_agree_on_equality_and_hash():
+    terms = {(2, 0): 1, (0, 1): Fraction(-1, 2), (1, 1): Fraction(4, 2), (0, 0): 0}
+    checked = Polynomial(XY, terms)
+    trusted = Polynomial._of(XY, dict(reversed(list(terms.items()))))
+    assert checked == trusted and hash(checked) == hash(trusted)
+    assert hash(trusted) == hash(Polynomial(XY, checked.terms))
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         P("x +")

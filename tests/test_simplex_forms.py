@@ -53,6 +53,7 @@ from rhamcheck.simplicial import (
     simplicial_cohomology,
     standard_simplex,
 )
+from test_cli import run_python
 
 
 def random_delta_morphism(rng, m, n):
@@ -341,6 +342,111 @@ def test_certificate_runs_once_per_denominator_and_power_bound(monkeypatch):
         assert [bound for _, bound in runs[2:]] == [1, 0]
     finally:
         ratfunc._has_certificate.cache_clear()
+
+
+KERNELS = (ratfunc._product, ratfunc._partial, ratfunc._substitute)
+
+
+def representation(value):
+    """The exact representation of a `ratio` result: its type, and the terms of its
+    numerator and denominator with their coefficient types."""
+    return type(value).__name__, [sorted((e, c, type(c).__name__) for e, c in p.terms.items())
+                                  for p in parts(value)]
+
+
+def outcome(compute):
+    try:
+        return representation(compute())
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+def random_rational(rng, variables):
+    """A RationalFunc num/den of random polynomials, as `ratio` normalizes it."""
+    while True:
+        num, den = _random_poly(rng, variables, 2), _random_poly(rng, variables, 2)
+        if not den.is_zero():
+            value = ratio(num, den)
+            if isinstance(value, RationalFunc):
+                return value
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 3), m=st.integers(0, 3))
+def test_rational_kernels_match_the_unmemoized_arithmetic(seed, n, m):
+    rng = random.Random(seed)
+    variables = simplex_variables(n)
+    f, g = random_rational(rng, variables), random_rational(rng, variables)
+    p = _random_poly(rng, variables, 2)
+    values = tuple(_random_poly(rng, simplex_variables(m), 1) for _ in range(n))
+    cases = [
+        (lambda: f * g, lambda: ratio(f.num * g.num, f.den * g.den)),
+        (lambda: f * p, lambda: ratio(f.num * p, f.den)),
+        (lambda: p * f, lambda: ratio(f.num * p, f.den)),
+        (lambda: f.substitute(list(values)),
+         lambda: ratio(f.num.substitute(values), f.den.substitute(values))),
+    ]
+    for i in range(n):
+        cases.append((lambda i=i: f.partial(i),
+                      lambda i=i: ratio(f.num.partial(i) * f.den - f.num * f.den.partial(i),
+                                        f.den * f.den)))
+    for memoized, reference in cases:
+        expected = outcome(reference)
+        assert outcome(memoized) == expected
+        if expected != "ZeroDivisionError":
+            # a repeated call is served from the cache
+            assert memoized() is memoized()
+
+
+def test_rational_kernels_key_on_the_representation_not_the_value():
+    T = simplex_variables(1)
+    a, b = Polynomial(T, {(0,): 1}), Polynomial(T, {(2,): 1, (0,): 1})
+    q = Polynomial(T, {(1,): 1, (0,): 1})
+    g = ratio(Polynomial(T, {(1,): 1}), Polynomial(T, {(1,): 1, (0,): 2}))
+    lean, padded = ratio(a, b), ratio(a * q, b * q)
+    assert lean == padded and lean.num != padded.num
+    flip = (Polynomial(T, {(0,): 1, (1,): -1}),)
+    calls = [
+        (lambda f: f * g, lambda f: ratio(f.num * g.num, f.den * g.den)),
+        (lambda f: f.partial(0),
+         lambda f: ratio(f.num.partial(0) * f.den - f.num * f.den.partial(0), f.den * f.den)),
+        (lambda f: f.substitute(flip),
+         lambda f: ratio(f.num.substitute(flip), f.den.substitute(flip))),
+    ]
+    for kernel, (memoized, reference) in zip(KERNELS, calls):
+        kernel.cache_clear()
+        results = [memoized(f) for f in (lean, padded)]
+        assert kernel.cache_info().currsize == 2
+        assert results[0] == results[1]
+        assert representation(results[0]) != representation(results[1])
+        for f, result in zip((lean, padded), results):
+            assert representation(result) == representation(reference(f))
+            assert memoized(RationalFunc(f.num, f.den)) is result
+
+
+def test_rational_kernels_are_bounded_by_the_module_constant():
+    for kernel in KERNELS:
+        assert kernel.cache_info().maxsize == ratfunc.RATIONAL_CACHE_SIZE
+
+
+def test_trusted_form_constructor_drops_cancelled_terms():
+    alpha = parse_poly_form("t1*dt1 + 1/(1 + t1^2)*dt2", 2)
+    beta = parse_poly_form("-t1*dt1 - 1/(1 + t1^2)*dt2 + dt2", 2)
+    one = Polynomial.constant(simplex_variables(2), 1)
+    assert (alpha + beta).terms == {(1,): one}
+    assert (alpha - alpha).terms == {}
+    terms = {(0,): Polynomial.zero(simplex_variables(2)), (1,): one}
+    assert PolyForm._of(2, 1, terms).terms == PolyForm(2, 1, terms).terms == {(1,): one}
+
+
+def test_only_quadrature_imports_numpy():
+    # a fresh interpreter: the test session itself has numpy loaded
+    run = run_python("-c", "import sys, rhamcheck.cli\n"
+                     "before = 'numpy' in sys.modules\n"
+                     "from rhamcheck.simplex_forms import integrate_numeric, parse_poly_form\n"
+                     "integrate_numeric(parse_poly_form('1/(1 + t1^2) * dt1', 1))\n"
+                     "print(before, 'numpy' in sys.modules)")
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_cone_homotopy_interval():
