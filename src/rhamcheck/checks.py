@@ -1,9 +1,12 @@
 """Executable checks: the bridge between scenario files and the library.
 
-Each check kind maps to one verification routine; a check returns a
-CheckResult with a pass/fail/skip status and a flat list of detail
-key/value pairs rendered canonically (deterministic across runs for
-fixed seed and quadrature order, so reports are byte-identical).
+Each check kind maps, in CHECK_KINDS, to one runner
+`runner(scenario, check, settings, result)`.  `run_check` makes the
+CheckResult and hands it in; the runner records detail key/value pairs
+and failures on it and returns nothing.  A RhamcheckError out of a
+runner becomes a fresh record with no details and the error as its
+reason.  Details are rendered canonically (deterministic across runs
+for fixed seed and quadrature order, so reports are byte-identical).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from itertools import combinations
 
 from .comparison import (
     ParamSimplex,
+    chain_estimate,
     chain_map_residual,
     multiplicativity_check,
     naturality_residual,
@@ -25,7 +29,7 @@ from .derham import AlgebraicForm, FpAlgebra, differential as d_algebraic, trunc
 from .errors import RhamcheckError, ValidationError
 from .linalg import Echelon
 from .poly import Polynomial
-from .scenarios import MAX_WEIGHT, check_rng_seed
+from .scenarios import MAX_WEIGHT, check_rng_seed, validate_cutoff
 from .simplex_forms import (
     FamilyComplex,
     FormsFamily,
@@ -166,8 +170,7 @@ def _random_cochain(rng, complex_, p):
 # check implementations
 
 
-def check_validate(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_validate(scenario, check, settings, result):
     expect = check.params["expect"]
     for sname in check.params["simplices"]:
         cert = scenario.simplices[sname].validate()
@@ -177,11 +180,9 @@ def check_validate(scenario, check, settings):
         if not cert.valid:
             j, residual = cert.residuals[0]
             result.detail("%s.residual" % sname, residual)
-    return result
 
 
-def check_cohomology(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_cohomology(scenario, check, settings, result):
     p = check.params
     degree = p["degree"]
     cutoff = _max_weight(check, settings)
@@ -206,11 +207,9 @@ def check_cohomology(scenario, check, settings):
             result.detail("class_coordinates", " ".join(render_value(c) for c in coords))
             if not nonzero:
                 result.fail("class of %s vanishes" % p["class_nonzero"])
-    return result
 
 
-def check_poincare(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_poincare(scenario, check, settings, result):
     rng = random.Random(check_rng_seed(settings.seed, check.name))
     count = check.params["count"]
     for _ in range(count):
@@ -223,11 +222,9 @@ def check_poincare(scenario, check, settings):
             break
     result.detail("count", count)
     result.detail("max_defect", 0 if result.status == "pass" else "nonzero")
-    return result
 
 
-def check_chain_map(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_chain_map(scenario, check, settings, result):
     form = scenario.forms[check.params["form"]]
     simplex = scenario.simplices[check.params["simplex"]]
     residual, estimate = chain_map_residual(form, simplex, settings.quad_order)
@@ -241,11 +238,9 @@ def check_chain_map(scenario, check, settings):
         result.detail("tolerance", tol)
         if not _within(residual, 0, tol):
             result.fail("residual %r above tolerance %r" % (residual, tol))
-    return result
 
 
-def check_chain_map_random(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_chain_map_random(scenario, check, settings, result):
     rng = random.Random(check_rng_seed(settings.seed, check.name))
     count = check.params["count"]
     num_vars = check.params["num_vars"]
@@ -260,11 +255,9 @@ def check_chain_map_random(scenario, check, settings):
             break
     result.detail("count", count)
     result.detail("residual", 0 if result.status == "pass" else "nonzero")
-    return result
 
 
-def check_naturality_random(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_naturality_random(scenario, check, settings, result):
     rng = random.Random(check_rng_seed(settings.seed, check.name))
     count = check.params["count"]
     num_vars = check.params["num_vars"]
@@ -280,19 +273,15 @@ def check_naturality_random(scenario, check, settings):
             break
     result.detail("count", count)
     result.detail("residual", 0 if result.status == "pass" else "nonzero")
-    return result
 
 
-def check_pairing(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_pairing(scenario, check, settings, result):
     form = scenario.forms[check.params["form"]]
     chain = scenario.chains[check.params["chain"]]
     family = scenario.chain_family[check.params["chain"]]
     cochain, estimates = period_cochain(form, family, settings.quad_order)
     value = pair(cochain, chain)
-    estimate = sum(
-        abs(c) * float(estimates.get(name, 0)) for name, c in sorted(chain.coeffs.items())
-    )
+    estimate = chain_estimate(estimates, chain)
     result.detail("value", value)
     result.detail("estimate", estimate)
     if check.params["expect"] is not None:
@@ -302,11 +291,9 @@ def check_pairing(scenario, check, settings):
         result.detail("tolerance", tol)
         if not _within(value, target, tol):
             result.fail("pairing %r missed %r by more than %r" % (value, target, tol))
-    return result
 
 
-def check_multiplicativity(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_multiplicativity(scenario, check, settings, result):
     form1 = scenario.forms[check.params["form1"]]
     form2 = scenario.forms[check.params["form2"]]
     chain = scenario.chains[check.params["chain"]]
@@ -334,11 +321,9 @@ def check_multiplicativity(scenario, check, settings):
         result.detail("expect_tolerance", expect_tol)
         if not _within(lhs, target, expect_tol):
             result.fail("pairing %r missed %r by more than %r" % (lhs, target, expect_tol))
-    return result
 
 
-def check_idempotent_table(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_idempotent_table(scenario, check, settings, result):
     for i, fname in enumerate(check.params["forms"]):
         for j, sname in enumerate(check.params["simplices"]):
             value, _ = period(
@@ -348,11 +333,9 @@ def check_idempotent_table(scenario, check, settings):
             expected = Fraction(1 if i == j else 0)
             if value != expected:
                 result.fail("table entry (%s, %s) = %s, expected %s" % (fname, sname, value, expected))
-    return result
 
 
-def check_tau_witness(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_tau_witness(scenario, check, settings, result):
     alpha, beta = check.params["alpha"], check.params["beta"]
     lhs = to_cochain(wedge_simplex(alpha, beta), order=settings.quad_order)
     rhs = aw_cup(
@@ -370,11 +353,9 @@ def check_tau_witness(scenario, check, settings):
         result.detail("witness_simplex", witness)
         result.detail("wedge_then_integrate", lhs.values[witness])
         result.detail("integrate_then_cup", rhs.values[witness])
-    return result
 
 
-def check_tau_chain_map(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_tau_chain_map(scenario, check, settings, result):
     rng = random.Random(check_rng_seed(settings.seed, check.name))
     count = check.params["count"]
     for _ in range(count):
@@ -385,11 +366,9 @@ def check_tau_chain_map(scenario, check, settings):
             result.fail("integration map failed to be a chain map")
             break
     result.detail("count", count)
-    return result
 
 
-def check_tau_cohomology(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_tau_cohomology(scenario, check, settings, result):
     K = check.params["complex"]
     cutoff = _max_weight(check, settings)
     fc = FamilyComplex(K, cutoff)
@@ -410,7 +389,7 @@ def check_tau_cohomology(scenario, check, settings):
         if dim_forms != sc.dimension:
             result.fail("degree %d: %d != %d" % (q, dim_forms, sc.dimension))
     if result.status == "fail":
-        return result
+        return
     # the integration map must induce an isomorphism degree by degree
     reps = {q: fc.representatives(q) for q in range(K.dimension + 1)}
     for q, sc in simplicial.items():
@@ -439,11 +418,9 @@ def check_tau_cohomology(scenario, check, settings):
                             % (q1, q2)
                         )
     result.detail("products_checked", products)
-    return result
 
 
-def check_aw_laws(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_aw_laws(scenario, check, settings, result):
     K = check.params["complex"]
     rng = random.Random(check_rng_seed(settings.seed, check.name))
     count = check.params["count"]
@@ -476,7 +453,6 @@ def check_aw_laws(scenario, check, settings):
         result.detail("witness_a", "indicator %s" % (s1,))
         result.detail("witness_b", "indicator %s" % (s2,))
         result.detail("witness_simplex", top_simplex)
-    return result
 
 
 def _noncommutative_witness(K):
@@ -496,8 +472,7 @@ def _noncommutative_witness(K):
     return None
 
 
-def check_extension(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_extension(scenario, check, settings, result):
     K = check.params["complex"]
     n = K.dimension + 1
     full = standard_simplex(n)
@@ -518,22 +493,18 @@ def check_extension(scenario, check, settings):
             break
     result.detail("count", count)
     result.detail("dimension", n)
-    return result
 
 
-def check_simplicial_cohomology(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_simplicial_cohomology(scenario, check, settings, result):
     K = check.params["complex"]
     for q, expect in enumerate(check.params["dims"]):
         got = simplicial_cohomology(K, q).dimension
         result.detail("h%d" % q, got)
         if got != expect:
             result.fail("H^%d has dimension %d, expected %d" % (q, got, expect))
-    return result
 
 
-def check_coboundary_pairing(scenario, check, settings):
-    result = CheckResult(check.name, check.kind)
+def check_coboundary_pairing(scenario, check, settings, result):
     n = check.params["complex"].dimension + 1
     cycle = fundamental_boundary_cycle(n)
     K = cycle.complex
@@ -546,7 +517,6 @@ def check_coboundary_pairing(scenario, check, settings):
             break
     result.detail("count", count)
     result.detail("cycle_degree", n - 1)
-    return result
 
 
 CHECK_KINDS = {
@@ -570,21 +540,13 @@ CHECK_KINDS = {
 
 
 def run_check(scenario, check, settings):
+    result = CheckResult(check.name, check.kind)
     try:
-        return CHECK_KINDS[check.kind](scenario, check, settings)
+        CHECK_KINDS[check.kind](scenario, check, settings, result)
     except RhamcheckError as exc:
         result = CheckResult(check.name, check.kind)
         result.fail("%s: %s" % (type(exc).__name__, exc))
-        return result
-
-
-def _top_degree(check):
-    """The highest form degree a cohomology check computes, or None."""
-    if check.kind == "cohomology":
-        return check.params["degree"]
-    if check.kind == "tau_cohomology":
-        return check.params["complex"].dimension
-    return None
+    return result
 
 
 def validate_settings(settings, scenarios, check_filter=None):
@@ -606,21 +568,9 @@ def validate_settings(settings, scenarios, check_filter=None):
             if check_filter and not check_filter & {check.name, check.kind}:
                 continue
             matched |= {check.name, check.kind}
-            top = _top_degree(check)
-            if settings.max_weight is not None and top is not None and settings.max_weight < top:
-                raise ValidationError(
-                    "--max-weight %d is below degree %d of check %s.%s"
-                    % (settings.max_weight, top, scenario.name, check.name)
-                )
-            if check.kind == "cohomology" and check.params["class_nonzero"] is not None:
-                # the class is read off the stratum, which holds forms of weight <= cutoff
-                name, cutoff = check.params["class_nonzero"], _max_weight(check, settings)
-                weight = scenario.forms[name].weight()
-                if weight > cutoff:
-                    raise ValidationError(
-                        "check %s: class_nonzero: form %s has weight %d, above max_weight %d"
-                        % (check.name, name, weight, cutoff)
-                    )
+            if settings.max_weight is not None:
+                validate_cutoff("check %s" % check.name, check.kind, check.params,
+                                scenario.forms, "--max-weight", settings.max_weight)
     unmatched = sorted(check_filter - matched) if check_filter else []
     if unmatched:
         names = ", ".join("'%s'" % name for name in unmatched)

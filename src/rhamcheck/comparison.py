@@ -343,11 +343,12 @@ def multiplicativity_check(omega1, omega2, family, chain, order=DEFAULT_QUAD_ORD
     rhs_cochain = aw_cup(a, b)
     lhs = pair(lhs_cochain, chain)
     rhs = pair(rhs_cochain, chain)
-    estimate = _chain_estimate(lhs_est, chain) + _cup_estimate(a, b, a_est, b_est, chain)
+    estimate = chain_estimate(lhs_est, chain) + _cup_estimate(a, b, a_est, b_est, chain)
     return lhs, rhs, estimate
 
 
-def _chain_estimate(estimates, chain):
+def chain_estimate(estimates, chain):
+    """The error estimate of a pairing: sum of |coefficient| * estimate over the chain."""
     total = 0.0
     for name, coeff in sorted(chain.coeffs.items()):
         total += abs(coeff) * float(estimates.get(name, 0))

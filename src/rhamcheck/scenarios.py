@@ -205,22 +205,8 @@ class Scenario:
     def _validate_degrees(self, kind, p, where):
         """Refuse values that cannot meet; parse tau_witness forms on Delta^dim."""
         forms, simplices, chains = self.forms, self.simplices, self.chains
-        if kind == "cohomology" and p["max_weight"] < p["degree"]:
-            raise ParseError("%s: max_weight: %d is below degree %d"
-                             % (where, p["max_weight"], p["degree"]))
-        elif kind == "cohomology" and p["class_nonzero"] is not None:
-            # the class is read off the stratum, which holds forms of weight <= cutoff
-            weight = forms[p["class_nonzero"]].weight()
-            if weight > p["max_weight"]:
-                raise ValidationError("%s: class_nonzero: form %s has weight %d, above max_weight "
-                                      "%d" % (where, p["class_nonzero"], weight, p["max_weight"]))
-        elif (kind == "tau_cohomology" and p["complex"].name.startswith("boundary")
-              and p["max_weight"] < p["complex"].dimension):
-            # the top class of boundary<k> has degree k - 1, and a family complex
-            # at a lower cutoff has no forms there
-            raise ValidationError("%s: max_weight: %d is below %d, the degree of the top class "
-                                  "of %s" % (where, p["max_weight"], p["complex"].dimension,
-                                             p["complex"].name))
+        if kind in ("cohomology", "tau_cohomology"):
+            validate_cutoff(where, kind, p, forms, "max_weight", p["max_weight"])
         elif kind == "tau_witness":
             for key in ("alpha", "beta"):
                 p[key] = _evaluate("%s: %s" % (where, key), parse_poly_form, p[key], p["dim"])
@@ -251,6 +237,34 @@ class Scenario:
             raise ValidationError("%s: complex: the cycle of %s has degree 0, which no "
                                   "coboundary reaches; use boundary<k>, k >= 2"
                                   % (where, p["complex"].name))
+
+
+def validate_cutoff(where, kind, p, forms, key, cutoff):
+    """Refuse a weight cutoff, from the check's `key`, that a cohomology check cannot use.
+
+    The check's `max_weight` and `--max-weight` both come through here.
+    The class of `class_nonzero` is read off the stratum, which holds forms
+    of the check's degree and of weight <= cutoff.  The top class of
+    boundary<k> has degree k - 1, and a family complex at a lower cutoff
+    has no forms there; on delta<k> every degree above 0 has H = 0, so any
+    cutoff is right.
+    """
+    if kind == "cohomology":
+        if cutoff < p["degree"]:
+            raise ParseError("%s: %s: %d is below degree %d" % (where, key, cutoff, p["degree"]))
+        name = p["class_nonzero"]
+        form = None if name is None else forms[name]
+        if form is not None and form.weight() > cutoff:
+            raise ValidationError("%s: class_nonzero: form %s has weight %d, above max_weight %d"
+                                  % (where, name, form.weight(), cutoff))
+        if form is not None and form.degree != p["degree"]:
+            raise ValidationError("%s: class_nonzero: form %s has degree %d, but the check has "
+                                  "degree %d" % (where, name, form.degree, p["degree"]))
+    elif kind == "tau_cohomology":
+        K = p["complex"]
+        if K.name.startswith("boundary") and cutoff < K.dimension:
+            raise ValidationError("%s: %s: %d is below %d, the degree of the top class of %s"
+                                  % (where, key, cutoff, K.dimension, K.name))
 
 
 def _label(kind, name):

@@ -161,9 +161,9 @@ def pull_back(terms, degree, n, substitute, differentials):
     ds_i there; the pullback of the form is the sum over its terms of
     substitute(c) ^ ds_{i_1} ^ ... ^ ds_{i_p}.
     """
-    result = PolyForm.zero(n, degree)
+    result = PolyForm._of(n, degree, {})
     for S, coeff in terms.items():
-        term = PolyForm(n, 0, {(): substitute(coeff)})
+        term = PolyForm._of(n, 0, {(): substitute(coeff)})
         for i in S:
             term = wedge(term, differentials[i])
         result = result + term

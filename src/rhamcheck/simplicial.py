@@ -300,21 +300,13 @@ def boundary(chain):
     """Boundary operator: d(s) = sum_i (-1)^i face_i(s)."""
     complex_ = chain.complex
     if chain.degree == 0:
-        return _zero_chain(complex_, -1)
+        return Chain(complex_, -1, {})
     coeffs = {}
     for s, c in chain.coeffs.items():
         for i in range(chain.degree + 1):
             f = complex_.face(s, i)
             coeffs[f] = coeffs.get(f, 0) + c * ((-1) ** i)
     return Chain(complex_, chain.degree - 1, coeffs)
-
-
-def _zero_chain(complex_, degree):
-    z = Chain.__new__(Chain)
-    z.complex = complex_
-    z.degree = degree
-    z.coeffs = {}
-    return z
 
 
 def is_cycle(chain):

@@ -612,12 +612,17 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
          "max_weight: 2 is below 3, the degree of the top class of boundary4"),
         (_check_text("tau_cohomology", {"complex": "boundary5"}),
          "max_weight: 3 is below 4, the degree of the top class of boundary5"),
+        # the class is read off the stratum of the check's degree, which the form
+        # does not fit: this ended in a ValueError traceback
+        (_check_text("cohomology", {"degree": "0", "class_nonzero": "w"}),
+         "class_nonzero: form w has degree 1, but the check has degree 0"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight",
          "weight_too_large", "tau_weight_too_large", "kind",
          "no_kind", "dims_above_dimension", "coboundary_of_degree_0", "aw_laws_on_delta0",
          "aw_laws_on_boundary1", "complex_too_large", "tau_witness_dim_too_large",
-         "tau_boundary4_below_its_top_degree", "tau_boundary5_at_the_default_weight"],
+         "tau_boundary4_below_its_top_degree", "tau_boundary5_at_the_default_weight",
+         "class_of_another_degree"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)
@@ -638,6 +643,40 @@ def test_tau_cohomology_loads_at_any_cutoff_its_top_class_allows(complex_, max_w
     boundary<k> needs a cutoff of at least k - 1, its top degree."""
     text = _check_text("tau_cohomology", {"complex": complex_, "max_weight": str(max_weight)})
     assert [r.status for r in run_scenario_checks(Scenario(text), Settings())] == ["pass"]
+
+
+def _run_scenario_text(tmp_path, capsys, text, flags):
+    path = tmp_path / "cutoff.scn"
+    path.write_text(text)
+    code = main(["--scenario", str(path)] + flags)
+    captured = capsys.readouterr()
+    return code, captured.err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, above, cutoff, refusal",
+    [
+        (_check_text("tau_cohomology", {"complex": "delta3", "max_weight": "{}"}), 3, 1, None),
+        (_check_text("tau_cohomology", {"complex": "boundary4", "max_weight": "{}"}), 3, 2,
+         "check c: {key}: 2 is below 3, the degree of the top class of boundary4"),
+        (_check_text("cohomology", {"degree": "2", "max_weight": "{}"}), 4, 1,
+         "check c: {key}: 1 is below degree 2"),
+        (CIRCLE_CLASS, 4, 2, "check h: class_nonzero: form omega has weight 4, above max_weight 2"),
+    ],
+    ids=["delta3_at_1", "boundary4_at_2", "degree_2_at_1", "class_weight_4_at_2"],
+)
+def test_cutoff_gets_one_verdict_from_the_file_and_the_flag(tmp_path, capsys, text, above,
+                                                            cutoff, refusal):
+    """A cutoff given as the check's max_weight and as --max-weight (over a file
+    whose max_weight is high enough) is accepted or refused alike."""
+    from_file = _run_scenario_text(tmp_path, capsys, text.format(cutoff), [])
+    from_flag = _run_scenario_text(tmp_path, capsys, text.format(above),
+                                   ["--max-weight", str(cutoff)])
+    if refusal is None:
+        assert from_file == from_flag == (0, [])
+    else:
+        assert from_file == (2, ["rhamcheck: " + refusal.format(key="max_weight")])
+        assert from_flag == (2, ["rhamcheck: " + refusal.format(key="--max-weight")])
 
 
 # One section of each SECTION_KEYS kind, as label -> {key: [text per line]};

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none divides an int literal by a value that may itself be an int, none
-but `ratfunc` builds a RationalFunc directly, and every module-level
-function or class is named somewhere in src, tests or benchmarks."""
+but `ratfunc` builds a RationalFunc directly, no check runner builds its
+own CheckResult, and every module-level function or class is named
+somewhere in src, tests or benchmarks."""
 
 import ast
 from pathlib import Path
@@ -132,3 +133,30 @@ def test_dead_definitions_are_found():
 def test_module_defines_nothing_unnamed(path):
     used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in SOURCES))
     assert dead_definitions(path.read_text(encoding="utf-8"), used) == []
+
+
+def check_result_makers(source):
+    """Top-level definitions of `source` that call CheckResult(...), with
+    "<module>" for a call outside any definition."""
+    return sorted({
+        getattr(top, "name", "<module>")
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "CheckResult"
+             or getattr(node.func, "attr", None) == "CheckResult")
+    })
+
+
+def test_check_result_makers_are_found():
+    source = ("def run(s):\n    return CheckResult(s, 1)\n\n\n"
+              "def runner(s, result):\n    result.fail(checks.CheckResult)\n\n\n"
+              "class K:\n    def m(self):\n        return checks.CheckResult(1, 2)\n\n\n"
+              "DEFAULT = CheckResult('a', 'b')\n")
+    assert check_result_makers(source) == ["<module>", "K", "run"]
+
+
+def test_only_run_check_and_the_skip_records_make_check_results():
+    """Runners get their record from run_check and build none of their own."""
+    source = (PACKAGE / "checks.py").read_text(encoding="utf-8")
+    assert check_result_makers(source) == ["run_check", "run_scenario_checks"]
