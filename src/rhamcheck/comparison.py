@@ -25,9 +25,9 @@ from .errors import (
     InvalidSimplex,
     NotACycle,
     NotClosedForm,
-    ParseError,
     ValidationError,
 )
+from .formtext import eval_scalar
 from .poly import Polynomial
 from .ratfunc import RationalFunc, parts
 from .simplex_forms import (
@@ -37,7 +37,6 @@ from .simplex_forms import (
     differential as d_simplex,
     integrate_exact,
     integrate_numeric,
-    parse_poly_form,
     pull_back,
     pullback_delta,
     simplex_variables,
@@ -75,10 +74,7 @@ class ParamSimplex:
         comps = []
         for c in components:
             if isinstance(c, str):
-                form = parse_poly_form(c, n)
-                if form.degree != 0:
-                    raise ParseError("%r is a %d-form, not a scalar" % (c, form.degree))
-                c = form.terms.get((), Polynomial.zero(variables))
+                c = eval_scalar(c, variables)
             elif not isinstance(c, (Polynomial, RationalFunc)):
                 c = Polynomial.constant(variables, c)
             if c.variables != variables:

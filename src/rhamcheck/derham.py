@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import AlgebraMismatch, ParseError, ValidationError
+from .errors import AlgebraMismatch, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
-from .formtext import eval_form_ast, parse_polynomial
+from .formtext import eval_form, parse_polynomial
 from .linalg import CohomologyPair, Matrix
-from .poly import Polynomial, buchberger, drl_key, monomial_divides, parse_ast, reduce_vector
+from .poly import Polynomial, buchberger, drl_key, monomial_divides, reduce_vector
 
 
 class FpAlgebra:
@@ -356,11 +356,7 @@ def parse_algebraic_form(text, algebra, degree=None):
     A nonzero form keeps its parsed degree; comparing that with a
     declared degree is the caller's job.
     """
-    parsed_degree, terms = eval_form_ast(parse_ast(text), algebra.variables)
-    for c in terms.values():
-        if not isinstance(c, Polynomial):
-            raise ParseError("rational coefficient %s in a polynomial-only context" % c)
-    form = AlgebraicForm(algebra, parsed_degree, terms)
+    form = AlgebraicForm(algebra, *eval_form(text, algebra.variables, polynomial=True))
     if degree is not None and form.is_zero():
         return AlgebraicForm.zero(algebra, degree)
     return form

@@ -12,13 +12,8 @@ engine.  It works on vectors (monomial, position) -> coefficient of a
 free module, ordered term over position: `reduce_vector` divides and
 `buchberger` computes reduced bases of submodules.  A polynomial is a
 vector at the one position (), and `groebner_basis` and `normal_form`
-are the engine there.  The module also holds the expression grammar of
-scenario files and reports:
-
-    x^2 + y^2 - 1      (1 - t1^2)/2      3*x*y - 1/2
-
-`parse_ast` only parses that grammar into a tree; `formtext` evaluates
-the tree, to polynomials as well as to forms.
+are the engine there.  Expression text is read by `formtext`, which
+builds its values with this arithmetic.
 
 The order is degree-compatible, so reduction never raises total degree;
 the truncated de Rham machinery relies on that.
@@ -31,7 +26,7 @@ from fractions import Fraction
 from numbers import Number
 from operator import add, le, neg, sub
 
-from .errors import ParseError, ResourceBudgetExceeded
+from .errors import ResourceBudgetExceeded
 
 DEFAULT_PAIR_BUDGET = 20000
 
@@ -538,111 +533,3 @@ def groebner_basis(generators):
     reduced = buchberger([{(e, ()): c for e, c in g.terms.items()} for g in gens])
     return [Polynomial._of(gens[0].variables, {e: c for (e, _), c in vec.items()})
             for _, vec in sorted(reduced.get((), ()), key=lambda item: drl_key(item[0]))]
-
-
-# ---------------------------------------------------------------------------
-# text syntax
-
-
-def tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r in %r" % (ch, text))
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for the shared expression grammar."""
-
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.pos = 0
-        self.text = text
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError("trailing input in %r" % self.text)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return ("neg", self.unary())
-        if self.peek()[0] == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            exponent = self.power()  # right-associative
-            node = ("^", node, exponent)
-        return node
-
-    def atom(self):
-        kind, value = self.take()
-        if kind == "num":
-            return ("num", value)
-        if kind == "name":
-            return ("var", value)
-        if kind == "(":
-            node = self.expr()
-            if self.take()[0] != ")":
-                raise ParseError("unbalanced parentheses in %r" % self.text)
-            return node
-        raise ParseError("unexpected token %r in %r" % (value, self.text))
-
-
-def parse_ast(text):
-    return _Parser(tokenize(text), text).parse()

@@ -67,15 +67,19 @@ CheckSpec = namedtuple("CheckSpec", "name kind params")
 
 UNNAMED = ("header", "algebra")  # the sections that take no name
 # The largest k of delta<k> and boundary<k>, and the largest dim of a
-# [simplex] or a tau_witness.  Loading lists all 2^(k+1) - 1 faces of
-# delta<k> up front: k = 10 is 2,047 faces, far above the delta3 and
-# boundary3 of the corpus, and each further step doubles the count.
+# [simplex], a tau_witness or a random check.  Loading lists all
+# 2^(k+1) - 1 faces of delta<k> up front: k = 10 is 2,047 faces, far above
+# the delta3 and boundary3 of the corpus; each further step doubles it.
 MAX_COMPLEX_K = 10
 # The largest weight cutoff, of a max_weight key or of --max-weight.  The
 # strata and family bases grow fast with it: FamilyComplex(boundary3, w)
 # takes 0.5 s at w = 10, 2.6 s at w = 14 and 5 s at w = 16 (CPU time on
 # one core), where the corpus uses at most 6.
 MAX_WEIGHT = 16
+# The largest max_degree of poincare and max_coeff_degree of extension (the
+# corpus uses 6 and 2).  Eight extension draws at degree 8 take 0.7 s on
+# boundary3, 27 s or more on boundary4 (CPU time on one core).
+MAX_RANDOM_DEGREE = 8
 
 
 class Scenario:
@@ -205,6 +209,8 @@ class Scenario:
     def _validate_degrees(self, kind, p, where):
         """Refuse values that cannot meet; parse tau_witness forms on Delta^dim."""
         forms, simplices, chains = self.forms, self.simplices, self.chains
+        if kind == "cohomology":
+            self._needs_algebra(where)
         if kind in ("cohomology", "tau_cohomology"):
             validate_cutoff(where, kind, p, forms, "max_weight", p["max_weight"])
         elif kind == "tau_witness":
@@ -427,8 +433,8 @@ def _kind(scenario, text, where):
 
 
 REQUIRED = object()
-COUNT, POSITIVE = _at_least(0), _at_least(1)
-_dim = _at_least(0, MAX_COMPLEX_K)
+COUNT, _dim = _at_least(0), _at_least(0, MAX_COMPLEX_K)
+RANDOM_DIM, RANDOM_DEGREE = _at_least(1, MAX_COMPLEX_K), _at_least(0, MAX_RANDOM_DEGREE)
 WEIGHT = _at_least(0, MAX_WEIGHT)
 NUM_VARS = _choice(**{"1": 1, "2": 2, "3": 3})
 FLAG = _choice(true=True, false=False)
@@ -459,7 +465,8 @@ CHECK_KEYS = {
     "cohomology": {"degree": (COUNT, REQUIRED), "max_weight": (WEIGHT, "4"),
                    "expect_dim": (COUNT, None), "expect_min_dim": (COUNT, None),
                    "expect_stabilized": (FLAG, "false"), "class_nonzero": (FORM, None)},
-    "poincare": {"count": (COUNT, "50"), "max_dim": (POSITIVE, "3"), "max_degree": (COUNT, "6")},
+    "poincare": {"count": (COUNT, "50"), "max_dim": (RANDOM_DIM, "3"),
+                 "max_degree": (RANDOM_DEGREE, "6")},
     "chain_map": {"form": (FORM, REQUIRED), "simplex": (SIMPLEX, REQUIRED),
                   "tolerance": (_tolerance, None)},
     "chain_map_random": {"count": (COUNT, "50"), "num_vars": (NUM_VARS, "2")},
@@ -471,11 +478,11 @@ CHECK_KEYS = {
                          "expect_tolerance": (_tolerance, None), "tolerance": (_tolerance, None)},
     "idempotent_table": {"forms": (FORMS, REQUIRED), "simplices": (SIMPLICES, REQUIRED)},
     "tau_witness": {"dim": (_dim, REQUIRED), "alpha": (_text, REQUIRED), "beta": (_text, REQUIRED)},
-    "tau_chain_map": {"count": (COUNT, "30"), "max_dim": (POSITIVE, "3")},
+    "tau_chain_map": {"count": (COUNT, "30"), "max_dim": (RANDOM_DIM, "3")},
     "tau_cohomology": {"complex": (COMPLEX, REQUIRED), "max_weight": (WEIGHT, "3")},
     "aw_laws": {"complex": (COMPLEX, "delta3"), "count": (COUNT, "30")},
     "extension": {"complex": (BOUNDARY, REQUIRED), "count": (COUNT, "20"),
-                  "max_coeff_degree": (COUNT, "2")},
+                  "max_coeff_degree": (RANDOM_DEGREE, "2")},
     "simplicial_cohomology": {"complex": (COMPLEX, REQUIRED), "dims": (COUNTS, REQUIRED)},
     "coboundary_pairing": {"complex": (BOUNDARY, REQUIRED), "count": (COUNT, "20")},
 }

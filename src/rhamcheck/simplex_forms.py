@@ -31,9 +31,9 @@ from .errors import (
     NotTopDegree,
 )
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
-from .formtext import eval_form_ast
+from .formtext import eval_form
 from .linalg import CohomologyPair, Echelon, Matrix, kernel_image
-from .poly import Polynomial, drl_key, parse_ast
+from .poly import Polynomial, drl_key
 from .ratfunc import RationalFunc, parts
 from .simplicial import (Cochain, DeltaMorphism, _coboundary_matrix, boundary_complex,
                          standard_simplex)
@@ -134,8 +134,7 @@ class PolyForm(ExteriorForm):
 
 def parse_poly_form(text, n):
     """Parse form text in t1..tn, e.g. '2/(1 + t1^2) * dt1'."""
-    degree, terms = eval_form_ast(parse_ast(text), simplex_variables(n))
-    return PolyForm(n, degree, terms)
+    return PolyForm(n, *eval_form(text, simplex_variables(n)))
 
 
 def wedge(alpha, beta):

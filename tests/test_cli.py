@@ -27,7 +27,8 @@ from rhamcheck.scenarios import (
     FORMS,
     MAX_WEIGHT,
     NUM_VARS,
-    POSITIVE,
+    RANDOM_DEGREE,
+    RANDOM_DIM,
     REQUIRED,
     SECTION_KEYS,
     SIMPLEX,
@@ -502,7 +503,8 @@ REQUIRED_KEYS = {
 MALFORMED = {
     COUNT: "-3",
     _dim: "11",
-    POSITIVE: "0",
+    RANDOM_DIM: "0",
+    RANDOM_DEGREE: "-3",
     NUM_VARS: "5",
     FLAG: "yes",
     VERDICT: "valdi",
@@ -616,13 +618,26 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
         # does not fit: this ended in a ValueError traceback
         (_check_text("cohomology", {"degree": "0", "class_nonzero": "w"}),
          "class_nonzero: form w has degree 1, but the check has degree 0"),
+        # the truncation is taken in the scenario's algebra: this ended in an
+        # AttributeError traceback
+        ("format_version 1\nname noalg\n\n[check c]\nkind cohomology\ndegree 0\n",
+         "declared without an [algebra] section"),
+        # random sizes that ran for minutes: each is bounded now
+        (_check_text("poincare", {"max_dim": "40", "max_degree": "6"}), "max_dim: 40 is above 10"),
+        (_check_text("poincare", {"max_degree": "40"}), "max_degree: 40 is above 8"),
+        (_check_text("tau_chain_map", {"max_dim": "16"}), "max_dim: 16 is above 10"),
+        (_check_text("extension", {"complex": "boundary3", "count": "8",
+                                   "max_coeff_degree": "40"}),
+         "max_coeff_degree: 40 is above 8"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight",
          "weight_too_large", "tau_weight_too_large", "kind",
          "no_kind", "dims_above_dimension", "coboundary_of_degree_0", "aw_laws_on_delta0",
          "aw_laws_on_boundary1", "complex_too_large", "tau_witness_dim_too_large",
          "tau_boundary4_below_its_top_degree", "tau_boundary5_at_the_default_weight",
-         "class_of_another_degree"],
+         "class_of_another_degree", "cohomology_without_algebra", "poincare_dim_too_large",
+         "poincare_degree_too_large", "tau_chain_map_dim_too_large",
+         "extension_degree_too_large"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)
@@ -813,13 +828,32 @@ def test_section_refuses_second_section_of_one_name(tmp_path, capsys, label):
         (_sections_text({("simplex pt", "component"): ["2"]}),
          "family pts: simplices: generator 0 leaves residual 3 on pt"),
         (_sections_text({("simplex pt", "dim"): ["14"]}), "simplex pt: dim: 14 is above 10"),
+        # these two ended in a RecursionError and a ValueError traceback
+        (_sections_text({("form e", "expr"): ["(" * 300 + "x" + ")" * 300]}),
+         "form e: expr: parentheses nested deeper than 100"),
+        (_sections_text({("algebra", "relation"): ["2²*x - 1"]}),
+         "algebra: relation: unexpected character '²' in '2²*x - 1'"),
+        (_sections_text({("form e", "expr"): ["x/(1 + x^2)"]}),
+         "form e: expr: rational coefficient x/(x^2 + 1) in a polynomial-only context"),
     ],
     ids=["degre", "family_simplex", "component_form", "component_count", "relation_zero",
-         "relation_fraction", "term_dimension", "off_variety_member", "simplex_dim_too_large"],
+         "relation_fraction", "term_dimension", "off_variety_member", "simplex_dim_too_large",
+         "nested_300_deep", "superscript_digit", "form_fraction"],
 )
 def test_section_refusal_names_section_and_key(tmp_path, capsys, text, message):
     line = _one_refusal(tmp_path, capsys, text)
     assert line.startswith("rhamcheck: ") and message in line, line
+
+
+def test_relation_of_1000_terms_loads_and_its_check_passes():
+    """Sums are folded in a loop: at 1,000 terms the reader used to recurse
+    past Python's limit."""
+    relation = " + ".join(["x"] * 999) + " - 999"
+    text = _sections_text({("algebra", "relation"): [relation]},
+                          extra="\n[check v]\nkind validate\nsimplices pt\n")
+    scenario = Scenario(text)
+    assert scenario.algebra.ideal_generators == [parse_polynomial("999*x - 999", ("x",))]
+    assert [r.status for r in run_scenario_checks(scenario, Settings())] == ["pass"]
 
 
 def test_quotient_relation_loads_as_its_polynomial():

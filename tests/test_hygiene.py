@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none divides an int literal by a value that may itself be an int, none
 but `ratfunc` builds a RationalFunc directly, no check runner builds its
-own CheckResult, and every module-level function or class is named
-somewhere in src, tests or benchmarks."""
+own CheckResult, only the expression reader and the scenario and command
+line front ends raise ParseError, and every module-level function or
+class is named somewhere in src, tests or benchmarks."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,27 @@ def test_only_run_check_and_the_skip_records_make_check_results():
     """Runners get their record from run_check and build none of their own."""
     source = (PACKAGE / "checks.py").read_text(encoding="utf-8")
     assert check_result_makers(source) == ["run_check", "run_scenario_checks"]
+
+
+def parse_error_raises(source):
+    """Lines of `source` with a `raise` of ParseError, called or bare."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if "ParseError" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_parse_error_raises_are_found():
+    source = ("raise ParseError('a')\nraise errors.ParseError\nraise ValueError('b')\n"
+              "try:\n    pass\nexcept ParseError:\n    raise\n")
+    assert parse_error_raises(source) == [1, 2]
+
+
+def test_only_the_reader_and_the_front_ends_raise_parse_errors():
+    """Expression text is refused in formtext alone; a parser in poly, or a
+    post-parse check in a caller, would raise it elsewhere."""
+    raising = {p.stem for p in MODULES if parse_error_raises(p.read_text(encoding="utf-8"))}
+    assert raising <= {"formtext", "scenarios", "cli"}, raising
