@@ -12,7 +12,8 @@ spaces between tokens ignored:
 An integer is decimal digits; a name (a letter or '_', then letters,
 digits or '_') is a variable or `d<variable>`, its basis differential.
 `^` wedges forms and raises a scalar to a literal integer, bare or in
-parentheses; `*` mixes scalars into forms:
+parentheses, within MAX_POWER_DEGREE and MAX_POWER_TERMS; `*` mixes
+scalars into forms:
 
     x^2 + y^2 - 1      x*dy - y*dx      2/(1 + t1^2) * dt1      t1^(2) * dt1^dt2
 
@@ -27,6 +28,7 @@ evaluation order.  Every refusal of expression text is raised here.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import ParseError
 from .exterior import ExteriorForm, wedge_terms
@@ -36,6 +38,12 @@ from .ratfunc import parts, ratio
 # Each level of parentheses takes five stack frames, so 100 levels stay
 # well inside Python's default limit of 1,000; the corpus nests 2 deep.
 MAX_NESTING = 100
+# A literal power base^k of degree D = k * deg(base) in the n variables of
+# its base may have C(n + D, n) terms; past these bounds it is refused, so
+# a short text cannot hold the loader (at the bounds it takes under 0.5 s;
+# (1+x)^2000 took 2 s and (1+x+y)^150 5 s).  The corpus raises to degree 2.
+MAX_POWER_DEGREE = 64
+MAX_POWER_TERMS = 5000
 
 
 class _FormValue(ExteriorForm):
@@ -180,7 +188,7 @@ class _Reader:
         elif len(rest) == 1 or isinstance(rest[0], ParseError):
             value = rest[0]
         elif len(rest) == 2 and type(rest[1]) is int:
-            value = self._lift(rest[0]) ** rest[1]
+            value = self._literal_power(self._lift(rest[0]), rest[1])
         else:
             value = ParseError("exponent must be a literal integer")
         if forms and not isinstance(value, (_FormValue, ParseError)):
@@ -188,6 +196,16 @@ class _Reader:
         while forms and isinstance(value, _FormValue):
             value = _multiply(forms.pop(), value)
         return value
+
+    def _literal_power(self, base, k):
+        exponents = [e for p in parts(base) for e in p.terms]
+        degree = k * max(map(sum, exponents), default=0)
+        if degree > MAX_POWER_DEGREE:
+            return ParseError("power of degree %d is above %d in %r" % (degree, MAX_POWER_DEGREE, self.text))
+        terms = comb(sum(map(any, zip(*exponents))) + degree, degree)
+        if terms > MAX_POWER_TERMS:
+            return ParseError("power of up to %d terms is above %d in %r" % (terms, MAX_POWER_TERMS, self.text))
+        return base ** k
 
     def _atom(self):
         kind, value = self._take()

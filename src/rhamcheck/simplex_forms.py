@@ -15,14 +15,20 @@ family into the interior.  Families and the extension share one
 barycentric engine, the Arnold-Falk-Winther basis lambda^alpha
 dlambda_sigma, each form written down as one expression on every
 coface of its face; Whitney forms span the families of weight q.
+
+Quadrature is pure Python on gauss_legendre.txt, numpy's `leggauss`
+rules pinned as float.hex: the report's printed digits follow their last
+bits, which differ from the correctly rounded rule's and across LAPACKs.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product, repeat
 from math import factorial, fsum, prod
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -41,10 +47,12 @@ from .simplicial import (Cochain, DeltaMorphism, _coboundary_matrix, boundary_co
 DEFAULT_QUAD_ORDER = 16
 QUAD_CROSS_CHECK_STEP = 4
 # Order 32 already meets double-precision rounding on the corpus, so a
-# higher rule buys nothing; the cap keeps the rule and its node arrays
-# (order^n nodes on the n-simplex) allocatable.
+# higher rule buys nothing; the cap keeps a rule's order^n nodes on the
+# n-simplex small, and the table holds orders 1..MAX_QUAD_ORDER + QUAD_CROSS_CHECK_STEP.
 MAX_QUAD_ORDER = 64
-QUAD_RULE_CACHE_SIZE = 32  # (n, order) rules kept; a run uses a handful
+GAUSS_LEGENDRE_TABLE = os.path.join(os.path.dirname(__file__), "gauss_legendre.txt")
+QUAD_RULE_CACHE_SIZE = 32  # 1-D rules and (n, order) Duffy rules kept; a run uses a handful
+QUAD_VALUE_CACHE_SIZE = 256  # (num, den, n, order) integrands kept; `--builtin all` has 6
 AFFINE_MAP_CACHE_SIZE = 256  # affine maps, barycentric expansions, variable tuples; small simplices
 
 
@@ -242,31 +250,47 @@ class _QuadRule:
     __slots__ = ("coords", "weights", "_powers")
 
     def __init__(self, coords, weights):
-        self.coords = coords  # one array per simplex coordinate
+        self.coords = coords  # one list per simplex coordinate
         self.weights = weights
         self._powers = {}
 
     def _power(self, i, k):
-        # Python's pow on each node: numpy's power differs in the last bit
-        # on some nodes, which would move printed digits
         if (i, k) not in self._powers:
-            import numpy as np  # only quadrature needs numpy; the exact lane never loads it
-
-            self._powers[i, k] = np.array([x**k for x in self.coords[i].tolist()])
+            self._powers[i, k] = [x**k for x in self.coords[i]]
         return self._powers[i, k]
 
     def evaluate(self, poly):
-        """Values of a Polynomial at every node, summed term by term in drl order."""
-        import numpy as np  # only quadrature needs numpy; the exact lane never loads it
-
-        total = np.zeros(len(self.weights))
+        """Values of a Polynomial at every node, summed term by term in drl
+        order from 0.0; a term is c * x_i**k_i * ..., multiplied left to right."""
+        total = [0.0] * len(self.weights)
         for e in sorted(poly.terms, key=drl_key):
-            v = np.full(len(self.weights), float(poly.terms[e]))
-            for i, k in enumerate(e):
-                if k:
-                    v = v * self._power(i, k)
-            total += v
+            c = float(poly.terms[e])
+            f = [self._power(i, k) for i, k in enumerate(e) if k]
+            # one comprehension for the common terms: a third faster than chained map
+            if len(f) == 1:
+                total = [t + c * a for t, a in zip(total, *f)]
+            elif len(f) == 2:
+                total = [t + c * a * b for t, a, b in zip(total, *f)]
+            else:
+                term = repeat(c, len(total))
+                for g in f:
+                    term = map(mul, term, g)
+                total = list(map(add, total, term))
         return total
+
+
+@lru_cache(maxsize=QUAD_RULE_CACHE_SIZE)
+def _gauss_legendre(order):
+    """(nodes, weights) of numpy's leggauss(order) on [-1, 1], bit for bit.
+
+    Line `order` of the table holds the nonnegative nodes, ascending, then
+    their weights, as float.hex; numpy's rules are exactly symmetric."""
+    if not 1 <= order <= MAX_QUAD_ORDER + QUAD_CROSS_CHECK_STEP:
+        raise ValueError("no Gauss-Legendre rule of order %d in the table" % order)
+    with open(GAUSS_LEGENDRE_TABLE) as table:
+        half = [float.fromhex(v) for v in next(islice(table, order - 1, None)).split()]
+    nodes, weights = half[:len(half) // 2], half[len(half) // 2:]
+    return [-x for x in nodes[::-1][:order // 2]] + nodes, weights[::-1][:order // 2] + weights
 
 
 @lru_cache(maxsize=QUAD_RULE_CACHE_SIZE)
@@ -275,36 +299,39 @@ def _duffy_points(n, order):
 
     The tensor node (x_1..x_n) maps to t_i = x_i * prod_{j<i} (1 - x_j),
     with Jacobian prod_i prod_{j<i} (1 - x_j); n = 0 is one node of
-    weight 1.
+    weight 1.  Nodes run in numpy's meshgrid "ij" order raveled in C order,
+    and each product is taken in the order numpy's arrays took it.
     """
-    import numpy as np  # only quadrature needs numpy; the exact lane never loads it
-
-    raw_x, raw_w = np.polynomial.legendre.leggauss(order)
-    grids = zip(
-        np.meshgrid(*[(raw_x + 1.0) / 2.0] * n, indexing="ij"),
-        np.meshgrid(*[raw_w / 2.0] * n, indexing="ij"),
-    )
-    weight, jac, scale = np.ones(order**n), np.ones(order**n), np.ones(order**n)
-    coords = []
-    for x, w in grids:
-        x = x.ravel()
-        weight = weight * w.ravel()
-        coords.append(x * scale)
-        jac = jac * scale
-        scale = scale * (1.0 - x)
-    return _QuadRule(coords, weight * jac)
+    raw_x, raw_w = _gauss_legendre(order)
+    xs, ws = [(x + 1.0) / 2.0 for x in raw_x], [w / 2.0 for w in raw_w]
+    coords, weights = [[] for _ in range(n)], []
+    for node in product(range(order), repeat=n):
+        weight = jac = scale = 1.0
+        for coord, j in zip(coords, node):
+            weight *= ws[j]
+            coord.append(xs[j] * scale)
+            jac *= scale
+            scale *= 1.0 - xs[j]
+        weights.append(weight * jac)
+    return _QuadRule(coords, weights)
 
 
 def _quad_value(alpha, order):
     coeff = alpha.terms.get(tuple(range(alpha.n)))
     if coeff is None:
         return 0.0
-    rule = _duffy_points(alpha.n, order)
-    num, den = parts(coeff)
+    return _rule_value(*parts(coeff), alpha.n, order)
+
+
+@lru_cache(maxsize=QUAD_VALUE_CACHE_SIZE)
+def _rule_value(num, den, n, order):
+    """The order-`order` Duffy rule's value of num/den on the n-simplex.
+    Memoised: the simplices of a run pull back to a few integrands."""
+    rule = _duffy_points(n, order)
     den = rule.evaluate(den)
-    if not den.all():
+    if not all(den):
         raise ZeroDivisionError("denominator vanished at quadrature node")
-    return fsum((rule.weights * (rule.evaluate(num) / den)).tolist())
+    return fsum([w * (a / b) for w, a, b in zip(rule.weights, rule.evaluate(num), den)])
 
 
 def integrate_numeric(alpha, order=DEFAULT_QUAD_ORDER):

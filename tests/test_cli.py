@@ -835,10 +835,16 @@ def test_section_refuses_second_section_of_one_name(tmp_path, capsys, label):
          "algebra: relation: unexpected character '²' in '2²*x - 1'"),
         (_sections_text({("form e", "expr"): ["x/(1 + x^2)"]}),
          "form e: expr: rational coefficient x/(x^2 + 1) in a polynomial-only context"),
+        # these two held the loader for 5.4 s and 2.0 s
+        (_sections_text({("algebra", "variables"): ["x y"], ("algebra", "relation"): ["(1+x+y)^150"],
+                         ("simplex pt", "component"): ["1", "1"]}),
+         "algebra: relation: power of degree 150 is above 64 in '(1+x+y)^150'"),
+        (_sections_text({("form e", "expr"): ["(1+x)^2000"]}),
+         "form e: expr: power of degree 2000 is above 64 in '(1+x)^2000'"),
     ],
     ids=["degre", "family_simplex", "component_form", "component_count", "relation_zero",
          "relation_fraction", "term_dimension", "off_variety_member", "simplex_dim_too_large",
-         "nested_300_deep", "superscript_digit", "form_fraction"],
+         "nested_300_deep", "superscript_digit", "form_fraction", "power_150", "power_2000"],
 )
 def test_section_refusal_names_section_and_key(tmp_path, capsys, text, message):
     line = _one_refusal(tmp_path, capsys, text)

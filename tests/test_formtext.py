@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhamcheck.errors import ParseError
-from rhamcheck.formtext import MAX_NESTING, eval_form, parse_polynomial
+from rhamcheck.formtext import (MAX_NESTING, MAX_POWER_DEGREE, MAX_POWER_TERMS, eval_form,
+                                parse_polynomial)
 from rhamcheck.poly import Polynomial
 from rhamcheck.ratfunc import parts, ratio
 from rhamcheck.simplex_forms import PolyForm, simplex_variables, wedge
@@ -172,6 +173,19 @@ def test_parentheses_nest_up_to_the_module_constant():
         parse_polynomial("(" + deepest + ")", ("x",))
 
 
+def test_literal_powers_are_bounded_by_degree_and_by_terms():
+    """A power's term bound C(n + D, n) counts the n variables of its base
+    only, so x^64 loads over many variables.  (1 + x + y + z + w)^16 took
+    22 s while `Polynomial.__pow__` squared once more than it used."""
+    names = ("x", "y", "z", "w")
+    assert len(parse_polynomial("x^%d" % MAX_POWER_DEGREE, names).terms) == 1
+    assert len(parse_polynomial("(1 + x + y + z + w)^16", names).terms) == 4845 <= MAX_POWER_TERMS
+    with pytest.raises(ParseError, match="power of up to 5985 terms is above %d" % MAX_POWER_TERMS):
+        parse_polynomial("(1 + x + y + z + w)^17", names)
+    with pytest.raises(ParseError, match="power of degree 70 is above"):
+        eval_form("(1/(1 + x^7))^10 * dx", names)
+
+
 @pytest.mark.parametrize("text, message", [
     ("2²", "unexpected character '²' in '2²'"),
     ("x²", "unknown name 'x²' in form text"),
@@ -183,6 +197,12 @@ def test_parentheses_nest_up_to_the_module_constant():
     ("x^foo", EXPONENT_REFUSAL),
     ("dx^x^y", EXPONENT_REFUSAL),
     ("dx^x^2", "'^' after a form must wedge another form"),
+    # a short text held the loader for seconds: 5.4 s and 2.0 s
+    ("(1+x+y)^150", "power of degree 150 is above %d in '(1+x+y)^150'" % MAX_POWER_DEGREE),
+    ("(1+x)^2000", "power of degree 2000 is above %d" % MAX_POWER_DEGREE),
+    ("x^(%d)" % (MAX_POWER_DEGREE + 1), "power of degree %d is above" % (MAX_POWER_DEGREE + 1)),
+    ("x^%d + foo" % MAX_POWER_DEGREE, "unknown name 'foo' in form text"),
+    ("(1+x+y)^99 + foo", "power of degree 99 is above"),
 ])
 def test_reader_refuses_with_the_first_fault(text, message):
     """Malformed text is refused before a fault of its value, and of those

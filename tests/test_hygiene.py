@@ -2,10 +2,12 @@
 none divides an int literal by a value that may itself be an int, none
 but `ratfunc` builds a RationalFunc directly, no check runner builds its
 own CheckResult, only the expression reader and the scenario and command
-line front ends raise ParseError, and every module-level function or
-class is named somewhere in src, tests or benchmarks."""
+line front ends raise ParseError, every module-level function or class
+is named somewhere in src, tests or benchmarks, and every data file of
+the package is declared for its wheel."""
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -185,3 +187,15 @@ def test_only_the_reader_and_the_front_ends_raise_parse_errors():
     post-parse check in a caller, would raise it elsewhere."""
     raising = {p.stem for p in MODULES if parse_error_raises(p.read_text(encoding="utf-8"))}
     assert raising <= {"formtext", "scenarios", "cli"}, raising
+
+
+def test_every_data_file_of_the_package_is_declared():
+    """A file the package reads besides its modules, such as the Gauss-Legendre
+    table, ships in a wheel only if pyproject.toml declares it as package data."""
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    patterns = declared["tool"]["setuptools"]["package-data"]["rhamcheck"]
+    data = [p.relative_to(PACKAGE).as_posix() for p in PACKAGE.rglob("*")
+            if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts]
+    assert "gauss_legendre.txt" in data
+    assert [name for name in data if not any(fnmatch(name, pattern) for pattern in patterns)] == []

@@ -52,6 +52,26 @@ def test_parse_roundtrip_and_arithmetic():
     assert P("x")**3 == P("x^3")
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 15, 16, 17, 32])
+def test_power_squares_floor_log2_k_times(monkeypatch, k):
+    """`__pow__` equals repeated multiplication and squares only while bits
+    of k remain: ^16 used to compute base^32 and throw it away."""
+    base = P("1 + 2*x - y")
+    repeated = P("1")
+    for _ in range(k):
+        repeated = repeated * base
+    squarings = []
+    multiply = Polynomial.__mul__
+
+    def counting(a, b):
+        squarings.append(a is b)
+        return multiply(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert base**k == repeated
+    assert sum(squarings) == (k.bit_length() - 1 if k else 0)
+
+
 def test_trusted_and_checked_constructors_agree_on_equality_and_hash():
     terms = {(2, 0): 1, (0, 1): Fraction(-1, 2), (1, 1): Fraction(4, 2), (0, 0): 0}
     checked = Polynomial(XY, terms)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -40,9 +41,13 @@ from rhamcheck.simplex_forms import (
     simplex_variables,
     to_cochain,
     wedge,
+    MAX_QUAD_ORDER,
+    QUAD_CROSS_CHECK_STEP,
     _coface_table,
     _duffy_points,
+    _gauss_legendre,
     _quad_value,
+    _rule_value,
 )
 from rhamcheck.simplicial import (
     Cochain,
@@ -295,6 +300,31 @@ def test_vectorized_quadrature_matches_scalar_loop_bit_for_bit(n, seed, order):
     assert _quad_value(alpha, order) == expected
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 3), order=st.integers(1, 12))
+def test_rule_evaluates_every_node_in_the_scalar_order(seed, n, order):
+    """Per node and bit for bit: each term c * x_1**k_1 * ... multiplied left
+    to right, the terms summed in drl order from 0.0.  The fsum above can
+    absorb a last-bit change at one node, and its integer coefficients are
+    mostly powers of two, on which the order of the products never shows."""
+    rng = random.Random(seed)
+    variables = simplex_variables(n)
+    poly = Polynomial(variables, {tuple(rng.randint(0, 4) for _ in range(n)):
+                                  Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)})
+    rule = _duffy_points(n, order)
+    expected = []
+    for point in zip(*rule.coords):
+        total = 0.0
+        for e in sorted(poly.terms, key=drl_key):
+            v = float(poly.terms[e])
+            for x, k in zip(point, e):
+                if k:
+                    v *= x**k
+            total += v
+        expected.append(total)
+    assert rule.evaluate(poly) == expected
+
+
 def test_integrate_numeric_matches_exact_on_the_tetrahedron():
     rng = random.Random(11)
     for order in (8, 12, 16):
@@ -307,9 +337,79 @@ def test_integrate_numeric_matches_exact_on_the_tetrahedron():
 
 def test_quadrature_rule_is_built_once_and_checks_zero_denominators():
     assert _duffy_points(2, 7) is _duffy_points(2, 7)
-    # the one Gauss-Legendre node of order 1 is t1 = 1/2, where 2*t1 - 1 vanishes
-    with pytest.raises(ZeroDivisionError):
-        _quad_value(parse_poly_form("1/(2*t1 - 1) * dt1", 1), 1)
+    # the one Gauss-Legendre node of order 1 is t1 = 1/2, where 2*t1 - 1
+    # vanishes; the memo keeps no failure, so every call raises
+    cached = _rule_value.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            _quad_value(parse_poly_form("1/(2*t1 - 1) * dt1", 1), 1)
+    assert _rule_value.cache_info().currsize == cached
+
+
+TABLE_ORDERS = range(1, MAX_QUAD_ORDER + QUAD_CROSS_CHECK_STEP + 1)
+
+
+def mp_gauss_legendre(order):
+    """(nodes, weights) of the order-point Gauss-Legendre rule at 50 digits, by
+    Newton's method on P_order from the asymptotic start cos(pi (i - 1/4) / (order + 1/2));
+    the middle root of an odd order is 0."""
+    with mpmath.workdps(50):
+        nodes, weights = [], []
+        for i in range(1, order + 1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (order + mpmath.mpf(1) / 2))
+            x = mpmath.mpf(0) if 2 * i == order + 1 else x
+            for _ in range(100):
+                p, q = x, mpmath.mpf(1)  # P_k and P_{k-1} by Bonnet's recurrence
+                for k in range(1, order):
+                    p, q = ((2 * k + 1) * x * p - k * q) / (k + 1), p
+                dp = order * (x * p - q) / (x * x - 1)
+                step = p / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -45:
+                    break
+            nodes.append(-x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("order", TABLE_ORDERS)
+def test_gauss_legendre_table_is_numpys_rule(order):
+    """The table holds numpy's leggauss bit for bit, which the golden report
+    pins; it is symmetric and integrates x^(2j) exactly for 2j < 2 * order.
+    Against the true rule its nodes are within 4 ulp, but numpy's weights
+    are not: they are off by up to 5.7e-15, 26,500 ulp of the smallest
+    weight at order 66, so the moments miss by up to 1.3e-14 at order 68."""
+    nodes, weights = _gauss_legendre(order)
+    raw_x, raw_w = np.polynomial.legendre.leggauss(order)
+    assert [x.hex() for x in nodes] == [x.hex() for x in raw_x.tolist()]
+    assert [w.hex() for w in weights] == [w.hex() for w in raw_w.tolist()]
+    assert nodes == [-x for x in reversed(nodes)] and weights == weights[::-1]
+    true_nodes, true_weights = mp_gauss_legendre(order)
+    for got, true in zip(nodes, true_nodes):
+        assert abs(got - float(true)) <= 4 * math.ulp(float(true)), (got, true)
+    for got, true in zip(weights, true_weights):
+        assert abs(got - true) < 1e-14, (got, true)
+    for j in range(order):
+        assert abs(math.fsum(w * x ** (2 * j) for x, w in zip(nodes, weights)) - 2 / (2 * j + 1)) < 2e-14
+
+
+def test_gauss_legendre_table_covers_exactly_the_orders_in_use():
+    for order in (0, TABLE_ORDERS[-1] + 1):
+        with pytest.raises(ValueError):
+            _gauss_legendre(order)
+
+
+def test_quadrature_value_is_memoised_per_integrand():
+    """The same integrand, from a form built anew, is evaluated once per order,
+    to the value an uncached evaluation gives."""
+    text = "(1 + t1*t2)/(3 + t1^2 + t2) * dt1^dt2"
+    value = integrate_numeric(parse_poly_form(text, 2))
+    before = _rule_value.cache_info()
+    assert integrate_numeric(parse_poly_form(text, 2)) == value
+    after = _rule_value.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    num, den = parts(parse_poly_form(text, 2).terms[(0, 1)])
+    assert _rule_value.__wrapped__(num, den, 2, 16) == value[0]
 
 
 def test_certificate_runs_once_per_denominator_and_power_bound(monkeypatch):
@@ -439,14 +539,23 @@ def test_trusted_form_constructor_drops_cancelled_terms():
     assert PolyForm._of(2, 1, terms).terms == PolyForm(2, 1, terms).terms == {(1,): one}
 
 
-def test_only_quadrature_imports_numpy():
-    # a fresh interpreter: the test session itself has numpy loaded
-    run = run_python("-c", "import sys, rhamcheck.cli\n"
-                     "before = 'numpy' in sys.modules\n"
-                     "from rhamcheck.simplex_forms import integrate_numeric, parse_poly_form\n"
-                     "integrate_numeric(parse_poly_form('1/(1 + t1^2) * dt1', 1))\n"
-                     "print(before, 'numpy' in sys.modules)")
-    assert run.stdout.split() == ["False", "True"]
+def test_builtin_run_never_imports_numpy():
+    """`python -m rhamcheck --builtin all` in a fresh interpreter (the test
+    process has numpy loaded) passes without ever looking numpy up."""
+    run = run_python("-c", "import runpy, sys\n"
+                     "tried = []\n"
+                     "class Watch:\n"
+                     "    def find_spec(self, name, path=None, target=None):\n"
+                     "        tried.extend([name] if name.split('.')[0] == 'numpy' else [])\n"
+                     "sys.meta_path.insert(0, Watch())\n"
+                     "sys.argv = ['rhamcheck', '--builtin', 'all']\n"
+                     "try:\n"
+                     "    runpy.run_module('rhamcheck', run_name='__main__')\n"
+                     "except SystemExit as exit:\n"
+                     "    code = exit.code\n"
+                     "print(code, tried, 'numpy' in sys.modules, file=sys.stderr)")
+    assert "total: 29 pass, 0 fail" in run.stdout
+    assert run.stderr.split() == ["0", "[]", "False"]
 
 
 def test_cone_homotopy_interval():
