@@ -23,11 +23,17 @@ folds in a loop; only parentheses recurse, at most MAX_NESTING deep.  A
 fault of the value is carried as its ParseError until the text has
 parsed, so malformed text is refused first, then the first fault in
 evaluation order.  Every refusal of expression text is raised here.
+
+Reads are memoised per (text, variables) (`_read`), since a run reads the
+same texts many times: the torus's 128 simplex components are 8 texts.
+`eval_form` hands each caller a fresh terms dict.  A refusal is not
+cached; it is raised again, with the same message, on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import ParseError
@@ -44,6 +50,7 @@ MAX_NESTING = 100
 # (1+x)^2000 took 2 s and (1+x+y)^150 5 s).  The corpus raises to degree 2.
 MAX_POWER_DEGREE = 64
 MAX_POWER_TERMS = 5000
+READ_CACHE_SIZE = 64  # (text, variables) reads kept; `--builtin all` makes 32
 
 
 class _FormValue(ExteriorForm):
@@ -236,13 +243,19 @@ def _polynomial_only(c):
     return c
 
 
+@lru_cache(maxsize=READ_CACHE_SIZE)
+def _read(text, variables):
+    value = _Reader(text, variables).read()
+    return value.degree, value.terms
+
+
 def eval_form(text, variables, polynomial=False):
-    """(degree, terms S -> coefficient) of form text over the variables;
-    with `polynomial`, a coefficient that is no Polynomial is refused."""
-    value = _Reader(text, tuple(variables)).read()
-    for c in value.terms.values() if polynomial else ():
+    """(degree, terms S -> coefficient) of form text over the variables, in a
+    fresh dict; with `polynomial`, a coefficient that is no Polynomial is refused."""
+    degree, terms = _read(text, tuple(variables))
+    for c in terms.values() if polynomial else ():
         _polynomial_only(c)
-    return value.degree, dict(value.terms)
+    return degree, dict(terms)
 
 
 def eval_scalar(text, variables, noun="scalar"):

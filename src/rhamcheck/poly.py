@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Number
 from operator import add, le, neg, sub
 
 from .errors import ResourceBudgetExceeded
 
 DEFAULT_PAIR_BUDGET = 20000
+POWER_CACHE_SIZE = 256  # (base, k) pairs of `substitute`; `--builtin all` uses 35
 
 
 def drl_key(expts):
@@ -85,8 +87,8 @@ class Polynomial:
 
     Immutable by convention: nothing assigns to `variables` or `terms`, or
     changes the `terms` dict, after construction.  The cached leading term
-    and hash, and the rational-function kernels memoised on Polynomial keys
-    (`ratfunc`), rely on that.
+    and hash, and the kernels memoised on Polynomial keys (`_power` and
+    `ratfunc`'s), rely on that.
     """
 
     __slots__ = ("variables", "terms", "_lead", "_hash")
@@ -262,28 +264,23 @@ class Polynomial:
         return Polynomial._of(self.variables, terms)
 
     def substitute(self, values):
-        """Substitute values[i] (a Polynomial) for variable i."""
+        """Substitute values[i] (a Polynomial) for variable i.  The powers
+        values[i]**k come from `_power`, memoised across calls."""
         if len(values) != len(self.variables):
             raise ValueError("substitution arity mismatch")
         if not values:
             return self
         target_vars = values[0].variables
+        if any(v.variables != target_vars for v in values):
+            raise ValueError("polynomials over different variable tuples")
         one = Polynomial.constant(target_vars, 1)
-        powers = [{0: one} for _ in values]
         result = {}
         for e, c in sorted(self.terms.items()):
             term = None
             for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if k not in powers[i]:
-                    kk = max(j for j in powers[i] if j <= k)
-                    acc = powers[i][kk]
-                    while kk < k:
-                        acc = acc * values[i]
-                        kk += 1
-                        powers[i][kk] = acc
-                term = powers[i][k] if term is None else term * powers[i][k]
+                if k:
+                    power = _power(values[i], k)
+                    term = power if term is None else term * power
             _add_multiple(result, one.terms if term is None else term.terms, c)
         return Polynomial._of(target_vars, result)
 
@@ -343,6 +340,17 @@ class Polynomial:
         return " ".join(parts)
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _power(base, k):
+    """base**k as ((base * base) * base) ..., left to right, where `**` squares
+    and may order the terms otherwise; a loop, since products of substituted
+    polynomials take k past formtext's MAX_POWER_DEGREE."""
+    power = base
+    for _ in range(k - 1):
+        power = power * base
+    return power
 
 
 def _fmt_fraction(q):

@@ -11,16 +11,17 @@ denominator returns through it, and Polynomial arithmetic hands mixed
 operands to RationalFunc.
 Equality is decided by cross-multiplication.
 
-Products, partial derivatives and substitutions are memoised
-(`_product`, `_partial`, `_substitute`, each an lru_cache of
-RATIONAL_CACHE_SIZE entries), because the simplices of a run pull back
-along a few arc maps and so repeat the same algebra many times.  The
-caches are keyed on the (num, den) polynomials of the representation,
-not on the value: a*q/(b*q) and a/b are equal RationalFuncs, but `ratio`
-does not reduce them to one representation, and the two can integrate
-to different last bits, so they keep separate entries.  A cached result is
-handed to every caller; that is safe because nothing changes a
-Polynomial or a RationalFunc after construction.
+Sums, products, partial derivatives and substitutions are memoised
+(`_sum`, an lru_cache of SUM_CACHE_SIZE entries, and `_product`,
+`_partial`, `_substitute`, each of RATIONAL_CACHE_SIZE), because the
+simplices of a run pull back along a few arc maps and so repeat the same
+algebra many times (unmemoised, `--builtin all` makes 660 sums of only 50
+operand tuples).  The caches are keyed on the (num, den) polynomials of
+the representation, not on the value: a*q/(b*q) and a/b are equal
+RationalFuncs, but `ratio` does not reduce them to one representation,
+and the two can integrate to different last bits, so they keep separate
+entries.  A cached result is handed to every caller; that is safe
+because nothing changes a Polynomial or a RationalFunc after construction.
 
 Denominators are admitted for quadrature when they pass a Polya-style
 certificate: rewritten in barycentric coordinates and multiplied by a
@@ -42,7 +43,8 @@ from .poly import Polynomial
 
 CERTIFICATE_POWER_BOUND = 6
 CERTIFICATE_CACHE_SIZE = 256
-RATIONAL_CACHE_SIZE = 1024  # operand tuples kept per kernel; `--builtin all` uses at most 130
+RATIONAL_CACHE_SIZE = 1024  # operand tuples per kernel; `--builtin all` uses 130, 20 and 32
+SUM_CACHE_SIZE = 128  # `--builtin all` uses 38
 
 
 def ratio(num, den):
@@ -94,19 +96,11 @@ class RationalFunc:
         return self.num.is_zero()
 
     def __add__(self, other):
-        if not isinstance(other, RationalFunc):
-            if isinstance(other, Polynomial) and other.is_zero():
-                return self
-            return ratio(self.num + other * self.den, self.den)
-        # denominators are usually powers of the same factors; dividing one
-        # into the other keeps sums from blowing up quadratically
-        quot = other.den.divide_exact(self.den)
-        if quot is not None:
-            return ratio(self.num * quot + other.num, other.den)
-        quot = self.den.divide_exact(other.den)
-        if quot is not None:
-            return ratio(self.num + other.num * quot, self.den)
-        return ratio(self.num * other.den + other.num * self.den, self.den * other.den)
+        if isinstance(other, RationalFunc):
+            return _sum(self.num, self.den, other.num, other.den)
+        if isinstance(other, Polynomial):
+            return self if other.is_zero() else _sum(self.num, self.den, other, None)
+        return ratio(self.num + other * self.den, self.den)
 
     __radd__ = __add__
 
@@ -164,6 +158,23 @@ class RationalFunc:
         return "%s/(%s)" % (num, self.den)
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=SUM_CACHE_SIZE)
+def _sum(num, den, other_num, other_den):
+    """(num/den) + (other_num/other_den), normalized; other_den is None for a
+    polynomial summand."""
+    if other_den is None:
+        return ratio(num + other_num * den, den)
+    # denominators are usually powers of the same factors; dividing one
+    # into the other keeps sums from blowing up quadratically
+    quot = other_den.divide_exact(den)
+    if quot is not None:
+        return ratio(num * quot + other_num, other_den)
+    quot = den.divide_exact(other_den)
+    if quot is not None:
+        return ratio(num + other_num * quot, den)
+    return ratio(num * other_den + other_num * den, den * other_den)
 
 
 @lru_cache(maxsize=RATIONAL_CACHE_SIZE)

@@ -80,6 +80,12 @@ MAX_WEIGHT = 16
 # corpus uses 6 and 2).  Eight extension draws at degree 8 take 0.7 s on
 # boundary3, 27 s or more on boundary4 (CPU time on one core).
 MAX_RANDOM_DEGREE = 8
+# The largest count of a random check (the corpus draws at most 50).  At
+# count 100 each kind takes under 0.6 s with its other keys at their
+# defaults.  With them at their bounds tau_chain_map (max_dim 10) takes
+# 46 s, aw_laws on delta10 2.8 s and poincare 1.1 s (CPU time on one core,
+# process start included); extension grows with its complex, as above.
+MAX_RANDOM_COUNT = 100
 
 
 class Scenario:
@@ -435,6 +441,7 @@ def _kind(scenario, text, where):
 REQUIRED = object()
 COUNT, _dim = _at_least(0), _at_least(0, MAX_COMPLEX_K)
 RANDOM_DIM, RANDOM_DEGREE = _at_least(1, MAX_COMPLEX_K), _at_least(0, MAX_RANDOM_DEGREE)
+RANDOM_COUNT = _at_least(0, MAX_RANDOM_COUNT)
 WEIGHT = _at_least(0, MAX_WEIGHT)
 NUM_VARS = _choice(**{"1": 1, "2": 2, "3": 3})
 FLAG = _choice(true=True, false=False)
@@ -465,12 +472,12 @@ CHECK_KEYS = {
     "cohomology": {"degree": (COUNT, REQUIRED), "max_weight": (WEIGHT, "4"),
                    "expect_dim": (COUNT, None), "expect_min_dim": (COUNT, None),
                    "expect_stabilized": (FLAG, "false"), "class_nonzero": (FORM, None)},
-    "poincare": {"count": (COUNT, "50"), "max_dim": (RANDOM_DIM, "3"),
+    "poincare": {"count": (RANDOM_COUNT, "50"), "max_dim": (RANDOM_DIM, "3"),
                  "max_degree": (RANDOM_DEGREE, "6")},
     "chain_map": {"form": (FORM, REQUIRED), "simplex": (SIMPLEX, REQUIRED),
                   "tolerance": (_tolerance, None)},
-    "chain_map_random": {"count": (COUNT, "50"), "num_vars": (NUM_VARS, "2")},
-    "naturality_random": {"count": (COUNT, "30"), "num_vars": (NUM_VARS, "2")},
+    "chain_map_random": {"count": (RANDOM_COUNT, "50"), "num_vars": (NUM_VARS, "2")},
+    "naturality_random": {"count": (RANDOM_COUNT, "30"), "num_vars": (NUM_VARS, "2")},
     "pairing": {"form": (FORM, REQUIRED), "chain": (CHAIN, REQUIRED),
                 "expect": (_number, None), "tolerance": (_tolerance, None)},
     "multiplicativity": {"form1": (FORM, REQUIRED), "form2": (FORM, REQUIRED),
@@ -478,13 +485,13 @@ CHECK_KEYS = {
                          "expect_tolerance": (_tolerance, None), "tolerance": (_tolerance, None)},
     "idempotent_table": {"forms": (FORMS, REQUIRED), "simplices": (SIMPLICES, REQUIRED)},
     "tau_witness": {"dim": (_dim, REQUIRED), "alpha": (_text, REQUIRED), "beta": (_text, REQUIRED)},
-    "tau_chain_map": {"count": (COUNT, "30"), "max_dim": (RANDOM_DIM, "3")},
+    "tau_chain_map": {"count": (RANDOM_COUNT, "30"), "max_dim": (RANDOM_DIM, "3")},
     "tau_cohomology": {"complex": (COMPLEX, REQUIRED), "max_weight": (WEIGHT, "3")},
-    "aw_laws": {"complex": (COMPLEX, "delta3"), "count": (COUNT, "30")},
-    "extension": {"complex": (BOUNDARY, REQUIRED), "count": (COUNT, "20"),
+    "aw_laws": {"complex": (COMPLEX, "delta3"), "count": (RANDOM_COUNT, "30")},
+    "extension": {"complex": (BOUNDARY, REQUIRED), "count": (RANDOM_COUNT, "20"),
                   "max_coeff_degree": (RANDOM_DEGREE, "2")},
     "simplicial_cohomology": {"complex": (COMPLEX, REQUIRED), "dims": (COUNTS, REQUIRED)},
-    "coboundary_pairing": {"complex": (BOUNDARY, REQUIRED), "count": (COUNT, "20")},
+    "coboundary_pairing": {"complex": (BOUNDARY, REQUIRED), "count": (RANDOM_COUNT, "20")},
 }
 
 

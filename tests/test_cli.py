@@ -1,8 +1,10 @@
 """Scenario parsing, the check runner, exit codes, and report determinism."""
 
 import contextlib
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,7 @@ from rhamcheck.scenarios import (
     FORMS,
     MAX_WEIGHT,
     NUM_VARS,
+    RANDOM_COUNT,
     RANDOM_DEGREE,
     RANDOM_DIM,
     REQUIRED,
@@ -182,6 +185,44 @@ def test_builtins_catalog():
             "sphere", "tau_witness", "boundary_extension"} <= set(names)
     for name in names:
         assert builtin_text(name).startswith("format_version 1")
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "benchmarks" / "golden_report.txt"
+
+
+def check_report_lines(path):
+    """The lines of a report about each check, check.<scenario>.<name> -> lines."""
+    checks = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("check."):
+            checks.setdefault(".".join(line.split()[0].split(".")[:3]), []).append(line)
+    return checks
+
+
+def clear_value_memos():
+    """Empty every bounded memo of the package.  The unbounded ones,
+    standard_simplex and boundary_complex, stay: cochains compare complexes
+    by identity, so they hold objects, not values."""
+    for info in pkgutil.iter_modules(rhamcheck.__path__):
+        module = importlib.import_module("rhamcheck." + info.name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.cache_info().maxsize is not None:
+                value.cache_clear()
+
+
+def test_warm_memos_change_no_report_line(tmp_path, capsys):
+    """The memos live as long as the process: a cold run, a cold run in which
+    the later scenarios warm them first, and a run after another report every
+    check as the golden file does."""
+    golden = check_report_lines(GOLDEN)
+    backwards = [arg for name in reversed(builtin_names()) for arg in ("--builtin", name)]
+    for i, args in enumerate([["--builtin", "all"], backwards, ["--builtin", "all"]]):
+        if i < 2:
+            clear_value_memos()
+        report = tmp_path / ("report%d.txt" % i)
+        assert main(args + ["--report", str(report)]) == 0
+        assert check_report_lines(report) == golden
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", ["two_points", "interval", "sphere", "tau_witness"])
@@ -505,6 +546,7 @@ MALFORMED = {
     _dim: "11",
     RANDOM_DIM: "0",
     RANDOM_DEGREE: "-3",
+    RANDOM_COUNT: "101",
     NUM_VARS: "5",
     FLAG: "yes",
     VERDICT: "valdi",
@@ -629,6 +671,9 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
         (_check_text("extension", {"complex": "boundary3", "count": "8",
                                    "max_coeff_degree": "40"}),
          "max_coeff_degree: 40 is above 8"),
+        (_check_text("tau_chain_map", {"count": "500"}), "count: 500 is above 100"),
+        (_check_text("extension", {"complex": "boundary3", "count": "101"}),
+         "count: 101 is above 100"),
     ],
     ids=["typo", "num_vars", "count", "extension_delta", "tau_witness", "weight",
          "weight_too_large", "tau_weight_too_large", "kind",
@@ -637,7 +682,8 @@ def test_check_refuses_malformed_value(tmp_path, capsys, kind, key):
          "tau_boundary4_below_its_top_degree", "tau_boundary5_at_the_default_weight",
          "class_of_another_degree", "cohomology_without_algebra", "poincare_dim_too_large",
          "poincare_degree_too_large", "tau_chain_map_dim_too_large",
-         "extension_degree_too_large"],
+         "extension_degree_too_large", "tau_chain_map_count_too_large",
+         "extension_count_too_large"],
 )
 def test_check_refusal_names_check_and_key(tmp_path, capsys, text, message):
     lines = _refusal(tmp_path, capsys, text)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rhamcheck import formtext
 from rhamcheck.errors import ParseError
-from rhamcheck.formtext import (MAX_NESTING, MAX_POWER_DEGREE, MAX_POWER_TERMS, eval_form,
-                                parse_polynomial)
+from rhamcheck.formtext import (MAX_NESTING, MAX_POWER_DEGREE, MAX_POWER_TERMS, _Reader,
+                                eval_form, parse_polynomial)
 from rhamcheck.poly import Polynomial
 from rhamcheck.ratfunc import parts, ratio
 from rhamcheck.simplex_forms import PolyForm, simplex_variables, wedge
@@ -210,3 +211,45 @@ def test_reader_refuses_with_the_first_fault(text, message):
     with pytest.raises(ParseError) as err:
         eval_form(text, ("x", "y"))
     assert str(err.value).startswith(message)
+
+
+def read_representation(degree, terms):
+    """Degree and terms in stored order, each coefficient as its type and the
+    ordered terms, with coefficient types, of its numerator and denominator."""
+    return degree, [(S, type(c).__name__,
+                     [[(e, v, type(v).__name__) for e, v in p.terms.items()] for p in parts(c)])
+                    for S, c in terms.items()]
+
+
+def test_reads_are_memoised_per_text_and_variables():
+    text = "2/(1 + t1^2)*dt1 + t1*x*dx - t2^3/(1 + x^2)*dt2"
+    formtext._read.cache_clear()
+    fresh = _Reader(text, NAMES).read()
+    expected = read_representation(fresh.degree, fresh.terms)
+    first = eval_form(text, list(NAMES))
+    assert read_representation(*first) == expected
+    # a caller that changes its terms dict does not change the next read
+    first[1].clear()
+    assert read_representation(*eval_form(text, NAMES)) == expected
+    info = formtext._read.cache_info()
+    assert (info.hits, info.currsize, info.maxsize) == (1, 1, formtext.READ_CACHE_SIZE)
+    # other variables are another read
+    reordered = eval_form(text, ("x", "t1", "t2"))[1]
+    assert {c.variables for c in reordered.values()} == {("x", "t1", "t2")}
+    assert formtext._read.cache_info().currsize == 2
+    # the polynomial check runs on every call, after the cache
+    assert eval_form("1/(1 + x)", ("x",))[0] == 0
+    for _ in range(2):
+        with pytest.raises(ParseError, match="rational coefficient"):
+            eval_form("1/(1 + x)", ("x",), polynomial=True)
+
+
+def test_refused_reads_raise_every_time_and_are_not_cached():
+    formtext._read.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            eval_form("x + foo + 1/0", ("x",))
+        messages.append(str(err.value))
+    assert messages == ["unknown name 'foo' in form text"] * 2
+    assert formtext._read.cache_info().currsize == 0

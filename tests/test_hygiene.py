@@ -3,8 +3,9 @@ none divides an int literal by a value that may itself be an int, none
 but `ratfunc` builds a RationalFunc directly, no check runner builds its
 own CheckResult, only the expression reader and the scenario and command
 line front ends raise ParseError, every module-level function or class
-is named somewhere in src, tests or benchmarks, and every data file of
-the package is declared for its wheel."""
+is named somewhere in src, tests or benchmarks, every data file of
+the package is declared for its wheel, and every memo but the two that
+hold complexes is bounded by a named constant of its module."""
 
 import ast
 from fnmatch import fnmatch
@@ -199,3 +200,52 @@ def test_every_data_file_of_the_package_is_declared():
             if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts]
     assert "gauss_legendre.txt" in data
     assert [name for name in data if not any(fnmatch(name, pattern) for pattern in patterns)] == []
+
+
+def unbounded_caches(source):
+    """(line, name) of each function of `source` cached by `lru_cache` or
+    `cache` without a maxsize read from an UPPER_CASE constant that the module
+    assigns at its top level."""
+    tree = ast.parse(source)
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for named in node.targets for target in ast.walk(named)
+                 if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            if getattr(func, "id", getattr(func, "attr", None)) not in ("lru_cache", "cache"):
+                continue
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+            if not (len(sizes) == 1 and isinstance(sizes[0], ast.Name)
+                    and sizes[0].id.isupper() and sizes[0].id in constants):
+                found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_unbounded_caches_are_found():
+    source = ("SIZE, (OTHER, small) = 64, (8, 2)\n"
+              "@lru_cache(maxsize=SIZE)\ndef a(x):\n    pass\n"
+              "@lru_cache(maxsize=None)\ndef b(x):\n    pass\n"
+              "@functools.lru_cache\ndef c(x):\n    pass\n"
+              "@lru_cache(maxsize=128)\ndef d(x):\n    pass\n"
+              "@lru_cache(small)\ndef e(x):\n    pass\n"
+              "@cache\ndef f(x):\n    pass\n"
+              "@lru_cache(maxsize=UNDEFINED)\ndef g(x):\n    pass\n"
+              "@functools.lru_cache(OTHER)\ndef h(x):\n    pass\n")
+    assert [name for _, name in unbounded_caches(source)] == ["b", "c", "d", "e", "f", "g"]
+
+
+# Unbounded on purpose: cochains compare complexes by identity, so these
+# memos hold objects that must stay one per argument, and MAX_COMPLEX_K
+# bounds the argument.
+UNBOUNDED_ON_PURPOSE = {"simplicial": {"standard_simplex", "boundary_complex"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_cache_is_bounded_by_a_named_constant(path):
+    found = {name for _, name in unbounded_caches(path.read_text(encoding="utf-8"))}
+    assert found == UNBOUNDED_ON_PURPOSE.get(path.stem, set())

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, Groebner bases, normal forms, text syntax."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -271,6 +272,70 @@ def test_substitute_matches_sympy(drawn, data):
     )
     assert expr.variables == target
     assert agrees(expr, sympy.expand(composed), target_symbols)
+
+
+def per_call_substitute(f, values):
+    """f(values) with the powers of each value built afresh in the call, from
+    one: `Polynomial.substitute` before its powers were memoised."""
+    target = values[0].variables
+    one = Polynomial.constant(target, 1)
+    powers = [{0: one} for _ in values]
+    result = {}
+    for e, c in sorted(f.terms.items()):
+        term = None
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            if k not in powers[i]:
+                kk = max(j for j in powers[i] if j <= k)
+                acc = powers[i][kk]
+                while kk < k:
+                    acc = acc * values[i]
+                    kk += 1
+                    powers[i][kk] = acc
+            term = powers[i][k] if term is None else term * powers[i][k]
+        poly._add_multiple(result, one.terms if term is None else term.terms, c)
+    return Polynomial._of(target, result)
+
+
+def ordered_representation(p):
+    """Variables and terms in stored order, with the type of each coefficient."""
+    return p.variables, [(e, c, type(c).__name__) for e, c in p.terms.items()]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(polynomial_tuples(1, max_degree=6, max_terms=6), st.data())
+def test_substitute_powers_match_the_per_call_loop(drawn, data):
+    variables, (f,) = drawn
+    target = TARGET[: data.draw(st.integers(1, 3))]
+    values = [data.draw(polynomials(target, max_degree=2, max_terms=3)) for _ in variables]
+    expected = ordered_representation(per_call_substitute(f, values))
+    for _ in range(2):  # the second call is served from the memo
+        assert ordered_representation(f.substitute(values)) == expected
+
+
+def test_substitute_powers_are_memoised_and_bounded():
+    t = ("t1", "t2")
+    base = Polynomial(t, {(0, 1): Fraction(1, 3), (1, 0): 2, (0, 0): -1})
+    one = Polynomial.constant(t, 1)
+    # the memo's first power is the value itself, which the per-call loop made as one * value
+    assert ordered_representation(one * base) == ordered_representation(base)
+    poly._power.cache_clear()
+    x3 = Polynomial(("x",), {(3,): 1})
+    first = x3.substitute([base])
+    assert x3.substitute([base]) == first and first == base**3
+    assert poly._power.cache_info().hits == 1 and poly._power.cache_info().currsize == 1
+    assert poly._power.cache_info().maxsize == poly.POWER_CACHE_SIZE
+    # `**` squares, and on this base its terms come out in another order
+    skew, x6 = Polynomial(("t1",), {(2,): 2, (0,): -1, (1,): -1}), Polynomial(("x",), {(6,): 1})
+    expected = ordered_representation(per_call_substitute(x6, [skew]))
+    assert ordered_representation(x6.substitute([skew])) == expected
+    assert ordered_representation(skew**6) != expected and skew**6 == x6.substitute([skew])
+    # a power past formtext's bound on literal exponents is built in a loop
+    high = Polynomial(("x",), {(200,): 1}).substitute([Polynomial(("t1",), {(1,): 1, (0,): 1})])
+    assert high.terms[(100,)] == math.comb(200, 100)
+    with pytest.raises(ValueError):
+        Polynomial(XY, {(1, 1): 1}).substitute([base, Polynomial(("t1",), {(1,): 1})])
 
 
 @ORACLE

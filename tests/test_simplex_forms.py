@@ -444,7 +444,21 @@ def test_certificate_runs_once_per_denominator_and_power_bound(monkeypatch):
         ratfunc._has_certificate.cache_clear()
 
 
-KERNELS = (ratfunc._product, ratfunc._partial, ratfunc._substitute)
+KERNELS = (ratfunc._product, ratfunc._partial, ratfunc._substitute, ratfunc._sum)
+
+
+def unmemoized_sum(f, g):
+    """f + g of a RationalFunc f and a Polynomial or RationalFunc g, by the
+    branches of `RationalFunc.__add__` in their order, without the memo."""
+    if not isinstance(g, RationalFunc):
+        return f if g.is_zero() else ratio(f.num + g * f.den, f.den)
+    quot = g.den.divide_exact(f.den)
+    if quot is not None:
+        return ratio(f.num * quot + g.num, g.den)
+    quot = f.den.divide_exact(g.den)
+    if quot is not None:
+        return ratio(f.num + g.num * quot, f.den)
+    return ratio(f.num * g.den + g.num * f.den, f.den * g.den)
 
 
 def representation(value):
@@ -483,6 +497,12 @@ def test_rational_kernels_match_the_unmemoized_arithmetic(seed, n, m):
         (lambda: f * g, lambda: ratio(f.num * g.num, f.den * g.den)),
         (lambda: f * p, lambda: ratio(f.num * p, f.den)),
         (lambda: p * f, lambda: ratio(f.num * p, f.den)),
+        (lambda: f + g, lambda: unmemoized_sum(f, g)),
+        (lambda: f + p, lambda: unmemoized_sum(f, p)),
+        (lambda: p + f, lambda: unmemoized_sum(f, p)),
+        # one denominator divides the other, either way round
+        (lambda: f + f * f, lambda: unmemoized_sum(f, f * f)),
+        (lambda: f * f + f, lambda: unmemoized_sum(f * f, f)),
         (lambda: f.substitute(list(values)),
          lambda: ratio(f.num.substitute(values), f.den.substitute(values))),
     ]
@@ -512,6 +532,7 @@ def test_rational_kernels_key_on_the_representation_not_the_value():
          lambda f: ratio(f.num.partial(0) * f.den - f.num * f.den.partial(0), f.den * f.den)),
         (lambda f: f.substitute(flip),
          lambda f: ratio(f.num.substitute(flip), f.den.substitute(flip))),
+        (lambda f: f + g, lambda f: unmemoized_sum(f, g)),
     ]
     for kernel, (memoized, reference) in zip(KERNELS, calls):
         kernel.cache_clear()
@@ -526,7 +547,8 @@ def test_rational_kernels_key_on_the_representation_not_the_value():
 
 def test_rational_kernels_are_bounded_by_the_module_constant():
     for kernel in KERNELS:
-        assert kernel.cache_info().maxsize == ratfunc.RATIONAL_CACHE_SIZE
+        size = ratfunc.SUM_CACHE_SIZE if kernel is ratfunc._sum else ratfunc.RATIONAL_CACHE_SIZE
+        assert kernel.cache_info().maxsize == size
 
 
 def test_trusted_form_constructor_drops_cancelled_terms():
