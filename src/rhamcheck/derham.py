@@ -4,7 +4,8 @@ For B = Q[x1..xm]/I the degree-p forms are F_p / M_p: F_p is free on the
 dx_S (|S| = p) over Q[x1..xm], and M_p = I*F_p + dI ^ F_(p-1).  Each
 degree has one reduced Groebner basis G_p of M_p, built once per algebra
 by the Groebner engine that `poly` shares with the ideal I (an ideal is a
-submodule of F_0 with one position).  Its terms (m, S) are ordered
+submodule of F_0 with one position), which skips S-pairs by Buchberger's
+chain and product criteria.  Its terms (m, S) are ordered
 term-over-position, degrevlex on m and then S; a form's module normal
 form is its unique remainder on the standard terms, those no leading
 term of G_p divides, and vanishes exactly on M_p.

@@ -204,8 +204,6 @@ class Polynomial:
         return Polynomial._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.variables, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -440,26 +438,41 @@ def buchberger(generators, seeds=()):
     """Reduced Groebner basis of the submodule that seeds and generators span.
 
     Both are lists of vectors; the basis comes back per leading position
-    as (leading monomial, monic vector) pairs.  `seeds` must be a reduced
-    Groebner basis of what they span, so pairs of two seeds are skipped.
-    Each generator is reduced before it is inserted.  Pairs are taken
-    from a heap, lowest lcm term first, only between leads at the same
-    position, and the chain criterion drops those it covers.  Raises
-    ResourceBudgetExceeded past DEFAULT_PAIR_BUDGET pairs.
+    as (leading monomial, monic vector) pairs.  `seeds` must be the
+    reduced Groebner basis of an ideal, placed at every position, so pairs
+    of two seeds are skipped.  Each generator is reduced before it is
+    inserted.  Pairs are taken from a heap, lowest lcm term first, only
+    between leads at the same position.  A pair is dropped when its
+    S-vector has a representation below the lcm, by
+    - the chain criterion: a third lead k at the position divides the lcm
+      and the pairs (i, k), (j, k) are treated; S(i, j) is a combination
+      of S(i, k) and S(j, k) with monomial factors;
+    - the product criterion: the two leads are coprime, and one element is
+      a seed a*e_S or both lie at one position.  With g = LT(g) + g', the
+      S-vector is (a - LT(a))*g - sum_T g'_T*(a*e_T), each a*e_T a seed,
+      or (f - LT(f))*g - g'*f.  Otherwise g' may reach other positions.
+    A pair the product criterion drops counts as treated.  Raises
+    ResourceBudgetExceeded past DEFAULT_PAIR_BUDGET pairs queued or
+    popped; pairs dropped by the product criterion are never queued.
     """
     budget = DEFAULT_PAIR_BUDGET
     basis, leads, divisors = [], [], {}
     at = {}  # position -> indices of the elements that lead there
-    pairs, done = [], set()  # a heap of (lcm term key, i, j, lcm), and the pairs popped
+    pairs, done = [], set()  # a heap of (lcm term key, i, j, lcm), and the pairs treated
     n_seeds = len(seeds)
+    single = []  # per element: whether every term lies at its lead's position
 
     def append(vec):
         (m, S) = lead = max(vec, key=_term_key)
         vec = {t: _quotient(c, vec[lead]) for t, c in vec.items()}
         new = len(basis)
+        single.append(all(T == S for _, T in vec))
         for k in at.get(S, ()) if new >= n_seeds else ():
             lcm = monomial_lcm(leads[k][0], m)
-            heapq.heappush(pairs, (_term_key((lcm, S)), k, new, lcm))
+            if lcm == monomial_mul(leads[k][0], m) and (k < n_seeds or single[k] and single[new]):
+                done.add((k, new))  # product criterion
+            else:
+                heapq.heappush(pairs, (_term_key((lcm, S)), k, new, lcm))
         basis.append(vec)
         leads.append((m, S))
         at.setdefault(S, []).append(new)

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, Groebner bases, normal forms, text syntax."""
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -14,10 +15,11 @@ from rhamcheck.derham import FpAlgebra, parse_algebraic_form
 from rhamcheck.errors import ParseError, ResourceBudgetExceeded
 from rhamcheck.formtext import parse_polynomial
 from rhamcheck.poly import (Polynomial, _add_shifted, _quotient, _term_key, drl_key,
-                            groebner_basis, monomial_div, monomial_divides, normal_form,
-                            reduce_vector)
+                            groebner_basis, monomial_div, monomial_divides, monomial_lcm,
+                            normal_form, reduce_vector)
+from rhamcheck.ratfunc import ratio
 from rhamcheck.simplex_forms import parse_poly_form
-from test_derham import ORACLE_ALGEBRAS
+from test_derham import ORACLE_ALGEBRAS, RESCALED, rescaled
 
 XY = ("x", "y")
 
@@ -79,6 +81,26 @@ def test_trusted_and_checked_constructors_agree_on_equality_and_hash():
     trusted = Polynomial._of(XY, dict(reversed(list(terms.items()))))
     assert checked == trusted and hash(checked) == hash(trusted)
     assert hash(trusted) == hash(Polynomial(XY, checked.terms))
+
+
+def test_subtraction_mirrors_addition():
+    """`p - f` of a RationalFunc is `p + (-f)`; it used to wrap f as a constant
+    and raise TypeError."""
+    p, q = P("x^2 + y"), P("x - 1")
+    f = ratio(P("x"), P("y + 1"))
+
+    def representation(value):
+        return [ordered_representation(part) for part in (value.num, value.den)]
+
+    assert representation(p - f) == representation(p + (-f))
+    assert representation(f - p) == representation(f + (-p))
+    # numbers and polynomials as before: the number wrapped as a constant, then negated
+    three = Polynomial.constant(XY, 3)
+    assert ordered_representation(p - 3) == ordered_representation(p + (-three))
+    assert ordered_representation(p - q) == ordered_representation(p + (-q))
+    assert p - Fraction(1, 2) == P("x^2 + y - 1/2")
+    with pytest.raises(TypeError):
+        p - "x"
 
 
 def test_parse_rejects_garbage():
@@ -453,3 +475,148 @@ def test_module_bases_are_the_same_with_the_scan(name, monkeypatch):
     fast = bases()
     monkeypatch.setattr(poly, "reduce_vector", scan_reduce_vector)
     assert bases() == fast
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's product criterion against the engine without it
+
+
+def unpruned_buchberger(generators, seeds=()):
+    """`buchberger` as it was before it applied the product criterion, kept as
+    the reference: only the chain criterion drops pairs.  It divides with
+    `poly.reduce_vector`, so a test can count the divisions."""
+    budget = poly.DEFAULT_PAIR_BUDGET
+    basis, leads, divisors = [], [], {}
+    at = {}
+    pairs, done = [], set()
+    n_seeds = len(seeds)
+
+    def append(vec):
+        (m, S) = lead = max(vec, key=_term_key)
+        vec = {t: _quotient(c, vec[lead]) for t, c in vec.items()}
+        new = len(basis)
+        for k in at.get(S, ()) if new >= n_seeds else ():
+            lcm = monomial_lcm(leads[k][0], m)
+            heapq.heappush(pairs, (_term_key((lcm, S)), k, new, lcm))
+        basis.append(vec)
+        leads.append((m, S))
+        at.setdefault(S, []).append(new)
+        divisors.setdefault(S, []).append((m, vec))
+
+    def insert(vec):
+        vec = poly.reduce_vector(vec, divisors)
+        if vec:
+            append(vec)
+
+    for vec in seeds:
+        append(vec)
+    for vec in generators:
+        insert(vec)
+
+    def treated(i, k):
+        return max(i, k) < n_seeds or (min(i, k), max(i, k)) in done
+
+    processed = 0
+    while pairs:
+        processed += 1
+        if processed > budget or len(pairs) > budget:
+            raise ResourceBudgetExceeded("Groebner pair queue exceeded budget of %d" % budget)
+        (_, S), i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
+        if any(k != i and k != j and monomial_divides(leads[k][0], lcm)
+               and treated(i, k) and treated(j, k) for k in at[S]):
+            continue
+        s_vector = {}
+        _add_shifted(s_vector, basis[i], 1, monomial_div(lcm, leads[i][0]))
+        _add_shifted(s_vector, basis[j], -1, monomial_div(lcm, leads[j][0]))
+        insert(s_vector)
+
+    kept = {S: [(leads[k][0], basis[k]) for k in indices
+                if not any(k2 != k and monomial_divides(leads[k2][0], leads[k][0])
+                           for k2 in indices)]
+            for S, indices in at.items()}
+    reduced = {}
+    for S, elements in kept.items():
+        for m, vec in elements:
+            tail = poly.reduce_vector({t: c for t, c in vec.items() if t != (m, S)}, kept)
+            tail[(m, S)] = 1
+            reduced.setdefault(S, []).append((m, tail))
+    for vec in generators:
+        if poly.reduce_vector(vec, reduced):
+            raise AssertionError("input generator does not reduce to zero: %s" % vec)
+    return reduced
+
+
+def basis_sets(reduced):
+    """Per position, the set of (lead, vector) with each coefficient's type."""
+    return {S: sorted((m, sorted((t, c, type(c).__name__) for t, c in vec.items()))
+                      for m, vec in elements)
+            for S, elements in reduced.items()}
+
+
+BENCHMARK_VARIETIES = {"%s_%d" % (name, seed): (lambda name=name, seed=seed: rescaled(name, seed))
+                       for name in sorted(RESCALED) for seed in (3, 19)}
+PRUNING_ALGEBRAS = {**ORACLE_ALGEBRAS, **BENCHMARK_VARIETIES}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_ALGEBRAS))
+def test_module_bases_are_the_same_without_the_product_criterion(name, monkeypatch):
+    """Every G_p of the oracle algebras and the benchmark's rescaled varieties."""
+    algebra = PRUNING_ALGEBRAS[name]()
+    degrees = range(algebra.nvars + 1)
+    pruned = [basis_sets(derham._module_groebner(algebra, p)) for p in degrees]
+    monkeypatch.setattr(derham, "buchberger", unpruned_buchberger)
+    assert [basis_sets(derham._module_groebner(algebra, p)) for p in degrees] == pruned
+
+
+@st.composite
+def seeded_modules(draw):
+    """(generators, seeds): random vectors over 2-3 variables and 1-3 positions,
+    and the reduced basis of a random ideal placed at every position."""
+    variables = NAMES[: draw(st.integers(2, 3))]
+    small = polynomials(variables, max_degree=2, max_terms=3, nonzero=True)
+    ideal = draw(st.lists(small, max_size=2))
+    positions = [(k,) for k in range(draw(st.integers(1, 3)))]
+    g0 = unpruned_buchberger([{(e, ()): c for e, c in g.terms.items()} for g in ideal])
+    seeds = [{(e, S): c for (e, _), c in vec.items()}
+             for S in positions for _, vec in g0.get((), ())]
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        vec = {}
+        for S in draw(st.lists(st.sampled_from(positions), min_size=1, max_size=2, unique=True)):
+            vec.update({(e, S): c for e, c in draw(small).terms.items()})
+        generators.append(vec)
+    return generators, seeds
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(seeded_modules())
+def test_random_module_bases_are_the_same_without_the_product_criterion(drawn):
+    generators, seeds = drawn
+    assert basis_sets(poly.buchberger(generators, seeds)) == basis_sets(
+        unpruned_buchberger(generators, seeds))
+
+
+# reduce_vector calls inside `buchberger` for rescaled("torus", 5) at each p, as
+# measured with the product criterion: 22, 56, 59 and 26 without it.  At p = 3
+# and 4 the count also needs the dropped pairs treated by the chain criterion.
+TORUS_DIVISIONS = {1: 18, 2: 44, 3: 39, 4: 18}
+
+
+@pytest.mark.parametrize("p", sorted(TORUS_DIVISIONS))
+def test_product_criterion_saves_divisions_on_the_torus(p, monkeypatch):
+    algebra = rescaled("torus", 5)
+    algebra._module(0)
+    calls = []
+    divide = poly.reduce_vector
+
+    def counting(vec, divisors):
+        calls.append(1)
+        return divide(vec, divisors)
+
+    monkeypatch.setattr(poly, "reduce_vector", counting)
+    derham._module_groebner(algebra, p)
+    pruned, calls[:] = len(calls), []
+    monkeypatch.setattr(derham, "buchberger", unpruned_buchberger)
+    derham._module_groebner(algebra, p)
+    assert pruned <= TORUS_DIVISIONS[p] and pruned < len(calls)
