@@ -7,6 +7,13 @@ and failures on it and returns nothing.  A RhamcheckError out of a
 runner becomes a fresh record with no details and the error as its
 reason.  Details are rendered canonically (deterministic across runs
 for fixed seed and quadrature order, so reports are byte-identical).
+
+The randomized kinds run their draws through `_trials`.  It seeds one
+rng from --seed and the check's name, so a check draws the same samples
+whatever else the scenario holds, and calls the runner's trial(rng) once
+per draw, `count` times.  A trial returns None when its property holds
+and the failure message when it does not; the first failure ends the
+loop.  `count` is recorded either way, before the runner's own details.
 """
 
 from __future__ import annotations
@@ -133,24 +140,25 @@ def _random_poly(rng, variables, max_degree):
     return Polynomial(variables, terms)
 
 
-def _random_poly_form(rng, n, degree, max_coeff_degree):
-    variables = simplex_variables(n)
+def _random_terms(rng, variables, degree, share, max_coeff_degree):
+    """Form terms: each index set of `degree` variables, with chance `share`,
+    gets a random coefficient, kept if nonzero."""
     terms = {}
-    for S in combinations(range(n), degree):
-        if rng.random() < 0.75:
+    for S in combinations(range(len(variables)), degree):
+        if rng.random() < share:
             poly = _random_poly(rng, variables, max_coeff_degree)
             if not poly.is_zero():
                 terms[S] = poly
+    return terms
+
+
+def _random_poly_form(rng, n, degree, max_coeff_degree):
+    terms = _random_terms(rng, simplex_variables(n), degree, 0.75, max_coeff_degree)
     return PolyForm(n, degree, terms)
 
 
 def _random_algebraic_form(rng, algebra, degree, max_coeff_degree=2):
-    terms = {}
-    for S in combinations(range(algebra.nvars), degree):
-        if rng.random() < 0.8:
-            poly = _random_poly(rng, algebra.variables, max_coeff_degree)
-            if not poly.is_zero():
-                terms[S] = poly
+    terms = _random_terms(rng, algebra.variables, degree, 0.8, max_coeff_degree)
     return AlgebraicForm(algebra, degree, terms)
 
 
@@ -164,6 +172,18 @@ def _random_cochain(rng, complex_, p):
     return Cochain(
         complex_, p, {s: Fraction(rng.randint(-5, 5)) for s in complex_.n_simplices(p)}
     )
+
+
+def _trials(check, settings, result, trial):
+    """Call trial(rng) `count` times on the check's own rng, up to the first
+    failure message it returns, and record `count`."""
+    rng = random.Random(check_rng_seed(settings.seed, check.name))
+    for _ in range(check.params["count"]):
+        message = trial(rng)
+        if message is not None:
+            result.fail(message)
+            break
+    result.detail("count", check.params["count"])
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +230,15 @@ def check_cohomology(scenario, check, settings, result):
 
 
 def check_poincare(scenario, check, settings, result):
-    rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = check.params["count"]
-    for _ in range(count):
+    def trial(rng):
         n = rng.randint(1, check.params["max_dim"])
         degree = rng.randint(0, n)
         alpha = _random_poly_form(rng, n, degree, check.params["max_degree"])
         defect = homotopy_defect(alpha)
         if not defect.is_zero():
-            result.fail("contraction identity failed on %s" % alpha)
-            break
-    result.detail("count", count)
+            return "contraction identity failed on %s" % alpha
+
+    _trials(check, settings, result, trial)
     result.detail("max_defect", 0 if result.status == "pass" else "nonzero")
 
 
@@ -241,37 +259,35 @@ def check_chain_map(scenario, check, settings, result):
 
 
 def check_chain_map_random(scenario, check, settings, result):
-    rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = check.params["count"]
     num_vars = check.params["num_vars"]
     algebra = FpAlgebra(("x", "y", "z")[:num_vars], [])
-    for _ in range(count):
+
+    def trial(rng):
         p = rng.randint(0, num_vars - 1)
         sigma = _random_simplex(rng, algebra, p + 1)
         omega = _random_algebraic_form(rng, algebra, p)
         residual, _ = chain_map_residual(omega, sigma)
         if residual != 0:
-            result.fail("nonzero Stokes residual %s" % residual)
-            break
-    result.detail("count", count)
+            return "nonzero Stokes residual %s" % residual
+
+    _trials(check, settings, result, trial)
     result.detail("residual", 0 if result.status == "pass" else "nonzero")
 
 
 def check_naturality_random(scenario, check, settings, result):
-    rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = check.params["count"]
     num_vars = check.params["num_vars"]
     algebra = FpAlgebra(("x", "y", "z")[:num_vars], [])
-    for _ in range(count):
+
+    def trial(rng):
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
         h = DeltaMorphism(m, n, sorted(rng.randint(0, n) for _ in range(m + 1)))
         sigma = _random_simplex(rng, algebra, n)
         omega = _random_algebraic_form(rng, algebra, rng.randint(0, min(2, num_vars)))
         if not naturality_residual(sigma, h, omega).is_zero():
-            result.fail("naturality residual nonzero")
-            break
-    result.detail("count", count)
+            return "naturality residual nonzero"
+
+    _trials(check, settings, result, trial)
     result.detail("residual", 0 if result.status == "pass" else "nonzero")
 
 
@@ -356,16 +372,14 @@ def check_tau_witness(scenario, check, settings, result):
 
 
 def check_tau_chain_map(scenario, check, settings, result):
-    rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = check.params["count"]
-    for _ in range(count):
+    def trial(rng):
         n = rng.randint(1, check.params["max_dim"])
         degree = rng.randint(0, n - 1)
         alpha = _random_poly_form(rng, n, degree, 3)
         if to_cochain(d_simplex(alpha)) != coboundary(to_cochain(alpha)):
-            result.fail("integration map failed to be a chain map")
-            break
-    result.detail("count", count)
+            return "integration map failed to be a chain map"
+
+    _trials(check, settings, result, trial)
 
 
 def check_tau_cohomology(scenario, check, settings, result):
@@ -422,11 +436,10 @@ def check_tau_cohomology(scenario, check, settings, result):
 
 def check_aw_laws(scenario, check, settings, result):
     K = check.params["complex"]
-    rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = check.params["count"]
     top = K.dimension
     one = unit_cochain(K)
-    for _ in range(count):
+
+    def trial(rng):
         p = rng.randint(0, max(0, top - 1))
         q = rng.randint(0, max(0, top - p - 1))
         r = rng.randint(0, max(0, top - p - q))
@@ -434,17 +447,15 @@ def check_aw_laws(scenario, check, settings, result):
         b = _random_cochain(rng, K, q)
         c = _random_cochain(rng, K, r)
         if aw_cup(aw_cup(a, b), c) != aw_cup(a, aw_cup(b, c)):
-            result.fail("associativity failed")
-            break
+            return "associativity failed"
         if aw_cup(one, a) != a or aw_cup(a, one) != a:
-            result.fail("unit law failed")
-            break
+            return "unit law failed"
         lhs = coboundary(aw_cup(a, b))
         rhs = aw_cup(coboundary(a), b) + aw_cup(a, coboundary(b)).scale((-1) ** p)
         if lhs != rhs:
-            result.fail("Leibniz failed")
-            break
-    result.detail("count", count)
+            return "Leibniz failed"
+
+    _trials(check, settings, result, trial)
     witness = _noncommutative_witness(K)
     if witness is None:
         result.fail("no non-commutativity witness found")
@@ -476,9 +487,8 @@ def check_extension(scenario, check, settings, result):
     K = check.params["complex"]
     n = K.dimension + 1
     full = standard_simplex(n)
-    rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = check.params["count"]
-    for _ in range(count):
+
+    def trial(rng):
         q = rng.randint(0, n - 1)
         source = _random_poly_form(rng, n, q, check.params["max_coeff_degree"])
         family = FormsFamily.restricted_to(FormsFamily.from_top_form(full, source), K)
@@ -487,11 +497,9 @@ def check_extension(scenario, check, settings, result):
             restricted = pullback_delta(DeltaMorphism.face(n, i), extended)
             facet = tuple(v for v in range(n + 1) if v != i)
             if restricted != family.assignment[facet]:
-                result.fail("extension does not restrict to facet %d" % i)
-                break
-        if result.status == "fail":
-            break
-    result.detail("count", count)
+                return "extension does not restrict to facet %d" % i
+
+    _trials(check, settings, result, trial)
     result.detail("dimension", n)
 
 
@@ -508,14 +516,13 @@ def check_coboundary_pairing(scenario, check, settings, result):
     n = check.params["complex"].dimension + 1
     cycle = fundamental_boundary_cycle(n)
     K = cycle.complex
-    rng = random.Random(check_rng_seed(settings.seed, check.name))
-    count = check.params["count"]
-    for _ in range(count):
+
+    def trial(rng):
         c = _random_cochain(rng, K, n - 2)
         if pair(coboundary(c), cycle) != 0:
-            result.fail("coboundary paired nonzero against a cycle")
-            break
-    result.detail("count", count)
+            return "coboundary paired nonzero against a cycle"
+
+    _trials(check, settings, result, trial)
     result.detail("cycle_degree", n - 1)
 
 

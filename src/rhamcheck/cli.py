@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from contextlib import nullcontext
 
 from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
@@ -64,6 +65,11 @@ def list_builtins(out=None):
     return names
 
 
+def tally(runs):
+    """How many checks of the runs have each status: pass, fail or skip."""
+    return Counter(result.status for _, results, _ in runs for result in results)
+
+
 def report_lines(runs, settings):
     """Canonical, timing-free serialization of a set of scenario runs."""
     lines = []
@@ -75,7 +81,6 @@ def report_lines(runs, settings):
     if settings.tolerance is not None:
         lines.append("tolerance %r" % settings.tolerance)
     lines.append("scenarios %d" % len(runs))
-    totals = {"pass": 0, "fail": 0, "skip": 0}
     for scenario, results, _elapsed in runs:
         lines.append("scenario %s" % scenario.name)
         lines.append("scenario.%s.checks %d" % (scenario.name, len(results)))
@@ -87,7 +92,7 @@ def report_lines(runs, settings):
                 lines.append("%s.reason %s" % (prefix, result.message))
             for key, value in result.details:
                 lines.append("%s.%s %s" % (prefix, key, value))
-            totals[result.status] += 1
+    totals = tally(runs)
     for key in ("pass", "fail", "skip"):
         lines.append("summary.%s %d" % (key, totals[key]))
     return lines
@@ -95,23 +100,17 @@ def report_lines(runs, settings):
 
 def human_summary(runs, out=None):
     out = out or sys.stdout
-    total_pass = total_fail = total_skip = 0
     for scenario, results, elapsed in runs:
         out.write("%s (%.2fs)\n" % (scenario.name, elapsed))
         for result in results:
             line = "  [%-4s] %-22s %s" % (result.status, result.name, result.kind)
-            if result.status == "fail":
-                line += "  -- %s" % result.message
-            elif result.status == "skip":
+            if result.status != "pass":
                 line += "  -- %s" % result.message
             out.write(line + "\n")
-            total_pass += result.status == "pass"
-            total_fail += result.status == "fail"
-            total_skip += result.status == "skip"
-    out.write(
-        "total: %d pass, %d fail, %d skip\n" % (total_pass, total_fail, total_skip)
-    )
-    return total_fail
+    totals = tally(runs)
+    out.write("total: %d pass, %d fail, %d skip\n"
+              % (totals["pass"], totals["fail"], totals["skip"]))
+    return totals["fail"]
 
 
 def run_scenario(scenario, settings, check_filter=None):
@@ -157,10 +156,7 @@ def main(argv=None):
         validate_settings(settings, scenarios, check_filter)
         # opened before the first check runs, so a path it cannot write is refused up front
         report = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
-    except RhamcheckError as exc:
-        sys.stderr.write("rhamcheck: %s\n" % exc)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (RhamcheckError, OSError) as exc:
         sys.stderr.write("rhamcheck: %s\n" % exc)
         return EXIT_USAGE
     with report:

@@ -47,6 +47,10 @@ file, and all expression text is evaluated by `formtext`.
 
 Families close themselves under faces symbolically, so chains may refer
 to the named top simplices only.
+
+The builtin corpus is scenario text too.  The builtins that generate
+their simplices and chains (circle, circle_x_points, torus) write every
+section, keys in the order given, through one writer, `_section`.
 """
 
 from __future__ import annotations
@@ -649,212 +653,86 @@ count 50
 """
 
 
+def _section(lines, header, **keys):
+    """Append `[header]` after a blank line, then one `key value` line per
+    key; a list value gives one line per item, as a repeated key reads."""
+    lines += ["", "[%s]" % header]
+    for key, value in keys.items():
+        for item in value if isinstance(value, list) else [value]:
+            lines.append("%s %s" % (key, item))
+
+
 def _circle_text():
-    lines = [
-        "format_version 1",
-        "name circle",
-        "description Rational circle: winding class, Stokes residuals, 2*pi pairing",
-        "",
-        "[algebra]",
-        "variables x y",
-        "relation x^2 + y^2 - 1",
-        "",
-        "[form omega]",
-        "degree 1",
-        "expr x*dy - y*dx",
-        "",
-    ]
-    for k in range(4):
-        comps = arc_component_texts(k, "t1")
-        lines += [
-            "[simplex arc%d]" % k,
-            "dim 1",
-            "lane numeric",
-            "component %s" % comps[0],
-            "component %s" % comps[1],
-            "",
-        ]
-    sweep = arc_component_texts(0, "t1 + t2")
-    lines += [
-        "[simplex sweep]",
-        "dim 2",
-        "lane numeric",
-        "component %s" % sweep[0],
-        "component %s" % sweep[1],
-        "",
-        "[simplex off_variety]",
-        "dim 1",
-        "lane exact",
-        "component t1",
-        "component t1",
-        "",
-        "[family loop]",
-        "simplices arc0 arc1 arc2 arc3",
-        "",
-        "[chain z]",
-        "family loop",
-        "degree 1",
-        "term 1 arc0",
-        "term 1 arc1",
-        "term 1 arc2",
-        "term 1 arc3",
-        "",
-        "[check arcs_valid]",
-        "kind validate",
-        "simplices arc0 arc1 arc2 arc3 sweep",
-        "expect valid",
-        "",
-        "[check off_variety]",
-        "kind validate",
-        "simplices off_variety",
-        "expect violation",
-        "",
-        "[check h1_class]",
-        "kind cohomology",
-        "degree 1",
-        "max_weight 4",
-        "expect_min_dim 1",
-        "class_nonzero omega",
-        "",
-        "[check stokes_exact]",
-        "kind chain_map_random",
-        "count 50",
-        "num_vars 2",
-        "",
-        "[check stokes_arc]",
-        "kind chain_map",
-        "form omega",
-        "simplex sweep",
-        "tolerance 1e-10",
-        "",
-        "[check natural]",
-        "kind naturality_random",
-        "count 30",
-        "num_vars 2",
-        "",
-        "[check pairing_loop]",
-        "kind pairing",
-        "form omega",
-        "chain z",
-        "expect 6.283185307179586",
-        "tolerance 1e-8",
-    ]
+    lines = ["format_version 1", "name circle",
+             "description Rational circle: winding class, Stokes residuals, 2*pi pairing"]
+    _section(lines, "algebra", variables="x y", relation="x^2 + y^2 - 1")
+    _section(lines, "form omega", degree=1, expr="x*dy - y*dx")
+    arcs = ["arc%d" % k for k in range(4)]
+    for k, name in enumerate(arcs):
+        _section(lines, "simplex " + name, dim=1, lane="numeric",
+                 component=arc_component_texts(k, "t1"))
+    _section(lines, "simplex sweep", dim=2, lane="numeric",
+             component=arc_component_texts(0, "t1 + t2"))
+    _section(lines, "simplex off_variety", dim=1, lane="exact", component=["t1", "t1"])
+    _section(lines, "family loop", simplices=" ".join(arcs))
+    _section(lines, "chain z", family="loop", degree=1, term=["1 " + name for name in arcs])
+    for name, simplices, expect in (("arcs_valid", arcs + ["sweep"], "valid"),
+                                    ("off_variety", ["off_variety"], "violation")):
+        _section(lines, "check " + name, kind="validate", simplices=" ".join(simplices),
+                 expect=expect)
+    _section(lines, "check h1_class", kind="cohomology", degree=1, max_weight=4,
+             expect_min_dim=1, class_nonzero="omega")
+    _section(lines, "check stokes_exact", kind="chain_map_random", count=50, num_vars=2)
+    _section(lines, "check stokes_arc", kind="chain_map", form="omega", simplex="sweep",
+             tolerance="1e-10")
+    _section(lines, "check natural", kind="naturality_random", count=30, num_vars=2)
+    _section(lines, "check pairing_loop", kind="pairing", form="omega", chain="z",
+             expect="6.283185307179586", tolerance="1e-8")
     return "\n".join(lines)
 
 
 def _circle_x_points_text():
-    lines = [
-        "format_version 1",
-        "name circle_x_points",
-        "description Circle times two points: mixed-degree multiplicativity",
-        "",
-        "[algebra]",
-        "variables x y s",
-        "relation x^2 + y^2 - 1",
-        "relation s^2 - s",
-        "",
-        "[form s_idem]",
-        "degree 0",
-        "expr s",
-        "",
-        "[form omega]",
-        "degree 1",
-        "expr x*dy - y*dx",
-        "",
-    ]
-    all_names = []
+    lines = ["format_version 1", "name circle_x_points",
+             "description Circle times two points: mixed-degree multiplicativity"]
+    _section(lines, "algebra", variables="x y s", relation=["x^2 + y^2 - 1", "s^2 - s"])
+    _section(lines, "form s_idem", degree=0, expr="s")
+    _section(lines, "form omega", degree=1, expr="x*dy - y*dx")
     for level in (1, 0):
         for k in range(4):
-            comps = arc_component_texts(k, "t1") + [str(level)]
-            name = "arc%d_s%d" % (k, level)
-            all_names.append(name)
-            lines += ["[simplex %s]" % name, "dim 1", "lane numeric"]
-            lines += ["component %s" % c for c in comps]
-            lines.append("")
-    lines += [
-        "[family loops]",
-        "simplices " + " ".join(all_names),
-        "",
-        "[chain z1]",
-        "family loops",
-        "degree 1",
-    ]
-    lines += ["term 1 arc%d_s1" % k for k in range(4)]
-    lines += ["", "[chain z0]", "family loops", "degree 1"]
-    lines += ["term 1 arc%d_s0" % k for k in range(4)]
-    lines += [
-        "",
-        "[check valid]",
-        "kind validate",
-        "simplices " + " ".join(all_names),
-        "expect valid",
-        "",
-        "[check mult_s1]",
-        "kind multiplicativity",
-        "form1 s_idem",
-        "form2 omega",
-        "chain z1",
-        "expect 6.283185307179586",
-        "expect_tolerance 1e-8",
-        "tolerance 1e-8",
-        "",
-        "[check mult_s0]",
-        "kind multiplicativity",
-        "form1 s_idem",
-        "form2 omega",
-        "chain z0",
-        "expect 0",
-        "expect_tolerance 1e-8",
-        "tolerance 1e-8",
-    ]
+            _section(lines, "simplex arc%d_s%d" % (k, level), dim=1, lane="numeric",
+                     component=arc_component_texts(k, "t1") + [level])
+    names = " ".join("arc%d_s%d" % (k, level) for level in (1, 0) for k in range(4))
+    _section(lines, "family loops", simplices=names)
+    for level in (1, 0):
+        _section(lines, "chain z%d" % level, family="loops", degree=1,
+                 term=["1 arc%d_s%d" % (k, level) for k in range(4)])
+    _section(lines, "check valid", kind="validate", simplices=names, expect="valid")
+    for level, expect in ((1, "6.283185307179586"), (0, 0)):
+        _section(lines, "check mult_s%d" % level, kind="multiplicativity", form1="s_idem",
+                 form2="omega", chain="z%d" % level, expect=expect, expect_tolerance="1e-8",
+                 tolerance="1e-8")
     return "\n".join(lines)
 
 
 def _torus_text():
-    lines = [
-        "format_version 1",
-        "name torus",
-        "description Torus: top-degree multiplicativity over a 32-triangle cycle",
-        "",
-        "[algebra]",
-        "variables x y z w",
-        "relation x^2 + y^2 - 1",
-        "relation z^2 + w^2 - 1",
-        "",
-        "[form omega1]",
-        "degree 1",
-        "expr x*dy - y*dx",
-        "",
-        "[form omega2]",
-        "degree 1",
-        "expr z*dw - w*dz",
-        "",
-    ]
+    lines = ["format_version 1", "name torus",
+             "description Torus: top-degree multiplicativity over a 32-triangle cycle"]
+    _section(lines, "algebra", variables="x y z w",
+             relation=["x^2 + y^2 - 1", "z^2 + w^2 - 1"])
+    _section(lines, "form omega1", degree=1, expr="x*dy - y*dx")
+    _section(lines, "form omega2", degree=1, expr="z*dw - w*dz")
     names = []
     for i in range(4):
         for j in range(4):
-            for kind in ("a", "b"):
-                name = "tri_%s_%d_%d" % (kind, i, j)
-                names.append((name, 1 if kind == "a" else -1))
-                lines += ["[simplex %s]" % name, "dim 2", "lane numeric"]
-                lines += [
-                    "component %s" % c for c in torus_triangle_components(i, j, kind)
-                ]
-                lines.append("")
-    lines += ["[family grid]", "simplices " + " ".join(n for n, _ in names), ""]
-    lines += ["[chain z]", "family grid", "degree 2"]
-    lines += ["term %d %s" % (sign, name) for name, sign in names]
-    lines += [
-        "",
-        "[check flagship]",
-        "kind multiplicativity",
-        "form1 omega1",
-        "form2 omega2",
-        "chain z",
-        "expect 39.4784176",
-        "expect_tolerance 1e-4",
-        "tolerance 1e-6",
-    ]
+            for kind, sign in (("a", 1), ("b", -1)):
+                names.append(("tri_%s_%d_%d" % (kind, i, j), sign))
+                _section(lines, "simplex " + names[-1][0], dim=2, lane="numeric",
+                         component=torus_triangle_components(i, j, kind))
+    _section(lines, "family grid", simplices=" ".join(name for name, _ in names))
+    _section(lines, "chain z", family="grid", degree=2,
+             term=["%d %s" % (sign, name) for name, sign in names])
+    _section(lines, "check flagship", kind="multiplicativity", form1="omega1", form2="omega2",
+             chain="z", expect="39.4784176", expect_tolerance="1e-4", tolerance="1e-6")
     return "\n".join(lines)
 
 

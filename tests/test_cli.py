@@ -7,11 +7,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import rhamcheck
+from rhamcheck import checks
 from rhamcheck.checks import CHECK_KINDS, Settings, run_scenario_checks, validate_settings
 from rhamcheck.cli import main, report_lines, run_scenario
 from rhamcheck.comparison import period
@@ -47,7 +50,7 @@ from rhamcheck.scenarios import (
     builtin_text,
     load_builtin,
 )
-from rhamcheck.simplicial import standard_simplex
+from rhamcheck.simplicial import Cochain, standard_simplex
 
 MINIMAL = """
 format_version 1
@@ -291,6 +294,26 @@ def test_report_deterministic(tmp_path):
     assert "summary.fail 0" in first
     # no wall-clock timings leak into the canonical report
     assert not any("elapsed" in line or "time" in line.split()[0] for line in first)
+
+
+def test_stdout_and_report_count_one_tally(tmp_path, capsys):
+    """A pass, a fail and a skip: each status line on stdout, its total line
+    and the report's summary lines agree."""
+    path = tmp_path / "mixed.scn"
+    path.write_text(MINIMAL + "\n[check q]\nkind pairing\nform e\nchain z\nexpect 2\n"
+                    "tolerance 0\n\n[check r]\nkind simplicial_cohomology\ncomplex delta1\n"
+                    "dims 1\n")
+    report = tmp_path / "report.txt"
+    assert main(["--scenario", str(path), "--check", "p,q", "--report", str(report)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  [pass] p                      pairing",
+        "  [fail] q                      pairing  -- pairing Fraction(1, 1) missed "
+        "Fraction(2, 1) by more than 0.0",
+        "  [skip] r                      simplicial_cohomology  -- filtered out by --check",
+        "total: 1 pass, 1 fail, 1 skip",
+    ]
+    assert report.read_text().splitlines()[-3:] == ["summary.pass 1", "summary.fail 1",
+                                                    "summary.skip 1"]
 
 
 def test_cli_writes_report(tmp_path):
@@ -914,3 +937,54 @@ def test_quotient_relation_loads_as_its_polynomial():
     scenario = Scenario(text)
     assert scenario.algebra.ideal_generators == [parse_polynomial("x + 1", ("x",))]
     assert scenario.simplices["pt"].validate().valid
+
+
+def nonzero(*args, **kwargs):
+    """A stand-in for a defect or residual that is not zero."""
+    return SimpleNamespace(is_zero=lambda: False)
+
+
+# kind, its keys, the function of `checks` its property calls -> a stand-in
+# that fails, the sampler that makes each draw and how often a draw calls it,
+# the failure message (from the first draw's sample) and the details after count
+FAILING_DRAWS = [
+    ("poincare", "", "homotopy_defect", nonzero, "_random_poly_form", 1,
+     lambda sample: "contraction identity failed on %s" % sample, [("max_defect", "nonzero")]),
+    ("chain_map_random", "", "chain_map_residual", lambda *args: (Fraction(1, 2), 0),
+     "_random_simplex", 1, lambda sample: "nonzero Stokes residual 1/2", [("residual", "nonzero")]),
+    ("naturality_random", "", "naturality_residual", nonzero, "_random_simplex", 1,
+     lambda sample: "naturality residual nonzero", [("residual", "nonzero")]),
+    ("tau_chain_map", "", "coboundary", lambda cochain: object(), "_random_poly_form", 1,
+     lambda sample: "integration map failed to be a chain map", []),
+    ("aw_laws", "complex delta2", "unit_cochain", lambda K: Cochain(K, 0, {}), "_random_cochain",
+     3, lambda sample: "unit law failed",
+     [("witness_a", "indicator (0,)"), ("witness_b", "indicator (0, 1)"),
+      ("witness_simplex", "(0, 1)")]),
+    ("extension", "complex boundary2", "pullback_delta", lambda face, form: object(),
+     "_random_poly_form", 1, lambda sample: "extension does not restrict to facet 0",
+     [("dimension", "2")]),
+    ("coboundary_pairing", "complex boundary3", "pair", lambda cochain, chain: 1,
+     "_random_cochain", 1, lambda sample: "coboundary paired nonzero against a cycle",
+     [("cycle_degree", "2")]),
+]
+
+
+@pytest.mark.parametrize("kind, keys, name, failing, sampler, per_draw, message, after",
+                         FAILING_DRAWS, ids=[case[0] for case in FAILING_DRAWS])
+def test_random_check_stops_at_its_first_failing_draw(monkeypatch, kind, keys, name, failing,
+                                                      sampler, per_draw, message, after):
+    """A property that fails on the first draw fails the check with its message,
+    draws nothing more, and still records count before the kind's own details."""
+    samples, draw = [], getattr(checks, sampler)
+
+    def spy(*args, **kwargs):
+        samples.append(draw(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(checks, sampler, spy)
+    monkeypatch.setattr(checks, name, failing)
+    text = "format_version 1\nname failing\n\n[check c]\nkind %s\ncount 5\n%s\n" % (kind, keys)
+    [result] = run_scenario_checks(Scenario(text), Settings())
+    assert (result.status, result.message) == ("fail", message(samples[0]))
+    assert len(samples) == per_draw
+    assert result.details == [("count", "5")] + after

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none divides an int literal by a value that may itself be an int, none
 but `ratfunc` builds a RationalFunc directly, no check runner builds its
-own CheckResult, only the expression reader and the scenario and command
+own CheckResult or rng, only the expression reader and the scenario and command
 line front ends raise ParseError, every module-level function or class
 is named somewhere in src, tests or benchmarks, every data file of
 the package is declared for its wheel, and every memo but the two that
@@ -133,22 +133,26 @@ def test_dead_definitions_are_found():
     assert dead_definitions(source, used) == [(9, "c")]
 
 
+@pytest.fixture(scope="module")
+def used_names():
+    """Every name that src, tests and benchmarks read, parsed once for all modules."""
+    return set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in SOURCES))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
-def test_module_defines_nothing_unnamed(path):
-    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in SOURCES))
-    assert dead_definitions(path.read_text(encoding="utf-8"), used) == []
+def test_module_defines_nothing_unnamed(path, used_names):
+    assert dead_definitions(path.read_text(encoding="utf-8"), used_names) == []
 
 
-def check_result_makers(source):
-    """Top-level definitions of `source` that call CheckResult(...), with
-    "<module>" for a call outside any definition."""
+def callers(source, name):
+    """Top-level definitions of `source` that call `name`(...), bare or as an
+    attribute, with "<module>" for a call outside any definition."""
     return sorted({
         getattr(top, "name", "<module>")
         for top in ast.parse(source).body
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "CheckResult"
-             or getattr(node.func, "attr", None) == "CheckResult")
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     })
 
 
@@ -157,13 +161,27 @@ def test_check_result_makers_are_found():
               "def runner(s, result):\n    result.fail(checks.CheckResult)\n\n\n"
               "class K:\n    def m(self):\n        return checks.CheckResult(1, 2)\n\n\n"
               "DEFAULT = CheckResult('a', 'b')\n")
-    assert check_result_makers(source) == ["<module>", "K", "run"]
+    assert callers(source, "CheckResult") == ["<module>", "K", "run"]
 
 
 def test_only_run_check_and_the_skip_records_make_check_results():
     """Runners get their record from run_check and build none of their own."""
     source = (PACKAGE / "checks.py").read_text(encoding="utf-8")
-    assert check_result_makers(source) == ["run_check", "run_scenario_checks"]
+    assert callers(source, "CheckResult") == ["run_check", "run_scenario_checks"]
+
+
+def test_rng_makers_are_found():
+    source = ("def _trials(check):\n    rng = random.Random(seed(check))\n\n\n"
+              "def check_a(check):\n    def trial(rng):\n        return Random(1)\n\n\n"
+              "def check_b(rng):\n    return rng.random()\n")
+    assert callers(source, "Random") == ["_trials", "check_a"]
+
+
+def test_only_the_trial_loop_seeds_an_rng():
+    """Every randomized check draws from the rng that `_trials` seeds from the
+    check's name; a runner with its own rng would draw outside that loop."""
+    source = (PACKAGE / "checks.py").read_text(encoding="utf-8")
+    assert callers(source, "Random") == ["_trials"]
 
 
 def parse_error_raises(source):
