@@ -4,7 +4,8 @@ Exit codes: 0 when every executed check passes, 1 on any check failure,
 2 on unusable input (parse or validation errors).  Reports are written
 in a canonical line-oriented `key value` form with no timestamps, so
 identical inputs produce byte-identical files; wall-clock timings only
-appear in the human summary on stdout.
+appear in the human summary on stdout.  A closed stdout ends the summary
+but not the run: the report is still written, with the checks' exit code.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 import time
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
 from .errors import ParseError, RhamcheckError
@@ -56,13 +57,10 @@ def build_parser():
     return parser
 
 
-def list_builtins(out=None):
+def list_builtins():
     """Print the builtin catalog with one-line descriptions."""
-    out = out or sys.stdout
-    names = builtin_names()
-    for name in names:
-        out.write("%-20s %s\n" % (name, BUILTIN_DESCRIPTIONS[name]))
-    return names
+    for name in builtin_names():
+        print("%-20s %s" % (name, BUILTIN_DESCRIPTIONS[name]))
 
 
 def tally(runs):
@@ -98,19 +96,16 @@ def report_lines(runs, settings):
     return lines
 
 
-def human_summary(runs, out=None):
-    out = out or sys.stdout
+def human_summary(runs):
     for scenario, results, elapsed in runs:
-        out.write("%s (%.2fs)\n" % (scenario.name, elapsed))
+        print("%s (%.2fs)" % (scenario.name, elapsed))
         for result in results:
             line = "  [%-4s] %-22s %s" % (result.status, result.name, result.kind)
             if result.status != "pass":
                 line += "  -- %s" % result.message
-            out.write(line + "\n")
+            print(line)
     totals = tally(runs)
-    out.write("total: %d pass, %d fail, %d skip\n"
-              % (totals["pass"], totals["fail"], totals["skip"]))
-    return totals["fail"]
+    print("total: %d pass, %d fail, %d skip" % (totals["pass"], totals["fail"], totals["skip"]))
 
 
 def run_scenario(scenario, settings, check_filter=None):
@@ -167,10 +162,15 @@ def main(argv=None):
                 sys.stderr.write("rhamcheck: %s: %s\n" % (scenario.name, exc))
                 return EXIT_USAGE
             runs.append((scenario, results, elapsed))
-        failures = human_summary(runs)
+        try:
+            human_summary(runs)
+            sys.stdout.flush()
+        except BrokenPipeError:  # stdout's reader has gone: close it, so the exit flush cannot fail
+            with suppress(BrokenPipeError):
+                sys.stdout.close()
         if args.report:
             report.write("\n".join(report_lines(runs, settings)) + "\n")
-    return EXIT_CHECK_FAILURE if failures else EXIT_PASS
+    return EXIT_CHECK_FAILURE if tally(runs)["fail"] else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 A parametrized simplex is a tuple of rational functions on a standard
 simplex whose components satisfy the defining ideal of a variety
-exactly (an on-variety certificate, checked by clearing denominators).
+exactly (an on-variety certificate, checked by clearing denominators):
+`ParamSimplex.validate` returns the list of (generator index, residual
+numerator) of the generators that do not vanish, empty when valid.
 Pulling an algebraic form back along such a simplex gives a form on the
 simplex; integrating it gives the period pairing with singular chains.
 
@@ -52,17 +54,6 @@ from .simplicial import (
 )
 
 
-class SimplexCertificate:
-    """Outcome of the on-variety check: valid, or a nonzero residual."""
-
-    def __init__(self, valid, residuals):
-        self.valid = valid
-        self.residuals = residuals  # list of (generator index, residual Polynomial)
-
-    def __bool__(self):
-        return self.valid
-
-
 class ParamSimplex:
     """A rational-map singular simplex into the real points of an FpAlgebra,
     one component per variable."""
@@ -95,21 +86,17 @@ class ParamSimplex:
         return "exact" if all(isinstance(c, Polynomial) for c in self.components) else "numeric"
 
     def validate(self):
-        """Exact on-variety check: each generator vanishes after substitution."""
-        if self._validated is not None:
-            return self._validated
-        residuals = []
-        for j, f in enumerate(self.target.ideal_generators):
-            value = self.substitute(f)
-            if not value.is_zero():
-                residuals.append((j, parts(value)[0]))
-        self._validated = SimplexCertificate(not residuals, residuals)
+        """Exact on-variety check: the (generator index, residual numerator) of each
+        generator that does not vanish after substitution; empty when valid."""
+        if self._validated is None:
+            values = [(j, self.substitute(f)) for j, f in enumerate(self.target.ideal_generators)]
+            self._validated = [(j, parts(v)[0]) for j, v in values if not v.is_zero()]
         return self._validated
 
     def ensure_valid(self):
-        cert = self.validate()
-        if not cert:
-            j, res = cert.residuals[0]
+        residuals = self.validate()
+        if residuals:
+            j, res = residuals[0]
             raise InvalidSimplex(
                 "generator %d leaves residual %s on %s"
                 % (j, res, self.name or "simplex")
@@ -126,9 +113,9 @@ class ParamSimplex:
         substitute, _ = affine_map(h.values, h.source, self.n)
         comps = [substitute(c) for c in self.components]
         composed = ParamSimplex(h.source, self.target, comps, check=False)
-        if self._validated:
+        if self._validated == []:
             # f(sigma o h) = f(sigma) o h = 0: a valid simplex has valid faces
-            composed._validated = self._validated
+            composed._validated = []
         return composed
 
     def component_powers(self, index, k):
@@ -264,9 +251,6 @@ class SingularFamily:
         simplices_by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
         self.complex = FiniteSimplicialSet("singular", simplices_by_dim, faces)
 
-    def simplex(self, name):
-        return self.simplex_of[name]
-
     def names(self, dim):
         return self.complex.n_simplices(dim)
 
@@ -285,7 +269,7 @@ def period_cochain(omega, family, order=DEFAULT_QUAD_ORDER):
     values = {}
     estimates = {}
     for name in family.names(omega.degree):
-        value, estimate = period(omega, family.simplex(name), order)
+        value, estimate = period(omega, family.simplex_of[name], order)
         values[name] = value
         estimates[name] = estimate
     return Cochain(family.complex, omega.degree, values), estimates

@@ -35,7 +35,6 @@ exactly when the image lies in the kernel.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,26 +76,6 @@ def _axpy(target, scale, source):
             target.pop(j, None)
 
 
-class _Rows(Mapping):
-    """Read-only view pivot -> pivot-1 row of an `Echelon`, made on reading."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __getitem__(self, pivot):
-        row = self._rows[pivot]
-        lead = row[pivot]
-        return {j: Fraction(v, lead) for j, v in row.items()}
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self):
-        return len(self._rows)
-
-
 def _integral(vec):
     """(integer vector, scale) with vec = integer vector / scale; zeros dropped."""
     scale = lcm(*[v.denominator for v in vec.values()])
@@ -125,8 +104,8 @@ class Echelon:
 
     Vectors are sparse dicts index -> Fraction (or int); a zero entry in
     an input is dropped.  A row's pivot is its largest index, and no
-    other row has an entry at that pivot.  `rows` is a read-only view
-    pivot -> row with entry 1 at its pivot: the unique reduced basis of
+    other row has an entry at that pivot.  `rows`, made on reading, is the
+    dict pivot -> row with entry 1 at its pivot: the unique reduced basis of
     the span, whatever order vectors arrive in.  Reduction leaves the
     unique remainder that vanishes at every pivot.
 
@@ -145,19 +124,22 @@ class Echelon:
     pivot entry, and its combination is over the same entry.  An input
     is scaled to integers once, an entry at a new pivot is cleared by
     a * row - b * new row, and a remainder and its coordinates become
-    Fractions only when `reduce` or `add` returns them.  So a rank,
-    `len(rows)`, makes no Fraction.
+    Fractions only when `reduce` or `add` returns them, and the rows only
+    when `rows` is read.
     """
 
     def __init__(self, vectors=(), track=False, modulo=()):
         self._rows = {}
         self._combos = {}  # pivot -> combination; all empty without `track`
-        self.rows = _Rows(self._rows)
         self._track = False
         self._inputs = 0
         self.independent_modulo, _ = _eliminate(modulo, self)
         self._track = track
         _eliminate(vectors, self)
+
+    @property
+    def rows(self):
+        return {pivot: _fractions(row, row[pivot]) for pivot, row in self._rows.items()}
 
     def _reduce(self, vec):
         """(out, coords, scale): integer vectors with vec = (out + sum of

@@ -27,15 +27,15 @@ Denominators are admitted for quadrature when they pass a Polya-style
 certificate: rewritten in barycentric coordinates and multiplied by a
 power of (u0+...+un), every monomial of the right degree must appear
 with a strictly positive coefficient.  That is sufficient for strict
-positivity on the closed simplex.  Verdicts are cached per denominator
-and power bound, since the faces of a family share few denominators.
+positivity on the closed simplex.  Both steps are Polynomial arithmetic
+in u0..un.  Verdicts are cached per denominator and power bound, since
+the faces of a family share few denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DenominatorVanishes
@@ -198,36 +198,17 @@ def _substitute(num, den, values):
     return ratio(num.substitute(values), den.substitute(values))
 
 
-def _barycentric_homogenization(poly):
-    """Coefficients of the degree-D homogenization in u0..un, t_i = u_i."""
-    n = len(poly.variables)
-    degree = poly.total_degree()
-    out = {}
-    for e, c in poly.terms.items():
-        deficit = degree - sum(e)
-        # multiply by (u0 + ... + un)^deficit and collect monomials in u
-        for combo in combinations_with_replacement(range(n + 1), deficit):
-            mult = _multinomial(combo, n + 1)
-            u = [0] * (n + 1)
-            u[1:] = list(e)
-            for i in combo:
-                u[i] += 1
-            key = tuple(u)
-            out[key] = out.get(key, Fraction(0)) + c * mult
-    return degree, {k: v for k, v in out.items() if v}
-
-
-def _multinomial(combo, nslots):
-    counts = [0] * nslots
-    for i in combo:
-        counts[i] += 1
-    total = len(combo)
-    value = 1
-    remaining = total
-    for c in counts:
-        value *= comb(remaining, c)
-        remaining -= c
-    return value
+def _barycentric_homogenization(poly, degree):
+    """poly as a form of degree `degree`, at least its total degree, in u0..un, with
+    t_i = u_i and s = u0 + ... + un = 1: by Horner's rule in s, the parts P_k of poly
+    of degree k give (...(P_0 s + P_1) s + ...) s + P_degree, P_k = 0 above poly's."""
+    u = tuple("u%d" % i for i in range(len(poly.variables) + 1))
+    total = sum((Polynomial.variable(u, i) for i in range(len(u))), Polynomial.zero(u))
+    hom = Polynomial.zero(u)
+    for k in range(degree + 1):
+        part = {(0,) + e: c for e, c in poly.terms.items() if sum(e) == k}
+        hom = hom * total + Polynomial(u, part)
+    return hom
 
 
 @lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
@@ -237,25 +218,16 @@ def _has_certificate(den, power_bound):
 
 
 def _positive_on_simplex(poly, power_bound):
-    """Polya certificate: (sum u)^r * hom(poly) has full positive support."""
-    nvars = len(poly.variables)
-    degree, hom = _barycentric_homogenization(poly)
-    if not hom:
+    """Polya certificate: for some r <= power_bound, poly as a form of degree D + r in
+    u0..un has all comb(D + r + n, n) monomials, each with a positive coefficient."""
+    if poly.is_zero():
         return False
+    degree, n = poly.total_degree(), len(poly.variables)
+    hom = _barycentric_homogenization(poly, degree)
+    total = _barycentric_homogenization(Polynomial.constant(poly.variables, 1), 1)  # u0 + ... + un
     for r in range(power_bound + 1):
         if r > 0:
-            bumped = {}
-            for u, c in hom.items():
-                for i in range(nvars + 1):
-                    key = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                    bumped[key] = bumped.get(key, Fraction(0)) + c
-            hom = {k: v for k, v in bumped.items() if v}
-            degree += 1
-        expected = _count_monomials(nvars + 1, degree)
-        if len(hom) == expected and all(c > 0 for c in hom.values()):
+            hom = hom * total
+        if len(hom.terms) == comb(degree + r + n, n) and all(c > 0 for c in hom.terms.values()):
             return True
     return False
-
-
-def _count_monomials(nslots, degree):
-    return comb(degree + nslots - 1, nslots - 1)

@@ -11,7 +11,9 @@ This module supplies the dg-algebra operations, cosimplicial pullback,
 exact and Gauss-Legendre/Duffy integration, the cone contraction to
 vertex 0, the integration map onto simplicial cochains, families of
 forms over a simplicial set, and extension of a compatible boundary
-family into the interior.  Families and the extension share one
+family into the interior.  `FormsFamily.from_top_form` pulls a form on
+Delta^n back onto every simplex of any subcomplex of Delta[n], such as
+Delta[n] itself or its boundary.  Families and the extension share one
 barycentric engine, the Arnold-Falk-Winther basis lambda^alpha
 dlambda_sigma, each form written down as one expression on every
 coface of its face; Whitney forms span the families of weight q.
@@ -225,11 +227,6 @@ def integrate_exact(alpha):
     n = alpha.n
     if alpha.degree != n:
         raise NotTopDegree("degree %d form on a %d-simplex" % (alpha.degree, n))
-    if n == 0:
-        coeff = alpha.terms.get((), None)
-        if coeff is None:
-            return Fraction(0)
-        return coeff.eval_fraction(())
     coeff = alpha.terms.get(tuple(range(n)))
     if coeff is None:
         return Fraction(0)
@@ -237,10 +234,7 @@ def integrate_exact(alpha):
         raise NonPolynomialCoefficient("exact integration needs polynomial input")
     total = Fraction(0)
     for e, c in coeff.terms.items():
-        num = 1
-        for k in e:
-            num *= factorial(k)
-        total += c * Fraction(num, factorial(n + sum(e)))
+        total += c * Fraction(prod(map(factorial, e)), factorial(n + sum(e)))
     return total
 
 
@@ -479,27 +473,11 @@ class FormsFamily:
 
     @classmethod
     def from_top_form(cls, complex_, alpha):
-        """The family of all pullbacks of a form on the top simplex of Delta[n].
-
-        Only valid for the full standard simplex, where every simplex is a
-        face of the top one.
-        """
-        top_dim = complex_.dimension
-        (top,) = complex_.n_simplices(top_dim)
-        assignment = {}
-        for d, ids in complex_.simplices.items():
-            for s in ids:
-                h = DeltaMorphism(d, top_dim, s)
-                assignment[s] = pullback_delta(h, alpha)
+        """The family of the pullbacks of a form on Delta^n onto every simplex of
+        `complex_`, a subcomplex of Delta[n] such as Delta[n] itself or its boundary."""
+        assignment = {s: pullback_delta(DeltaMorphism(d, alpha.n, s), alpha)
+                      for d, ids in complex_.simplices.items() for s in ids}
         return cls(complex_, alpha.degree, assignment, check=False)
-
-    @classmethod
-    def restricted_to(cls, family, subcomplex):
-        assignment = {}
-        for d, ids in subcomplex.simplices.items():
-            for s in ids:
-                assignment[s] = family.assignment[s]
-        return cls(subcomplex, family.degree, assignment, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -40,21 +40,9 @@ class DeltaMorphism:
         self.values = values
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, tuple(range(n + 1)))
-
-    @classmethod
     def face(cls, n, i):
         """The injection [n-1] -> [n] skipping i."""
         return cls(n - 1, n, tuple(v for v in range(n + 1) if v != i))
-
-    def compose(self, other):
-        """self after other: [k] -> [m] -> [n]."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch")
-        return DeltaMorphism(
-            other.source, self.target, tuple(self.values[v] for v in other.values)
-        )
 
     def __eq__(self, other):
         return (

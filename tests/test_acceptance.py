@@ -253,13 +253,10 @@ def test_criterion_10_boundary_extension():
     rng = random.Random(101011)
     for n in (2, 3):
         K = boundary_complex(n)
-        full = standard_simplex(n)
         for _ in range(20):
             q = rng.randint(0, n - 1)
             source = _random_poly_form(rng, n, q, 2)
-            family = FormsFamily.restricted_to(
-                FormsFamily.from_top_form(full, source), K
-            )
+            family = FormsFamily.from_top_form(K, source)
             extended = extend_from_boundary(family)
             for i in range(n + 1):
                 restricted = pullback_delta(DeltaMorphism.face(n, i), extended)

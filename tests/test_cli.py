@@ -256,12 +256,17 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--builtin", "no_such_builtin"]) == 2
 
 
-def run_python(*args):
-    """A fresh interpreter on `args` that imports this rhamcheck; check=True."""
+def python_env():
+    """The environment in which a fresh interpreter imports this rhamcheck."""
     src = str(Path(rhamcheck.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*args):
+    """A fresh interpreter on `args` that imports this rhamcheck; check=True."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+                          env=python_env(), timeout=120, check=True)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -307,13 +312,76 @@ def test_stdout_and_report_count_one_tally(tmp_path, capsys):
     assert main(["--scenario", str(path), "--check", "p,q", "--report", str(report)]) == 1
     assert capsys.readouterr().out.splitlines()[1:] == [
         "  [pass] p                      pairing",
-        "  [fail] q                      pairing  -- pairing Fraction(1, 1) missed "
-        "Fraction(2, 1) by more than 0.0",
+        "  [fail] q                      pairing  -- pairing 1 missed 2 by more than 0.0",
         "  [skip] r                      simplicial_cohomology  -- filtered out by --check",
         "total: 1 pass, 1 fail, 1 skip",
     ]
     assert report.read_text().splitlines()[-3:] == ["summary.pass 1", "summary.fail 1",
                                                     "summary.skip 1"]
+
+
+def test_failure_reasons_render_values_as_the_details_do(tmp_path, capsys):
+    """A failed expectation prints its values through render_value, on stdout
+    and in the report's reason line, as the detail lines beside it print them."""
+    text = builtin_text("two_points")
+    section = text[text.index("[check mult_minus]"):]
+    path = tmp_path / "failing.scn"
+    path.write_text(text.replace(section, section.replace("expect 0", "expect 2", 1)))
+    report = tmp_path / "report.txt"
+    assert main(["--scenario", str(path), "--check", "mult_minus", "--report", str(report)]) == 1
+    reason = "pairing 0 missed 2 by more than 0.0"
+    assert "  [fail] mult_minus             multiplicativity  -- " + reason in (
+        capsys.readouterr().out.splitlines())
+    lines = report.read_text(encoding="utf-8").splitlines()
+    assert "check.two_points.mult_minus.reason " + reason in lines
+    assert {"check.two_points.mult_minus.lhs 0",
+            "check.two_points.mult_minus.expect 2"} <= set(lines)
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_closed_stdout_ends_the_summary_not_the_run(tmp_path, monkeypatch, failing):
+    """The report is still written, and the exit code is the checks' own."""
+    report = tmp_path / "report.txt"
+    if failing:
+        path = tmp_path / "failing.scn"
+        path.write_text(MINIMAL.replace("expect 1", "expect 2"))
+        args = ["--scenario", str(path)]
+    else:
+        args = ["--builtin", "all"]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(args + ["--report", str(report)]) == int(failing)
+    if failing:
+        assert "summary.fail 1" in report.read_text(encoding="utf-8").splitlines()
+    else:
+        assert report.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_stdout_closed_before_the_first_write_exits_quietly(tmp_path, buffered):
+    """No traceback, no "Exception ignored" at exit, and exit code 0, not 1 or 120;
+    buffered, the write fails only when the summary is flushed."""
+    report = tmp_path / "report.txt"
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "rhamcheck", "--builtin", "all", "--report", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert report.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_cli_writes_report(tmp_path):
@@ -936,7 +1004,7 @@ def test_quotient_relation_loads_as_its_polynomial():
                            ("simplex pt", "component"): ["-1"]})
     scenario = Scenario(text)
     assert scenario.algebra.ideal_generators == [parse_polynomial("x + 1", ("x",))]
-    assert scenario.simplices["pt"].validate().valid
+    assert scenario.simplices["pt"].validate() == []
 
 
 def nonzero(*args, **kwargs):

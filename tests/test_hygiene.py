@@ -3,9 +3,10 @@ none divides an int literal by a value that may itself be an int, none
 but `ratfunc` builds a RationalFunc directly, no check runner builds its
 own CheckResult or rng, only the expression reader and the scenario and command
 line front ends raise ParseError, every module-level function or class
-is named somewhere in src, tests or benchmarks, every data file of
-the package is declared for its wheel, and every memo but the two that
-hold complexes is bounded by a named constant of its module."""
+is named somewhere in src, tests or benchmarks, and, but for a listed
+few, it and every method of a class somewhere in src or benchmarks,
+every data file of the package is declared for its wheel, and every memo
+but the two that hold complexes is bounded by a named constant of its module."""
 
 import ast
 from fnmatch import fnmatch
@@ -142,6 +143,49 @@ def used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_defines_nothing_unnamed(path, used_names):
     assert dead_definitions(path.read_text(encoding="utf-8"), used_names) == []
+
+
+def unread_definitions(source, used):
+    """Module-level functions and classes of `source`, and the methods of its
+    classes, as "f", "C" and "C.m", whose names are not in `used`; dunders are
+    skipped."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, defs):
+            continue
+        found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [("%s.%s" % (node.name, m.name), m.name) for m in node.body
+                      if isinstance(m, defs[:2])]
+    return sorted(qualified for qualified, name in found
+                  if name not in used and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_unread_definitions_are_found():
+    source = ("def a():\n    return b()\n\n\ndef b():\n    pass\n\n\ndef c():\n    pass\n\n\n"
+              "class D:\n    def __init__(self):\n        self.m()\n\n"
+              "    def m(self):\n        pass\n\n    def n(self):\n        pass\n")
+    used = referenced_names(source) | referenced_names("x = D()\n")
+    assert unread_definitions(source, used) == ["D.n", "a", "c"]
+
+
+# Definitions that no src module and no benchmarks file names, and why each stays.
+UNREAD_ON_PURPOSE = {
+    **{"scenarios.Scenario._build_%s" % kind: "reached through getattr in Scenario._build"
+       for kind in ("header", "algebra", "form", "simplex", "family", "chain")},
+    "simplicial.unnormalized_cohomology_dimension": "the test oracle of simplicial_cohomology",
+}
+
+
+def test_src_defines_nothing_that_only_the_tests_read():
+    """A definition that only tests reach is code the program does not need;
+    its test can check the behaviour through the code that remains."""
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
+                         for p in SOURCES if p.relative_to(ROOT).parts[0] != "tests"))
+    found = ["%s.%s" % (path.stem, name) for path in MODULES
+             for name in unread_definitions(path.read_text(encoding="utf-8"), used)]
+    assert sorted(found) == sorted(UNREAD_ON_PURPOSE)
 
 
 def callers(source, name):

@@ -34,11 +34,10 @@ def random_cochain(rng, K, p):
     )
 
 
-def test_delta_morphism_compose_and_constructors():
+def test_delta_morphism_constructors():
     f = DeltaMorphism.face(2, 1)
     assert f.values == (0, 2)
-    comp = f.compose(DeltaMorphism.identity(1))
-    assert comp == f
+    assert f == DeltaMorphism(1, 2, (0, 2)) != DeltaMorphism(1, 2, (1, 2))
     with pytest.raises(ValueError):
         DeltaMorphism(1, 1, (1, 0))
 
