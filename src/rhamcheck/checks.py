@@ -38,6 +38,7 @@ from .linalg import Echelon
 from .poly import Polynomial
 from .scenarios import MAX_WEIGHT, check_rng_seed, validate_cutoff
 from .simplex_forms import (
+    DEFAULT_QUAD_ORDER,
     FamilyComplex,
     FormsFamily,
     MAX_QUAD_ORDER,
@@ -65,7 +66,8 @@ DEFAULT_SEED = 902214
 
 
 class Settings:
-    def __init__(self, quad_order=16, max_weight=None, tolerance=None, seed=DEFAULT_SEED):
+    def __init__(self, quad_order=DEFAULT_QUAD_ORDER, max_weight=None, tolerance=None,
+                 seed=DEFAULT_SEED):
         self.quad_order = quad_order
         self.max_weight = max_weight
         self.tolerance = tolerance
@@ -156,12 +158,12 @@ def _random_poly_form(rng, n, degree, max_coeff_degree):
     return PolyForm(n, degree, terms)
 
 
-def _random_algebraic_form(rng, algebra, degree, max_coeff_degree=2):
+def _random_algebraic_form(rng, algebra, degree, max_coeff_degree):
     terms = _random_terms(rng, algebra.variables, degree, 0.8, max_coeff_degree)
     return AlgebraicForm(algebra, degree, terms)
 
 
-def _random_simplex(rng, algebra, n, max_degree=2):
+def _random_simplex(rng, algebra, n, max_degree):
     variables = simplex_variables(n)
     comps = [_random_poly(rng, variables, max_degree) for _ in range(algebra.nvars)]
     return ParamSimplex(n, algebra, comps)
@@ -263,8 +265,8 @@ def check_chain_map_random(scenario, check, settings, result):
 
     def trial(rng):
         p = rng.randint(0, num_vars - 1)
-        sigma = _random_simplex(rng, algebra, p + 1)
-        omega = _random_algebraic_form(rng, algebra, p)
+        sigma = _random_simplex(rng, algebra, p + 1, 2)
+        omega = _random_algebraic_form(rng, algebra, p, 2)
         residual, _ = chain_map_residual(omega, sigma)
         if residual != 0:
             return "nonzero Stokes residual %s" % residual
@@ -281,8 +283,8 @@ def check_naturality_random(scenario, check, settings, result):
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
         h = DeltaMorphism(m, n, sorted(rng.randint(0, n) for _ in range(m + 1)))
-        sigma = _random_simplex(rng, algebra, n)
-        omega = _random_algebraic_form(rng, algebra, rng.randint(0, min(2, num_vars)))
+        sigma = _random_simplex(rng, algebra, n, 2)
+        omega = _random_algebraic_form(rng, algebra, rng.randint(0, min(2, num_vars)), 2)
         if not naturality_residual(sigma, h, omega).is_zero():
             return "naturality residual nonzero"
 
@@ -293,8 +295,7 @@ def check_naturality_random(scenario, check, settings, result):
 def check_pairing(scenario, check, settings, result):
     form = scenario.forms[check.params["form"]]
     chain = scenario.chains[check.params["chain"]]
-    family = scenario.chain_family[check.params["chain"]]
-    cochain, estimates = period_cochain(form, family, settings.quad_order)
+    cochain, estimates = period_cochain(form, chain.complex, settings.quad_order)
     value = pair(cochain, chain)
     estimate = chain_estimate(estimates, chain)
     result.detail("value", value)
@@ -313,10 +314,7 @@ def check_multiplicativity(scenario, check, settings, result):
     form1 = scenario.forms[check.params["form1"]]
     form2 = scenario.forms[check.params["form2"]]
     chain = scenario.chains[check.params["chain"]]
-    family = scenario.chain_family[check.params["chain"]]
-    lhs, rhs, estimate = multiplicativity_check(
-        form1, form2, family, chain, settings.quad_order
-    )
+    lhs, rhs, estimate = multiplicativity_check(form1, form2, chain, settings.quad_order)
     residual = lhs - rhs
     result.detail("lhs", lhs)
     result.detail("rhs", rhs)

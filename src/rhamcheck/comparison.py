@@ -7,6 +7,8 @@ exactly (an on-variety certificate, checked by clearing denominators):
 numerator) of the generators that do not vanish, empty when valid.
 Pulling an algebraic form back along such a simplex gives a form on the
 simplex; integrating it gives the period pairing with singular chains.
+A `SingularFamily` closes its simplices under faces and is the simplicial
+set of its simplices, on which its chains and period cochains live.
 
 Two lanes run side by side: polynomial simplices with exact rational
 outputs and zero-tolerance assertions, and rational simplices evaluated
@@ -44,7 +46,6 @@ from .simplex_forms import (
     simplex_variables,
 )
 from .simplicial import (
-    Chain,
     Cochain,
     DeltaMorphism,
     FiniteSimplicialSet,
@@ -58,7 +59,7 @@ class ParamSimplex:
     """A rational-map singular simplex into the real points of an FpAlgebra,
     one component per variable."""
 
-    def __init__(self, n, target, components, name=None, check=True):
+    def __init__(self, n, target, components, name=None):
         self.n = n
         self.target = target
         variables = simplex_variables(n)
@@ -76,10 +77,7 @@ class ParamSimplex:
         self.components = tuple(comps)
         self.name = name
         self._validated = None
-        self._powers = None
         self._dcomp = None
-        if check:
-            self.ensure_valid()
 
     @property
     def lane(self):
@@ -112,21 +110,11 @@ class ParamSimplex:
             raise ValueError("morphism target does not match simplex dimension")
         substitute, _ = affine_map(h.values, h.source, self.n)
         comps = [substitute(c) for c in self.components]
-        composed = ParamSimplex(h.source, self.target, comps, check=False)
+        composed = ParamSimplex(h.source, self.target, comps)
         if self._validated == []:
             # f(sigma o h) = f(sigma) o h = 0: a valid simplex has valid faces
             composed._validated = []
         return composed
-
-    def component_powers(self, index, k):
-        """sigma_index ** k by repeated multiplication, cached."""
-        if self._powers is None:
-            one = Polynomial.constant(simplex_variables(self.n), 1)
-            self._powers = [[one] for _ in self.components]
-        powers = self._powers[index]
-        while len(powers) <= k:
-            powers.append(powers[-1] * self.components[index])
-        return powers[k]
 
     def substitute(self, f):
         """f(sigma_1, ..., sigma_m) on the simplex: a Polynomial, or a
@@ -135,9 +123,12 @@ class ParamSimplex:
         total = Polynomial.zero(variables)
         for e, c in sorted(f.terms.items()):
             piece = Polynomial.constant(variables, c)
-            for i, k in enumerate(e):
+            for component, k in zip(self.components, e):
                 if k:
-                    piece = piece * self.component_powers(i, k)
+                    power = component
+                    for _ in range(k - 1):
+                        power = power * component
+                    piece = piece * power
             total = total + piece
         return total
 
@@ -193,21 +184,21 @@ def period(omega, sigma, order=DEFAULT_QUAD_ORDER):
     return integrate_numeric(pulled, order)
 
 
-class SingularFamily:
-    """A finite family of parametrized simplices closed under faces.
+class SingularFamily(FiniteSimplicialSet):
+    """A finite family of parametrized simplices closed under faces: the
+    simplicial set of its simplices, named as in `simplex_of`.
 
     Faces are computed symbolically and identified by exact equality of
     their components, so shared edges collapse to a single simplex; the
-    resulting face table forms an honest finite simplicial set on which
+    resulting face table is an honest finite simplicial set on which
     cochains, chains, and the Alexander-Whitney product all make sense.
     """
 
     def __init__(self, simplices):
-        named = []
-        for idx, sigma in enumerate(simplices):
+        named = list(simplices)
+        for idx, sigma in enumerate(named):
             if sigma.name is None:
                 sigma.name = "s%d" % idx
-            named.append(sigma)
         if not named:
             raise ValueError("empty family")
         self.target = named[0].target
@@ -233,9 +224,7 @@ class SingularFamily:
             by_key[key] = name
             return name
 
-        queue = []
-        for sigma in named:
-            queue.append(register(sigma))
+        queue = [register(sigma) for sigma in named]
         while queue:
             name = queue.pop(0)
             sigma = self.simplex_of[name]
@@ -249,16 +238,7 @@ class SingularFamily:
                     queue.append(known)
                 faces[(name, i)] = known
         simplices_by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
-        self.complex = FiniteSimplicialSet("singular", simplices_by_dim, faces)
-
-    def names(self, dim):
-        return self.complex.n_simplices(dim)
-
-    def chain(self, degree, coeffs):
-        return Chain(self.complex, degree, coeffs)
-
-    def __repr__(self):
-        return "SingularFamily(%r)" % (self.complex,)
+        super().__init__("singular", simplices_by_dim, faces)
 
 
 def period_cochain(omega, family, order=DEFAULT_QUAD_ORDER):
@@ -268,11 +248,11 @@ def period_cochain(omega, family, order=DEFAULT_QUAD_ORDER):
     """
     values = {}
     estimates = {}
-    for name in family.names(omega.degree):
+    for name in family.n_simplices(omega.degree):
         value, estimate = period(omega, family.simplex_of[name], order)
         values[name] = value
         estimates[name] = estimate
-    return Cochain(family.complex, omega.degree, values), estimates
+    return Cochain(family, omega.degree, values), estimates
 
 
 def chain_map_residual(omega, sigma, order=DEFAULT_QUAD_ORDER):
@@ -304,18 +284,20 @@ def naturality_residual(sigma, h, omega):
     return left - right
 
 
-def multiplicativity_check(omega1, omega2, family, chain, order=DEFAULT_QUAD_ORDER):
+def multiplicativity_check(omega1, omega2, chain, order=DEFAULT_QUAD_ORDER):
     """Cohomology-level multiplicativity, tested by pairing with a cycle.
 
     lhs = <xi(omega1 ^ omega2), z>, rhs = <xi(omega1) u xi(omega2), z>;
     the difference is a coboundary paired against a cycle, so the
-    theorem predicts a zero residual.  Returns (lhs, rhs, estimate).
+    theorem predicts a zero residual.  The chain lives on a SingularFamily,
+    whose periods give the cochains.  Returns (lhs, rhs, estimate).
     """
     if not is_cycle(chain):
         raise NotACycle("multiplicativity needs a cycle")
     for omega in (omega1, omega2):
         if not d_algebraic(omega).is_zero():
             raise NotClosedForm("multiplicativity needs closed forms")
+    family = chain.complex
     product = wedge_algebraic(omega1, omega2)
     lhs_cochain, lhs_est = period_cochain(product, family, order)
     a, a_est = period_cochain(omega1, family, order)

@@ -23,13 +23,14 @@ and the two can integrate to different last bits, so they keep separate
 entries.  A cached result is handed to every caller; that is safe
 because nothing changes a Polynomial or a RationalFunc after construction.
 
-Denominators are admitted for quadrature when they pass a Polya-style
-certificate: rewritten in barycentric coordinates and multiplied by a
-power of (u0+...+un), every monomial of the right degree must appear
-with a strictly positive coefficient.  That is sufficient for strict
-positivity on the closed simplex.  Both steps are Polynomial arithmetic
-in u0..un.  Verdicts are cached per denominator and power bound, since
-the faces of a family share few denominators.
+Denominators are admitted for quadrature when they, or their negatives,
+pass a Polya-style certificate: rewritten in barycentric coordinates and
+multiplied by a power of (u0+...+un), every monomial of the right degree
+must appear with a strictly positive coefficient.  That is sufficient for
+strict positivity on the closed simplex, so the denominator has no zero
+there.  Both steps are Polynomial arithmetic in u0..un.  Verdicts are
+cached per denominator and power bound, since the faces of a family share
+few denominators.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ class RationalFunc:
             raise ZeroDivisionError("denominator vanished at evaluation point")
         return self.num.eval_fraction(point) / den
 
-    def certify_denominator(self, power_bound=CERTIFICATE_POWER_BOUND):
+    def certify_denominator(self):
         """Check the positivity certificate; raises DenominatorVanishes."""
-        if not _has_certificate(self.den, power_bound):
+        if not _has_certificate(self.den, CERTIFICATE_POWER_BOUND):
             raise DenominatorVanishes(
                 "no positivity certificate for denominator %s" % self.den
             )
@@ -213,8 +214,9 @@ def _barycentric_homogenization(poly, degree):
 
 @lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def _has_certificate(den, power_bound):
-    """Memoized certificate verdict; a Polynomial hashes on its variables and terms."""
-    return _positive_on_simplex(den, power_bound)
+    """Memoized verdict: den, or failing that -den, has a certificate (`ratio` stores
+    1/(2 - t1^2) as -1/(t1^2 - 2)); a Polynomial hashes on its variables and terms."""
+    return _positive_on_simplex(den, power_bound) or _positive_on_simplex(-den, power_bound)
 
 
 def _positive_on_simplex(poly, power_bound):

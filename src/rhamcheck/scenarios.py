@@ -64,7 +64,7 @@ from .comparison import ParamSimplex, SingularFamily
 from .derham import FpAlgebra, parse_algebraic_form
 from .errors import ParseError, RhamcheckError, ValidationError
 from .simplex_forms import parse_poly_form
-from .simplicial import boundary_complex, standard_simplex
+from .simplicial import Chain, boundary_complex, standard_simplex
 
 # params maps each CHECK_KEYS key of the kind to its parsed value
 CheckSpec = namedtuple("CheckSpec", "name kind params")
@@ -156,7 +156,7 @@ class Scenario:
     def _build(self):
         self.algebra = None
         self.forms, self.simplices, self.families = {}, {}, {}
-        self.chains, self.chain_family = {}, {}
+        self.chains = {}
         for kind, keys in SECTION_KEYS.items():
             for name, raw in self._sections[kind].items():
                 where = _label(kind, name)
@@ -186,7 +186,7 @@ class Scenario:
     def _build_simplex(self, name, where, p):
         algebra = self._needs_algebra(where)
         simplex = _evaluate("%s: component" % where, ParamSimplex, p["dim"], algebra,
-                            p["component"], name=name, check=False)
+                            p["component"], name=name)
         if p["lane"] is not None and p["lane"] != simplex.lane:
             raise ValidationError("%s: lane: declared %s but the components are %s"
                                   % (where, p["lane"], simplex.lane))
@@ -200,12 +200,11 @@ class Scenario:
         family, degree = self.families[p["family"]], p["degree"]
         terms = {}
         for coeff, sname in p["term"]:
-            if sname not in family.complex.n_simplices(degree):
+            if sname not in family.n_simplices(degree):
                 raise ValidationError("%s: term: family %s has no %d-simplex %r"
                                       % (where, p["family"], degree, sname))
             terms[sname] = terms.get(sname, 0) + coeff
-        self.chains[name] = family.chain(degree, terms)
-        self.chain_family[name] = family
+        self.chains[name] = Chain(family, degree, terms)
 
     def _load_check(self, name, raw):
         """Look the check's kind up, then parse its keys through CHECK_KEYS."""

@@ -38,7 +38,8 @@ from .errors import (
     NonPolynomialCoefficient,
     NotTopDegree,
 )
-from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
+from .exterior import (ExteriorForm, check_index_set, d_monomial, d_terms, insert_index,
+                       wedge_terms)
 from .formtext import eval_form
 from .linalg import CohomologyPair, Echelon, Matrix, kernel_image
 from .poly import Polynomial, drl_key
@@ -130,16 +131,13 @@ class PolyForm(ExteriorForm):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def vertex_value(self, vertex=0):
-        """Value of a degree-0 form at a vertex (exact lane)."""
+    def vertex_value(self):
+        """Value of a degree-0 form at vertex 0, the origin (exact lane)."""
         if self.degree != 0:
             raise ValueError("vertex_value needs a degree-0 form")
         if not self.terms:
             return Fraction(0)
-        point = [Fraction(0)] * self.n
-        if vertex > 0:
-            point[vertex - 1] = Fraction(1)
-        return self.terms[()].eval_fraction(point)
+        return self.terms[()].eval_fraction([Fraction(0)] * self.n)
 
 
 def parse_poly_form(text, n):
@@ -393,7 +391,7 @@ def homotopy_defect(alpha):
     result = differential(cone_homotopy(alpha)) + cone_homotopy(differential(alpha))
     result = result - alpha
     if alpha.degree == 0:
-        result = result + PolyForm.constant(alpha.n, alpha.vertex_value(0))
+        result = result + PolyForm.constant(alpha.n, alpha.vertex_value())
     return result
 
 
@@ -421,53 +419,24 @@ def to_cochain(alpha, order=DEFAULT_QUAD_ORDER):
 
 
 class FormsFamily:
-    """A simplicial assignment of degree-q forms, one per simplex of K."""
+    """A simplicial assignment of degree-q forms, stored as given: the caller
+    gives every simplex s of K, of dimension d, a form of degree q on Delta^d
+    (zero where d < q), compatible on faces: the pullback of the form on s
+    along face i of Delta^d is the form on the i-th face of s."""
 
-    def __init__(self, complex_, degree, assignment, check=True):
+    def __init__(self, complex_, degree, assignment):
         self.complex = complex_
         self.degree = degree
-        full = {}
-        for d, ids in complex_.simplices.items():
-            for s in ids:
-                if s in assignment:
-                    form = assignment[s]
-                    if form.n != d:
-                        raise ValueError("form on %r has wrong dimension" % (s,))
-                    if form.degree != degree and not form.is_zero():
-                        raise ValueError("form on %r has wrong degree" % (s,))
-                    full[s] = form
-                elif d < degree:
-                    full[s] = PolyForm.zero(d, degree)
-                else:
-                    raise ValueError("no form assigned to simplex %r" % (s,))
-        self.assignment = full
-        if check:
-            self._check_compatibility()
-
-    def _check_compatibility(self):
-        for d, ids in self.complex.simplices.items():
-            if d == 0:
-                continue
-            for s in ids:
-                form = self.assignment[s]
-                for i in range(d + 1):
-                    face = self.complex.face(s, i)
-                    pulled = pullback_delta(DeltaMorphism.face(d, i), form)
-                    if pulled != self.assignment[face]:
-                        raise IncompatibleFamily(
-                            "family not compatible at face %d of %r" % (i, s)
-                        )
+        self.assignment = assignment
 
     def wedge(self, other):
         assignment = {
             s: wedge(f, other.assignment[s]) for s, f in self.assignment.items()
         }
-        return FormsFamily(
-            self.complex, self.degree + other.degree, assignment, check=False
-        )
+        return FormsFamily(self.complex, self.degree + other.degree, assignment)
 
-    def to_cochain(self, order=DEFAULT_QUAD_ORDER):
-        values = {s: integrate(self.assignment[s], order)[0]
+    def to_cochain(self):
+        values = {s: integrate(self.assignment[s])[0]
                   for s in self.complex.n_simplices(self.degree)}
         return Cochain(self.complex, self.degree, values)
 
@@ -477,7 +446,7 @@ class FormsFamily:
         `complex_`, a subcomplex of Delta[n] such as Delta[n] itself or its boundary."""
         assignment = {s: pullback_delta(DeltaMorphism(d, alpha.n, s), alpha)
                       for d, ids in complex_.simplices.items() for s in ids}
-        return cls(complex_, alpha.degree, assignment, check=False)
+        return cls(complex_, alpha.degree, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +510,7 @@ def _barycentric_terms(alpha, sigma):
     # dlambda_v = dt_v for v >= 1, and dlambda_0 = -(dt_1 + ... + dt_d) leads sigma
     rest = tuple(v - 1 for v in sigma if v)
     if sigma[:1] == (0,):
-        forms = [((-1) ** (1 + sum(j < i for j in rest)), tuple(sorted(rest + (i,))))
-                 for i in range(d) if i not in rest]
+        forms = [(-sign, S) for sign, S in (insert_index(i, rest) for i in range(d)) if sign]
     else:
         forms = [(1, rest)]
     # lambda^alpha = t^(alpha_1..alpha_d) (1 - t_1 - ... - t_d)^alpha_0, multinomially
@@ -645,7 +613,7 @@ class FamilyComplex:
             variables = simplex_variables(self.complex.dim_of[s])
             by_set = {S: Polynomial(variables, monos) for S, monos in by_set.items()}
             assignment[s] = PolyForm(self.complex.dim_of[s], q, by_set)
-        return FormsFamily(self.complex, q, assignment, check=False)
+        return FormsFamily(self.complex, q, assignment)
 
 
 # ---------------------------------------------------------------------------

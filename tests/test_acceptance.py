@@ -39,6 +39,7 @@ from rhamcheck.simplex_forms import (
     wedge as wedge_simplex,
 )
 from rhamcheck.simplicial import (
+    Chain,
     Cochain,
     DeltaMorphism,
     aw_cup,
@@ -79,9 +80,7 @@ def test_criterion_1_two_points():
     ok = ok and table == [[1, 0], [0, 1]]
     family = SingularFamily([plus, minus])
     for name, expected in (("plus", 1), ("minus", 0)):
-        lhs, rhs, _ = multiplicativity_check(
-            e_plus, e_plus, family, family.chain(0, {name: 1})
-        )
+        lhs, rhs, _ = multiplicativity_check(e_plus, e_plus, Chain(family, 0, {name: 1}))
         ok = ok and lhs == rhs == expected and isinstance(lhs, Fraction)
     criterion(1, "two points", ok, time.monotonic() - start, 1)
 
@@ -108,8 +107,8 @@ def test_criterion_3_stokes_chain_map():
     algebra = FpAlgebra(("x", "y"), [])
     for _ in range(50):
         p = rng.randint(0, 1)
-        sigma = _random_simplex(rng, algebra, p + 1)
-        omega = _random_algebraic_form(rng, algebra, p)
+        sigma = _random_simplex(rng, algebra, p + 1, 2)
+        omega = _random_algebraic_form(rng, algebra, p, 2)
         residual, _ = chain_map_residual(omega, sigma)
         ok = ok and residual == 0
     circle = load_builtin("circle").algebra
@@ -133,8 +132,8 @@ def test_criterion_4_naturality():
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
         h = DeltaMorphism(m, n, sorted(rng.randint(0, n) for _ in range(m + 1)))
-        sigma = _random_simplex(rng, algebra, n)
-        omega = _random_algebraic_form(rng, algebra, rng.randint(0, 2))
+        sigma = _random_simplex(rng, algebra, n, 2)
+        omega = _random_algebraic_form(rng, algebra, rng.randint(0, 2), 2)
         ok = ok and naturality_residual(sigma, h, omega).is_zero()
     criterion(4, "naturality", ok, time.monotonic() - start, 5)
 
@@ -157,8 +156,8 @@ def test_criterion_6_mixed_multiplicativity():
     algebra = family.target
     s_form = parse_algebraic_form("s", algebra)
     omega = parse_algebraic_form("x*dy - y*dx", algebra)
-    lhs1, rhs1, _ = multiplicativity_check(s_form, omega, family, z1, order=16)
-    lhs0, rhs0, _ = multiplicativity_check(s_form, omega, family, z0, order=16)
+    lhs1, rhs1, _ = multiplicativity_check(s_form, omega, z1, order=16)
+    lhs0, rhs0, _ = multiplicativity_check(s_form, omega, z0, order=16)
     ok = (
         abs(lhs1 - rhs1) < 1e-8
         and abs(lhs1 - 2 * math.pi) < 1e-8
@@ -176,7 +175,7 @@ def test_criterion_7_torus_flagship():
     algebra = family.target
     omega1 = parse_algebraic_form("x*dy - y*dx", algebra)
     omega2 = parse_algebraic_form("z*dw - w*dz", algebra)
-    lhs, rhs, _ = multiplicativity_check(omega1, omega2, family, cycle, order=16)
+    lhs, rhs, _ = multiplicativity_check(omega1, omega2, cycle, order=16)
     ok = abs(lhs - rhs) < 1e-6 and abs(lhs - 39.4784176) < 1e-4
     criterion(7, "torus top-degree product", ok, time.monotonic() - start, 60)
 

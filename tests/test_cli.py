@@ -338,6 +338,55 @@ def test_failure_reasons_render_values_as_the_details_do(tmp_path, capsys):
             "check.two_points.mult_minus.expect 2"} <= set(lines)
 
 
+HYPERBOLA = """
+format_version 1
+name hyperbola
+
+[algebra]
+variables x y
+relation x*y - 1
+
+[form xdy]
+degree 1
+expr x*dy
+
+[simplex arc]
+dim 1
+lane numeric
+component 2 - t1^2
+component 1/(2 - t1^2)
+
+[family branch]
+simplices arc
+
+[chain z]
+family branch
+degree 1
+term 1 arc
+
+[check pairing]
+kind pairing
+form xdy
+chain z
+expect 0.6931471805599453
+tolerance 1e-9
+"""
+
+
+def test_pairing_over_a_denominator_negative_on_the_simplex_passes(tmp_path, capsys):
+    """x dy pulls back to 2 t1/(2 - t1^2) dt1, whose integral is ln 2; `ratio`
+    stores 1/(2 - t1^2) as -1/(t1^2 - 2), negative on the simplex, which its
+    negative's certificate admits."""
+    path = tmp_path / "hyperbola.scn"
+    path.write_text(HYPERBOLA)
+    report = tmp_path / "report.txt"
+    assert main(["--scenario", str(path), "--report", str(report)]) == 0
+    assert "  [pass] pairing                pairing" in capsys.readouterr().out.splitlines()
+    lines = report.read_text(encoding="utf-8").splitlines()
+    value = next(line for line in lines if line.startswith("check.hyperbola.pairing.value "))
+    assert abs(float(value.split()[1]) - 0.6931471805599453) <= 1e-9
+
+
 class ClosedPipe(io.StringIO):
     """A stdout whose reader has gone."""
 

@@ -5,10 +5,13 @@ own CheckResult or rng, only the expression reader and the scenario and command
 line front ends raise ParseError, every module-level function or class
 is named somewhere in src, tests or benchmarks, and, but for a listed
 few, it and every method of a class somewhere in src or benchmarks,
-every data file of the package is declared for its wheel, and every memo
-but the two that hold complexes is bounded by a named constant of its module."""
+every data file of the package is declared for its wheel, every memo
+but the two that hold complexes is bounded by a named constant of its module,
+and every parameter default of src is overridden by some call in src or
+benchmarks."""
 
 import ast
+import math
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -186,6 +189,96 @@ def test_src_defines_nothing_that_only_the_tests_read():
     found = ["%s.%s" % (path.stem, name) for path in MODULES
              for name in unread_definitions(path.read_text(encoding="utf-8"), used)]
     assert sorted(found) == sorted(UNREAD_ON_PURPOSE)
+
+
+def defaulted_parameters(source):
+    """(qualified name, called name, parameter, position) of each parameter with a
+    default of a module-level function, or of a method of a module-level class.
+    A method's positions do not count self or cls; a keyword-only parameter has
+    position None; __init__ is called by its class's name."""
+    found = []
+
+    def add(qualified, called, func, skip):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            found.append((qualified, called, arg.arg, index - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((qualified, called, arg.arg, None))
+
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            add(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in m.decorator_list)
+                    called = node.name if m.name == "__init__" else m.name
+                    add("%s.%s" % (node.name, m.name), called, m, 0 if static else 1)
+    return found
+
+
+def passed_arguments(source):
+    """(called name, positional count, keywords) of every call in `source`.  A *args
+    passes every position and a **kwargs every keyword (keywords None); a call of
+    `_evaluate(where, build, *args, **kwargs)` is a call of build."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if getattr(func, "id", None) == "_evaluate" and len(args) >= 2:
+            func, args = args[1], args[2:]
+        count = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+        keywords = {k.arg for k in node.keywords}
+        found.append((getattr(func, "id", None) or getattr(func, "attr", None), count,
+                      None if None in keywords else keywords))
+    return found
+
+
+def unset_defaults(definitions, callers_sources):
+    """The "module.qualified.parameter" of each defaulted parameter of the
+    (module, source) pairs in `definitions` that no call in `callers_sources`
+    passes, by position or by keyword; calls are matched by name."""
+    calls = [call for text in callers_sources for call in passed_arguments(text)]
+    return sorted(
+        "%s.%s.%s" % (module, qualified, param)
+        for module, source in definitions
+        for qualified, called, param, position in defaulted_parameters(source)
+        if not any(name == called and (keywords is None or param in keywords
+                                       or position is not None and position < count)
+                   for name, count, keywords in calls)
+    )
+
+
+def test_unset_defaults_are_found():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n\n\n"
+              "class K:\n    def __init__(self, x=0):\n        pass\n\n"
+              "    def m(self, y=0, z=1):\n        pass\n\n"
+              "    @staticmethod\n    def s(w=0):\n        pass\n\n\n"
+              "def g(p=0, q=0):\n    pass\n")
+    calling = ("f(1, 2)\nK.s(5)\nobj.m(z=1)\n_evaluate('where', f, 0, d=4)\n"
+               "g(*args)\n")
+    assert unset_defaults([("mod", source)], [source, calling]) == [
+        "mod.K.__init__.x", "mod.K.m.y", "mod.f.c"]
+    assert unset_defaults([("mod", source)], ["f(**kw)\nK(0)\nobj.m(0, 1)\n"]) == [
+        "mod.K.s.w", "mod.g.p", "mod.g.q"]
+
+
+# Defaults that no call in src or benchmarks overrides, and why each stays.
+UNSET_ON_PURPOSE = {}
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    """An option that the program always leaves at its default is a second
+    behaviour that only tests reach; the default can be the one behaviour."""
+    definitions = [(path.stem, path.read_text(encoding="utf-8")) for path in MODULES]
+    calling = [p.read_text(encoding="utf-8") for p in SOURCES
+               if p.relative_to(ROOT).parts[0] != "tests"]
+    assert unset_defaults(definitions, calling) == sorted(UNSET_ON_PURPOSE)
 
 
 def callers(source, name):

@@ -97,9 +97,9 @@ def test_pullback_identity_and_vertex():
     # vertex 1 of the interval: the 0-form t1 evaluates to 1
     f = parse_poly_form("t1", 1)
     at_v1 = pullback_delta(DeltaMorphism(0, 1, (1,)), f)
-    assert at_v1.vertex_value(0) == 1
+    assert at_v1.vertex_value() == 1
     at_v0 = pullback_delta(DeltaMorphism(0, 1, (0,)), f)
-    assert at_v0.vertex_value(0) == 0
+    assert at_v0.vertex_value() == 0
 
 
 def test_pullback_functorial():
@@ -193,7 +193,7 @@ def test_no_rational_func_has_a_constant_denominator(seed):
             if sigma.validate():
                 continue
             for degree in range(sigma.n + 1):
-                pulled = pullback_form(sigma, _random_algebraic_form(rng, algebra, degree))
+                pulled = pullback_form(sigma, _random_algebraic_form(rng, algebra, degree, 2))
                 assert_lanes(pulled)
                 assert_lanes(differential(pulled))
                 assert_lanes(pullback_delta(h, pulled))
@@ -433,17 +433,29 @@ def test_certificate_runs_once_per_denominator_and_power_bound(monkeypatch):
         for _ in range(3):
             with pytest.raises(DenominatorVanishes):
                 bad.certify_denominator()
-        assert len(runs) == 2
+        # a miss tries the denominator, then its negative, once
+        assert runs[1:] == [("t1 - 1/2", 6), ("-t1 + 1/2", 6)]
         # t1^2 + (1 - t1)^2 needs one Polya step: certified at bound 1, not at 0
-        tight = parse_poly_form("1/(1 - 2*t1 + 2*t1^2) * dt1", 1).terms[(0,)]
-        assert tight.certify_denominator(power_bound=1)
+        tight = parse_poly_form("1/(1 - 2*t1 + 2*t1^2) * dt1", 1).terms[(0,)].den
+        assert ratfunc._has_certificate(tight, 1)
         for _ in range(2):
-            with pytest.raises(DenominatorVanishes):
-                tight.certify_denominator(power_bound=0)
-        assert tight.certify_denominator(power_bound=1)
-        assert [bound for _, bound in runs[2:]] == [1, 0]
+            assert not ratfunc._has_certificate(tight, 0)
+        assert ratfunc._has_certificate(tight, 1)
+        assert [bound for _, bound in runs[3:]] == [1, 0, 0]
     finally:
         ratfunc._has_certificate.cache_clear()
+
+
+def test_a_denominator_negative_on_the_simplex_is_certified():
+    """`ratio` stores 1/(2 - t1^2) as -1/(t1^2 - 2); the certificate of
+    2 - t1^2 proves that t1^2 - 2 has no zero on [0, 1] either."""
+    alpha = parse_poly_form("1/(2 - t1^2) * dt1", 1)
+    assert str(alpha.terms[(0,)].den) == "t1^2 - 2"
+    value, estimate = integrate_numeric(alpha)
+    assert abs(value - math.log(1 + math.sqrt(2)) / math.sqrt(2)) <= estimate
+    for text in ("1/(t1 - 1/2) * dt1", "1/(1/2 - t1) * dt1"):
+        with pytest.raises(DenominatorVanishes):
+            integrate_numeric(parse_poly_form(text, 1))
 
 
 def polya_by_sympy(poly, power_bound):
@@ -667,7 +679,7 @@ def test_closed_forms_are_exact_up_to_constants():
     f = parse_poly_form("t1^2 + 3", 2)  # closed 0-form only if constant; use d-route
     closed0 = PolyForm.constant(2, Fraction(7, 2))
     assert differential(cone_homotopy(closed0)) + PolyForm.constant(
-        2, closed0.vertex_value(0)
+        2, closed0.vertex_value()
     ) == closed0
 
 
@@ -743,14 +755,39 @@ def test_naturality_of_to_cochain():
                 assert lhs.values[simplex] == tau_big.values[image]
 
 
+def family_defects(family):
+    """What a FormsFamily's callers must not give: a simplex of the complex with no
+    form, a form of the wrong dimension or of the wrong degree (but zero), and a
+    face i of s where the pullback of s's form differs from the face's form."""
+    K, found = family.complex, []
+    for d, ids in K.simplices.items():
+        for s in ids:
+            form = family.assignment.get(s)
+            if form is None or form.n != d or (form.degree != family.degree
+                                               and not form.is_zero()):
+                found.append(("form", s))
+                continue
+            for i in range(d + 1) if d else ():
+                face = family.assignment.get(K.face(s, i))
+                if face is not None and pullback_delta(DeltaMorphism.face(d, i), form) != face:
+                    found.append(("face", s, i))
+    return found
+
+
 def test_forms_family_compatibility_checked():
     K = standard_simplex(1)
     good = FormsFamily.from_top_form(K, parse_poly_form("t1", 1))
-    FormsFamily(K, 0, good.assignment)  # does not raise
+    assert family_defects(good) == []
     bad = dict(good.assignment)
     bad[(0,)] = PolyForm.constant(0, Fraction(7))
-    with pytest.raises(IncompatibleFamily):
-        FormsFamily(K, 0, bad)
+    assert family_defects(FormsFamily(K, 0, bad)) == [("face", (0, 1), 1)]
+    del bad[(1,)]
+    bad[(0,)] = PolyForm.constant(1, Fraction(0))
+    assert family_defects(FormsFamily(K, 0, bad)) == [("form", (0,)), ("form", (1,)),
+                                                      ("face", (0, 1), 1)]
+    # t1 is zero at vertex 0, where any degree is right, and 1 at vertex 1
+    assert family_defects(FormsFamily(K, 1, good.assignment)) == [("form", (1,)),
+                                                                  ("form", (0, 1))]
 
 
 def test_extension_interval_interpolates():
@@ -815,9 +852,8 @@ def test_extension_refuses_facets_that_disagree():
     bc = boundary_complex(3)
     assignment = {s: PolyForm.zero(len(s) - 1, 0) for ids in bc.simplices.values() for s in ids}
     assignment[(0, 1, 2)] = parse_poly_form("t1 * (1 - t1 - t2)", 2)
-    with pytest.raises(IncompatibleFamily):
-        FormsFamily(bc, 0, assignment)
-    family = FormsFamily(bc, 0, assignment, check=False)
+    family = FormsFamily(bc, 0, assignment)
+    assert family_defects(family) == [("face", (0, 1, 2), 2)]
     with pytest.raises(IncompatibleFamily):
         extend_from_boundary(family)
 
@@ -908,7 +944,7 @@ def test_family_basis_spans_the_compatible_families(name):
                     for row, value in columns[key].items():
                         residual[row] = residual.get(row, 0) + c * value
                 assert not any(residual.values()), (N, q, family)
-                FormsFamily(K, q, fc._materialize(family, q).assignment, check=True)
+                assert family_defects(fc._materialize(family, q)) == []
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
