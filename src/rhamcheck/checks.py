@@ -382,14 +382,15 @@ def check_tau_chain_map(scenario, check, settings, result):
 
 
 def check_tau_cohomology(scenario, check, settings, result):
+    """The integration map from the form families on K at the cutoff N to the
+    simplicial cochains, as an isomorphism of cohomology rings.  One
+    `FamilyComplex` at N gives both cutoffs: `stabilized` says that H^q at
+    N - 1 -> H^q at N is an isomorphism in every degree, read from its
+    weight <= N - 1 prefix; it stays false at cutoff 1."""
     K = check.params["complex"]
     cutoff = _max_weight(check, settings)
     fc = FamilyComplex(K, cutoff)
-    prev = FamilyComplex(K, cutoff - 1) if cutoff > 1 else None
-    stabilized = prev is not None and all(
-        fc.cohomology_dimension(q) == prev.cohomology_dimension(q)
-        for q in range(K.dimension + 1)
-    )
+    stabilized = cutoff > 1 and all(fc.stabilized(q) for q in range(K.dimension + 1))
     result.detail("max_weight", cutoff)
     result.detail("stabilized", stabilized)
     simplicial = {}

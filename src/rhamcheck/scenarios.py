@@ -45,8 +45,9 @@ same kind and name are refused, naming the section and the key.
 Sections are built in dependency order, whatever their order in the
 file, and all expression text is evaluated by `formtext`.
 
-Families close themselves under faces symbolically, so chains may refer
-to the named top simplices only.
+Families close themselves under faces symbolically, and a generated
+face name depends on the order of that closure, so a chain may name
+only the simplices its family lists; any other name is refused.
 
 The builtin corpus is scenario text too.  The builtins that generate
 their simplices and chains (circle, circle_x_points, torus) write every
@@ -156,7 +157,7 @@ class Scenario:
     def _build(self):
         self.algebra = None
         self.forms, self.simplices, self.families = {}, {}, {}
-        self.chains = {}
+        self.chains, self._listed = {}, {}
         for kind, keys in SECTION_KEYS.items():
             for name, raw in self._sections[kind].items():
                 where = _label(kind, name)
@@ -195,11 +196,15 @@ class Scenario:
     def _build_family(self, name, where, p):
         members = [self.simplices[s] for s in p["simplices"]]
         self.families[name] = _evaluate("%s: simplices" % where, SingularFamily, members)
+        self._listed[name] = p["simplices"]
 
     def _build_chain(self, name, where, p):
         family, degree = self.families[p["family"]], p["degree"]
         terms = {}
         for coeff, sname in p["term"]:
+            if sname not in self._listed[p["family"]]:
+                raise ValidationError("%s: term: %r is not a simplex listed in family %s"
+                                      % (where, sname, p["family"]))
             if sname not in family.n_simplices(degree):
                 raise ValidationError("%s: term: family %s has no %d-simplex %r"
                                       % (where, p["family"], degree, sname))

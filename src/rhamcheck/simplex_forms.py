@@ -15,8 +15,9 @@ family into the interior.  `FormsFamily.from_top_form` pulls a form on
 Delta^n back onto every simplex of any subcomplex of Delta[n], such as
 Delta[n] itself or its boundary.  Families and the extension share one
 barycentric engine, the Arnold-Falk-Winther basis lambda^alpha
-dlambda_sigma, each form written down as one expression on every
-coface of its face; Whitney forms span the families of weight q.
+dlambda_sigma, each form written down as one expression on the cofaces
+of its face that fix a family: the maximal simplices of a complex, the
+facets of a boundary.  Whitney forms span the families of weight q.
 
 Quadrature is pure Python on gauss_legendre.txt, numpy's `leggauss`
 rules pinned as float.hex: the report's printed digits follow their last
@@ -26,6 +27,7 @@ bits, which differ from the correctly rounded rule's and across LAPACKs.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, product, repeat
@@ -468,7 +470,8 @@ def _coface_table(faces, simplices):
 
 def _barycentric_basis(cofaces, q, r):
     """The Arnold-Falk-Winther basis of P_r Lambda^q(K), r >= 1 (Acta Numerica 15,
-    2006, sec. 3-4), as families (simplex, exponent, index set) -> coefficient.
+    2006, sec. 3-4), as families (coefficient degree, simplex, exponent, index set)
+    -> coefficient.
 
     Per face f of dimension >= q: lambda^alpha dlambda_sigma with |alpha| = r,
     sigma a q-subset of f, supp(alpha) u sigma = f and alpha zero below
@@ -489,6 +492,24 @@ def _barycentric_basis(cofaces, q, r):
     return basis
 
 
+def _whitney_basis(complex_, cofaces, q):
+    """The families of weight q: q! sum_s z(s) sum_i (-1)^i lambda_{s_i} dlambda_{s - s_i}
+    for a basis of q-cocycles z, on the simplices that `cofaces` lists; on each
+    simplex the degree-1 terms cancel, leaving a constant form."""
+    kernel, _, _ = kernel_image(_coboundary_matrix(complex_, q))
+    simplices = complex_.n_simplices(q)
+    basis = []
+    for z in kernel:
+        family = {}
+        for j, value in sorted(z.items()):
+            s = simplices[j]
+            for i, v in enumerate(s):
+                scale = factorial(q) * (-1) ** i * value
+                _add_barycentric(family, cofaces, scale, (v,), s[:i] + s[i + 1 :], s)
+        basis.append({key: c for key, c in family.items() if c})
+    return basis
+
+
 def _add_barycentric(family, cofaces, scale, alpha, sigma, face):
     """family += scale * lambda^alpha dlambda_sigma on each simplex in cofaces[face],
     for alpha a tuple of vertices with repetition; returns family."""
@@ -497,7 +518,8 @@ def _add_barycentric(family, cofaces, scale, alpha, sigma, face):
             tuple(alpha.count(v) for v in s), tuple(s.index(v) for v in sigma)
         )
         for (e, S), c in local:
-            family[(s, e, S)] = family.get((s, e, S), 0) + scale * c
+            key = (sum(e), s, e, S)
+            family[key] = family.get(key, 0) + scale * c
     return family
 
 
@@ -528,71 +550,86 @@ class FamilyComplex:
     """The complex of polynomial form families over K, weight-truncated.
 
     K's simplices are increasing vertex tuples.  The compatible families of
-    q-forms with coefficient degree + q <= N are P_r Lambda^q(K), r = N - q;
-    a family is a sparse dict (simplex, exponent, index set) -> coefficient
-    of t^e dt_S there.  For r >= 1 the basis is `_barycentric_basis` on the
-    coface table of K, the engine `extend_from_boundary` shares; for r = 0
-    it is the Whitney forms of a basis of the q-cocycles.  The differential
-    keeps compatibility and weight, so cohomology is computed degree by
-    degree with the exact linear algebra.
+    q-forms with coefficient degree + q <= N are P_r Lambda^q(K), r = N - q.
+    A family is fixed by its forms on the maximal simplices of K, so it is
+    written on those alone, as a sparse dict (coefficient degree, simplex,
+    exponent, index set) -> coefficient of t^e dt_S there; `representatives`
+    pull each form back onto the other simplices.
+
+    The families are spanned by `_barycentric_basis` on the coface table of
+    the maximal simplices for r >= 1, the engine `extend_from_boundary`
+    shares, and by the Whitney forms of a basis of the q-cocycles for r = 0.
+    The basis in degree q is the reduced echelon basis of that span, sorted
+    by pivot, a row's largest key.  A key leads with its coefficient degree,
+    so the families of weight <= N - 1 are the rows whose pivot has
+    coefficient degree < r: a prefix of the basis, and the pair at N gives
+    the cohomology at N - 1 by `CohomologyPair.prefix_dimension`.  Each row
+    is 1 at its pivot and 0 at the others, so the coordinates of a family in
+    the basis are its entries at the pivots.  The differential keeps
+    compatibility and weight, so cohomology is computed degree by degree
+    with the exact linear algebra.
     """
 
     def __init__(self, complex_, weight_cutoff):
         self.complex = complex_
         self.weight_cutoff = weight_cutoff
         top = complex_.dimension
-        self._cofaces = _coface_table(complex_.dim_of, complex_.dim_of)
-        self._family_basis = {q: self._basis(q) for q in range(top + 2)}
+        faces = set(complex_.faces.values())
+        self._maximal = [s for s in complex_.dim_of if s not in faces]
+        self._cofaces = _coface_table(complex_.dim_of, self._maximal)
+        self._echelons = {q: Echelon(self._spanning_families(q)) for q in range(top + 2)}
+        self._family_basis, self._pivots, self._prefix = {}, {}, {}
+        for q, echelon in self._echelons.items():
+            rows = echelon.rows
+            pivots = sorted(rows)
+            self._family_basis[q] = [rows[pivot] for pivot in pivots]
+            self._pivots[q] = {pivot: k for k, pivot in enumerate(pivots)}
+            self._prefix[q] = bisect_left(pivots, (weight_cutoff - q,))
         self._d_matrices = {q: self._differential_matrix(q) for q in range(top + 1)}
         self._pairs = {}
         for q in range(top + 1):
             d_prev = self._d_matrices[q - 1] if q >= 1 else Matrix(len(self._family_basis[q]), [])
             self._pairs[q] = CohomologyPair(d_prev, self._d_matrices[q])
 
-    def _basis(self, q):
+    def _spanning_families(self, q):
         r = self.weight_cutoff - q
         if r < 0:
             return []
         if r == 0:
-            return self._whitney_basis(q)
+            return _whitney_basis(self.complex, self._cofaces, q)
         return _barycentric_basis(self._cofaces, q, r)
-
-    def _whitney_basis(self, q):
-        """q! sum_s z(s) sum_i (-1)^i lambda_{s_i} dlambda_{s - s_i} for a basis of cocycles
-        z; on each simplex the degree-1 terms cancel, leaving a constant form."""
-        kernel, _, _ = kernel_image(_coboundary_matrix(self.complex, q))
-        simplices = self.complex.n_simplices(q)
-        basis = []
-        for z in kernel:
-            family = {}
-            for j, value in sorted(z.items()):
-                s = simplices[j]
-                for i, v in enumerate(s):
-                    scale = factorial(q) * (-1) ** i * value
-                    _add_barycentric(family, self._cofaces, scale, (v,), s[:i] + s[i + 1 :], s)
-            basis.append({key: c for key, c in family.items() if c})
-        return basis
 
     def _differential_matrix(self, q):
         """Matrix of d in degree q, from the family basis to the next one."""
-        source = self._family_basis[q]
-        target = self._family_basis[q + 1]
-        # the basis is independent, so echelon input k is target[k]
-        echelon = Echelon(target, track=True)
+        target, pivots = self._echelons[q + 1], self._pivots[q + 1]
         columns = []
-        for family in source:
+        for family in self._family_basis[q]:
             image = {}
-            for (s, e, S), c in family.items():
+            for (_, s, e, S), c in family.items():
                 for m, de, T in d_monomial(e, S):
-                    image[(s, de, T)] = image.get((s, de, T), 0) + m * c
-            rest, coords = echelon.reduce(image)
+                    key = (sum(de), s, de, T)
+                    image[key] = image.get(key, 0) + m * c
+            rest, _ = target.reduce(image)
             if rest:
                 raise AssertionError("differential left the family space")
-            columns.append(coords)
-        return Matrix(len(target), columns)
+            columns.append({pivots[key]: c for key, c in image.items() if c and key in pivots})
+        return Matrix(len(pivots), columns)
 
     def cohomology_dimension(self, q):
         return self._pairs[q].dimension
+
+    def dimension_below(self, q):
+        """dim H^q at cutoff N - 1, read from the pair at N on the weight <= N - 1
+        prefixes of the bases in degrees q - 1 and q."""
+        return self._pairs[q].prefix_dimension(self._prefix.get(q - 1, 0), self._prefix[q])
+
+    def stabilized(self, q):
+        """Whether H^q at cutoff N - 1 -> H^q at N is an isomorphism, as
+        `TruncatedCohomology` judges it: the dimensions agree, and every
+        representative at N lies in the N - 1 prefix, so the map is onto."""
+        prefix = self._prefix[q]
+        return (self.dimension_below(q) == self.cohomology_dimension(q)
+                and all(max(v) < prefix for v in self._pairs[q].representatives))
 
     def representatives(self, q):
         reps = []
@@ -605,14 +642,21 @@ class FamilyComplex:
         return reps
 
     def _materialize(self, family, q):
-        terms = {s: {} for s in self._cofaces}
-        for (s, e, S), c in family.items():
+        """The FormsFamily of a family: its forms on the maximal simplices, and on
+        each other simplex the pullback from the first maximal simplex containing it."""
+        terms = {s: {} for s in self._maximal}
+        for (_, s, e, S), c in family.items():
             terms[s].setdefault(S, {})[e] = c
-        assignment = {}
+        forms = {}
         for s, by_set in terms.items():
-            variables = simplex_variables(self.complex.dim_of[s])
-            by_set = {S: Polynomial(variables, monos) for S, monos in by_set.items()}
-            assignment[s] = PolyForm(self.complex.dim_of[s], q, by_set)
+            d = self.complex.dim_of[s]
+            variables = simplex_variables(d)
+            forms[s] = PolyForm(d, q, {S: Polynomial(variables, monos)
+                                       for S, monos in by_set.items()})
+        assignment = {}
+        for f, (s, *_) in self._cofaces.items():
+            inclusion = DeltaMorphism(len(f) - 1, len(s) - 1, [s.index(v) for v in f])
+            assignment[f] = forms[s] if f == s else pullback_delta(inclusion, forms[s])
         return FormsFamily(self.complex, q, assignment)
 
 
@@ -631,8 +675,8 @@ def _boundary_basis(n, q, r):
     cofaces = _coface_table(boundary.dim_of, written)
     echelon, on_top = Echelon(track=True), []
     for family in _barycentric_basis(cofaces, q, r):
-        echelon.add({key: c for key, c in family.items() if key[0] != top})
-        on_top.append({(e, S): c for (s, e, S), c in family.items() if s == top})
+        echelon.add({key: c for key, c in family.items() if key[1] != top})
+        on_top.append({(e, S): c for (_, s, e, S), c in family.items() if s == top})
     return echelon, on_top
 
 
@@ -649,8 +693,8 @@ def extend_from_boundary(family):
     facet_terms = {}
     for s in boundary_complex(n).n_simplices(n - 1):
         for S, poly in family.assignment[s].polynomial_terms().items():
-            facet_terms.update(((s, e, S), c) for e, c in poly.terms.items())
-    r = max([1] + [sum(e) for _, e, _ in facet_terms])
+            facet_terms.update(((sum(e), s, e, S), c) for e, c in poly.terms.items())
+    r = max([1] + [degree for degree, _, _, _ in facet_terms])
     echelon, on_top = _boundary_basis(n, family.degree, r)
     rest, coords = echelon.reduce(facet_terms)
     if rest:

@@ -1037,6 +1037,46 @@ def test_section_refusal_names_section_and_key(tmp_path, capsys, text, message):
     assert line.startswith("rhamcheck: ") and message in line, line
 
 
+FACE_TERM_SCENARIO = """format_version 1
+name face_term
+
+[algebra]
+variables x y
+relation x^2 + y^2 - 1
+
+[form x]
+degree 0
+expr x
+
+[simplex arc0]
+dim 1
+lane numeric
+component (1 - t1^2)/(1 + t1^2)
+component 2*t1/(1 + t1^2)
+
+[family loop]
+simplices arc0
+
+[chain z]
+family loop
+degree 0
+term 1 arc0/0
+
+[check pairing]
+kind pairing
+form x
+chain z
+"""
+
+
+def test_chain_term_naming_a_generated_face_is_refused(tmp_path, capsys):
+    """`arc0/0` is a face of the listed arc0, named in the order faces are
+    closed; a chain may name only the simplices its family lists."""
+    line = _one_refusal(tmp_path, capsys, FACE_TERM_SCENARIO)
+    assert line.startswith("rhamcheck: ") and line.endswith(
+        "chain z: term: 'arc0/0' is not a simplex listed in family loop"), line
+
+
 def test_relation_of_1000_terms_loads_and_its_check_passes():
     """Sums are folded in a loop: at 1,000 terms the reader used to recurse
     past Python's limit."""

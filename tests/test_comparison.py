@@ -244,14 +244,6 @@ def test_multiplicativity_exact_two_points():
 
 
 def test_multiplicativity_rejects_bad_input():
-    algebra = load_builtin("two_points").algebra
-    plus = ParamSimplex(0, algebra, ["1"], name="plus")
-    family = SingularFamily([plus])
-    e_plus = parse_algebraic_form("(1 + x)/2", algebra)
-    x_form = parse_algebraic_form("x", algebra)
-    z = Chain(family, 0, {"plus": 1})
-    # x is closed here (Omega^1 = 0), so closedness cannot fail; exercise
-    # the cycle check instead on a 1-chain that is not a cycle
     loop_family = load_builtin("circle").families["loop"]
     omega = parse_algebraic_form("x*dy - y*dx", loop_family.target)
     not_cycle = Chain(loop_family, 1, {"arc0": 1})

@@ -12,8 +12,9 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rhamcheck import ratfunc, simplex_forms
-from rhamcheck.checks import _random_algebraic_form, _random_poly, _random_poly_form
+from rhamcheck import checks, ratfunc, simplex_forms
+from rhamcheck.checks import (Settings, _random_algebraic_form, _random_poly, _random_poly_form,
+                              run_scenario_checks)
 from rhamcheck.comparison import pullback_form
 from rhamcheck.errors import (
     DenominatorVanishes,
@@ -22,11 +23,12 @@ from rhamcheck.errors import (
     NonPolynomialCoefficient,
     NotTopDegree,
 )
+from rhamcheck.exterior import d_monomial
 from rhamcheck.formtext import parse_polynomial
-from rhamcheck.linalg import Echelon, kernel_image
+from rhamcheck.linalg import CohomologyPair, Echelon, Matrix, kernel_image
 from rhamcheck.poly import Polynomial, drl_key
 from rhamcheck.ratfunc import RationalFunc, _positive_on_simplex, parts, ratio
-from rhamcheck.scenarios import load_builtin
+from rhamcheck.scenarios import Scenario, load_builtin
 from rhamcheck.simplex_forms import (
     FamilyComplex,
     FormsFamily,
@@ -44,11 +46,13 @@ from rhamcheck.simplex_forms import (
     wedge,
     MAX_QUAD_ORDER,
     QUAD_CROSS_CHECK_STEP,
+    _barycentric_basis,
     _coface_table,
     _duffy_points,
     _gauss_legendre,
     _quad_value,
     _rule_value,
+    _whitney_basis,
 )
 from rhamcheck.simplicial import (
     Cochain,
@@ -928,23 +932,73 @@ def constraint_columns(K, N, q):
     return columns
 
 
+def full_table_basis(K, N, q):
+    """The families of degree q at cutoff N as `FamilyComplex` wrote them before its
+    basis became an echelon on the maximal simplices: the Arnold-Falk-Winther
+    families (r >= 1) or the Whitney forms of a cocycle basis (r = 0), written on
+    every simplex of K."""
+    cofaces = _coface_table(K.dim_of, K.dim_of)
+    r = N - q
+    if r < 0:
+        return []
+    if r == 0:
+        return _whitney_basis(K, cofaces, q)
+    return _barycentric_basis(cofaces, q, r)
+
+
+def written_family(K, family, q):
+    """The FormsFamily of the forms a family writes on every simplex of K."""
+    terms = {s: {} for s in K.dim_of}
+    for (_, s, e, S), c in family.items():
+        terms[s].setdefault(S, {})[e] = c
+    assignment = {}
+    for s, by_set in terms.items():
+        d = K.dim_of[s]
+        assignment[s] = PolyForm(d, q, {S: Polynomial(simplex_variables(d), monos)
+                                        for S, monos in by_set.items()})
+    return FormsFamily(K, q, assignment)
+
+
+def reference_dimensions(K, N):
+    """dim H^q of the family complex at cutoff N, q = 0..dim K, built the old way:
+    the families of `full_table_basis`, each image under d solved on a tracked
+    echelon of the next degree's families.  The reference for the one build at
+    N, which reads the dimensions at N - 1 from a prefix of its basis."""
+    bases = [full_table_basis(K, N, q) for q in range(K.dimension + 2)]
+    d = []
+    for q in range(K.dimension + 1):
+        echelon = Echelon(bases[q + 1], track=True)
+        columns = []
+        for family in bases[q]:
+            image = {}
+            for (_, s, e, S), c in family.items():
+                for m, de, T in d_monomial(e, S):
+                    key = (sum(de), s, de, T)
+                    image[key] = image.get(key, 0) + m * c
+            rest, coords = echelon.reduce(image)
+            assert not rest
+            columns.append(coords)
+        d.append(Matrix(len(bases[q + 1]), columns))
+    return [CohomologyPair(d[q - 1] if q else Matrix(len(bases[0]), []), d[q]).dimension
+            for q in range(K.dimension + 1)]
+
+
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
 def test_family_basis_spans_the_compatible_families(name):
     K = COMPLEXES[name]
     for N in range(5):
-        fc = FamilyComplex(K, N)
         for q in range(K.dimension + 2):
             columns = constraint_columns(K, N, q)
             nullity = len(columns) - len(Echelon(columns.values()).rows)
-            basis = fc._family_basis[q]
+            basis = full_table_basis(K, N, q)
             assert len(basis) == len(Echelon(basis).rows) == nullity, (N, q)
             for family in basis:
                 residual = {}
                 for key, c in family.items():
-                    for row, value in columns[key].items():
+                    for row, value in columns[key[1:]].items():
                         residual[row] = residual.get(row, 0) + c * value
                 assert not any(residual.values()), (N, q, family)
-                assert family_defects(fc._materialize(family, q)) == []
+                assert family_defects(written_family(K, family, q)) == []
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
@@ -954,12 +1008,11 @@ def test_family_basis_counts_per_face(name):
     K = COMPLEXES[name]
     simplices = [s for ids in K.simplices.values() for s in ids]
     for N in range(1, 5):
-        fc = FamilyComplex(K, N)
         for q in range(min(N - 1, K.dimension) + 1):
             r = N - q
             counts = dict.fromkeys(simplices, 0)
-            for family in fc._family_basis[q]:
-                support = {s for s, _, _ in family}
+            for family in full_table_basis(K, N, q):
+                support = {s for _, s, _, _ in family}
                 face = min(support, key=len)
                 assert support == {s for s in simplices if set(face) <= set(s)}
                 counts[face] += 1
@@ -971,20 +1024,77 @@ def test_family_basis_counts_per_face(name):
 
 @pytest.mark.parametrize("name", ["delta2", "delta3", "boundary2", "boundary3"])
 def test_whitney_families_integrate_to_their_cocycles(name):
-    """At r = 0 the basis is the Whitney forms W(z) of a cocycle basis, and the
+    """At r = 0 the families are the Whitney forms W(z) of a cocycle basis, and the
     integration map sends each back to its cocycle: Psi(Lambda(z)) = z."""
     K = COMPLEXES[name]
     for q in range(K.dimension + 1):
-        fc = FamilyComplex(K, q)
+        basis = _whitney_basis(K, _coface_table(K.dim_of, K.dim_of), q)
         cocycles, _, _ = kernel_image(_coboundary_matrix(K, q))
-        assert len(fc._family_basis[q]) == len(cocycles)
-        for family, z in zip(fc._family_basis[q], cocycles):
-            forms = fc._materialize(family, q)
+        assert len(basis) == len(cocycles)
+        for family, z in zip(basis, cocycles):
+            forms = written_family(K, family, q)
             assert all(c.total_degree() == 0 for form in forms.assignment.values()
                        for c in form.terms.values())
             values = {K.n_simplices(q)[j]: v for j, v in z.items()}
             assert forms.to_cochain() == Cochain(K, q, values)
             assert all(isinstance(v, Fraction) for v in forms.to_cochain().values.values())
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_family_basis_is_the_sorted_echelon_on_the_maximal_simplices(name):
+    """In each degree the basis is the reduced echelon basis of the families written
+    on the maximal simplices, sorted by pivot, and its families of weight <= N - 1,
+    a prefix, are the basis at N - 1; each representative's FormsFamily is compatible."""
+    K = COMPLEXES[name]
+    maximal = {s for s in K.dim_of if not any(set(s) < set(t) for t in K.dim_of)}
+
+    def sorted_echelon(N, q):
+        rows = Echelon({key: c for key, c in family.items() if key[1] in maximal}
+                       for family in full_table_basis(K, N, q)).rows
+        return [rows[pivot] for pivot in sorted(rows)]
+
+    for N in range(5):
+        fc = FamilyComplex(K, N)
+        for q in range(K.dimension + 2):
+            basis = fc._family_basis[q]
+            assert basis == sorted_echelon(N, q), (N, q)
+            below = sorted_echelon(N - 1, q)
+            assert basis[:len(below)] == below, (N, q)
+            assert all(max(family)[0] >= N - q for family in basis[len(below):]), (N, q)
+        for q in range(K.dimension + 1):
+            assert all(family_defects(rep) == [] for rep in fc.representatives(q))
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_one_build_gives_the_dimensions_at_both_cutoffs(name):
+    """dim H^q at N, and at N - 1 from the prefix of the same build, equal those of
+    separate builds the old way; `stabilized`, which also asks every representative
+    at N to lie in the prefix, agrees with the dimensions on these complexes."""
+    K = COMPLEXES[name]
+    degrees = range(K.dimension + 1)
+    for N in range(1, 5):
+        fc = FamilyComplex(K, N)
+        at_n, below = reference_dimensions(K, N), reference_dimensions(K, N - 1)
+        assert [fc.cohomology_dimension(q) for q in degrees] == at_n, N
+        assert [fc.dimension_below(q) for q in degrees] == below, N
+        assert [fc.stabilized(q) for q in degrees] == [a == b for a, b in zip(at_n, below)], N
+
+
+def test_tau_cohomology_builds_one_family_complex(monkeypatch):
+    built = []
+
+    class Counted(FamilyComplex):
+        def __init__(self, complex_, weight_cutoff):
+            built.append((complex_.name, weight_cutoff))
+            super().__init__(complex_, weight_cutoff)
+
+    monkeypatch.setattr(checks, "FamilyComplex", Counted)
+    text = ("format_version 1\nname one\n\n[check tau]\nkind tau_cohomology\n"
+            "complex boundary3\nmax_weight 3\n")
+    (result,) = run_scenario_checks(Scenario(text), Settings())
+    assert result.status == "pass"
+    assert ("stabilized", "true") in result.details
+    assert built == [("boundary3", 3)]
 
 
 def test_family_complex_makes_no_pullback_and_no_constraint_kernel(monkeypatch):
