@@ -5,7 +5,9 @@ Exit codes: 0 when every executed check passes, 1 on any check failure,
 in a canonical line-oriented `key value` form with no timestamps, so
 identical inputs produce byte-identical files; wall-clock timings only
 appear in the human summary on stdout.  A closed stdout ends the summary
-but not the run: the report is still written, with the checks' exit code.
+or the `--list` output but not the run: the report is still written, with
+the checks' exit code.  A report that cannot be opened, written or closed
+is unusable output, exit 2.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from contextlib import nullcontext, suppress
 
 from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
 from .errors import ParseError, RhamcheckError
-from .scenarios import (
-    BUILTIN_DESCRIPTIONS,
-    Scenario,
-    builtin_names,
-    load_builtin,
-)
+from .scenarios import Scenario, builtin_names, load_builtin
 from .simplex_forms import DEFAULT_QUAD_ORDER
 
 EXIT_PASS = 0
@@ -58,9 +55,20 @@ def build_parser():
 
 
 def list_builtins():
-    """Print the builtin catalog with one-line descriptions."""
+    """Print the builtin catalog, each with its header's description."""
     for name in builtin_names():
-        print("%-20s %s" % (name, BUILTIN_DESCRIPTIONS[name]))
+        print("%-20s %s" % (name, load_builtin(name).description))
+
+
+def to_stdout(write):
+    """Call write(), which prints to stdout, and flush.  If stdout's reader has
+    gone, stop there and close stdout, so the exit flush cannot fail."""
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with suppress(BrokenPipeError):
+            sys.stdout.close()
 
 
 def tally(runs):
@@ -119,7 +127,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        list_builtins()
+        to_stdout(list_builtins)
         return EXIT_PASS
     selected = []
     for name in args.builtin:
@@ -162,14 +170,14 @@ def main(argv=None):
                 sys.stderr.write("rhamcheck: %s: %s\n" % (scenario.name, exc))
                 return EXIT_USAGE
             runs.append((scenario, results, elapsed))
-        try:
-            human_summary(runs)
-            sys.stdout.flush()
-        except BrokenPipeError:  # stdout's reader has gone: close it, so the exit flush cannot fail
-            with suppress(BrokenPipeError):
-                sys.stdout.close()
+        to_stdout(lambda: human_summary(runs))
         if args.report:
-            report.write("\n".join(report_lines(runs, settings)) + "\n")
+            try:
+                with report:  # closed here, so a failed flush is caught too
+                    report.write("\n".join(report_lines(runs, settings)) + "\n")
+            except OSError as exc:
+                sys.stderr.write("rhamcheck: %s: %s\n" % (args.report, exc))
+                return EXIT_USAGE
     return EXIT_CHECK_FAILURE if tally(runs)["fail"] else EXIT_PASS
 
 

@@ -18,7 +18,8 @@ F_p^(<=N) / (M_p ∩ F_p^(<=N)), and those of weight <= N - 1 a prefix of
 them.  No relation is sought among generators up to a margin above N:
 G_p is exact at every weight.
 
-Truncated dimensions are evidence, not theorems: a `stabilized` flag
+Truncated dimensions are evidence, not theorems: a `stabilized` flag,
+the rule `linalg.CohomologyPair.stabilized` that `FamilyComplex` shares,
 records that H^p has the same dimension at cutoffs N - 1 and N and that
 every representative at N already lies in the stratum at N - 1, so that
 H^(N-1) -> H^N is an isomorphism.  The dimension at N - 1 is read from
@@ -37,7 +38,7 @@ from .errors import AlgebraMismatch, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form, parse_polynomial
 from .linalg import CohomologyPair, Matrix
-from .poly import Polynomial, buchberger, drl_key, monomial_divides, reduce_vector
+from .poly import buchberger, drl_key, monomial_divides, reduce_vector, term_vector, vector_terms
 
 
 class FpAlgebra:
@@ -88,9 +89,6 @@ class FpAlgebra:
             and self.ideal_generators == other.ideal_generators
         )
 
-    def __hash__(self):
-        return hash((self.variables, tuple(self.ideal_generators)))
-
     def __repr__(self):
         if not self.ideal_generators:
             return "Q[%s]" % ", ".join(self.variables)
@@ -98,11 +96,6 @@ class FpAlgebra:
             ", ".join(self.variables),
             ", ".join(str(g) for g in self.ideal_generators),
         )
-
-
-def _vector(terms):
-    """A form given by its terms S -> Polynomial as a vector (monomial, S) -> coefficient."""
-    return {(e, S): c for S, poly in terms.items() for e, c in poly.terms.items()}
 
 
 def _module_groebner(algebra, p):
@@ -114,10 +107,10 @@ def _module_groebner(algebra, p):
     """
     n = algebra.nvars
     if p == 0:
-        return buchberger([_vector({(): g}) for g in algebra.ideal_generators])
+        return buchberger([term_vector({(): g}) for g in algebra.ideal_generators])
     seeds = [{(e, S): c for (e, _), c in vec.items()}
              for S in combinations(range(n), p) for _, vec in algebra._ideal_basis]
-    generators = [_vector(d_terms({T: f}, n))
+    generators = [term_vector(d_terms({T: f}, n))
                   for f in algebra.ideal_generators
                   for T in combinations(range(n), p - 1)]
     return buchberger(generators, seeds)
@@ -155,11 +148,8 @@ class _FormModule:
 
     def reduce_terms(self, terms):
         """The normal form of a form given by its terms S -> Polynomial."""
-        rem = reduce_vector(_vector(terms), self.divisors)
-        by_set = {}
-        for (e, S), c in rem.items():
-            by_set.setdefault(S, {})[e] = c
-        return {S: Polynomial(self.algebra.variables, t) for S, t in by_set.items()}
+        return vector_terms(reduce_vector(term_vector(terms), self.divisors),
+                            self.algebra.variables)
 
     def d_column(self, k):
         """Normal form of d(basis[k]) as {index in the degree p + 1 basis: coefficient}.
@@ -179,9 +169,13 @@ class AlgebraicForm(ExteriorForm):
     """A degree-p form: map from strictly increasing index sets to coefficients.
 
     `reduce=True` (the default) takes the module normal form, the
-    canonical representative of the form's class in F_p / M_p;
-    `reduce=False` keeps the nonzero terms as given, for callers that
-    already hold a normal form.
+    canonical representative of the form's class in F_p / M_p: reduced by
+    the whole Groebner basis G_p, I*e_S elements included, it lies on
+    standard terms, is zero exactly when the form lies in M_p, is
+    idempotent and linear, and never raises weight.  `reduce=False` keeps
+    the nonzero terms as given, for callers that already hold a normal
+    form: `_make` adds and scales them, `_WeightStratum.form_of` writes
+    standard terms.  So every form is its normal form.
 
     The graded algebra has a single zero, so a zero form carries its
     degree only as a label: zero forms over one algebra compare equal
@@ -259,53 +253,34 @@ class _WeightStratum:
         self.size = self.module.ends[n_cutoff]
 
     def vector_of(self, omega):
-        """Coordinates of a reduced form in this stratum."""
+        """Coordinates of a form, a normal form, in this stratum."""
         vec = {}
-        for S, c in omega.terms.items():
-            for e, coeff in c.terms.items():
-                idx = self.module.index.get((e, S), self.size)
-                if idx >= self.size:
-                    raise ValueError("form does not fit in the weight stratum")
-                vec[idx] = coeff
+        for term, coeff in term_vector(omega.terms).items():
+            idx = self.module.index.get(term, self.size)
+            if idx >= self.size:
+                raise ValueError("form does not fit in the weight stratum")
+            vec[idx] = coeff
         return vec
 
     def form_of(self, vec):
-        terms = {}
-        for idx, coeff in sorted(vec.items()):
-            m, S = self.module.basis[idx]
-            terms.setdefault(S, {})[m] = coeff
-        algebra = self.module.algebra
-        terms = {S: Polynomial(algebra.variables, t) for S, t in terms.items()}
-        return AlgebraicForm(algebra, self.module.p, terms, reduce=False)
+        terms = vector_terms({self.module.basis[idx]: c for idx, c in sorted(vec.items())},
+                             self.module.algebra.variables)
+        return AlgebraicForm(self.module.algebra, self.module.p, terms, reduce=False)
 
     def differential_matrix(self, target):
         """Matrix of d into the degree p+1 stratum, on normal forms."""
         return Matrix(target.size, [self.module.d_column(col) for col in range(self.size)])
 
 
-def reduce_form(omega):
-    """The module normal form of a form: its canonical representative.
-
-    Coefficients are reduced by the whole Groebner basis G_p of the
-    relations, I*e_S elements included, so the result is supported on
-    standard terms and depends only on the form's class in F_p / M_p: it
-    is zero exactly when the form lies in M_p, and the map is idempotent
-    and linear.  It never raises weight.
-    """
-    return AlgebraicForm(omega.algebra, omega.degree, omega.terms)
-
-
 class TruncatedCohomology:
     """H^p of the weight-truncated de Rham complex at a fixed cutoff N.
 
     `representatives` and `class_of` are those of the one `CohomologyPair`
-    at N.  `stabilized` holds when H^p has the same dimension at N - 1 and
-    at N and every representative at N is zero beyond the N - 1 prefix of
-    the stratum: then H^(N-1) -> H^N is onto, so an isomorphism.  The
-    dimension at N - 1 is the pair's `prefix_dimension` on the columns of
-    weight <= N - 1: the kernel columns of d_next below the N - 1 size of
-    the stratum, less the independent columns of d_prev below the N - 1
-    size of the degree p - 1 stratum.
+    at N.  `stabilized` is the pair's `stabilized` on the columns of
+    weight <= N - 1, the N - 1 sizes of the strata of degrees p - 1 and p:
+    H^p has the same dimension at N - 1 and at N and every representative
+    at N is zero beyond the N - 1 prefix, so H^(N-1) -> H^N is an
+    isomorphism.
     """
 
     def __init__(self, algebra, p, n_cutoff):
@@ -313,16 +288,12 @@ class TruncatedCohomology:
             raise ValueError("cutoff must be at least the degree")
         self._pair, self._stratum, (prev_cols, cols) = _truncated_pair(algebra, p, n_cutoff)
         self.dimension = self._pair.dimension
-        vectors = self._pair.representatives
-        self.representatives = [self._stratum.form_of(v) for v in vectors]
-        self.stabilized = False
-        if n_cutoff > p:
-            below = self._pair.prefix_dimension(prev_cols, cols)
-            self.stabilized = below == self.dimension and all(max(v) < cols for v in vectors)
+        self.representatives = [self._stratum.form_of(v) for v in self._pair.representatives]
+        self.stabilized = n_cutoff > p and self._pair.stabilized(prev_cols, cols)
 
     def class_of(self, form):
         """Coordinates of a closed form in the representative basis."""
-        return self._pair.class_of(self._stratum.vector_of(reduce_form(form)))
+        return self._pair.class_of(self._stratum.vector_of(form))
 
 
 def _truncated_pair(algebra, p, n_cutoff):

@@ -277,7 +277,8 @@ class CohomologyPair:
     The columns of both maps are eliminated in order, so the pair of
     their first columns is read from the same elimination:
     `prefix_dimension` counts the kernel columns of d_next and the
-    independent columns of d_prev among them.
+    independent columns of d_prev among them, and `stabilized` says
+    whether that pair's H maps isomorphically onto this one.
     """
 
     def __init__(self, d_prev, d_next):
@@ -317,6 +318,13 @@ class CohomologyPair:
         """
         return (bisect_left(self._kernel_columns, cols)
                 - bisect_left(self._boundary_columns, prev_cols))
+
+    def stabilized(self, prev_cols, cols):
+        """Whether H of the prefix pair of `prefix_dimension` maps isomorphically
+        onto H: the dimensions agree and every representative lies in the first
+        `cols` coordinates, so the map, induced by the inclusion, is onto."""
+        return (self.prefix_dimension(prev_cols, cols) == self.dimension
+                and all(max(v) < cols for v in self.representatives))
 
     def is_cocycle(self, vec):
         return not _apply(self.d_next, vec)

@@ -10,10 +10,11 @@ division of coefficients goes through Fraction (`_quotient`).
 On top of the arithmetic this module holds the program's one Groebner
 engine.  It works on vectors (monomial, position) -> coefficient of a
 free module, ordered term over position: `reduce_vector` divides and
-`buchberger` computes reduced bases of submodules.  A polynomial is a
-vector at the one position (), and `groebner_basis` and `normal_form`
-are the engine there.  Expression text is read by `formtext`, which
-builds its values with this arithmetic.
+`buchberger` computes reduced bases of submodules; `term_vector` and
+`vector_terms` turn a form's terms, position -> Polynomial, into its
+vector and back.  A polynomial is a vector at the one position (), and
+`groebner_basis` and `normal_form` are the engine there.  Expression
+text is read by `formtext`, which builds its values with this arithmetic.
 
 The order is degree-compatible, so reduction never raises total degree;
 the truncated de Rham machinery relies on that.
@@ -361,6 +362,20 @@ def _fmt_fraction(q):
 # division and Buchberger, on vectors (monomial, position) -> coefficient
 
 
+def term_vector(terms):
+    """A form's terms, position S -> Polynomial, as the vector (monomial, S) -> coefficient."""
+    return {(e, S): c for S, poly in terms.items() for e, c in poly.terms.items()}
+
+
+def vector_terms(vec, variables):
+    """The inverse of `term_vector`: position S -> Polynomial over the tuple
+    `variables`, each monomial in the order the vector lists it."""
+    by_position = {}
+    for (e, S), c in vec.items():
+        by_position.setdefault(S, {})[e] = c
+    return {S: Polynomial._of(variables, t) for S, t in by_position.items()}
+
+
 def _term_key(term):
     """Sort key of the term order: degrevlex on the monomial, then the position."""
     return drl_key(term[0]), term[1]
@@ -535,10 +550,10 @@ def normal_form(f, basis):
     """
     if any(g.variables != f.variables for g in basis):
         raise ValueError("polynomials over different variable tuples")
-    divisors = {(): [(g.leading_term()[0], {(e, ()): c for e, c in g.monic().terms.items()})
+    divisors = {(): [(g.leading_term()[0], term_vector({(): g.monic()}))
                      for g in basis if not g.is_zero()]}
-    rem = reduce_vector({(e, ()): c for e, c in f.terms.items()}, divisors)
-    return Polynomial._of(f.variables, {e: c for (e, _), c in rem.items()})
+    rem = reduce_vector(term_vector({(): f}), divisors)
+    return vector_terms(rem, f.variables).get((), Polynomial.zero(f.variables))
 
 
 def groebner_basis(generators):
@@ -552,6 +567,6 @@ def groebner_basis(generators):
         raise ValueError("zero generator handed to groebner_basis")
     if any(g.variables != gens[0].variables for g in gens):
         raise ValueError("polynomials over different variable tuples")
-    reduced = buchberger([{(e, ()): c for e, c in g.terms.items()} for g in gens])
-    return [Polynomial._of(gens[0].variables, {e: c for (e, _), c in vec.items()})
+    reduced = buchberger([term_vector({(): g}) for g in gens])
+    return [vector_terms(vec, gens[0].variables)[()]
             for _, vec in sorted(reduced.get((), ()), key=lambda item: drl_key(item[0]))]

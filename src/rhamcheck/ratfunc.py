@@ -138,12 +138,6 @@ class RationalFunc:
         """Substitute polynomials for the variables (e.g. affine maps)."""
         return _substitute(self.num, self.den, tuple(values))
 
-    def eval_fraction(self, point):
-        den = self.den.eval_fraction(point)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanished at evaluation point")
-        return self.num.eval_fraction(point) / den
-
     def certify_denominator(self):
         """Check the positivity certificate; raises DenominatorVanishes."""
         if not _has_certificate(self.den, CERTIFICATE_POWER_BOUND):

@@ -828,17 +828,6 @@ BUILTIN_BUILDERS = {
     "boundary_extension": _boundary_extension_text,
 }
 
-BUILTIN_DESCRIPTIONS = {
-    "two_points": "Q[x]/(x^2-1): H^0 = 2, idempotent pairing table, exact multiplicativity",
-    "interval": "Q[x]: algebraic and simplex-side contraction identities",
-    "circle": "rational circle: Stokes, naturality, winding class, 2*pi pairing",
-    "circle_x_points": "circle x two points: mixed-degree multiplicativity in both components",
-    "torus": "torus: top-degree multiplicativity over the 32-triangle fundamental cycle",
-    "sphere": "boundary of the tetrahedron: Betti numbers 1,0,1 and AW algebra laws",
-    "tau_witness": "integration map: cochain-level failure, cohomology-level multiplicativity",
-    "boundary_extension": "round trips of the boundary-family extension operator",
-}
-
 
 def builtin_names():
     return list(BUILTIN_BUILDERS)

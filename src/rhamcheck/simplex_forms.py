@@ -44,7 +44,7 @@ from .exterior import (ExteriorForm, check_index_set, d_monomial, d_terms, inser
                        wedge_terms)
 from .formtext import eval_form
 from .linalg import CohomologyPair, Echelon, Matrix, kernel_image
-from .poly import Polynomial, drl_key
+from .poly import Polynomial, drl_key, term_vector, vector_terms
 from .ratfunc import RationalFunc, parts
 from .simplicial import (Cochain, DeltaMorphism, _coboundary_matrix, boundary_complex,
                          standard_simplex)
@@ -370,18 +370,13 @@ def cone_homotopy(alpha):
     if alpha.degree == 0:
         return PolyForm.zero(alpha.n, 0)
     p = alpha.degree
-    variables = simplex_variables(alpha.n)
-    terms = {}
-    for S, c in alpha.polynomial_terms().items():
-        for e, value in c.terms.items():
-            scaled = Fraction(value, p + sum(e))
-            for a, i in enumerate(S):
-                T = S[:a] + S[a + 1 :]
-                bumped = list(e)
-                bumped[i] += 1
-                mono = Polynomial(variables, {tuple(bumped): scaled * ((-1) ** a)})
-                terms[T] = terms[T] + mono if T in terms else mono
-    return PolyForm(alpha.n, p - 1, terms)
+    vec = {}
+    for (e, S), value in term_vector(alpha.polynomial_terms()).items():
+        scaled = Fraction(value, p + sum(e))
+        for a, i in enumerate(S):
+            term = (e[:i] + (e[i] + 1,) + e[i + 1 :], S[:a] + S[a + 1 :])
+            vec[term] = vec.get(term, 0) + scaled * (-1) ** a
+    return PolyForm(alpha.n, p - 1, vector_terms(vec, simplex_variables(alpha.n)))
 
 
 def homotopy_defect(alpha):
@@ -562,8 +557,9 @@ class FamilyComplex:
     The basis in degree q is the reduced echelon basis of that span, sorted
     by pivot, a row's largest key.  A key leads with its coefficient degree,
     so the families of weight <= N - 1 are the rows whose pivot has
-    coefficient degree < r: a prefix of the basis, and the pair at N gives
-    the cohomology at N - 1 by `CohomologyPair.prefix_dimension`.  Each row
+    coefficient degree < r: a prefix of the basis, and `stabilized` is the
+    N - 1 rule of `CohomologyPair.stabilized`, which `TruncatedCohomology`
+    applies too, on the pair at N and those prefixes.  Each row
     is 1 at its pivot and 0 at the others, so the coordinates of a family in
     the basis are its entries at the pivots.  The differential keeps
     compatibility and weight, so cohomology is computed degree by degree
@@ -618,18 +614,10 @@ class FamilyComplex:
     def cohomology_dimension(self, q):
         return self._pairs[q].dimension
 
-    def dimension_below(self, q):
-        """dim H^q at cutoff N - 1, read from the pair at N on the weight <= N - 1
-        prefixes of the bases in degrees q - 1 and q."""
-        return self._pairs[q].prefix_dimension(self._prefix.get(q - 1, 0), self._prefix[q])
-
     def stabilized(self, q):
-        """Whether H^q at cutoff N - 1 -> H^q at N is an isomorphism, as
-        `TruncatedCohomology` judges it: the dimensions agree, and every
-        representative at N lies in the N - 1 prefix, so the map is onto."""
-        prefix = self._prefix[q]
-        return (self.dimension_below(q) == self.cohomology_dimension(q)
-                and all(max(v) < prefix for v in self._pairs[q].representatives))
+        """Whether H^q at cutoff N - 1 -> H^q at N is an isomorphism, read from the
+        pair at N on the weight <= N - 1 prefixes of the bases in degrees q - 1 and q."""
+        return self._pairs[q].stabilized(self._prefix.get(q - 1, 0), self._prefix[q])
 
     def representatives(self, q):
         reps = []
@@ -644,15 +632,13 @@ class FamilyComplex:
     def _materialize(self, family, q):
         """The FormsFamily of a family: its forms on the maximal simplices, and on
         each other simplex the pullback from the first maximal simplex containing it."""
-        terms = {s: {} for s in self._maximal}
+        vectors = {s: {} for s in self._maximal}
         for (_, s, e, S), c in family.items():
-            terms[s].setdefault(S, {})[e] = c
+            vectors[s][(e, S)] = c
         forms = {}
-        for s, by_set in terms.items():
+        for s, vec in vectors.items():
             d = self.complex.dim_of[s]
-            variables = simplex_variables(d)
-            forms[s] = PolyForm(d, q, {S: Polynomial(variables, monos)
-                                       for S, monos in by_set.items()})
+            forms[s] = PolyForm(d, q, vector_terms(vec, simplex_variables(d)))
         assignment = {}
         for f, (s, *_) in self._cofaces.items():
             inclusion = DeltaMorphism(len(f) - 1, len(s) - 1, [s.index(v) for v in f])
@@ -692,17 +678,15 @@ def extend_from_boundary(family):
     n = family.complex.dimension + 1
     facet_terms = {}
     for s in boundary_complex(n).n_simplices(n - 1):
-        for S, poly in family.assignment[s].polynomial_terms().items():
-            facet_terms.update(((sum(e), s, e, S), c) for e, c in poly.terms.items())
+        for (e, S), c in term_vector(family.assignment[s].polynomial_terms()).items():
+            facet_terms[(sum(e), s, e, S)] = c
     r = max([1] + [degree for degree, _, _, _ in facet_terms])
     echelon, on_top = _boundary_basis(n, family.degree, r)
     rest, coords = echelon.reduce(facet_terms)
     if rest:
         raise IncompatibleFamily("boundary family's facets disagree on a shared face")
-    terms = {}
+    vec = {}
     for k, coeff in coords.items():
-        for (e, S), c in on_top[k].items():
-            monos = terms.setdefault(S, {})
-            monos[e] = monos.get(e, 0) + coeff * c
-    variables = simplex_variables(n)
-    return PolyForm(n, family.degree, {S: Polynomial(variables, m) for S, m in terms.items()})
+        for term, c in on_top[k].items():
+            vec[term] = vec.get(term, 0) + coeff * c
+    return PolyForm(n, family.degree, vector_terms(vec, simplex_variables(n)))

@@ -176,9 +176,6 @@ class Cochain:
             raise ValueError("values on unknown simplices: %r" % sorted(unknown))
         self.values = {s: given.get(s, Fraction(0)) for s in sims}
 
-    def __call__(self, simplex):
-        return self.values[simplex]
-
     def _check(self, other):
         if self.complex is not other.complex:
             raise ComplexMismatch("cochains on different complexes")
@@ -193,9 +190,6 @@ class Cochain:
             {s: v + other.values[s] for s, v in self.values.items()},
         )
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, scalar):
         return Cochain(
             self.complex, self.degree, {s: v * scalar for s, v in self.values.items()}
@@ -208,9 +202,6 @@ class Cochain:
             and self.degree == other.degree
             and self.values == other.values
         )
-
-    def is_zero(self):
-        return all(v == 0 for v in self.values.values())
 
     def __repr__(self):
         body = ", ".join("%r: %s" % (s, v) for s, v in sorted(self.values.items()))
@@ -267,17 +258,6 @@ class Chain:
 
     def is_zero(self):
         return not self.coeffs
-
-    def __add__(self, other):
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise DegreeMismatch("chain mismatch")
-        coeffs = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            coeffs[s] = coeffs.get(s, 0) + c
-        return Chain(self.complex, self.degree, coeffs)
-
-    def scale(self, k):
-        return Chain(self.complex, self.degree, {s: k * c for s, c in self.coeffs.items()})
 
     def __repr__(self):
         body = " + ".join("%d*%r" % (c, s) for s, c in sorted(self.coeffs.items()))

@@ -1,6 +1,7 @@
 """Scenario parsing, the check runner, exit codes, and report determinism."""
 
 import contextlib
+import errno
 import importlib
 import io
 import os
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import rhamcheck
-from rhamcheck import checks
+from rhamcheck import checks, cli
 from rhamcheck.checks import CHECK_KINDS, Settings, run_scenario_checks, validate_settings
 from rhamcheck.cli import main, report_lines, run_scenario
 from rhamcheck.comparison import period
@@ -274,6 +275,16 @@ def test_python_dash_m_runs_the_cli():
     assert [line.split()[0] for line in run.stdout.splitlines()] == list(builtin_names())
 
 
+def test_list_prints_each_builtin_with_its_header_description(capsys):
+    assert main(["--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(builtin_names())
+    for line, name in zip(lines, builtin_names()):
+        header = next(row for row in builtin_text(name).splitlines()
+                      if row.startswith("description "))
+        assert line.split(None, 1) == [name, header[len("description "):]]
+
+
 def test_cli_check_failure_exit(tmp_path):
     failing = MINIMAL.replace("expect 1", "expect 2")
     path = tmp_path / "failing.scn"
@@ -412,11 +423,15 @@ def test_closed_stdout_ends_the_summary_not_the_run(tmp_path, monkeypatch, faili
         assert report.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("buffered", [True, False])
-def test_stdout_closed_before_the_first_write_exits_quietly(tmp_path, buffered):
-    """No traceback, no "Exception ignored" at exit, and exit code 0, not 1 or 120;
-    buffered, the write fails only when the summary is flushed."""
+@pytest.mark.parametrize("listing, buffered", [(False, True), (False, False), (True, True),
+                                               (True, False)],
+                         ids=["True", "False", "list-True", "list-False"])
+def test_stdout_closed_before_the_first_write_exits_quietly(tmp_path, listing, buffered):
+    """No traceback, no "Exception ignored" at exit, and exit code 0, not 1 or 120,
+    for the summary and for `--list`; buffered, the write fails only when the
+    output is flushed."""
     report = tmp_path / "report.txt"
+    args = ["--list"] if listing else ["--builtin", "all", "--report", str(report)]
     env = python_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
@@ -424,13 +439,45 @@ def test_stdout_closed_before_the_first_write_exits_quietly(tmp_path, buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = subprocess.run(
-            [sys.executable, "-m", "rhamcheck", "--builtin", "all", "--report", str(report)],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        run = subprocess.run([sys.executable, "-m", "rhamcheck", *args],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                             timeout=120)
     finally:
         os.close(write_end)
     assert (run.returncode, run.stderr) == (0, "")
-    assert report.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
+    if not listing:
+        assert report.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
+
+
+class FullDisk(io.StringIO):
+    """A report file on a full disk: `fails` ("write" or "close") raises ENOSPC.
+    A failed close still closes the file, as a real one does."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            if self.fails == "close":
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["write", "close"])
+def test_report_that_cannot_be_written_exits_2(monkeypatch, capsys, fails):
+    """The checks ran and the summary was printed; the report is unusable output."""
+    monkeypatch.setattr(cli, "open", lambda path, mode, encoding: FullDisk(fails), raising=False)
+    assert main(["--builtin", "two_points", "--report", "full.txt"]) == 2
+    captured = capsys.readouterr()
+    assert "total: 5 pass, 0 fail, 0 skip" in captured.out
+    assert captured.err == ("rhamcheck: full.txt: [Errno %d] No space left on device\n"
+                            % errno.ENOSPC)
 
 
 def test_cli_writes_report(tmp_path):

@@ -538,6 +538,21 @@ def test_cohomology_pair_matches_the_reference_pair(seed):
         below = ReferencePair(Matrix(cols, d_prev.columns[:prev_cols]),
                               Matrix(d_next.rows, d_next.columns[:cols]))
         assert h.prefix_dimension(prev_cols, cols) == below.dimension
+        # stabilized: equal dimensions, and the prefix's classes span H
+        rank = len(Echelon(dict(enumerate(reference.class_of(v)))
+                           for v in below.representatives).rows)
+        assert h.stabilized(prev_cols, cols) == (below.dimension == rank == h.dimension)
+
+
+def test_stabilized_needs_every_representative_in_the_prefix():
+    """d_prev = [c -> a], d_next = 0 on <a, b>.  The prefix (0, 1), on <a>, has
+    dimension 1, as H = <a, b> / <a> does, but H's one representative is b, which
+    the prefix does not reach; the whole pair, (1, 2), is stabilized."""
+    h = CohomologyPair(from_rows([[1], [0]]), from_rows([], 2))
+    assert h.representatives == [{1: Fraction(1)}]
+    assert h.prefix_dimension(0, 1) == h.dimension == 1
+    assert not h.stabilized(0, 1)
+    assert h.stabilized(1, 2)
 
 
 def test_random_pairs_reach_both_outcomes():

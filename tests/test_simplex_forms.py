@@ -1076,7 +1076,8 @@ def test_one_build_gives_the_dimensions_at_both_cutoffs(name):
         fc = FamilyComplex(K, N)
         at_n, below = reference_dimensions(K, N), reference_dimensions(K, N - 1)
         assert [fc.cohomology_dimension(q) for q in degrees] == at_n, N
-        assert [fc.dimension_below(q) for q in degrees] == below, N
+        prefixes = [(fc._prefix.get(q - 1, 0), fc._prefix[q]) for q in degrees]
+        assert [fc._pairs[q].prefix_dimension(*prefixes[q]) for q in degrees] == below, N
         assert [fc.stabilized(q) for q in degrees] == [a == b for a, b in zip(at_n, below)], N
 
 
