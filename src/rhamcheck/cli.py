@@ -164,12 +164,8 @@ def main(argv=None):
         return EXIT_USAGE
     with report:
         for scenario in scenarios:
-            try:
-                results, elapsed = run_scenario(scenario, settings, check_filter)
-            except RhamcheckError as exc:
-                sys.stderr.write("rhamcheck: %s: %s\n" % (scenario.name, exc))
-                return EXIT_USAGE
-            runs.append((scenario, results, elapsed))
+            # run_check turns a check's RhamcheckError into a failed result
+            runs.append((scenario, *run_scenario(scenario, settings, check_filter)))
         to_stdout(lambda: human_summary(runs))
         if args.report:
             try:

@@ -10,6 +10,20 @@ term-over-position, degrevlex on m and then S; a form's module normal
 form is its unique remainder on the standard terms, those no leading
 term of G_p divides, and vanishes exactly on M_p.
 
+A degree whose forms all vanish needs no Buchberger run.  By the
+zero-quotient rule, when G_(p-1) holds the unit e_S itself for a face S
+of every p-subset T, then e_T = ±e_S ^ dx_i lies in M_(p-1) ^ F_1 ⊆ M_p,
+so M_p = F_p and G_p is the units e_T.  A cohomology pair builds its
+strata in degree order, so that the rule sees G_(p-1): it gives the
+torus its Omega^3 and Omega^4, the circle times two points its Omega^3,
+and an algebra whose Omega^1 vanishes, such as Q[x, y]/(x^2 + 1, y - 1),
+every degree above 1.
+
+A normal form is linear, so each degree keeps a table from a term
+(m, S) to its normal form in basis indices, and a column of d is the
+sum of the table's columns over the terms of its image: G_p divides
+each non-standard term once per algebra.
+
 The weight of a term is deg m + p, and d preserves it.  The order is
 degree-compatible, so reduction never raises weight and an element of
 M_p of weight <= N reduces to zero within weight N.  So the standard
@@ -38,7 +52,8 @@ from .errors import AlgebraMismatch, ValidationError
 from .exterior import ExteriorForm, check_index_set, d_monomial, d_terms, wedge_terms
 from .formtext import eval_form, parse_polynomial
 from .linalg import CohomologyPair, Matrix
-from .poly import buchberger, drl_key, monomial_divides, reduce_vector, term_vector, vector_terms
+from .poly import (_coefficient, buchberger, drl_key, monomial_divides, reduce_vector,
+                   term_vector, vector_terms)
 
 
 class FpAlgebra:
@@ -101,16 +116,27 @@ class FpAlgebra:
 def _module_groebner(algebra, p):
     """Reduced Groebner basis of M_p = I*F_p + dI ^ F_(p-1), per leading position.
 
-    The ideal's Groebner engine `poly.buchberger` computes it.  G_0 is I's
-    basis at the one position (); above, the seeds are G_0 at each
-    position, whose pairs need no S-vector, and the generators df_j ^ dx_T.
+    It is the units e_T when G_(p-1) is built and holds the unit e_S, with
+    no tail, for a face S of every position T (the module docstring's
+    rule).  Otherwise `poly.buchberger`, the ideal's engine, computes it:
+    G_0 is I's basis at the one position (); above, the seeds are G_0 at
+    each position, whose pairs need no S-vector, and the df_j ^ dx_T.
     """
     n = algebra.nvars
     if p == 0:
         return buchberger([term_vector({(): g}) for g in algebra.ideal_generators])
+    positions = list(combinations(range(n), p))
+    below = algebra._modules.get(p - 1)
+    one = (0,) * n
+    if below is not None and all(
+            any(below.divisors.get(S) == [(one, {(one, S): 1})] for S in combinations(T, p - 1))
+            for T in positions):
+        return {T: [(one, {(one, T): 1})] for T in positions}
     seeds = [{(e, S): c for (e, _), c in vec.items()}
-             for S in combinations(range(n), p) for _, vec in algebra._ideal_basis]
-    generators = [term_vector(d_terms({T: f}, n))
+             for S in positions for _, vec in algebra._ideal_basis]
+    # d(c x^e dx_T) puts each variable of e at its own position, so no two terms meet
+    generators = [{(de, U): _coefficient(k * c) for e, c in f.terms.items()
+                   for k, de, U in d_monomial(e, T)}
                   for f in algebra.ideal_generators
                   for T in combinations(range(n), p - 1)]
     return buchberger(generators, seeds)
@@ -119,11 +145,17 @@ def _module_groebner(algebra, p):
 class _FormModule:
     """The degree-p forms F_p / M_p of an algebra, on the standard terms of G_p.
 
-    `divisors` is G_p per leading position.  `basis` lists the standard
-    terms weight layer by weight layer, each layer in term order, so the
-    terms of weight <= N are the prefix `basis[:ends[N]]` and indices
-    never change as the basis grows.  `d_column(k)` memoises the normal
-    form of d(basis[k]) in the degree p + 1 module.
+    `divisors` is G_p per leading position: the units e_T alone when the
+    zero-quotient rule gave it.  `basis` lists the standard terms weight
+    layer by weight layer, each layer in term order, so the terms of
+    weight <= N are the prefix `basis[:ends[N]]` and indices never change
+    as the basis grows.  The table behind `term_column` holds the normal
+    form of each term (monomial, position) met so far in basis indices, a
+    standard term being its own index, so G_p divides each non-standard
+    term once.  `d_column(k)` memoises the normal form of d(basis[k]) in
+    the degree p + 1 module, the sum of that module's term columns over
+    the terms of d(basis[k]).  Coefficients are stored as `poly` stores
+    them: an int when integral.
     """
 
     def __init__(self, algebra, p):
@@ -133,6 +165,7 @@ class _FormModule:
         self.basis = []
         self.index = {}
         self.ends = {}
+        self._table = {}
         self._columns = []
         self._index_sets = list(combinations(range(algebra.nvars), p))
 
@@ -151,17 +184,32 @@ class _FormModule:
         return vector_terms(reduce_vector(term_vector(terms), self.divisors),
                             self.algebra.variables)
 
+    def term_column(self, term):
+        """Normal form of one term (monomial, position) as {basis index: coefficient}.
+        The basis must be grown to the term's weight, which reduction never raises."""
+        column = self._table.get(term)
+        if column is None:
+            if term in self.index:
+                column = {self.index[term]: 1}
+            else:
+                image = reduce_vector({term: 1}, self.divisors)
+                column = {self.index[t]: _coefficient(c) for t, c in image.items()}
+            self._table[term] = column
+        return column
+
     def d_column(self, k):
         """Normal form of d(basis[k]) as {index in the degree p + 1 basis: coefficient}.
 
-        That basis must be grown to the weight of basis[k]; d keeps weight
-        and reduction never raises it, so every term has an index.
+        That basis must be grown to the weight of basis[k], which d keeps.
         """
         target = self.algebra._module(self.p + 1)
         while len(self._columns) <= k:
             m, S = self.basis[len(self._columns)]
-            image = reduce_vector({(dm, T): c for c, dm, T in d_monomial(m, S)}, target.divisors)
-            self._columns.append({target.index[t]: c for t, c in image.items()})
+            column = {}
+            for c, dm, T in d_monomial(m, S):
+                for i, a in target.term_column((dm, T)).items():
+                    column[i] = column.get(i, 0) + c * a
+            self._columns.append({i: _coefficient(v) for i, v in column.items() if v})
         return self._columns[k]
 
 
@@ -300,10 +348,11 @@ def _truncated_pair(algebra, p, n_cutoff):
     """(pair, stratum, below) of degree p at cutoff N.  `below` holds the
     numbers of columns of d_prev and of d_next of weight <= N - 1, whose
     prefixes make the pair at N - 1."""
+    # in degree order, so that G_p may come from G_(p-1) by the zero-quotient rule
+    source = _WeightStratum(algebra, p - 1, n_cutoff) if p >= 1 else None
     stratum = _WeightStratum(algebra, p, n_cutoff)
     cols = stratum.module.ends.get(n_cutoff - 1, 0)
-    if p >= 1:
-        source = _WeightStratum(algebra, p - 1, n_cutoff)
+    if source is not None:
         d_prev, prev_cols = source.differential_matrix(stratum), source.module.ends[n_cutoff - 1]
     else:
         d_prev, prev_cols = Matrix(stratum.size, []), 0

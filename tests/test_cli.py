@@ -292,6 +292,24 @@ def test_cli_check_failure_exit(tmp_path):
     assert main(["--scenario", str(path)]) == 1
 
 
+def test_check_that_raises_at_run_time_fails_with_exit_1(tmp_path, capsys):
+    """On the line (1 + x)/2 is not closed, which only running the
+    multiplicativity check finds: the raise is that check's failure, not
+    unusable input."""
+    path = tmp_path / "raising.scn"
+    fixtures = MINIMAL[:MINIMAL.index("[check p]")].replace("relation x^2 - 1\n", "")
+    path.write_text(fixtures + "[check p]\nkind multiplicativity\nform1 e\nform2 e\nchain z\n"
+                    "expect 1\n")
+    assert main(["--scenario", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        "  [fail] p                      multiplicativity  -- "
+        "NotClosedForm: multiplicativity needs closed forms",
+        "total: 0 pass, 1 fail, 0 skip",
+    ]
+    assert err == ""
+
+
 def test_report_deterministic(tmp_path):
     settings = Settings()
     runs = []

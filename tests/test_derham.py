@@ -19,7 +19,7 @@ from rhamcheck.derham import (
     wedge,
 )
 from rhamcheck.errors import AlgebraMismatch, ResourceBudgetExceeded
-from rhamcheck.exterior import d_terms
+from rhamcheck.exterior import d_monomial, d_terms
 from rhamcheck.formtext import parse_polynomial
 from rhamcheck.linalg import CohomologyPair, Echelon
 from rhamcheck.poly import (Polynomial, _add_shifted, _term_key, groebner_basis, monomial_div,
@@ -760,3 +760,125 @@ def test_stabilized_needs_the_representatives_below_the_cutoff(monkeypatch, hit,
     assert below.dimension == pair.prefix_dimension(0, 1) == h.dimension == 1
     assert h.representatives == [(Fraction(hit), Fraction(1 - hit))]
     assert h.stabilized == stabilized
+
+
+# ---------------------------------------------------------------------------
+# a module's zero-quotient rule and term table
+
+
+def face_ring(n):
+    """The boundary of Delta^n in its hyperplane: the t_i sum to 1 and their product is 0."""
+    variables = tuple("t%d" % i for i in range(n + 1))
+    return FpAlgebra(variables, [" + ".join(variables) + " - 1", "*".join(variables)])
+
+
+# the oracle algebras, the benchmark's varieties at two seeds, and algebras with
+# units in G_1: ds = 0 beside a curve or a plane, and Omega^1 = 0 on `empty`,
+# which has no real point.  Omega^1 of the line y = x = z holds no unit e_S,
+# only dy - dx and dz - dx: unit leads with tails.
+RULE_ALGEBRAS = dict(
+    ORACLE_ALGEBRAS,
+    **PREFIX_ALGEBRAS,
+    circle_x_points=lambda: FpAlgebra(("x", "y", "s"), ["x^2 + y^2 - 1", "s^2 - s"]),
+    plane_x_points=lambda: FpAlgebra(("x", "y", "s"), ["s^2 - s"]),
+    empty=lambda: FpAlgebra(("x", "y"), ["x^2 + 1", "y - 1"]),
+    line=lambda: FpAlgebra(("x", "y", "z"), ["y - x", "z - x"]),
+    boundary2=lambda: face_ring(2),
+    boundary3=lambda: face_ring(3),
+)
+
+
+def plain_groebner(algebra, p):
+    """G_p from `poly.buchberger` alone, with the generators df ^ dx_T written
+    as the term vectors of the polynomial forms `d_terms` makes."""
+    n = algebra.nvars
+    ideal = poly.buchberger([poly.term_vector({(): g}) for g in algebra.ideal_generators])
+    if p == 0:
+        return ideal
+    seeds = [{(e, S): c for (e, _), c in vec.items()}
+             for S in combinations(range(n), p) for _, vec in ideal.get((), [])]
+    generators = [poly.term_vector(d_terms({T: f}, n)) for f in algebra.ideal_generators
+                  for T in combinations(range(n), p - 1)]
+    return poly.buchberger(generators, seeds)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_ALGEBRAS))
+def test_each_module_basis_built_after_the_one_below_is_buchbergers(name):
+    """Built in degree order, so that G_p may come from G_(p-1) by the
+    zero-quotient rule, every G_p equals the one `buchberger` computes."""
+    algebra = RULE_ALGEBRAS[name]()
+    for p in range(algebra.nvars + 1):
+        assert algebra._module(p).divisors == plain_groebner(algebra, p)
+
+
+@pytest.mark.parametrize("name, p, n_cutoff, built", [
+    ("torus", 3, 4, [0, 2]),  # G_2 holds e_01 and e_23, so G_3 and G_4 are units
+    ("circle_x_points", 2, 3, [0, 1, 2]),  # ds = 0, but dx ^ dy is no unit's wedge
+    ("empty", 1, 2, [0, 1]),  # Omega^1 = 0
+    ("line", 1, 2, [0, 1, 2]),  # unit leads with tails are not units
+])
+def test_buchberger_runs_only_where_the_rule_cannot_give_the_basis(monkeypatch, name, p,
+                                                                   n_cutoff, built):
+    """The degrees whose G_p a cohomology check of degree p at cutoff N builds
+    with `buchberger`: G_0 with the algebra, then G_(p-1), G_p and G_(p+1)
+    in that order, each but the first maybe by the rule."""
+    building, runs = [], []
+    build, run = derham._module_groebner, derham.buchberger
+
+    def tracked_build(algebra, degree):
+        building.append(degree)
+        try:
+            return build(algebra, degree)
+        finally:
+            building.pop()
+
+    def tracked_run(*args):
+        runs.append(building[-1])
+        return run(*args)
+
+    monkeypatch.setattr(derham, "_module_groebner", tracked_build)
+    monkeypatch.setattr(derham, "buchberger", tracked_run)
+    algebra = rescaled("torus", 7) if name == "torus" else RULE_ALGEBRAS[name]()
+    truncated_cohomology(algebra, p, n_cutoff)
+    assert runs == built
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_d_columns_are_the_normal_forms_of_d(name):
+    """Each column of d, summed from the target's term table, is `reduce_vector`
+    of d(basis[k]) in basis indices, with each coefficient stored as `poly`
+    stores it: an int when integral."""
+    algebra = ORACLE_ALGEBRAS[name]()
+    top = oracle_top(algebra)
+    for p in range(min(algebra.nvars, top)):
+        source = derham._WeightStratum(algebra, p, top)
+        target = derham._WeightStratum(algebra, p + 1, top)
+        for k, (m, S) in enumerate(source.module.basis[: source.size]):
+            image = reduce_vector({(dm, T): c for c, dm, T in d_monomial(m, S)},
+                                  target.module.divisors)
+            expected = {target.module.index[t]: poly._coefficient(c) for t, c in image.items()}
+            column = source.module.d_column(k)
+            assert column == expected
+            assert {i: type(c) for i, c in column.items()} == {
+                i: type(c) for i, c in expected.items()}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_each_term_is_divided_once_per_module(name, monkeypatch):
+    """Over the cohomology pairs of every degree and cutoff, G_p divides each
+    non-standard term once, by itself, and no standard term."""
+    divided = []
+    run = derham.reduce_vector
+
+    def counting_run(vec, divisors):
+        divided.append((id(divisors), tuple(vec)))
+        return run(vec, divisors)
+
+    monkeypatch.setattr(derham, "reduce_vector", counting_run)
+    algebra = ORACLE_ALGEBRAS[name]()
+    for n_cutoff in range(oracle_top(algebra) + 1):
+        for p in range(min(algebra.nvars, n_cutoff) + 1):
+            truncated_cohomology(algebra, p, n_cutoff)
+    modules = {id(module.divisors): module for module in algebra._modules.values()}
+    assert divided and len(divided) == len(set(divided))
+    assert all(len(terms) == 1 and terms[0] not in modules[key].index for key, terms in divided)
