@@ -20,7 +20,7 @@ from contextlib import nullcontext, suppress
 
 from .checks import DEFAULT_SEED, Settings, run_scenario_checks, validate_settings
 from .errors import ParseError, RhamcheckError
-from .scenarios import Scenario, builtin_names, load_builtin
+from .scenarios import Scenario, builtin_description, builtin_names, load_builtin
 from .simplex_forms import DEFAULT_QUAD_ORDER
 
 EXIT_PASS = 0
@@ -57,7 +57,7 @@ def build_parser():
 def list_builtins():
     """Print the builtin catalog, each with its header's description."""
     for name in builtin_names():
-        print("%-20s %s" % (name, load_builtin(name).description))
+        print("%-20s %s" % (name, builtin_description(name)))
 
 
 def to_stdout(write):

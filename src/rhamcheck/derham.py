@@ -19,6 +19,11 @@ torus its Omega^3 and Omega^4, the circle times two points its Omega^3,
 and an algebra whose Omega^1 vanishes, such as Q[x, y]/(x^2 + 1, y - 1),
 every degree above 1.
 
+A standard term (m, S) has m standard for G_0, since M_p contains
+I*e_S.  So the basis is grown from the algebra's standard monomials
+alone, and each candidate (m, S) is tested only against G_p's own leads
+at S, those that are not leads of G_0: a lead of G_0 cannot divide m.
+
 A normal form is linear, so each degree keeps a table from a term
 (m, S) to its normal form in basis indices, and a column of d is the
 sum of the table's columns over the terms of its image: G_p divides
@@ -46,6 +51,7 @@ Letscher and Zomorodian, Discrete Comput. Geom. 28, 2002).
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .errors import AlgebraMismatch, ValidationError
@@ -167,14 +173,20 @@ class _FormModule:
         self.ends = {}
         self._table = {}
         self._columns = []
-        self._index_sets = list(combinations(range(algebra.nvars), p))
+        # G_p's own leads per position, those not of G_0 (G_p itself at p = 0)
+        ideal = algebra._ideal_basis if p else self.divisors.get((), ())
+        ideal_leads = {lead for lead, _ in ideal}
+        self._own_leads = [(S, [lead for lead, _ in self.divisors.get(S, ())
+                                if lead not in ideal_leads])
+                           for S in combinations(range(algebra.nvars), p)]
 
     def grow(self, level):
-        """Append the standard terms of every weight up to `level`."""
+        """Append the standard terms of every weight up to `level`: each standard
+        monomial m of the algebra with each S that no own lead at S divides."""
         for w in range(self.p + len(self.ends), level + 1):
             for m in self.algebra.standard_layer(w - self.p):
-                for S in self._index_sets:
-                    if not any(monomial_divides(lead, m) for lead, _ in self.divisors.get(S, ())):
+                for S, leads in self._own_leads:
+                    if not any(monomial_divides(lead, m) for lead in leads):
                         self.index[(m, S)] = len(self.basis)
                         self.basis.append((m, S))
             self.ends[w] = len(self.basis)
@@ -324,8 +336,9 @@ class TruncatedCohomology:
     """H^p of the weight-truncated de Rham complex at a fixed cutoff N.
 
     `representatives` and `class_of` are those of the one `CohomologyPair`
-    at N.  `stabilized` is the pair's `stabilized` on the columns of
-    weight <= N - 1, the N - 1 sizes of the strata of degrees p - 1 and p:
+    at N; the representatives are written as forms when first read.
+    `stabilized` is the pair's `stabilized` on the columns of weight
+    <= N - 1, the N - 1 sizes of the strata of degrees p - 1 and p:
     H^p has the same dimension at N - 1 and at N and every representative
     at N is zero beyond the N - 1 prefix, so H^(N-1) -> H^N is an
     isomorphism.
@@ -336,8 +349,11 @@ class TruncatedCohomology:
             raise ValueError("cutoff must be at least the degree")
         self._pair, self._stratum, (prev_cols, cols) = _truncated_pair(algebra, p, n_cutoff)
         self.dimension = self._pair.dimension
-        self.representatives = [self._stratum.form_of(v) for v in self._pair.representatives]
         self.stabilized = n_cutoff > p and self._pair.stabilized(prev_cols, cols)
+
+    @cached_property
+    def representatives(self):
+        return [self._stratum.form_of(v) for v in self._pair.representatives]
 
     def class_of(self, form):
         """Coordinates of a closed form in the representative basis."""
@@ -364,7 +380,8 @@ def _truncated_pair(algebra, p, n_cutoff):
 
 
 def truncated_cohomology(algebra, p, n_cutoff):
-    """(dimension, representatives, stabilized) plus class membership."""
+    """The `TruncatedCohomology` of degree p at cutoff N: its dimension,
+    representatives, `stabilized` flag and `class_of`."""
     return TruncatedCohomology(algebra, p, n_cutoff)
 
 

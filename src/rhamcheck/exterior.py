@@ -8,9 +8,20 @@ coefficient only `+`, `*`, `scale`, `is_zero` and `partial`, so the
 same code serves Polynomial coefficients (algebraic forms) and the
 Polynomial or RationalFunc coefficients of forms on simplices and of
 form text, mixed in one form.
+
+`d_monomial`, the differential of one term x^e dx_S, depends on (e, S)
+alone, not on any ring or relation, so one memo serves every caller in
+a process: the d columns and the generators dI ^ F_(p-1) of every
+`FpAlgebra`, and the d matrices of every `FamilyComplex`.  Algebras in
+the same variables, such as rescalings of one variety, meet the same
+terms again and again, and so do family complexes on one simplex.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+D_MONOMIAL_CACHE_SIZE = 4096  # (exponents, index set) terms whose d is kept
 
 
 def insert_index(i, S):
@@ -70,13 +81,17 @@ def d_terms(terms, nvars):
     return _nonzero(out)
 
 
+@lru_cache(maxsize=D_MONOMIAL_CACHE_SIZE)
 def d_monomial(e, S):
-    """d(x^e dx_S) as (coefficient, exponents, index set) triples."""
+    """d(x^e dx_S) as a tuple of (coefficient, exponents, index set) triples,
+    one per variable of e outside S, in variable order."""
+    out = []
     for i, k in enumerate(e):
         if k:
             sign, T = insert_index(i, S)
             if sign:
-                yield sign * k, e[:i] + (k - 1,) + e[i + 1 :], T
+                out.append((sign * k, e[:i] + (k - 1,) + e[i + 1 :], T))
+    return tuple(out)
 
 
 def format_terms(terms, variables):

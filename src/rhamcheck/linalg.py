@@ -23,7 +23,8 @@ and their combinations share each row's integer scale.  The routines
 below stay on those integer vectors, with their scales, from the
 elimination to the kernel and the representatives: a Fraction is made
 only for a public result, a kernel vector, a solution, a
-representative, a class, or a row read through `Echelon.rows`.
+representative, a class, or a row read through `Echelon.rows`; a caller
+that wants the integer rows reads `Echelon.scaled_rows`.
 
 `CohomologyPair` checks d_next . d_prev = 0 by a rank identity, not by
 multiplying the maps out.  With the boundaries inserted first, every
@@ -139,7 +140,14 @@ class Echelon:
 
     @property
     def rows(self):
-        return {pivot: _fractions(row, row[pivot]) for pivot, row in self._rows.items()}
+        return {pivot: _fractions(vec, scale) for pivot, (vec, scale) in self.scaled_rows.items()}
+
+    @property
+    def scaled_rows(self):
+        """pivot -> (vector, scale), the row being vector / scale: here the
+        primitive integer row over its pivot entry.  The vectors are the
+        engine's own, to be read, not changed, and a later `add` may change them."""
+        return {pivot: (row, row[pivot]) for pivot, row in self._rows.items()}
 
     def _reduce(self, vec):
         """(out, coords, scale): integer vectors with vec = (out + sum of

@@ -98,37 +98,8 @@ class Scenario:
 
     def __init__(self, text, source="<string>"):
         self.source = source
-        self._parse(text)
+        self._sections = _sections(text, source)
         self._build()
-
-    def _parse(self, text):
-        """Group the lines by section: kind -> name -> {key: [text per line]}."""
-        self._sections = {kind: {} for kind in list(SECTION_KEYS) + ["check"]}
-        section = self._sections["header"][None] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            at = "%s:%d" % (self.source, lineno)
-            if line.startswith("["):
-                header = line[1:-1].split() if line.endswith("]") else None
-                if not header:
-                    raise ParseError("%s: malformed section header %r" % (at, line))
-                kind, names = header[0], header[1:]
-                if kind not in self._sections or kind == "header":
-                    raise ParseError("%s: unknown section %r" % (at, kind))
-                named = kind not in UNNAMED
-                if len(names) != int(named):
-                    raise ParseError("%s: section %r takes %s"
-                                     % (at, kind, "one name" if named else "no name"))
-                name = names[0] if names else None
-                if name in self._sections[kind]:
-                    raise ParseError("%s: %s: second section of that name"
-                                     % (at, _label(kind, name)))
-                section = self._sections[kind][name] = {}
-                continue
-            key, _, rest = line.partition(" ")
-            section.setdefault(key, []).append(rest.strip())
 
     def _load(self, where, keys, raw, owner):
         """Parse one section's lines through its key table to {key: value}."""
@@ -257,6 +228,37 @@ class Scenario:
             raise ValidationError("%s: complex: the cycle of %s has degree 0, which no "
                                   "coboundary reaches; use boundary<k>, k >= 2"
                                   % (where, p["complex"].name))
+
+
+def _sections(text, source):
+    """Group the lines by section: kind -> name -> {key: [text per line]}."""
+    sections = {kind: {} for kind in list(SECTION_KEYS) + ["check"]}
+    section = sections["header"][None] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        at = "%s:%d" % (source, lineno)
+        if line.startswith("["):
+            header = line[1:-1].split() if line.endswith("]") else None
+            if not header:
+                raise ParseError("%s: malformed section header %r" % (at, line))
+            kind, names = header[0], header[1:]
+            if kind not in sections or kind == "header":
+                raise ParseError("%s: unknown section %r" % (at, kind))
+            named = kind not in UNNAMED
+            if len(names) != int(named):
+                raise ParseError("%s: section %r takes %s"
+                                 % (at, kind, "one name" if named else "no name"))
+            name = names[0] if names else None
+            if name in sections[kind]:
+                raise ParseError("%s: %s: second section of that name"
+                                 % (at, _label(kind, name)))
+            section = sections[kind][name] = {}
+            continue
+        key, _, rest = line.partition(" ")
+        section.setdefault(key, []).append(rest.strip())
+    return sections
 
 
 def validate_cutoff(where, kind, p, forms, key, cutoff):
@@ -837,6 +839,11 @@ def builtin_text(name):
     if name not in BUILTIN_BUILDERS:
         raise ValidationError("unknown builtin %r" % name)
     return BUILTIN_BUILDERS[name]().strip() + "\n"
+
+
+def builtin_description(name):
+    """The description in a builtin's header, read without building the scenario."""
+    return _sections(builtin_text(name), "builtin:%s" % name)["header"][None]["description"][0]
 
 
 def load_builtin(name):

@@ -564,6 +564,13 @@ class FamilyComplex:
     the basis are its entries at the pivots.  The differential keeps
     compatibility and weight, so cohomology is computed degree by degree
     with the exact linear algebra.
+
+    A row is kept as its echelon holds it, `Echelon.scaled_rows`: a
+    primitive integer vector over its pivot entry.  d is taken, and checked
+    to stay in the next family space, on those integers, and an entry of
+    the matrix of d is one Fraction, the image's entry at a pivot over the
+    row's pivot entry.  `representatives` divides by the pivot entry once
+    per coordinate, so no row is ever written in Fractions.
     """
 
     def __init__(self, complex_, weight_cutoff):
@@ -574,17 +581,17 @@ class FamilyComplex:
         self._maximal = [s for s in complex_.dim_of if s not in faces]
         self._cofaces = _coface_table(complex_.dim_of, self._maximal)
         self._echelons = {q: Echelon(self._spanning_families(q)) for q in range(top + 2)}
-        self._family_basis, self._pivots, self._prefix = {}, {}, {}
+        self._rows, self._pivots, self._prefix = {}, {}, {}
         for q, echelon in self._echelons.items():
-            rows = echelon.rows
+            rows = echelon.scaled_rows
             pivots = sorted(rows)
-            self._family_basis[q] = [rows[pivot] for pivot in pivots]
+            self._rows[q] = [rows[pivot] for pivot in pivots]
             self._pivots[q] = {pivot: k for k, pivot in enumerate(pivots)}
             self._prefix[q] = bisect_left(pivots, (weight_cutoff - q,))
         self._d_matrices = {q: self._differential_matrix(q) for q in range(top + 1)}
         self._pairs = {}
         for q in range(top + 1):
-            d_prev = self._d_matrices[q - 1] if q >= 1 else Matrix(len(self._family_basis[q]), [])
+            d_prev = self._d_matrices[q - 1] if q >= 1 else Matrix(len(self._rows[q]), [])
             self._pairs[q] = CohomologyPair(d_prev, self._d_matrices[q])
 
     def _spanning_families(self, q):
@@ -596,10 +603,12 @@ class FamilyComplex:
         return _barycentric_basis(self._cofaces, q, r)
 
     def _differential_matrix(self, q):
-        """Matrix of d in degree q, from the family basis to the next one."""
+        """Matrix of d in degree q, from the family basis to the next one: d of
+        each row's vector, reduced against the next echelon and read at its
+        pivots over the row's scale."""
         target, pivots = self._echelons[q + 1], self._pivots[q + 1]
         columns = []
-        for family in self._family_basis[q]:
+        for family, scale in self._rows[q]:
             image = {}
             for (_, s, e, S), c in family.items():
                 for m, de, T in d_monomial(e, S):
@@ -608,7 +617,8 @@ class FamilyComplex:
             rest, _ = target.reduce(image)
             if rest:
                 raise AssertionError("differential left the family space")
-            columns.append({pivots[key]: c for key, c in image.items() if c and key in pivots})
+            columns.append({pivots[key]: Fraction(c, scale)
+                            for key, c in image.items() if c and key in pivots})
         return Matrix(len(pivots), columns)
 
     def cohomology_dimension(self, q):
@@ -624,7 +634,9 @@ class FamilyComplex:
         for vec in self._pairs[q].representatives:
             combo = {}
             for k, coeff in sorted(vec.items()):
-                for key, c in self._family_basis[q][k].items():
+                family, scale = self._rows[q][k]
+                coeff /= scale
+                for key, c in family.items():
                     combo[key] = combo.get(key, 0) + coeff * c
             reps.append(self._materialize(combo, q))
         return reps

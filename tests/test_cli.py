@@ -47,6 +47,7 @@ from rhamcheck.scenarios import (
     _number,
     _text,
     _tolerance,
+    builtin_description,
     builtin_names,
     builtin_text,
     load_builtin,
@@ -283,6 +284,21 @@ def test_list_prints_each_builtin_with_its_header_description(capsys):
         header = next(row for row in builtin_text(name).splitlines()
                       if row.startswith("description "))
         assert line.split(None, 1) == [name, header[len("description "):]]
+
+
+def test_list_reads_the_descriptions_without_building_a_scenario(capsys, monkeypatch):
+    """`--list` reads each header alone: the descriptions are those of the built
+    scenarios, and no Scenario, with its algebra and simplices, is made."""
+    built = {name: load_builtin(name).description for name in builtin_names()}
+    assert {name: builtin_description(name) for name in builtin_names()} == built
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("--list built a Scenario")
+
+    monkeypatch.setattr(Scenario, "__init__", refuse)
+    assert main(["--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(None, 1) for line in lines] == [[name, built[name]] for name in built]
 
 
 def test_cli_check_failure_exit(tmp_path):

@@ -882,3 +882,62 @@ def test_each_term_is_divided_once_per_module(name, monkeypatch):
     modules = {id(module.divisors): module for module in algebra._modules.values()}
     assert divided and len(divided) == len(set(divided))
     assert all(len(terms) == 1 and terms[0] not in modules[key].index for key, terms in divided)
+
+
+def torus_d_columns(seed):
+    """Every d column of a rescaled torus, degrees 0..3 at cutoff 5."""
+    algebra = rescaled("torus", seed)
+    for p in range(algebra.nvars):
+        source = derham._WeightStratum(algebra, p, 5)
+        target = derham._WeightStratum(algebra, p + 1, 5)
+        source.differential_matrix(target)
+
+
+def test_a_second_algebra_in_the_same_variables_reuses_every_d_monomial():
+    """d of a term depends on the term alone, so the d columns of a second
+    rescaled torus, and its generators dI ^ F_(p-1), are read from the memo
+    the first one filled: none of them misses."""
+    assert rescaled("torus", 7) != rescaled("torus", 8)
+    d_monomial.cache_clear()
+    torus_d_columns(7)
+    misses = d_monomial.cache_info().misses
+    assert misses > 0
+    torus_d_columns(8)
+    assert d_monomial.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_standard_terms_are_those_no_lead_of_g_p_divides(name):
+    """Testing a G_0-standard monomial against G_p's own leads alone gives the
+    basis that testing every monomial against all of G_p gives."""
+    algebra = ORACLE_ALGEBRAS[name]()
+    top = oracle_top(algebra)
+    for p in range(algebra.nvars + 1):
+        module = derham._WeightStratum(algebra, p, top).module
+        expected = []
+        for w in range(p, top + 1):
+            monomials = sorted({e for e in product(range(w - p + 1), repeat=algebra.nvars)
+                                if sum(e) == w - p}, key=poly.drl_key)
+            expected += [(m, S) for m in monomials for S in combinations(range(algebra.nvars), p)
+                         if not any(monomial_divides(lead, m)
+                                    for lead, _ in module.divisors.get(S, ()))]
+            assert module.basis[:module.ends[w]] == expected, (p, w)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_representatives_are_written_when_read(name):
+    """`representatives` is built on first reading, and equals the forms of the
+    pair's representative vectors, as the eager build wrote them; `class_of`
+    gives each its unit vector before and after the reading."""
+    algebra = ORACLE_ALGEBRAS[name]()
+    for p in range(algebra.nvars + 1):
+        for n_cutoff in range(p, oracle_top(algebra) + 1):
+            h = truncated_cohomology(algebra, p, n_cutoff)
+            assert "representatives" not in vars(h)
+            eager = [h._stratum.form_of(v) for v in h._pair.representatives]
+            units = [[int(i == k) for i in range(h.dimension)] for k in range(h.dimension)]
+            assert [h.class_of(form) for form in eager] == units
+            assert h.representatives == eager
+            assert h.representatives is h.representatives
+            assert [h.class_of(form) for form in h.representatives] == units
+            assert all(differential(form).is_zero() for form in h.representatives)

@@ -13,7 +13,7 @@ from sympy.combinatorics import Permutation
 from rhamcheck.derham import AlgebraicForm, FpAlgebra, parse_algebraic_form
 from rhamcheck.derham import differential as d_algebraic
 from rhamcheck.derham import wedge as wedge_algebraic
-from rhamcheck.exterior import insert_index, merge_sign
+from rhamcheck.exterior import d_monomial, insert_index, merge_sign
 from rhamcheck.poly import Polynomial
 from rhamcheck.simplex_forms import PolyForm, parse_poly_form, simplex_variables
 from rhamcheck.simplex_forms import differential as d_simplex
@@ -96,3 +96,23 @@ def test_form_types_agree_on_wedge_and_d(seed, n):
     # one printer: each type reads back what it prints
     assert parse_algebraic_form(str(a1), algebra) == a1
     assert parse_poly_form(str(f1), n) == f1
+
+
+def d_monomial_triples(e, S):
+    """The generator `d_monomial` was before its memo: d(x^e dx_S) term by term."""
+    for i, k in enumerate(e):
+        if k:
+            sign, T = insert_index(i, S)
+            if sign:
+                yield sign * k, e[:i] + (k - 1,) + e[i + 1 :], T
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_memoised_d_monomial_is_the_generator_s_triples(data, n):
+    e = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    S = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    first = d_monomial(e, S)
+    assert isinstance(first, tuple)
+    assert first == tuple(d_monomial_triples(e, S))
+    assert d_monomial(e, S) is first

@@ -15,6 +15,7 @@ from rhamcheck import linalg, simplex_forms
 from rhamcheck.checks import Settings, run_scenario_checks
 from rhamcheck.derham import truncated_cohomology
 from rhamcheck.errors import CompositionNonzero, NotACocycle
+from rhamcheck.exterior import d_monomial
 from rhamcheck.linalg import CohomologyPair, Echelon, Matrix, kernel_image, solve
 from rhamcheck.scenarios import Scenario, load_builtin
 from rhamcheck.simplex_forms import FamilyComplex, extend_from_boundary
@@ -40,7 +41,8 @@ class FractionEchelon:
     numbered independent inputs.  `modulo` vectors are added first, unnumbered.
     It has the entry points `CohomologyPair` and `_eliminate` use too:
     `independent_modulo`, `_reduce`, which gives scale 1, and `_insert`,
-    which makes a reduced remainder a row.
+    which makes a reduced remainder a row, and `scaled_rows`, each row at
+    scale 1, which `FamilyComplex` reads.
     """
 
     def __init__(self, vectors=(), track=False, modulo=()):
@@ -83,6 +85,10 @@ class FractionEchelon:
                 _axpy(self._combos[other_pivot], -coeff, combo)
         self.rows[pivot] = row
         self._combos[pivot] = combo
+
+    @property
+    def scaled_rows(self):
+        return {pivot: (row, 1) for pivot, row in self.rows.items()}
 
     def reduce(self, vec):
         red, coords, _ = self._reduce(vec)
@@ -439,6 +445,69 @@ def test_family_complex_is_the_same_on_the_fraction_engine(name, monkeypatch):
     finally:
         simplex_forms._boundary_basis.cache_clear()
     assert fast == reference
+
+
+def fraction_row_complex(fc):
+    """(d matrices, pivots, prefixes) of a family complex built the way it was
+    before its integer rows: from `Echelon.rows`, d of each Fraction row read at
+    the next degree's pivots."""
+    top = fc.complex.dimension
+    echelons = {q: Echelon(fc._spanning_families(q)) for q in range(top + 2)}
+    bases, pivots, prefixes = {}, {}, {}
+    for q, echelon in echelons.items():
+        rows = echelon.rows
+        bases[q] = [rows[pivot] for pivot in sorted(rows)]
+        pivots[q] = {pivot: k for k, pivot in enumerate(sorted(rows))}
+        prefixes[q] = sum(pivot < (fc.weight_cutoff - q,) for pivot in rows)
+    matrices = {}
+    for q in range(top + 1):
+        columns = []
+        for family in bases[q]:
+            image = {}
+            for (_, s, e, S), c in family.items():
+                for m, de, T in d_monomial(e, S):
+                    key = (sum(de), s, de, T)
+                    image[key] = image.get(key, 0) + m * c
+            assert echelons[q + 1].reduce(image)[0] == {}
+            columns.append({pivots[q + 1][key]: c for key, c in image.items()
+                            if c and key in pivots[q + 1]})
+        matrices[q] = (len(pivots[q + 1]), columns)
+    return matrices, pivots, prefixes
+
+
+class DoubledRowsEchelon(Echelon):
+    """`Echelon` handing out each row at twice its scale: the same rows, which
+    the family complexes here would otherwise all read at scale 1."""
+
+    @property
+    def scaled_rows(self):
+        return {pivot: ({j: 2 * v for j, v in vec.items()}, 2 * scale)
+                for pivot, (vec, scale) in super().scaled_rows.items()}
+
+
+@pytest.mark.parametrize("name", ["delta0", "delta1", "delta2", "delta3",
+                                  "boundary1", "boundary2", "boundary3", "boundary4"])
+def test_family_complex_on_integer_rows_matches_its_fraction_rows(name, monkeypatch):
+    """d taken on each row's integer vector, over its scale, gives the same
+    matrices, as Fractions, as d of the row read in Fractions; and the pivots
+    and the weight <= N - 1 prefixes are the same.  With every row handed out
+    at twice its scale, the matrices and the representatives do not change."""
+    k = int(name[-1])
+    complex_ = standard_simplex(k) if name.startswith("delta") else boundary_complex(k)
+    for weight in range(4):
+        built = []
+        for engine in (Echelon, DoubledRowsEchelon):
+            monkeypatch.setattr(simplex_forms, "Echelon", engine)
+            fc = FamilyComplex(complex_, weight)
+            matrices, pivots, prefixes = fraction_row_complex(fc)
+            assert {q: (m.rows, m.columns) for q, m in fc._d_matrices.items()} == matrices
+            assert all(isinstance(c, Fraction) for m in fc._d_matrices.values()
+                       for column in m.columns for c in column.values())
+            assert fc._pivots == pivots
+            assert fc._prefix == prefixes
+            built.append([[rep.to_cochain().values for rep in fc.representatives(q)]
+                          for q in range(complex_.dimension + 1)])
+        assert built[0] == built[1]
 
 
 # ---------------------------------------------------------------------------

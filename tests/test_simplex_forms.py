@@ -1056,7 +1056,8 @@ def test_family_basis_is_the_sorted_echelon_on_the_maximal_simplices(name):
     for N in range(5):
         fc = FamilyComplex(K, N)
         for q in range(K.dimension + 2):
-            basis = fc._family_basis[q]
+            basis = [{key: Fraction(c, scale) for key, c in family.items()}
+                     for family, scale in fc._rows[q]]
             assert basis == sorted_echelon(N, q), (N, q)
             below = sorted_echelon(N - 1, q)
             assert basis[:len(below)] == below, (N, q)
