@@ -24,6 +24,17 @@ fault of the value is carried as its ParseError until the text has
 parsed, so malformed text is refused first, then the first fault in
 evaluation order.  Every refusal of expression text is raised here.
 
+The reader builds few objects.  A monomial c*x^e, a number or a product
+of variables, is the pair (e, c) under `*`, `/`, `^` and signs, exponent
+by exponent; a literal integer is an int until an operator takes it, and
+no folded value is an int, so `x^(6/3)` is refused like `x^(1+1)`.  A run
+of `+` and `-` terms that are monomials or Polynomials folds into one
+terms dict, in the order and with the coefficient types that adding them
+pairwise gives: a term that cancels is dropped, and comes back last.  A
+monomial meets anything else as a Polynomial, and a form or a
+RationalFunc is added pairwise.  So `25/81*x^2 + 49/64*y^2 - 1` builds
+one Polynomial.
+
 Reads are memoised per (text, variables) (`_read`), since a run reads the
 same texts many times: the torus's 128 simplex components are 8 texts.
 `eval_form` hands each caller a fresh terms dict.  A refusal is not
@@ -38,7 +49,7 @@ from math import comb
 
 from .errors import ParseError
 from .exterior import ExteriorForm, wedge_terms
-from .poly import Polynomial
+from .poly import Polynomial, monomial_mul
 from .ratfunc import parts, ratio
 
 # Each level of parentheses takes five stack frames, so 100 levels stay
@@ -71,40 +82,14 @@ def _promote(value):
     return value if isinstance(value, _FormValue) else _FormValue(value.variables, 0, {(): value})
 
 
-def _add(a, b, sign):
-    if isinstance(a, _FormValue) or isinstance(b, _FormValue):
-        a, b = _promote(a), _promote(b)
-    try:
-        return a + b.scale(sign)
-    except ValueError as exc:
-        return ParseError(str(exc))
+def _is_monomial(value):
+    """Whether value is a monomial: a literal int, or a pair (exponents, coefficient)."""
+    return type(value) is tuple or type(value) is int
 
 
-def _multiply(a, b):
-    if isinstance(a, _FormValue) and isinstance(b, _FormValue):
-        return a._make(a.degree + b.degree, wedge_terms(a.terms, b.terms))
-    if isinstance(a, _FormValue):
-        return a._make(a.degree, {S: c * b for S, c in a.terms.items()})
-    if isinstance(b, _FormValue):
-        return b._make(b.degree, {S: a * c for S, c in b.terms.items()})
-    return a * b
-
-
-def _over(a, b):
-    if isinstance(b, _FormValue):
-        return ParseError("cannot divide by a form")
-    if b.is_zero():
-        return ParseError("division by zero")
-    if isinstance(b, Polynomial) and b.is_constant():
-        return a.scale(Fraction(1, b.constant_value()))
-    if isinstance(a, _FormValue):
-        return a._make(a.degree, {S: _over(c, b) for S, c in a.terms.items()})
-    (an, ad), (bn, bd) = parts(a), parts(b)
-    return ratio(an * bd, ad * bn)
-
-
-_OPERATIONS = {"+": lambda a, b: _add(a, b, 1), "-": lambda a, b: _add(a, b, -1),
-               "*": _multiply, "/": _over}
+def _is_scalar(value):
+    """Whether value is a monomial or a Polynomial, the summands a sum folds."""
+    return _is_monomial(value) or isinstance(value, Polynomial)
 
 
 def _tokens(text):
@@ -131,6 +116,14 @@ def _tokens(text):
     return tokens
 
 
+def is_name(word):
+    """Whether form text reads word as one name."""
+    try:
+        return _tokens(word) == [("name", word)]
+    except ParseError:
+        return False
+
+
 class _Reader:
     """Reads one text by the grammar above, evaluating each rule as it matches.
     A literal integer stays an int until an operator takes it, so that `^`
@@ -138,6 +131,7 @@ class _Reader:
 
     def __init__(self, text, variables):
         self.text, self.variables, self.depth = text, variables, 0
+        self.constant = (0,) * len(variables)  # the exponents of a number's one term
         self.tokens = iter(_tokens(text))
         self.next = next(self.tokens, (None, None))  # the lookahead token
 
@@ -153,24 +147,103 @@ class _Reader:
         token, self.next = self.next, next(self.tokens, (None, None))
         return token
 
-    def _lift(self, value):
-        return Polynomial.constant(self.variables, value) if type(value) is int else value
+    def _monomial(self, value):
+        """A monomial as its pair (exponents, coefficient)."""
+        return (self.constant, value) if type(value) is int else value
 
-    def _apply(self, op, a, b):
-        fault = next((v for v in (a, b) if isinstance(v, ParseError)), None)
-        return fault or _OPERATIONS[op](self._lift(a), self._lift(b))
+    def _lift(self, value):
+        """A monomial as a Polynomial; any other value as it is."""
+        if not _is_monomial(value):
+            return value
+        e, c = self._monomial(value)
+        return Polynomial._of(self.variables, {e: c})
 
     def _expr(self):
-        value = self._term()
+        """A run of terms that are monomials or Polynomials is folded into one
+        terms dict in place, in the order and with the cancellations of adding
+        them pairwise; a form, a RationalFunc or a fault is added pairwise."""
+        value, terms = self._term(), None  # terms: the folded sum, while there is one
         while self.next[0] in ("+", "-"):
-            value = self._apply(self._take()[0], value, self._term())
-        return value
+            sign = -1 if self._take()[0] == "-" else 1
+            term = self._term()
+            if _is_scalar(term) and (terms is not None or _is_scalar(value)):
+                if terms is None:
+                    terms = {}
+                    self._fold(terms, value, 1)
+                self._fold(terms, term, sign)
+                continue
+            if terms is not None:
+                value, terms = Polynomial._of(self.variables, terms), None
+            if not isinstance(value, ParseError):
+                value = term if isinstance(term, ParseError) else self._add(value, term, sign)
+        return value if terms is None else Polynomial._of(self.variables, terms)
+
+    def _fold(self, terms, value, sign):
+        """terms += sign * value, a monomial or a Polynomial; a cancelled term is dropped."""
+        items = value.terms.items() if isinstance(value, Polynomial) else (self._monomial(value),)
+        for e, c in items:
+            if e in terms:
+                c = terms[e] + c if sign > 0 else terms[e] - c
+                if c:
+                    terms[e] = c
+                else:
+                    del terms[e]
+            elif c:
+                terms[e] = c if sign > 0 else -c
+
+    def _add(self, a, b, sign):
+        """a + sign * b where a or b is a form or a RationalFunc."""
+        a, b = self._lift(a), self._lift(b)
+        if isinstance(a, _FormValue) or isinstance(b, _FormValue):
+            a, b = _promote(a), _promote(b)
+        try:
+            return a + (b if sign > 0 else b.scale(-1))
+        except ValueError as exc:
+            return ParseError(str(exc))
 
     def _term(self):
         value = self._signed()
         while self.next[0] in ("*", "/"):
-            value = self._apply(self._take()[0], value, self._signed())
+            op, factor = self._take()[0], self._signed()
+            if not isinstance(value, ParseError):
+                value = factor if isinstance(factor, ParseError) else \
+                    (self._multiply if op == "*" else self._over)(value, factor)
         return value
+
+    def _multiply(self, a, b):
+        if _is_monomial(a) and _is_monomial(b):
+            (ea, ca), (eb, cb) = self._monomial(a), self._monomial(b)
+            return monomial_mul(ea, eb), ca * cb
+        a, b = self._lift(a), self._lift(b)
+        if isinstance(a, _FormValue) and isinstance(b, _FormValue):
+            return a._make(a.degree + b.degree, wedge_terms(a.terms, b.terms))
+        if isinstance(a, _FormValue):
+            return a._make(a.degree, {S: c * b for S, c in a.terms.items()})
+        if isinstance(b, _FormValue):
+            return b._make(b.degree, {S: a * c for S, c in b.terms.items()})
+        return a * b
+
+    def _over(self, a, b):
+        if isinstance(b, _FormValue):
+            return ParseError("cannot divide by a form")
+        if _is_monomial(b):
+            e, c = self._monomial(b)
+            if not any(e):  # b is a number
+                if not c:
+                    return ParseError("division by zero")
+                if not _is_monomial(a):
+                    return a.scale(Fraction(1, c))
+                e, ca = self._monomial(a)
+                return e, Fraction(ca, c)
+        a, b = self._lift(a), self._lift(b)
+        if b.is_zero():
+            return ParseError("division by zero")
+        if isinstance(b, Polynomial) and b.is_constant():
+            return a.scale(Fraction(1, b.constant_value()))
+        if isinstance(a, _FormValue):
+            return a._make(a.degree, {S: self._over(c, b) for S, c in a.terms.items()})
+        (an, ad), (bn, bd) = parts(a), parts(b)
+        return ratio(an * bd, ad * bn)
 
     def _signed(self):
         minuses = 0
@@ -178,13 +251,19 @@ class _Reader:
             minuses += self._take()[0] == "-"
         value = self._power()
         if minuses and not isinstance(value, ParseError):
-            value = -self._lift(value) if minuses % 2 else self._lift(value)
+            if _is_monomial(value):  # a signed literal is no longer one
+                e, c = self._monomial(value)
+                value = e, -c if minuses % 2 else c
+            elif minuses % 2:
+                value = -value
         return value
 
     def _power(self):
         """Leading forms wedge the value of the rest, which must be a form;
         a scalar takes one literal exponent and evaluates no other."""
         atoms = [self._atom()]
+        if self.next[0] != "^":
+            return atoms[0]
         while self.next[0] == "^":
             self._take()
             atoms.append(self._atom())
@@ -195,24 +274,29 @@ class _Reader:
         elif len(rest) == 1 or isinstance(rest[0], ParseError):
             value = rest[0]
         elif len(rest) == 2 and type(rest[1]) is int:
-            value = self._literal_power(self._lift(rest[0]), rest[1])
+            value = self._literal_power(rest[0], rest[1])
         else:
             value = ParseError("exponent must be a literal integer")
         if forms and not isinstance(value, (_FormValue, ParseError)):
             value = ParseError("'^' after a form must wedge another form")
         while forms and isinstance(value, _FormValue):
-            value = _multiply(forms.pop(), value)
+            value = self._multiply(forms.pop(), value)
         return value
 
     def _literal_power(self, base, k):
-        exponents = [e for p in parts(base) for e in p.terms]
+        """base^k, a monomial if base is one."""
+        if _is_monomial(base):
+            e, c = self._monomial(base)
+            exponents = [e] if c else []  # the exponents of its Polynomial
+        else:
+            exponents = [e for p in parts(base) for e in p.terms]
         degree = k * max(map(sum, exponents), default=0)
         if degree > MAX_POWER_DEGREE:
             return ParseError("power of degree %d is above %d in %r" % (degree, MAX_POWER_DEGREE, self.text))
         terms = comb(sum(map(any, zip(*exponents))) + degree, degree)
         if terms > MAX_POWER_TERMS:
             return ParseError("power of up to %d terms is above %d in %r" % (terms, MAX_POWER_TERMS, self.text))
-        return base ** k
+        return (tuple([k * i for i in e]), c ** k) if _is_monomial(base) else base ** k
 
     def _atom(self):
         kind, value = self._take()
@@ -221,10 +305,14 @@ class _Reader:
         if kind == "name":
             names = self.variables
             if value in names:
-                return Polynomial.variable(names, names.index(value))
+                unit = [0] * len(names)
+                unit[names.index(value)] = 1
+                return tuple(unit), 1
             if value.startswith("d") and value[1:] in names:
-                return _FormValue(names, 1, {(names.index(value[1:]),): self._lift(1)})
+                return _FormValue(names, 1, {(names.index(value[1:]),): Polynomial.constant(names, 1)})
             return ParseError("unknown name %r in form text" % value)
+        if kind is None:
+            raise ParseError("text ends where a value is expected in %r" % self.text)
         if kind != "(":
             raise ParseError("unexpected token %r in %r" % (value, self.text))
         if self.depth == MAX_NESTING:

@@ -78,7 +78,10 @@ def _axpy(target, scale, source):
 
 
 def _integral(vec):
-    """(integer vector, scale) with vec = integer vector / scale; zeros dropped."""
+    """(integer vector, scale) with vec = integer vector / scale; zeros dropped.
+    An all-int vector without zeros comes back as it is, with scale 1."""
+    if all(type(v) is int and v for v in vec.values()):
+        return vec, 1
     scale = lcm(*[v.denominator for v in vec.values()])
     return {j: v.numerator * (scale // v.denominator) for j, v in vec.items() if v}, scale
 
@@ -152,18 +155,20 @@ class Echelon:
     def _reduce(self, vec):
         """(out, coords, scale): integer vectors with vec = (out + sum of
         coords[k] * vector k) / scale, out vanishing at every pivot."""
-        out, scale = _integral(vec)
+        out, scale = _integral(vec)  # vec itself if all int: copied to be changed or returned
         # a row has no entry at any other pivot, so the pivots hit are
         # exactly those present at the start, in any order
         hit = [j for j in out if j in self._rows]
         coords = {}
         if not hit:
-            return out, coords, scale
+            return dict(out) if out is vec else out, coords, scale
         # scale once so that every row's multiple is an integer
         common = lcm(*[self._rows[pivot][pivot] for pivot in hit])
         if common != 1:
             out = {j: v * common for j, v in out.items()}
             scale *= common
+        elif out is vec:
+            out = dict(vec)
         for pivot in hit:
             row = self._rows[pivot]
             coeff = out[pivot] // row[pivot]

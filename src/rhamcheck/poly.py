@@ -395,7 +395,8 @@ def _add_shifted(vec, terms, coeff, shift):
     """vec += coeff * x^shift * terms, in place; cancelled terms are dropped."""
     for (e, S), c in terms.items():
         key = (monomial_mul(e, shift), S)
-        v = vec.get(key, 0) + coeff * c
+        v = vec.get(key)
+        v = coeff * c if v is None else v + coeff * c
         if v:
             vec[key] = v
         else:
@@ -410,10 +411,11 @@ def reduce_vector(vec, divisors):
     basis the remainder is the unique normal form, supported on the terms
     no leading term divides; it vanishes exactly on the submodule.
 
-    The terms left to divide are taken from a heap, largest first.  A
-    division step only adds terms below the one it removes, as the order
-    is a module order, so a term leaves the heap for good once taken; a
-    cancelled term stays in the heap and is skipped when it comes up.
+    The terms left to divide are taken from a heap, largest first, so the
+    remainder lists its terms largest first.  A division step only adds
+    terms below the one it removes, as the order is a module order, so a
+    term leaves the heap for good once taken; a cancelled term stays in
+    the heap and is skipped when it comes up.
     """
     h = dict(vec)
     heap = [(_heap_key(term), term) for term in h]
@@ -477,9 +479,10 @@ def buchberger(generators, seeds=()):
     n_seeds = len(seeds)
     single = []  # per element: whether every term lies at its lead's position
 
-    def append(vec):
-        (m, S) = lead = max(vec, key=_term_key)
-        vec = {t: _quotient(c, vec[lead]) for t, c in vec.items()}
+    def append(vec, lead):
+        m, S = lead
+        if vec[lead] != 1:
+            vec = {t: _quotient(c, vec[lead]) for t, c in vec.items()}
         new = len(basis)
         single.append(all(T == S for _, T in vec))
         for k in at.get(S, ()) if new >= n_seeds else ():
@@ -496,10 +499,10 @@ def buchberger(generators, seeds=()):
     def insert(vec):
         vec = reduce_vector(vec, divisors)
         if vec:
-            append(vec)
+            append(vec, next(iter(vec)))  # a remainder lists its lead first
 
     for vec in seeds:
-        append(vec)
+        append(vec, max(vec, key=_term_key))
     for vec in generators:
         insert(vec)
 
@@ -516,14 +519,17 @@ def buchberger(generators, seeds=()):
         if any(k != i and k != j and monomial_divides(leads[k][0], lcm)
                and treated(i, k) and treated(j, k) for k in at[S]):
             continue  # chain criterion
-        s_vector = {}
-        _add_shifted(s_vector, basis[i], 1, monomial_div(lcm, leads[i][0]))
+        shift = monomial_div(lcm, leads[i][0])
+        s_vector = {(monomial_mul(e, shift), T): c for (e, T), c in basis[i].items()}
         _add_shifted(s_vector, basis[j], -1, monomial_div(lcm, leads[j][0]))
         insert(s_vector)
 
     # minimalise, then tail-reduce: the unique reduced basis.  No two leads
     # are equal, as each element was reduced by the earlier ones; a tail
-    # term is below its own lead, so no element reduces its own tail.
+    # term is below its own lead, so no element reduces its own tail.  A
+    # tail that no kept lead divides is already reduced, and it is listed
+    # largest first, as `reduce_vector` would list it: an inserted element
+    # is a remainder, and a seed a reduced element, its tail then its lead.
     kept = {S: [(leads[k][0], basis[k]) for k in indices
                 if not any(k2 != k and monomial_divides(leads[k2][0], leads[k][0])
                            for k2 in indices)]
@@ -531,7 +537,9 @@ def buchberger(generators, seeds=()):
     reduced = {}
     for S, elements in kept.items():
         for m, vec in elements:
-            tail = reduce_vector({t: c for t, c in vec.items() if t != (m, S)}, kept)
+            tail = {t: c for t, c in vec.items() if t != (m, S)}
+            if any(monomial_divides(lead, e) for e, T in tail for lead, _ in kept.get(T, ())):
+                tail = reduce_vector(tail, kept)
             tail[(m, S)] = 1
             reduced.setdefault(S, []).append((m, tail))
     for vec in generators:

@@ -64,6 +64,7 @@ from fractions import Fraction
 from .comparison import ParamSimplex, SingularFamily
 from .derham import FpAlgebra, parse_algebraic_form
 from .errors import ParseError, RhamcheckError, ValidationError
+from .formtext import is_name
 from .simplex_forms import parse_poly_form
 from .simplicial import Chain, boundary_complex, standard_simplex
 
@@ -238,22 +239,21 @@ def _sections(text, source):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        at = "%s:%d" % (source, lineno)
         if line.startswith("["):
             header = line[1:-1].split() if line.endswith("]") else None
             if not header:
-                raise ParseError("%s: malformed section header %r" % (at, line))
+                raise ParseError("%s:%d: malformed section header %r" % (source, lineno, line))
             kind, names = header[0], header[1:]
             if kind not in sections or kind == "header":
-                raise ParseError("%s: unknown section %r" % (at, kind))
+                raise ParseError("%s:%d: unknown section %r" % (source, lineno, kind))
             named = kind not in UNNAMED
             if len(names) != int(named):
-                raise ParseError("%s: section %r takes %s"
-                                 % (at, kind, "one name" if named else "no name"))
+                raise ParseError("%s:%d: section %r takes %s"
+                                 % (source, lineno, kind, "one name" if named else "no name"))
             name = names[0] if names else None
             if name in sections[kind]:
-                raise ParseError("%s: %s: second section of that name"
-                                 % (at, _label(kind, name)))
+                raise ParseError("%s:%d: %s: second section of that name"
+                                 % (source, lineno, _label(kind, name)))
             section = sections[kind][name] = {}
             continue
         key, _, rest = line.partition(" ")
@@ -427,10 +427,16 @@ def _word(scenario, text, where):
 
 
 def _names(scenario, text, where):
-    """Distinct words, at least one."""
+    """Distinct names that form text reads as themselves, at least one: no
+    word outside its name rule, and no d<v> beside a variable v."""
     names = text.split()
     if not names or len(set(names)) != len(names):
         raise ParseError("%s: %r is not a list of distinct names" % (where, text))
+    for name in names:
+        if not is_name(name):
+            raise ParseError("%s: %r is not a name in form text" % (where, name))
+        if name[:1] == "d" and name[1:] in names:
+            raise ParseError("%s: %r would read as the differential of %r" % (where, name, name[1:]))
     return tuple(names)
 
 

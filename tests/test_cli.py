@@ -1108,10 +1108,18 @@ def test_section_refuses_second_section_of_one_name(tmp_path, capsys, label):
          "algebra: relation: power of degree 150 is above 64 in '(1+x+y)^150'"),
         (_sections_text({("form e", "expr"): ["(1+x)^2000"]}),
          "form e: expr: power of degree 2000 is above 64 in '(1+x)^2000'"),
+        # these two loaded: no text could name 1x, and dx in a form meant the variable
+        (_sections_text({("algebra", "variables"): ["x 1x"]}),
+         "algebra: variables: '1x' is not a name in form text"),
+        (_sections_text({("algebra", "variables"): ["x dx"]}),
+         "algebra: variables: 'dx' would read as the differential of 'x'"),
+        (_sections_text({("algebra", "relation"): [""]}),
+         "algebra: relation: text ends where a value is expected in ''"),
     ],
     ids=["degre", "family_simplex", "component_form", "component_count", "relation_zero",
          "relation_fraction", "term_dimension", "off_variety_member", "simplex_dim_too_large",
-         "nested_300_deep", "superscript_digit", "form_fraction", "power_150", "power_2000"],
+         "nested_300_deep", "superscript_digit", "form_fraction", "power_150", "power_2000",
+         "variable_not_a_name", "variable_beside_its_differential", "relation_empty"],
 )
 def test_section_refusal_names_section_and_key(tmp_path, capsys, text, message):
     line = _one_refusal(tmp_path, capsys, text)

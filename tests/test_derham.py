@@ -418,6 +418,23 @@ def test_ideal_basis_is_computed_once(name, monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_ellipse_module_basis_takes_few_divisions(monkeypatch):
+    """G_1 of an ellipse divides its generator, two S-vectors that reduce to
+    zero and the generator again as a check; the kept elements' tails need
+    no division (seven with a tail reduction of each)."""
+    calls = []
+    divide = poly.reduce_vector
+
+    def counting(*args):
+        calls.append(args)
+        return divide(*args)
+
+    algebra = FpAlgebra(("x", "y"), ["25/81*x^2 + 49/64*y^2 - 1"])
+    monkeypatch.setattr(poly, "reduce_vector", counting)
+    algebra._module(1)
+    assert len(calls) <= 4
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(st.sampled_from(sorted(ORACLE_ALGEBRAS)), st.integers(0, 2**32))
 def test_degree_zero_reduction_matches_sympy(name, seed):

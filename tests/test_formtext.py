@@ -1,5 +1,7 @@
 """The expression reader of `formtext`, against values built by direct arithmetic."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -142,6 +144,10 @@ DT1, DT2 = differential(0), differential(1)
 EXPONENT_REFUSAL = "exponent must be a literal integer"
 
 
+def literal(k):
+    return scalar(Polynomial.constant(T, k))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(cases())
 @example(("t1^(2)", POWER, power(T1, 2)))
@@ -153,6 +159,16 @@ EXPONENT_REFUSAL = "exponent must be a literal integer"
           wedge(quotient(scalar(Polynomial.constant(T, 2)), ONE + power(T1, 2)), DT1)))
 @example(("x^2^3", POWER, EXPONENT_REFUSAL))
 @example(("t1^(1+1)", POWER, EXPONENT_REFUSAL))
+# numbers fold under * and / until they meet a variable, never into a literal exponent
+@example(("x^(6/3)", POWER, EXPONENT_REFUSAL))
+@example(("x^(2*3)", POWER, EXPONENT_REFUSAL))
+@example(("2/(3/4)*x", PRODUCT, wedge(quotient(literal(2), quotient(literal(3), literal(4))), X)))
+@example(("-(2/3)*x^2", PRODUCT, wedge(-quotient(literal(2), literal(3)), power(X, 2))))
+@example(("x/2/3", PRODUCT, quotient(quotient(X, literal(2)), literal(3))))
+@example(("2^3*x", PRODUCT, wedge(power(literal(2), 3), X)))
+@example(("1/0*x", PRODUCT, "division by zero"))
+# a folded sum: x cancels and comes back
+@example(("x + t1 - x + x", SUM, X + T1 - X + X))
 def test_reader_matches_direct_arithmetic(case):
     text, _, expected = case
     if isinstance(expected, str):
@@ -204,6 +220,11 @@ def test_literal_powers_are_bounded_by_degree_and_by_terms():
     ("x^(%d)" % (MAX_POWER_DEGREE + 1), "power of degree %d is above" % (MAX_POWER_DEGREE + 1)),
     ("x^%d + foo" % MAX_POWER_DEGREE, "unknown name 'foo' in form text"),
     ("(1+x+y)^99 + foo", "power of degree 99 is above"),
+    ("x +", "text ends where a value is expected in 'x +'"),
+    ("2/", "text ends where a value is expected in '2/'"),
+    ("-", "text ends where a value is expected in '-'"),
+    ("", "text ends where a value is expected in ''"),
+    ("x^(", "text ends where a value is expected in 'x^('"),
 ])
 def test_reader_refuses_with_the_first_fault(text, message):
     """Malformed text is refused before a fault of its value, and of those
@@ -253,3 +274,60 @@ def test_refused_reads_raise_every_time_and_are_not_cached():
         messages.append(str(err.value))
     assert messages == ["unknown name 'foo' in form text"] * 2
     assert formtext._read.cache_info().currsize == 0
+
+
+# (text, variables) -> read_representation, for the relation shapes of the
+# benchmark's exact-lane varieties and a simplex component of the corpus
+PINNED_READS = {
+    ("25/81*x^2 + 49/64*y^2 - 1", ("x", "y")):
+        (0, [((), "Polynomial", [[((2, 0), Fraction(25, 81), "Fraction"),
+                                  ((0, 2), Fraction(49, 64), "Fraction"), ((0, 0), -1, "int")],
+                                 [((0, 0), 1, "int")]])]),
+    ("4*x*y - 1", ("x", "y")):
+        (0, [((), "Polynomial", [[((1, 1), 4, "int"), ((0, 0), -1, "int")], [((0, 0), 1, "int")]])]),
+    ("4/9*x^2 + y^2 + 9/49*z^2 - 1", ("x", "y", "z")):
+        (0, [((), "Polynomial", [[((2, 0, 0), Fraction(4, 9), "Fraction"), ((0, 2, 0), 1, "int"),
+                                  ((0, 0, 2), Fraction(9, 49), "Fraction"), ((0, 0, 0), -1, "int")],
+                                 [((0, 0, 0), 1, "int")]])]),
+    ("1/4*z^2 + 16/9*w^2 - 1", ("x", "y", "z", "w")):
+        (0, [((), "Polynomial", [[((0, 0, 2, 0), Fraction(1, 4), "Fraction"),
+                                  ((0, 0, 0, 2), Fraction(16, 9), "Fraction"),
+                                  ((0, 0, 0, 0), -1, "int")], [((0, 0, 0, 0), 1, "int")]])]),
+    ("(1 - t1^2)/(1 + t1^2)", ("t1",)):
+        (0, [((), "RationalFunc", [[((0,), 1, "int"), ((2,), -1, "int")],
+                                   [((0,), 1, "int"), ((2,), 1, "int")]])]),
+    # a term that cancels and comes back is stored last; 2/2 is stored as an int
+    ("x + y - x + 2/2*x", ("x", "y")):
+        (0, [((), "Polynomial", [[((0, 1), 1, "int"), ((1, 0), 1, "int")], [((0, 0), 1, "int")]])]),
+    ("1/2*x*dx + 1/2*x*dx - 2*dy", ("x", "y")):
+        (1, [((0,), "Polynomial", [[((1, 0), 1, "int")], [((0, 0), 1, "int")]]),
+             ((1,), "Polynomial", [[((0, 0), -2, "int")], [((0, 0), 1, "int")]])]),
+}
+
+
+@pytest.mark.parametrize("text, variables", list(PINNED_READS))
+def test_reads_keep_their_stored_order_and_coefficient_types(text, variables):
+    value = _Reader(text, variables).read()
+    assert read_representation(value.degree, value.terms) == PINNED_READS[text, variables]
+
+
+# Polynomial objects made reading each relation: one, its folded sum of
+# monomials; with an object per token the ellipse took 23
+RELATION_BUILDS = [("25/81*x^2 + 49/64*y^2 - 1", ("x", "y"), 1),
+                   ("4/9*x^2 + 1/4*y^2 + 9/49*z^2 - 1", ("x", "y", "z"), 1),
+                   ("1/4*x^2 + 16/9*y^2 - 1", ("x", "y", "z", "w"), 1),
+                   ("4*z^2 + 9/25*w^2 - 1", ("x", "y", "z", "w"), 1)]
+
+
+@pytest.mark.parametrize("text, variables, bound", RELATION_BUILDS)
+def test_relation_reads_build_few_polynomials(monkeypatch, text, variables, bound):
+    built = []
+    make = Polynomial._of.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return make(cls, *args)
+
+    monkeypatch.setattr(Polynomial, "_of", classmethod(counted))
+    _Reader(text, variables).read()
+    assert len(built) <= bound
